@@ -33,10 +33,6 @@ class MissingEntries(PsmtError):
     """Received word has unfilled slots where a full word is required."""
 
 
-class OracleTooLarge(PsmtError):
-    """Brute-force decoding search space exceeds the configured limit."""
-
-
 class SizeLimit(PsmtError):
     """Instance too large for exhaustive connectivity analysis."""
 

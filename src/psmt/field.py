@@ -2,13 +2,14 @@
 
 Fields GF(p^m) are represented with elements packed into integers in
 [0, p^m): the base-p digits of the integer are the coefficients of the
-residue polynomial (little-endian).  Prime fields use plain modular
-arithmetic; small extension fields build log/exp tables once.
+residue polynomial (little-endian).  Each FieldSpec picks its raw integer
+kernels once: modular arithmetic for prime fields, log/exp tables (and
+Zech logarithms for odd p) for extension fields up to 2^16 elements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -167,14 +168,50 @@ def _default_reduction(p: int, m: int) -> tuple[int, ...]:
     raise ParamError(f"no irreducible polynomial found for GF({p}^{m})")
 
 
+def _identity(a: int) -> int:
+    return a
+
+
+def _pow_with(mul, a: int, e: int) -> int:
+    result = 1
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        e >>= 1
+    return result
+
+
 # ---------------------------------------------------------------------------
 
 
 _TABLE_LIMIT = 1 << 16
 
 
+def _clmul_mod(a: int, b: int, red: int, top: int) -> int:
+    """Product of two GF(2)[x] bit vectors modulo the packed polynomial
+    ``red``, whose leading bit is ``top``."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= red
+    return r
+
+
 class FieldSpec:
-    """A finite field GF(p^m) with a fixed reduction polynomial (m > 1)."""
+    """A finite field GF(p^m) with a fixed reduction polynomial (m > 1).
+
+    The raw kernels ``add_raw``, ``sub_raw``, ``neg_raw``, ``mul_raw``,
+    ``inv_raw`` and ``dot_raw`` work on packed integers and are chosen
+    once here, from the field's shape: ``%`` for prime fields, log/exp
+    tables with XOR addition for GF(2^m), log/exp tables with Zech
+    logarithms for GF(p^m) with odd p, and polynomial arithmetic above
+    ``_TABLE_LIMIT``.
+    """
 
     def __init__(self, order: int, reduction: Sequence[int] | None = None):
         if order < 2:
@@ -196,98 +233,157 @@ class FieldSpec:
             if not _is_irreducible(reduction, p):
                 raise ParamError("reduction polynomial is not irreducible")
             self.reduction = reduction
+            self._packed_reduction = _digits_to_int(reduction, p)
+        self._hash = hash((order, self.reduction))
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._zech: list[int | None] | None = None
         if m > 1 and order <= _TABLE_LIMIT:
             self._build_tables()
+        self._bind_kernels()
 
     # -- raw integer arithmetic ------------------------------------------
 
-    def add_raw(self, a: int, b: int) -> int:
+    def _bind_kernels(self) -> None:
+        p, q1 = self.p, self.order - 1
+        dot = None
         if self.m == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        da, db = _int_to_digits(a, self.p, self.m), _int_to_digits(b, self.p, self.m)
-        return _digits_to_int([(x + y) % self.p for x, y in zip(da, db)], self.p)
+            def add(a, b):
+                return (a + b) % p
 
-    def neg_raw(self, a: int) -> int:
-        if self.m == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        da = _int_to_digits(a, self.p, self.m)
-        return _digits_to_int([(-x) % self.p for x in da], self.p)
+            def sub(a, b):
+                return (a - b) % p
 
-    def sub_raw(self, a: int, b: int) -> int:
-        return self.add_raw(a, self.neg_raw(b))
+            def neg(a):
+                return -a % p
 
-    def mul_raw(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is not None:
-            q1 = self.order - 1
-            return self._exp[(self._log[a] + self._log[b]) % q1]
-        return self._mul_poly(a, b)
+            def mul(a, b):
+                return a * b % p
+
+            def inv(a):
+                return pow(a, p - 2, p)
+
+            def dot(row, ys):
+                return sum(map(operator.mul, row, ys)) % p
+        elif self._exp is None:
+            # beyond the table limit: polynomial arithmetic on every call
+            if p == 2:
+                add = sub = operator.xor
+                neg = _identity
+            else:
+                add, sub, neg = self._add_digits, self._sub_digits, self._neg_digits
+            mul = self._mul_poly
+
+            def inv(a):
+                return self.pow_raw(a, self.order - 2)
+        else:
+            exp, log = self._exp, self._log
+
+            def mul(a, b):
+                return exp[log[a] + log[b]] if a and b else 0
+
+            def inv(a):
+                return exp[q1 - log[a]]
+
+            if p == 2:
+                add = sub = operator.xor
+                neg = _identity
+
+                def dot(row, ys):
+                    acc = 0
+                    for c, y in zip(row, ys):
+                        if c and y:
+                            acc ^= exp[log[c] + log[y]]
+                    return acc
+            else:
+                # a + b = g^i (1 + g^(j-i)) = g^(i + Z(j-i)), with Z the Zech
+                # logarithm; -1 = g^half.  A negative j-i indexes Z from its
+                # end, which is j-i mod q-1, so no modulus is taken.
+                zech, half = self._zech, q1 // 2
+
+                def add(a, b):
+                    if not a:
+                        return b
+                    if not b:
+                        return a
+                    i = log[a]
+                    z = zech[log[b] - i]
+                    return 0 if z is None else exp[i + z]
+
+                def neg(a):
+                    return exp[log[a] + half] if a else 0
+
+                def sub(a, b):
+                    return add(a, neg(b))
+
+        if dot is None:
+            def dot(row, ys):
+                acc = 0
+                for c, y in zip(row, ys):
+                    acc = add(acc, mul(c, y))
+                return acc
+
+        def inv_raw(a: int) -> int:
+            if a == 0:
+                raise DivisionByZero("inverse of zero")
+            return inv(a)
+
+        self.add_raw, self.sub_raw, self.neg_raw = add, sub, neg
+        self.mul_raw, self.inv_raw, self.dot_raw = mul, inv_raw, dot
+
+    def _add_digits(self, a: int, b: int) -> int:
+        p, m = self.p, self.m
+        return _digits_to_int([(x + y) % p for x, y in
+                               zip(_int_to_digits(a, p, m), _int_to_digits(b, p, m))], p)
+
+    def _neg_digits(self, a: int) -> int:
+        return _digits_to_int([-x % self.p for x in _int_to_digits(a, self.p, self.m)],
+                              self.p)
+
+    def _sub_digits(self, a: int, b: int) -> int:
+        return self._add_digits(a, self._neg_digits(b))
 
     def _mul_poly(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return _clmul_mod(a, b, self._packed_reduction, self.order)
         da = _int_to_digits(a, self.p, self.m)
         db = _int_to_digits(b, self.p, self.m)
         prod = _poly_mulmod(da, db, self.reduction, self.p)
         return _digits_to_int(prod + [0] * (self.m - len(prod)), self.p)
 
-    def inv_raw(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("inverse of zero")
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)
-        if self._exp is not None:
-            q1 = self.order - 1
-            return self._exp[(q1 - self._log[a]) % q1]
-        return self.pow_raw(a, self.order - 2)
-
     def pow_raw(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow_raw(self.inv_raw(a), -e)
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul_raw(result, base)
-            base = self.mul_raw(base, base)
-            e >>= 1
-        return result
+        return _pow_with(self.mul_raw, a, e)
 
     def _build_tables(self) -> None:
+        """Log/exp tables over the smallest generator; Zech logarithms for
+        odd p.  ``exp`` has period q-1 and length 2(q-1), so the sum of two
+        logs indexes it directly."""
         q1 = self.order - 1
+        mul = self._mul_poly
         factors = _prime_factors(q1)
-        gen = None
-        for cand in range(2, self.order):
-            if all(self._pow_slow(cand, q1 // f) != 1 for f in factors):
-                gen = cand
-                break
-        assert gen is not None
-        exp = [0] * q1
+        gen = next(cand for cand in range(2, self.order)
+                   if all(_pow_with(mul, cand, q1 // f) != 1 for f in factors))
+        exp = [0] * (2 * q1)
         log = [0] * self.order
         x = 1
         for i in range(q1):
-            exp[i] = x
+            exp[i] = exp[i + q1] = x
             log[x] = i
-            x = self._mul_poly(x, gen)
+            x = mul(x, gen)
         self._exp = exp
         self._log = log
-
-    def _pow_slow(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul_poly(result, base)
-            base = self._mul_poly(base, base)
-            e >>= 1
-        return result
+        if self.p != 2:
+            # 1 + g^d: add one to the lowest base-p digit of g^d
+            p = self.p
+            zech: list[int | None] = []
+            for d in range(q1):
+                v = exp[d]
+                low = v % p
+                one_plus = v - low + (low + 1) % p
+                zech.append(log[one_plus] if one_plus else None)
+            self._zech = zech
 
     # -- element constructors --------------------------------------------
 
@@ -334,14 +430,14 @@ class FieldSpec:
         return f"GF({self.p}^{self.m})"
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, FieldSpec)
             and self.order == other.order
             and self.reduction == other.reduction
         )
 
     def __hash__(self) -> int:
-        return hash((self.order, self.reduction))
+        return self._hash
 
 
 @lru_cache(maxsize=None)
@@ -372,7 +468,7 @@ class FieldElement:
     def _check(self, other: "FieldElement") -> None:
         if not isinstance(other, FieldElement):
             raise SpecMismatch(f"expected FieldElement, got {type(other).__name__}")
-        if other.spec != self.spec:
+        if other.spec is not self.spec and other.spec != self.spec:
             raise SpecMismatch(f"mixed field specs {self.spec} and {other.spec}")
 
     @staticmethod
@@ -416,8 +512,8 @@ class FieldElement:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldElement)
-            and self.spec == other.spec
             and self.value == other.value
+            and (self.spec is other.spec or self.spec == other.spec)
         )
 
     def __hash__(self) -> int:

@@ -257,13 +257,17 @@ class HyperNet:
             self._edges_from[origin].sort(key=lambda r: sorted(r))
 
     def multicast(self, origin, payload):
-        """Origin sends on its hyperedge; every recipient hears the same
-        value.  Returns {recipient: payload}.  A corrupted origin may
-        substitute the payload; corrupted listeners record it.
+        """Origin sends on its one hyperedge; every recipient hears the
+        same value.  Returns {recipient: payload}.  A corrupted origin may
+        substitute the payload; corrupted listeners record it.  An origin
+        with several hyperedges must name a route: use ``transmit``.
         """
         edges = self._edges_from.get(origin)
         if not edges:
             raise ParamError(f"{origin} has no hyperedge to send on")
+        if len(edges) > 1:
+            raise ParamError(
+                f"{origin} has {len(edges)} hyperedges; multicast needs exactly one")
         recipients = edges[0]
         if origin in self.adversary.corrupted and self.adversary.active:
             ctx = TamperContext(self.round, origin, payload, self.view,

@@ -101,6 +101,7 @@ def hypergraph_private(message: FieldElement, graph: Hypergraph, k: int,
     net = HyperNet(graph, adversary)
     net_back = HyperNet(back, adversary)
     net_back.view = net.view
+    net_back.transcript = net.transcript
     net_back.round = net.round
 
     internal = sorted(graph.nodes - {graph.sender, graph.receiver})

@@ -11,17 +11,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .errors import (
     InsufficientShares,
     MissingEntries,
-    OracleTooLarge,
     ParamError,
+    SpecMismatch,
 )
 from .field import FieldElement, FieldSpec
 
-_ORACLE_LIMIT = 10**7
+# Lagrange row sets kept, keyed by (field, interpolation points, targets)
+_ROW_CACHE = 4096
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,11 @@ class SharingParams:
         seen = {pt.value for pt in self.points}
         if len(seen) != self.n or 0 in seen:
             raise ParamError("evaluation points must be distinct and nonzero")
+
+    @cached_property
+    def xs(self) -> tuple[int, ...]:
+        """The evaluation points as raw integers."""
+        return tuple(pt.value for pt in self.points)
 
     @property
     def max_detect(self) -> int:
@@ -81,59 +88,73 @@ class ReceivedWord:
             self.params)
 
 
-def _poly_eval(coeffs: Sequence[FieldElement], x: FieldElement) -> FieldElement:
-    acc = x.spec.zero()
+def _value(spec: FieldSpec, e) -> int:
+    if not isinstance(e, FieldElement) or (e.spec is not spec and e.spec != spec):
+        raise SpecMismatch("entries must belong to the sharing field")
+    return e.value
+
+
+def _values(word: ReceivedWord) -> list[int]:
+    """The entries as raw integers of the sharing field; every slot filled."""
+    if any(e is None for e in word.entries):
+        raise MissingEntries("substitute defaults before decoding")
+    spec = word.params.field
+    return [_value(spec, e) for e in word.entries]
+
+
+def _taint(elements) -> frozenset[int] | None:
+    """Union of the elements' taints; None when none of them is tainted."""
+    out = None
+    for e in elements:
+        if e.taint is not None:
+            out = e.taint if out is None else out | e.taint
+    return out
+
+
+def _horner(spec: FieldSpec, coeffs: Sequence[int], x: int) -> int:
+    mul, add = spec.mul_raw, spec.add_raw
+    acc = 0
     for c in reversed(coeffs):
-        acc = acc * x + c
+        acc = add(mul(acc, x), c)
     return acc
+
+
+@lru_cache(maxsize=_ROW_CACHE)
+def _lagrange_rows(spec: FieldSpec, xs: tuple[int, ...],
+                   targets: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Row t evaluates at ``targets[t]`` the polynomial of degree < len(xs)
+    through the points ``xs``: its value there is the row's dot product
+    with the values at ``xs``."""
+    mul, sub = spec.mul_raw, spec.sub_raw
+    scales = []
+    for i, xi in enumerate(xs):
+        den = 1
+        for j, xj in enumerate(xs):
+            if j != i:
+                den = mul(den, sub(xi, xj))
+        scales.append(spec.inv_raw(den))
+    rows = []
+    for t in targets:
+        row = []
+        for i, scale in enumerate(scales):
+            for j, xj in enumerate(xs):
+                if j != i:
+                    scale = mul(scale, sub(t, xj))
+            row.append(scale)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def share(secret: FieldElement, params: SharingParams, rng) -> Codeword:
-    if secret.spec != params.field:
+    spec = params.field
+    if secret.spec != spec:
         raise ParamError("secret must belong to the sharing field")
-    coeffs = [secret] + [params.field.sample(rng) for _ in range(params.k)]
+    coeffs = [secret] + [spec.sample(rng) for _ in range(params.k)]
+    taint = _taint(coeffs)
+    raw = [c.value for c in coeffs]
     return Codeword(
-        tuple(_poly_eval(coeffs, pt) for pt in params.points), params)
-
-
-def _interpolate_at_zero(pairs: Sequence[tuple[FieldElement, FieldElement]]) -> FieldElement:
-    """Lagrange interpolation evaluated at x = 0."""
-    spec = pairs[0][0].spec
-    acc = spec.zero()
-    for i, (xi, yi) in enumerate(pairs):
-        num = spec.one()
-        den = spec.one()
-        for j, (xj, _) in enumerate(pairs):
-            if j == i:
-                continue
-            num = num * (-xj)
-            den = den * (xi - xj)
-        acc = acc + yi * num / den
-    return acc
-
-
-def _interpolate(pairs: Sequence[tuple[FieldElement, FieldElement]]) -> list[FieldElement]:
-    """Full coefficient vector of the unique interpolant (degree < len(pairs))."""
-    spec = pairs[0][0].spec
-    n = len(pairs)
-    coeffs = [spec.zero()] * n
-    for i, (xi, yi) in enumerate(pairs):
-        # basis polynomial prod_{j!=i} (x - xj) / (xi - xj)
-        basis = [spec.one()]
-        den = spec.one()
-        for j, (xj, _) in enumerate(pairs):
-            if j == i:
-                continue
-            nxt = [spec.zero()] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                nxt[d] = nxt[d] + c * (-xj)
-                nxt[d + 1] = nxt[d + 1] + c
-            basis = nxt
-            den = den * (xi - xj)
-        scale = yi / den
-        for d, c in enumerate(basis):
-            coeffs[d] = coeffs[d] + c * scale
-    return coeffs
+        tuple(FieldElement(spec, _horner(spec, raw, x), taint) for x in params.xs),
+        params)
 
 
 def reconstruct(word: ReceivedWord) -> FieldElement:
@@ -143,12 +164,28 @@ def reconstruct(word: ReceivedWord) -> FieldElement:
     if len(present) < params.k + 1:
         raise InsufficientShares(
             f"have {len(present)} entries, need {params.k + 1}")
-    pairs = [(params.points[i], e) for i, e in present[: params.k + 1]]
-    return _interpolate_at_zero(pairs)
+    used = present[: params.k + 1]
+    spec = params.field
+    row = _lagrange_rows(spec, tuple(params.xs[i] for i, _ in used), (0,))[0]
+    return FieldElement(spec, spec.dot_raw(row, [_value(spec, e) for _, e in used]),
+                        _taint(e for _, e in used))
 
 
 CLEAN = "clean"
 CORRUPTED = "corrupted"
+
+
+def _on_code(params: SharingParams, ys: Sequence[int]) -> bool:
+    """Whether the values lie on one polynomial of degree <= k.
+
+    The first k+1 values fix the polynomial; each remaining one must equal
+    its Lagrange combination of them (a parity check of the GRS code).
+    """
+    k1, xs, spec = params.k + 1, params.xs, params.field
+    rows = _lagrange_rows(spec, xs[:k1], xs[k1:])
+    head = ys[:k1]
+    dot = spec.dot_raw
+    return all(dot(row, head) == y for row, y in zip(rows, ys[k1:]))
 
 
 def detect_errors(word: ReceivedWord, max_detect: int | None = None) -> str:
@@ -159,14 +196,7 @@ def detect_errors(word: ReceivedWord, max_detect: int | None = None) -> str:
     if max_detect > params.max_detect:
         raise ParamError(
             f"max_detect {max_detect} exceeds MDS bound {params.max_detect}")
-    if any(e is None for e in word.entries):
-        raise MissingEntries("substitute defaults before detection")
-    pairs = [(params.points[i], e) for i, e in enumerate(word.entries)]
-    coeffs = _interpolate(pairs[: params.k + 1])
-    for xi, yi in pairs[params.k + 1:]:
-        if _poly_eval(coeffs, xi) != yi:
-            return CORRUPTED
-    return CLEAN
+    return CLEAN if _on_code(params, _values(word)) else CORRUPTED
 
 
 @dataclass(frozen=True)
@@ -181,104 +211,100 @@ def correct_errors(word: ReceivedWord, e: int) -> Decoded | None:
     Returns the secret and the exact corrupted positions when at most e
     entries are wrong.  Returns None (errors detected beyond the radius)
     when between e+1 and n-k-e-1 entries are wrong; never a wrong secret
-    inside that range.
+    inside that range.  The secret's taint is the union over the k+1
+    entries it is read from at radius 0, and over all n entries otherwise.
     """
     params = word.params
     if e > params.max_correct:
         raise ParamError(f"radius {e} exceeds MDS bound {params.max_correct}")
-    if any(entry is None for entry in word.entries):
-        raise MissingEntries("substitute defaults before decoding")
-    codeword = _berlekamp_welch(word, e)
+    ys = _values(word)
+    codeword = _berlekamp_welch(params, ys, e)
     if codeword is None:
         return None
     errs = frozenset(
-        i for i, (got, want) in enumerate(zip(word.entries, codeword))
-        if got != want)
+        i for i, (got, want) in enumerate(zip(ys, codeword)) if got != want)
     if len(errs) > e:
         return None
-    pairs = [(params.points[i], codeword[i]) for i in range(params.k + 1)]
-    return Decoded(_interpolate_at_zero(pairs), errs)
+    k1, spec = params.k + 1, params.field
+    row = _lagrange_rows(spec, params.xs[:k1], (0,))[0]
+    secret = spec.dot_raw(row, codeword[:k1])
+    taint = _taint(word.entries[:k1] if e == 0 else word.entries)
+    return Decoded(FieldElement(spec, secret, taint), errs)
 
 
-def _berlekamp_welch(word: ReceivedWord, e: int) -> tuple[FieldElement, ...] | None:
+def _berlekamp_welch(params: SharingParams, ys: list[int], e: int) -> list[int] | None:
     """Find the codeword within distance e, if any (unique when e <= max_correct)."""
-    params = word.params
-    spec = params.field
-    n, k = params.n, params.k
     if e == 0:
-        return word.entries if detect_errors(word) == CLEAN else None
+        return ys if _on_code(params, ys) else None
+    spec, xs, k = params.field, params.xs, params.k
+    mul, neg = spec.mul_raw, spec.neg_raw
     # Solve Q(x) = y * E(x) with deg Q <= e+k, E monic of degree e.
     # Unknowns: q_0..q_{e+k}, e_0..e_{e-1}  (E = x^e + sum e_j x^j)
     nq = e + k + 1
     rows = []
-    for i in range(n):
-        x = params.points[i]
-        y = word.entries[i]
+    for x, y in zip(xs, ys):
         row = []
-        xp = spec.one()
+        xp = 1
         for _ in range(nq):
             row.append(xp)
-            xp = xp * x
-        xp = spec.one()
+            xp = mul(xp, x)
+        xp = 1
         for _ in range(e):
-            row.append(-(y * xp))
-            xp = xp * x
-        rhs = y * x**e
-        rows.append(row + [rhs])
-    sol = _solve_linear(rows, nq + e, spec)
+            row.append(neg(mul(y, xp)))
+            xp = mul(xp, x)
+        row.append(mul(y, xp))
+        rows.append(row)
+    sol = _solve(spec, rows, nq + e)
     if sol is None:
         return None
     q = sol[:nq]
-    ecf = sol[nq:] + [spec.one()]
+    ecf = sol[nq:] + [1]
     # codeword_i = Q(x_i) / E(x_i); E(x_i) = 0 marks an error position
     out = []
-    for i in range(n):
-        x = params.points[i]
-        ev = _poly_eval(ecf, x)
-        if ev.value == 0:
-            out.append(None)
-        else:
-            out.append(_poly_eval(q, x) / ev)
-    # fill error positions from the interpolant through k+1 non-error slots
-    good = [(params.points[i], v) for i, v in enumerate(out) if v is not None]
+    for x in xs:
+        ev = _horner(spec, ecf, x)
+        out.append(None if ev == 0 else mul(_horner(spec, q, x), spec.inv_raw(ev)))
+    # fill error positions from the interpolant through k+1 non-error slots,
+    # and require every non-error slot to lie on it
+    good = [i for i, v in enumerate(out) if v is not None][: k + 1]
     if len(good) < k + 1:
         return None
-    coeffs = _interpolate(good[: k + 1])
-    full = tuple(
-        v if v is not None else _poly_eval(coeffs, params.points[i])
-        for i, v in enumerate(out))
-    # verify consistency: all non-error slots must lie on the interpolant
-    for i, v in enumerate(full):
-        if _poly_eval(coeffs, params.points[i]) != v:
+    rows = _lagrange_rows(spec, tuple(xs[i] for i in good), xs)
+    vals = [out[i] for i in good]
+    full = []
+    for row, v in zip(rows, out):
+        w = spec.dot_raw(row, vals)
+        if v is not None and v != w:
             return None
+        full.append(w)
     return full
 
 
-def _solve_linear(rows, ncols: int, spec: FieldSpec):
-    """Gaussian elimination; returns one solution or None if inconsistent."""
-    rows = [list(r) for r in rows]
+def _solve(spec: FieldSpec, rows: list[list[int]], ncols: int) -> list[int] | None:
+    """Gauss-Jordan elimination on raw rows (last column the right-hand
+    side); returns one solution or None if inconsistent."""
+    mul, sub = spec.mul_raw, spec.sub_raw
     nrows = len(rows)
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c].value != 0), None)
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [v * inv for v in rows[r]]
+        inv = spec.inv_raw(rows[r][c])
+        top = rows[r] = [mul(v, inv) for v in rows[r]]
         for i in range(nrows):
-            if i != r and rows[i][c].value != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+            factor = rows[i][c]
+            if i != r and factor:
+                rows[i] = [sub(a, mul(factor, b)) for a, b in zip(rows[i], top)]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    for i in range(r, nrows):
-        if rows[i][ncols].value != 0:
-            return None
-    sol = [spec.zero()] * ncols
+    if any(rows[i][ncols] for i in range(r, nrows)):
+        return None
+    sol = [0] * ncols
     for i, c in enumerate(pivots):
         sol[c] = rows[i][ncols]
     return sol
@@ -287,46 +313,35 @@ def _solve_linear(rows, ncols: int, spec: FieldSpec):
 def oracle_decode(word: ReceivedWord) -> list[tuple[FieldElement, tuple[FieldElement, ...], int]]:
     """All nearest codewords; ties are reported, never silently resolved.
 
-    Returns a list of (secret, codeword, distance) triples.  Every
-    codeword at distance d <= n-k-1 from the word agrees with it on at
-    least k+1 positions and therefore is the interpolant of some
-    (k+1)-subset of positions, so interpolating all such subsets finds
-    the complete nearest set whenever the nearest distance is within the
-    detection range; beyond it the oracle falls back to enumerating
-    every degree-<=k polynomial.
+    Returns a list of (secret, codeword, distance) triples.  The
+    interpolant of any (k+1)-subset of positions agrees with the word on
+    that subset, so the nearest distance is at most n-k-1.  A codeword
+    within that distance agrees with the word on at least k+1 positions,
+    so it is the interpolant of one of the subsets: interpolating every
+    (k+1)-subset finds every nearest codeword.  A triple's elements carry
+    the union of the taints of the subset that produced it (the last
+    one, in subset order).
     """
     params = word.params
-    spec = params.field
-    if any(e is None for e in word.entries):
-        raise MissingEntries("substitute defaults before decoding")
+    spec, xs = params.field, params.xs
+    ys = _values(word)
+    dot = spec.dot_raw
 
-    best: dict[tuple[int, ...], tuple[FieldElement, tuple[FieldElement, ...], int]] = {}
+    best: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
     best_dist = params.n + 1
     for subset in itertools.combinations(range(params.n), params.k + 1):
-        pairs = [(params.points[i], word.entries[i]) for i in subset]
-        coeffs = _interpolate(pairs)
-        cw = tuple(_poly_eval(coeffs, pt) for pt in params.points)
-        dist = sum(1 for a, b in zip(cw, word.entries) if a != b)
+        rows = _lagrange_rows(spec, tuple(xs[i] for i in subset), (0,) + xs)
+        vals = [ys[i] for i in subset]
+        cw = tuple(dot(row, vals) for row in rows[1:])
+        dist = sum(1 for a, b in zip(cw, ys) if a != b)
         if dist < best_dist:
             best = {}
             best_dist = dist
         if dist == best_dist:
-            best[tuple(v.value for v in cw)] = (coeffs[0], cw, dist)
-    if best_dist <= params.max_detect:
-        return list(best.values())
-
-    # nearest codeword may agree on fewer than k+1 positions: enumerate
-    if spec.order ** (params.k + 1) > _ORACLE_LIMIT:
-        raise OracleTooLarge("polynomial enumeration space exceeds limit")
-    out: list[tuple[FieldElement, tuple[FieldElement, ...], int]] = []
-    best_dist = params.n + 1
-    for values in itertools.product(range(spec.order), repeat=params.k + 1):
-        coeffs = [spec.element(v) for v in values]
-        cw = tuple(_poly_eval(coeffs, pt) for pt in params.points)
-        dist = sum(1 for a, b in zip(cw, word.entries) if a != b)
-        if dist < best_dist:
-            out = [(coeffs[0], cw, dist)]
-            best_dist = dist
-        elif dist == best_dist:
-            out.append((coeffs[0], cw, dist))
+            best[cw] = (dot(rows[0], vals), subset)
+    out = []
+    for cw, (secret, subset) in best.items():
+        taint = _taint(word.entries[i] for i in subset)
+        out.append((FieldElement(spec, secret, taint),
+                    tuple(FieldElement(spec, v, taint) for v in cw), best_dist))
     return out

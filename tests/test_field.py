@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -174,3 +175,49 @@ def test_field_config_round_trip():
     for spec in (GF(7), GF(4), GF(2**16)):
         again = GF(int(spec.to_config()["order"]))
         assert again == spec
+
+
+def _digits(a, p, m):
+    return [a // p ** i % p for i in range(m)]
+
+
+def _pack(digits, p):
+    return sum(d * p ** i for i, d in enumerate(digits))
+
+
+@pytest.mark.parametrize("order", [9, 25, 27, 81])
+def test_zech_add_sub_neg_match_digitwise_exhaustive(order):
+    spec = GF(order)
+    p, m = spec.p, spec.m
+    for a in range(order):
+        da = _digits(a, p, m)
+        assert spec.neg_raw(a) == _pack([-x % p for x in da], p)
+        for b in range(order):
+            db = _digits(b, p, m)
+            assert spec.add_raw(a, b) == _pack([(x + y) % p for x, y in zip(da, db)], p)
+            assert spec.sub_raw(a, b) == _pack([(x - y) % p for x, y in zip(da, db)], p)
+
+
+def _clmul_reference(a, b, reduction):
+    """Schoolbook GF(2)[x] product, then long division by the reduction."""
+    prod = 0
+    for i in range(b.bit_length()):
+        if b >> i & 1:
+            prod ^= a << i
+    red = sum(c << i for i, c in enumerate(reduction))
+    deg = len(reduction) - 1
+    for i in range(prod.bit_length() - 1, deg - 1, -1):
+        if prod >> i & 1:
+            prod ^= red << (i - deg)
+    return prod
+
+
+@pytest.mark.parametrize("order", [256, 2**16, 2**17])
+def test_binary_field_mul_matches_carryless_reference(order):
+    spec = GF(order)
+    rng = random.Random(order)
+    for _ in range(2000):
+        a, b = rng.randrange(order), rng.randrange(order)
+        assert spec.mul_raw(a, b) == _clmul_reference(a, b, spec.reduction)
+        if a:
+            assert spec.mul_raw(a, spec.inv_raw(a)) == 1

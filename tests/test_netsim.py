@@ -146,16 +146,18 @@ def test_hypernet_corruption_validation():
 
 def test_hypernet_multicast_overhearing():
     graph = fixtures.get("fig5")
-    net = HyperNet(graph, AdversarySpec(frozenset({"u2"})))
-    heard = net.multicast("A", "hello")
-    assert heard == {"u1": "hello", "u2": "hello"}
-    assert net.view.events == [(0, ("A", ("u1", "u2")), "hello")]
+    net = HyperNet(graph, AdversarySpec(frozenset({"v"})))
+    heard = net.multicast("u1", "hello")
+    assert heard == {"B": "hello", "v": "hello"}
+    assert net.view.events == [(0, ("u1", ("B", "v")), "hello")]
     # a multicast no corrupted node can hear leaves no trace
     net2 = HyperNet(graph, AdversarySpec(frozenset({"v1"})))
-    net2.multicast("A", "hello")
+    net2.multicast("u1", "hello")
     assert net2.view.events == []
     with pytest.raises(ParamError):
         net.multicast("B", "x")  # B has no outgoing hyperedge in fig5
+    with pytest.raises(ParamError):
+        net.multicast("A", "x")  # A has two hyperedges in fig5
 
 
 def test_hypernet_transmit_routing_and_tampering():

@@ -5,9 +5,9 @@ import itertools
 import pytest
 
 from psmt import fixtures
-from psmt.errors import PreconditionError
-from psmt.field import GF
-from psmt.netsim import AdversarySpec
+from psmt.errors import ParamError, PreconditionError
+from psmt.field import GF, FieldElement
+from psmt.netsim import AdversarySpec, HyperNet
 from psmt.protocols.hypernet import (
     exchange_network,
     hypergraph_private,
@@ -80,6 +80,28 @@ def test_hypergraph_private_honest_and_adversarial():
                 m, graph, 1,
                 AdversarySpec(frozenset({node}), strategy, seed=s), seed=4)
             assert out.delivered == m, (node, s, out.detail)
+
+
+def test_hypergraph_private_transcript_covers_both_directions():
+    graph = duo_graph()
+    out = hypergraph_private(BIG.element(7), graph, 1, seed=2)
+    rounds = [entry[0] for entry in out.transcript]
+    assert rounds == sorted(rounds)
+    # the receiver's authenticated nonces travel on the reverse network
+    bundles = [payload for _, _, origin, payload in out.transcript
+               if origin == "B"]
+    assert bundles
+    assert all(isinstance(b, tuple) and len(b) == 2  # one per suspect x, y
+               and all(isinstance(v, FieldElement) for pair in b for v in pair)
+               for b in bundles)
+
+
+def test_multicast_needs_a_single_hyperedge():
+    # A has three hyperedges in the duo graph: which one to use is ambiguous
+    net = HyperNet(duo_graph())
+    with pytest.raises(ParamError):
+        net.multicast("A", 1)
+    assert net.transcript == []
 
 
 def test_hypergraph_private_preconditions():

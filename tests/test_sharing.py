@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psmt.errors import InsufficientShares, MissingEntries, ParamError
-from psmt.field import GF
+from psmt.errors import InsufficientShares, MissingEntries, ParamError, SpecMismatch
+from psmt.field import GF, FieldElement
 from psmt.randomness import Randomness
 from psmt.sharing import (
     CLEAN,
@@ -224,3 +224,232 @@ def test_property_share_then_reconstruct(secret, seed):
     cw = share(spec.element(secret), params, Randomness(seed))
     assert reconstruct(ReceivedWord(cw.shares, params)).value == secret
     assert detect_errors(ReceivedWord(cw.shares, params)) == CLEAN
+
+
+def test_entries_from_another_field_rejected():
+    spec = GF(7)
+    params = SharingParams(3, 1, spec)
+    word = ReceivedWord((spec.element(0), GF(5).element(2), spec.element(4)),
+                        params)
+    for decode in (reconstruct, detect_errors, oracle_decode,
+                   lambda w: correct_errors(w, 0)):
+        with pytest.raises(SpecMismatch):
+            decode(word)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the decoders written with FieldElement arithmetic
+# (Horner evaluation, Lagrange interpolation, Gaussian elimination).  The
+# library computes on raw integers; these must agree with it, taints too.
+
+
+def _ref_poly_eval(coeffs, x):
+    acc = x.spec.zero()
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_interpolate(pairs):
+    """Coefficients of the interpolant of degree < len(pairs)."""
+    spec = pairs[0][0].spec
+    coeffs = [spec.zero()] * len(pairs)
+    for i, (xi, yi) in enumerate(pairs):
+        basis = [spec.one()]
+        den = spec.one()
+        for j, (xj, _) in enumerate(pairs):
+            if j == i:
+                continue
+            nxt = [spec.zero()] * (len(basis) + 1)
+            for d, c in enumerate(basis):
+                nxt[d] = nxt[d] + c * (-xj)
+                nxt[d + 1] = nxt[d + 1] + c
+            basis = nxt
+            den = den * (xi - xj)
+        scale = yi / den
+        for d, c in enumerate(basis):
+            coeffs[d] = coeffs[d] + c * scale
+    return coeffs
+
+
+def _ref_interpolate_at_zero(pairs):
+    spec = pairs[0][0].spec
+    acc = spec.zero()
+    for i, (xi, yi) in enumerate(pairs):
+        num = spec.one()
+        den = spec.one()
+        for j, (xj, _) in enumerate(pairs):
+            if j != i:
+                num = num * (-xj)
+                den = den * (xi - xj)
+        acc = acc + yi * num / den
+    return acc
+
+
+def _ref_solve_linear(rows, ncols, spec):
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c].value), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inv()
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c].value:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    if any(rows[i][ncols].value for i in range(r, len(rows))):
+        return None
+    sol = [spec.zero()] * ncols
+    for i, c in enumerate(pivots):
+        sol[c] = rows[i][ncols]
+    return sol
+
+
+def _ref_share(secret, params, rng):
+    coeffs = [secret] + [params.field.sample(rng) for _ in range(params.k)]
+    return tuple(_ref_poly_eval(coeffs, pt) for pt in params.points)
+
+
+def _ref_reconstruct(word):
+    pairs = [(word.params.points[i], e) for i, e in word.present()]
+    return _ref_interpolate_at_zero(pairs[: word.params.k + 1])
+
+
+def _ref_detect(word):
+    k, pts = word.params.k, word.params.points
+    coeffs = _ref_interpolate(list(zip(pts, word.entries))[: k + 1])
+    return all(_ref_poly_eval(coeffs, x) == y
+               for x, y in list(zip(pts, word.entries))[k + 1:])
+
+
+def _ref_correct(word, e):
+    """(secret, error positions) or None, by Berlekamp-Welch."""
+    params, spec = word.params, word.params.field
+    n, k, pts = params.n, params.k, params.points
+    if e == 0:
+        if not _ref_detect(word):
+            return None
+        codeword = word.entries
+    else:
+        nq = e + k + 1
+        rows = []
+        for x, y in zip(pts, word.entries):
+            row = [x ** d for d in range(nq)] + [-(y * x ** d) for d in range(e)]
+            rows.append(row + [y * x ** e])
+        sol = _ref_solve_linear(rows, nq + e, spec)
+        if sol is None:
+            return None
+        q, ecf = sol[:nq], sol[nq:] + [spec.one()]
+        out = []
+        for x in pts:
+            ev = _ref_poly_eval(ecf, x)
+            out.append(None if ev.value == 0 else _ref_poly_eval(q, x) / ev)
+        good = [(pts[i], v) for i, v in enumerate(out) if v is not None]
+        if len(good) < k + 1:
+            return None
+        coeffs = _ref_interpolate(good[: k + 1])
+        codeword = tuple(_ref_poly_eval(coeffs, x) for x in pts)
+        if any(v is not None and v != w for v, w in zip(out, codeword)):
+            return None
+    errs = frozenset(i for i in range(n) if word.entries[i] != codeword[i])
+    if len(errs) > e:
+        return None
+    return _ref_interpolate_at_zero(list(zip(pts, codeword))[: k + 1]), errs
+
+
+def _ref_oracle(word):
+    params = word.params
+    best, best_dist = {}, params.n + 1
+    for subset in itertools.combinations(range(params.n), params.k + 1):
+        coeffs = _ref_interpolate(
+            [(params.points[i], word.entries[i]) for i in subset])
+        cw = tuple(_ref_poly_eval(coeffs, pt) for pt in params.points)
+        dist = sum(1 for a, b in zip(cw, word.entries) if a != b)
+        if dist < best_dist:
+            best, best_dist = {}, dist
+        if dist == best_dist:
+            best[tuple(v.value for v in cw)] = (coeffs[0], cw, dist)
+    assert best_dist <= params.max_detect
+    return list(best.values())
+
+
+class TaintedDraws:
+    """Seeded draws, each tainted with its own index or, at times, not at all."""
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+        self._next = 0
+
+    def draw(self, n):
+        self._next += 1
+        taint = frozenset({self._next}) if self._rng.random() < 0.8 else None
+        return self._rng.randrange(n), taint
+
+
+def _with_taint(elements):
+    return [(e.value, e.taint) for e in elements]
+
+
+def _taint_union(elements):
+    taints = [e.taint for e in elements if e.taint is not None]
+    return frozenset().union(*taints) if taints else None
+
+
+@pytest.mark.parametrize("order", [7, 16, 9, 81])
+def test_int_kernels_match_reference_oracle(order):
+    spec = GF(order)
+    rng = random.Random(order)
+    taint_choices = [None, frozenset(), frozenset({900}), frozenset({901, 902})]
+    for n in range(2, 7):
+        for k in range(n):
+            params = SharingParams(n, k, spec)
+            for _ in range(12):
+                secret = spec.element(rng.randrange(order),
+                                      rng.choice(taint_choices))
+                seed = rng.random()
+                cw = share(secret, params, TaintedDraws(seed))
+                ref = _ref_share(secret, params, TaintedDraws(seed))
+                assert _with_taint(cw.shares) == _with_taint(ref)
+
+                entries = list(cw.shares)
+                for pos in rng.sample(range(n), rng.randrange(n + 1)):
+                    entries[pos] = spec.element(rng.randrange(order),
+                                                rng.choice(taint_choices))
+                word = ReceivedWord(tuple(entries), params)
+
+                assert (detect_errors(word) == CLEAN) == _ref_detect(word)
+                assert _with_taint([reconstruct(word)]) == \
+                    _with_taint([_ref_reconstruct(word)])
+                holes = list(entries)
+                for pos in rng.sample(range(n), rng.randrange(n - k)):
+                    holes[pos] = None
+                holed = ReceivedWord(tuple(holes), params)
+                assert _with_taint([reconstruct(holed)]) == \
+                    _with_taint([_ref_reconstruct(holed)])
+
+                for e in range(params.max_correct + 1):
+                    got, want = correct_errors(word, e), _ref_correct(word, e)
+                    assert (got is None) == (want is None)
+                    if got is None:
+                        continue
+                    assert got.secret == want[0]
+                    assert got.error_positions == want[1]
+                    if e == 0:
+                        assert got.secret.taint == want[0].taint
+                    else:
+                        # the elimination mixes every entry: all n taints
+                        assert got.secret.taint == _taint_union(entries)
+                        assert (want[0].taint or frozenset()) <= \
+                            (got.secret.taint or frozenset())
+
+                def triples(best):
+                    return [(s.value, s.taint, _with_taint(c), d) for s, c, d in best]
+                assert triples(oracle_decode(word)) == triples(_ref_oracle(word))
