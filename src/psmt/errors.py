@@ -39,7 +39,3 @@ class SizeLimit(PsmtError):
 
 class PreconditionError(PsmtError):
     """Topology does not satisfy a protocol's connectivity precondition."""
-
-
-class StrategyInapplicable(PsmtError):
-    """Adversary strategy requires structure the topology does not supply."""

@@ -13,7 +13,8 @@ Two models:
   and corrupted relay nodes may replace what they forward.
 
 Payloads are arbitrary nested tuples of field elements, ints and
-strings; they must stay hashable so that majority votes work.
+strings.  Honest payloads stay hashable so that majority votes work; a
+majority vote counts an unhashable payload from the adversary as None.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Callable
 
-from .errors import ParamError, PreconditionError
+from .errors import ParamError
 from .field import ExtElement, FieldElement
 from .randomness import Randomness
 from .topology import Hypergraph
@@ -148,17 +149,6 @@ class PathNetwork:
             raise ParamError(f"channel {ch!r} already used this round")
         self._pending[ch] = payload
 
-    def broadcast_ab(self, payload) -> None:
-        """Same payload on every forward channel; its value is public."""
-        for i in range(self.n_forward):
-            self.send_ab(i, payload)
-        self.view.announce(self.round, "AB", payload)
-
-    def broadcast_ba(self, payload) -> None:
-        for j in range(self.n_backward):
-            self.send_ba(j, payload)
-        self.view.announce(self.round, "BA", payload)
-
     # -- round boundary ----------------------------------------------------
 
     def end_round(self) -> dict:
@@ -183,9 +173,17 @@ class PathNetwork:
 
 
 def majority_of(values, tie_rng: Randomness):
-    """Most frequent value; ties broken by a uniform coin of the receiver."""
+    """Most frequent value; ties broken by a uniform coin of the receiver.
+
+    An unhashable value counts as ``None``: it cannot be compared with
+    the honest copies, so it votes for "nothing received".
+    """
     counts: dict = {}
     for v in values:
+        try:
+            hash(v)
+        except TypeError:
+            v = None
         counts[v] = counts.get(v, 0) + 1
     if not counts:
         return None
@@ -197,29 +195,31 @@ def majority_of(values, tie_rng: Randomness):
     return tied[idx]
 
 
-def reliable_broadcast(net: PathNetwork, payload, k: int) -> None:
-    """Broadcast tolerating k corrupted forward channels.
-
-    Requires at least 2k+1 forward channels so that the majority at the
-    receiver is guaranteed; the broadcast value is public knowledge.
-    """
-    if net.n_forward < 2 * k + 1:
-        raise PreconditionError(
-            f"reliable broadcast needs >= {2 * k + 1} channels, have {net.n_forward}")
-    net.broadcast_ab(payload)
+def broadcast(net: PathNetwork, fwd, value, extras=None) -> None:
+    """Public value on the forward channels ``fwd``, optionally with
+    per-channel private extras bundled alongside."""
+    for ch in fwd:
+        net.send_ab(ch, (value, extras.get(ch) if extras else None))
+    net.view.announce(net.round, "AB", value)
 
 
-def recv_broadcast(delivered: dict, direction: str, n: int, tie_rng: Randomness):
-    """Receiver side of a broadcast: majority over all channels."""
-    values = [delivered.get((direction, i)) for i in range(n)]
-    return majority_of(values, tie_rng)
+def recv_broadcast(delivered: dict, fwd, tie_rng: Randomness):
+    """Receiver side of ``broadcast``: the majority value over ``fwd`` and
+    the extras of the channels that carried it."""
+    values = [delivered.get(("AB", ch)) for ch in fwd]
+    firsts = [v[0] if isinstance(v, tuple) and len(v) == 2 else None
+              for v in values]
+    winner = majority_of(firsts, tie_rng)
+    extras = {ch: v[1] for ch, v in zip(fwd, values)
+              if isinstance(v, tuple) and len(v) == 2 and v[0] == winner}
+    return winner, extras
 
 
 def majority_transmit(net: PathNetwork, payload) -> None:
     """Send on every forward channel with no channel-count precondition.
 
-    Unlike ``reliable_broadcast`` the value is not treated as public and
-    the majority at the receiver carries no guarantee.
+    Unlike ``broadcast`` the value is not announced as public and the
+    majority at the receiver carries no guarantee.
     """
     for i in range(net.n_forward):
         net.send_ab(i, payload)
@@ -301,8 +301,6 @@ class HyperNet:
         state = {}
         for rid in sorted(routes, key=str):
             path, payload = routes[rid]
-            if path[0] != self.graph.sender and path[-1] != self.graph.sender:
-                pass  # paths may run in either direction
             self.validate_path(path)
             state[rid] = [list(path), payload]
         delivered = {}

@@ -9,8 +9,17 @@ from __future__ import annotations
 
 from ..authcodes import LinearKey, QuadKey
 from ..field import FieldElement, FieldSpec
-from ..netsim import PathNetwork, Randomness
+from ..randomness import Randomness
 from ..sharing import ReceivedWord, SharingParams, share
+
+
+def _rngs(rng_a, rng_b, seed):
+    """The parties' randomness: given sources, else streams from ``seed``."""
+    if rng_a is None:
+        rng_a = Randomness((seed, "A"))
+    if rng_b is None:
+        rng_b = Randomness((seed, "B"))
+    return rng_a, rng_b
 
 
 def as_field(spec: FieldSpec, value) -> FieldElement:
@@ -41,11 +50,6 @@ def share_vector(secret: FieldElement, n: int, k: int, rng) -> tuple:
     return share(secret, params, rng).shares
 
 
-def received_word(spec: FieldSpec, entries, k: int) -> ReceivedWord:
-    params = SharingParams(len(entries), k, spec)
-    return ReceivedWord(tuple(as_field(spec, e) for e in entries), params)
-
-
 def subset_word(spec: FieldSpec, pairs, n_points: int, k: int) -> ReceivedWord:
     """Word over the standard points 1..n_points with only ``pairs`` present.
 
@@ -58,14 +62,3 @@ def subset_word(spec: FieldSpec, pairs, n_points: int, k: int) -> ReceivedWord:
         entries[i] = as_field(spec, e)
     return ReceivedWord(tuple(entries), params)
 
-
-def broadcast_subset(net: PathNetwork, indices, payloads: dict, public) -> None:
-    """One payload per forward channel with a common public component.
-
-    ``payloads[i]`` is sent on channel i; the shared ``public`` component
-    (carried identically inside every payload) is announced to the
-    adversary as broadcast content.
-    """
-    for i in indices:
-        net.send_ab(i, payloads[i])
-    net.view.announce(net.round, "AB", public)

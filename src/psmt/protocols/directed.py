@@ -11,43 +11,26 @@ import itertools
 
 from ..authcodes import LinearKey, QuadKey, auth, auth_linear, auth_quad, verify
 from ..errors import PreconditionError
-from ..field import ExtElement, FieldElement, encode_tuple
+from ..field import FieldElement, encode_tuple
 from ..netsim import AdversarySpec, Outcome, PathNetwork
-from ..randomness import Randomness
 from ..sharing import reconstruct
 from .common import (
+    _rngs,
     as_field,
     as_field_vec,
     as_linear_key,
     as_quad_key,
-    received_word,
     share_vector,
     subset_word,
 )
 
 
-def _rngs(rng_a, rng_b, seed):
-    if rng_a is None:
-        rng_a = Randomness((seed, "A"))
-    if rng_b is None:
-        rng_b = Randomness((seed, "B"))
-    return rng_a, rng_b
-
-
-def oneway(message: FieldElement, k: int, adversary: AdversarySpec | None = None,
-           rng_a=None, rng_b=None, seed=0, n_forward: int | None = None) -> Outcome:
-    """Forward-only transmission over 2k+1 channels.
-
-    The message is shared (k+1)-out-of-n once; round i delivers share i
-    together with n authentication tags, while every channel j carries
-    the matching key.  A share is accepted with at least k+1 valid tags.
-    """
+def _authenticated_shares(net, message, n, k, rng_a) -> dict:
+    """n rounds, one per share: round i carries share i with n tags on
+    channel i while every channel j carries the matching key.  Returns
+    {i: share} for the shares the receiver sees with at least k+1 valid
+    tags."""
     spec = message.spec
-    rng_a, rng_b = _rngs(rng_a, rng_b, seed)
-    n = n_forward if n_forward is not None else 2 * k + 1
-    if n < 2 * k + 1:
-        raise PreconditionError(f"need {2 * k + 1} forward channels, have {n}")
-    net = PathNetwork(n, 0, adversary)
     shares = share_vector(message, n, k, rng_a)
     valid: dict[int, FieldElement] = {}
     for i in range(n):
@@ -65,9 +48,26 @@ def oneway(message: FieldElement, k: int, adversary: AdversarySpec | None = None
         s_i = as_field(spec, carried[0] if isinstance(carried, tuple) and carried else None)
         rtags = as_field_vec(spec, carried[1] if isinstance(carried, tuple)
                              and len(carried) > 1 else None, n)
-        hits = sum(1 for j in range(n) if verify(s_i, rtags[j], rkeys[j]))
-        if hits >= k + 1:
+        if sum(1 for j in range(n) if verify(s_i, rtags[j], rkeys[j])) >= k + 1:
             valid[i] = s_i
+    return valid
+
+
+def oneway(message: FieldElement, k: int, adversary: AdversarySpec | None = None,
+           rng_a=None, rng_b=None, seed=0, n_forward: int | None = None) -> Outcome:
+    """Forward-only transmission over 2k+1 channels.
+
+    The message is shared (k+1)-out-of-n once; round i delivers share i
+    together with n authentication tags, while every channel j carries
+    the matching key.  A share is accepted with at least k+1 valid tags.
+    """
+    spec = message.spec
+    rng_a, rng_b = _rngs(rng_a, rng_b, seed)
+    n = n_forward if n_forward is not None else 2 * k + 1
+    if n < 2 * k + 1:
+        raise PreconditionError(f"need {2 * k + 1} forward channels, have {n}")
+    net = PathNetwork(n, 0, adversary)
+    valid = _authenticated_shares(net, message, n, k, rng_a)
     if len(valid) <= k:
         return Outcome(None, False, True, net.round, net.view, net.transcript,
                        "fewer than k+1 valid shares")
@@ -201,10 +201,10 @@ def subset_exchange(message: FieldElement, k: int, n_forward: int, n_backward: i
         copies = {i: delivered.get(("AB", i)) for i in fwd}
         if result is not None:
             continue
-        vals = set(copies.values())
-        if len(vals) != 1:
+        # compared without hashing: a corrupted copy may be unhashable
+        got = copies[fwd[0]]
+        if any(copies[i] != got for i in fwd[1:]):
             continue
-        got = vals.pop()
         e_b = as_field(spec, got[0] if isinstance(got, tuple) and got else None)
         f_b = as_field(spec, got[1] if isinstance(got, tuple) and len(got) > 1 else None)
         c_b = sum((b_fwd[i][0] for i in fwd), spec.zero()) + \
@@ -239,24 +239,7 @@ def feedback_efficient(message: FieldElement, k: int, u: int,
     net = PathNetwork(n, u, adversary)
 
     # phase one: n rounds of authenticated share delivery
-    shares = share_vector(message, n, k, rng_a)
-    valid: dict[int, FieldElement] = {}
-    for i in range(n):
-        keys = [LinearKey.random(spec, rng_a) for _ in range(n)]
-        tags = tuple(auth_linear(shares[i], keys[j]) for j in range(n))
-        for j in range(n):
-            carried = (shares[i], tags) if j == i else None
-            net.send_ab(j, ((keys[j].a, keys[j].b), carried))
-        delivered = net.end_round()
-        got = [delivered.get(("AB", j)) for j in range(n)]
-        rkeys = [as_linear_key(spec, g[0] if isinstance(g, tuple) and g else None)
-                 for g in got]
-        carried = got[i][1] if isinstance(got[i], tuple) and len(got[i]) > 1 else None
-        s_i = as_field(spec, carried[0] if isinstance(carried, tuple) and carried else None)
-        rtags = as_field_vec(spec, carried[1] if isinstance(carried, tuple)
-                             and len(carried) > 1 else None, n)
-        if sum(1 for j in range(n) if verify(s_i, rtags[j], rkeys[j])) >= k + 1:
-            valid[i] = s_i
+    valid = _authenticated_shares(net, message, n, k, rng_a)
     b_result = None
     if len(valid) >= k + 1:
         b_result = reconstruct(subset_word(spec, sorted(valid.items()), n, k))

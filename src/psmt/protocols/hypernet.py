@@ -30,15 +30,7 @@ from ..topology import (
     strongly_k_connected,
     to_hypergraph,
 )
-from .common import as_field, as_field_vec
-
-
-def _rngs(rng_a, rng_b, seed):
-    if rng_a is None:
-        rng_a = Randomness((seed, "A"))
-    if rng_b is None:
-        rng_b = Randomness((seed, "B"))
-    return rng_a, rng_b
+from .common import _rngs, as_field, as_field_vec
 
 
 def _reverse(h: Hypergraph) -> Hypergraph:

@@ -14,28 +14,18 @@ from itertools import permutations
 
 from ..errors import PreconditionError
 from ..field import FieldElement
-from ..netsim import AdversarySpec, Outcome, PathNetwork, majority_of
-from ..randomness import Randomness
+from ..netsim import AdversarySpec, Outcome, PathNetwork, broadcast, recv_broadcast
 from ..sharing import CLEAN, SharingParams, ReceivedWord, correct_errors, \
     detect_errors, reconstruct, share
-from .common import as_field, as_field_vec
-
-
-def _rngs(rng_a, rng_b, seed):
-    if rng_a is None:
-        rng_a = Randomness((seed, "A"))
-    if rng_b is None:
-        rng_b = Randomness((seed, "B"))
-    return rng_a, rng_b
+from .common import _rngs, as_field, as_field_vec, share_vector
 
 
 def _share_on(net, fwd, secret, k, rng_a):
     """One round: fresh (k+1)-out-of-len(fwd) shares, one per channel."""
-    params = SharingParams(len(fwd), k, secret.spec)
-    shares = share(secret, params, rng_a).shares
+    shares = share_vector(secret, len(fwd), k, rng_a)
     for pos, ch in enumerate(fwd):
         net.send_ab(ch, shares[pos])
-    return shares, params
+    return shares
 
 
 def _recv_word(spec, delivered, fwd, k) -> ReceivedWord:
@@ -44,22 +34,31 @@ def _recv_word(spec, delivered, fwd, k) -> ReceivedWord:
     return ReceivedWord(entries, params)
 
 
-def _broadcast(net, fwd, value, extras=None) -> None:
-    """Public value on every forward channel, optionally with per-channel
-    private extras bundled alongside."""
-    for ch in fwd:
-        net.send_ab(ch, (value, extras.get(ch) if extras else None))
-    net.view.announce(net.round, "AB", value)
-
-
-def _recv_bcast(delivered, fwd, tie_rng):
-    values = [delivered.get(("AB", ch)) for ch in fwd]
-    firsts = [v[0] if isinstance(v, tuple) and len(v) == 2 else None
-              for v in values]
-    winner = majority_of(firsts, tie_rng)
-    extras = {ch: v[1] for ch, v in zip(fwd, values)
-              if isinstance(v, tuple) and len(v) == 2 and v[0] == winner}
-    return winner, extras
+def _echo_tail(net, fwd, q, word, shares, rng_b, b_result=None):
+    """Feedback channel q carries the receiver's word back unless it has
+    already decoded (``b_result``); the sender broadcasts the positions
+    that differ from what it sent, and the receiver reconstructs from the
+    rest."""
+    spec = word.params.field
+    n = len(fwd)
+    net.send_ba(q, "stop" if b_result is not None else ("vec", word.entries))
+    delivered = net.end_round()
+    fb = delivered.get(("BA", q))
+    if isinstance(fb, tuple) and len(fb) == 2 and fb[0] == "vec":
+        echoed = as_field_vec(spec, fb[1], n)
+        bad = tuple(i for i in range(n) if echoed[i] != shares[i])
+        broadcast(net, fwd, ("drop", bad))
+    else:
+        broadcast(net, fwd, ("done",))
+    delivered = net.end_round()
+    if b_result is not None:
+        return b_result
+    verdict, _ = recv_broadcast(delivered, fwd, rng_b)
+    if not (isinstance(verdict, tuple) and verdict and verdict[0] == "drop"):
+        return None
+    bad = set(verdict[1])
+    entries = tuple(None if i in bad else e for i, e in enumerate(word.entries))
+    return reconstruct(ReceivedWord(entries, word.params))
 
 
 # ---------------------------------------------------------------------------
@@ -88,38 +87,12 @@ def _threek_one_feedback(message, k, net, fwd, q, rng_a, rng_b):
     fwd = fwd[:n]
     if len(fwd) < n:
         raise PreconditionError(f"need {n} forward channels, have {len(fwd)}")
-    spec = message.spec
-    shares, _ = _share_on(net, fwd, message, k, rng_a)
+    shares = _share_on(net, fwd, message, k, rng_a)
     delivered = net.end_round()
-    word = _recv_word(spec, delivered, fwd, k)
+    word = _recv_word(message.spec, delivered, fwd, k)
     decoded = correct_errors(word, k - 1)
-    b_result = None
-    if decoded is not None:
-        b_result = decoded.secret
-        net.send_ba(q, "stop")
-    else:
-        net.send_ba(q, ("vec", word.entries))
-    delivered = net.end_round()
-    fb = delivered.get(("BA", q))
-    if isinstance(fb, tuple) and len(fb) == 2 and fb[0] == "vec":
-        echoed = as_field_vec(spec, fb[1], n)
-        bad = tuple(i for i in range(n) if echoed[i] != shares[i])
-        _broadcast(net, fwd, ("drop", bad))
-    else:
-        _broadcast(net, fwd, ("done",))
-    delivered = net.end_round()
-    if b_result is not None:
-        return b_result
-    verdict, _ = _recv_bcast(delivered, fwd, rng_b)
-    if not (isinstance(verdict, tuple) and verdict and verdict[0] == "drop"):
-        return None
-    bad = set(verdict[1])
-    keep = [(i, word.entries[i]) for i in range(n) if i not in bad]
-    params = SharingParams(n, k, spec)
-    entries = [None] * n
-    for i, e in keep:
-        entries[i] = e
-    return reconstruct(ReceivedWord(tuple(entries), params))
+    return _echo_tail(net, fwd, q, word, shares, rng_b,
+                      decoded.secret if decoded is not None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +109,7 @@ def _u1_protocol(message, k, net, fwd, q, rng_a, rng_b):
     last_word = None
     last_shares = None
     for big_i in range(n):
-        shares, _ = _share_on(net, fwd, message, k, rng_a)
+        shares = _share_on(net, fwd, message, k, rng_a)
         delivered = net.end_round()
         word = _recv_word(spec, delivered, fwd, k)
         last_word, last_shares = word, shares
@@ -146,9 +119,9 @@ def _u1_protocol(message, k, net, fwd, q, rng_a, rng_b):
         delivered = net.end_round()
         echo = as_field(spec, delivered.get(("BA", q)))
         if echo == shares[big_i]:
-            _broadcast(net, fwd, ("ok", big_i))
+            broadcast(net, fwd, ("ok", big_i))
             delivered = net.end_round()
-            _recv_bcast(delivered, fwd, rng_b)
+            recv_broadcast(delivered, fwd, rng_b)
             continue
         # the sender pins the fault to this forward channel or the
         # feedback channel; reshare with threshold k over the others
@@ -156,9 +129,9 @@ def _u1_protocol(message, k, net, fwd, q, rng_a, rng_b):
         params = SharingParams(n - 1, k - 1, spec)
         reshares = share(message, params, rng_a).shares
         extras = {ch: reshares[pos] for pos, ch in enumerate(others)}
-        _broadcast(net, fwd, ("faulty", big_i), extras)
+        broadcast(net, fwd, ("faulty", big_i), extras)
         delivered = net.end_round()
-        verdict, got = _recv_bcast(delivered, fwd, rng_b)
+        verdict, got = recv_broadcast(delivered, fwd, rng_b)
         entries = tuple(as_field(spec, got.get(ch)) for ch in others)
         decoded = correct_errors(ReceivedWord(entries, params), k - 1)
         return decoded.secret if decoded else None
@@ -166,41 +139,39 @@ def _u1_protocol(message, k, net, fwd, q, rng_a, rng_b):
     if guesses[0] is not None and all(g == guesses[0] for g in guesses):
         net.send_ba(q, "stop")
         net.end_round()
-        _broadcast(net, fwd, ("done",))
+        broadcast(net, fwd, ("done",))
         net.end_round()
         return guesses[0]
-    net.send_ba(q, ("vec", last_word.entries))
-    delivered = net.end_round()
-    fb = delivered.get(("BA", q))
-    if isinstance(fb, tuple) and len(fb) == 2 and fb[0] == "vec":
-        echoed = as_field_vec(spec, fb[1], n)
-        bad = tuple(i for i in range(n) if echoed[i] != last_shares[i])
-        _broadcast(net, fwd, ("drop", bad))
-    else:
-        _broadcast(net, fwd, ("done",))
-    delivered = net.end_round()
-    verdict, _ = _recv_bcast(delivered, fwd, rng_b)
-    if not (isinstance(verdict, tuple) and verdict and verdict[0] == "drop"):
-        return None
-    bad = set(verdict[1])
-    params = SharingParams(n, k, spec)
-    entries = tuple(e if i not in bad else None
-                    for i, e in enumerate(last_word.entries))
-    return reconstruct(ReceivedWord(entries, params))
+    return _echo_tail(net, fwd, q, last_word, last_shares, rng_b)
 
 
 # ---------------------------------------------------------------------------
-# shared pad phase: two additive pads, error detection, fault isolation
+# shared pad phase: stop/go feedback, then two additive pads, error
+# detection, fault isolation
 
 
 def _pad_phase(message, k, net, fwd, back, rng_a, rng_b, recurse, b_prior):
+    """The receiver asks to stop if it already holds ``b_prior``; unless
+    every feedback channel says stop, the message is padded twice and
+    each pad checked for errors, recursing with one corruption fewer
+    once a fault is pinned to a channel pair."""
+    for q in back:
+        net.send_ba(q, "stop" if b_prior is not None else "go")
+    delivered = net.end_round()
+    if all(delivered.get(("BA", q)) == "stop" for q in back):
+        broadcast(net, fwd, ("done",))
+        net.end_round()
+        return b_prior
+    broadcast(net, fwd, ("pad",))
+    delivered = net.end_round()
+    recv_broadcast(delivered, fwd, rng_b)
     spec = message.spec
     n = len(fwd)
     r1_a = spec.sample(rng_a)
     stage_vals_a = (r1_a, message - r1_a)
     recovered_b = []
     for stage in range(2):
-        shares, params = _share_on(net, fwd, stage_vals_a[stage], k, rng_a)
+        shares = _share_on(net, fwd, stage_vals_a[stage], k, rng_a)
         delivered = net.end_round()
         word = _recv_word(spec, delivered, fwd, k)
         clean = detect_errors(word) == CLEAN
@@ -224,17 +195,17 @@ def _pad_phase(message, k, net, fwd, back, rng_a, rng_b, recurse, b_prior):
             if fault:
                 break
         if fault is not None:
-            _broadcast(net, fwd, ("faulty", fault[0], fault[1]))
+            broadcast(net, fwd, ("faulty", fault[0], fault[1]))
             delivered = net.end_round()
-            _recv_bcast(delivered, fwd, rng_b)
+            recv_broadcast(delivered, fwd, rng_b)
             sub_fwd = [ch for pos, ch in enumerate(fwd) if pos != fault[0]]
             sub_back = [q for pos, q in enumerate(back) if pos != fault[1]]
             result = recurse(message, k - 1, net, sub_fwd, sub_back,
                              rng_a, rng_b)
             return b_prior if b_prior is not None else result
-        _broadcast(net, fwd, ("continue",))
+        broadcast(net, fwd, ("continue",))
         delivered = net.end_round()
-        _recv_bcast(delivered, fwd, rng_b)
+        recv_broadcast(delivered, fwd, rng_b)
         if not clean:
             # the receiver's plea for help was suppressed; only possible
             # outside the tolerated corruption bound
@@ -259,7 +230,7 @@ def _general_protocol(message, k, net, fwd, back, rng_a, rng_b):
     spec = message.spec
     guesses = []
     for h in permutations(range(n), u):
-        shares, _ = _share_on(net, fwd, message, k, rng_a)
+        shares = _share_on(net, fwd, message, k, rng_a)
         delivered = net.end_round()
         word = _recv_word(spec, delivered, fwd, k)
         decoded = correct_errors(word, k - u)
@@ -274,35 +245,20 @@ def _general_protocol(message, k, net, fwd, back, rng_a, rng_b):
                 mismatch = (h[i], i)
                 break
         if mismatch is None:
-            _broadcast(net, fwd, ("ok",) + h)
+            broadcast(net, fwd, ("ok",) + h)
             delivered = net.end_round()
-            _recv_bcast(delivered, fwd, rng_b)
+            recv_broadcast(delivered, fwd, rng_b)
             continue
-        _broadcast(net, fwd, ("faulty", mismatch[0], mismatch[1]))
+        broadcast(net, fwd, ("faulty", mismatch[0], mismatch[1]))
         delivered = net.end_round()
-        _recv_bcast(delivered, fwd, rng_b)
+        recv_broadcast(delivered, fwd, rng_b)
         sub_fwd = [ch for pos, ch in enumerate(fwd) if pos != mismatch[0]]
         sub_back = [q for pos, q in enumerate(back) if pos != mismatch[1]]
         return _general_protocol(message, k - 1, net, sub_fwd, sub_back,
                                  rng_a, rng_b)
-    b_prior = None
-    if guesses[0] is not None and all(g == guesses[0] for g in guesses):
-        b_prior = guesses[0]
-        for q in back:
-            net.send_ba(q, "stop")
-    else:
-        for q in back:
-            net.send_ba(q, "go")
-    delivered = net.end_round()
-    if all(delivered.get(("BA", q)) == "stop" for q in back):
-        _broadcast(net, fwd, ("done",))
-        net.end_round()
-        return b_prior
-    _broadcast(net, fwd, ("pad",))
-    delivered = net.end_round()
-    _recv_bcast(delivered, fwd, rng_b)
+    agreed = guesses[0] is not None and all(g == guesses[0] for g in guesses)
     return _pad_phase(message, k, net, fwd, back, rng_a, rng_b,
-                      _general_protocol, b_prior)
+                      _general_protocol, guesses[0] if agreed else None)
 
 
 # ---------------------------------------------------------------------------
@@ -317,30 +273,13 @@ def _efficient_protocol(message, k, net, fwd, back, rng_a, rng_b):
     fwd = fwd[:n]
     if len(fwd) < n:
         raise PreconditionError(f"need {n} forward channels, have {len(fwd)}")
-    spec = message.spec
-    _, params = None, None
-    shares, params = _share_on(net, fwd, message, k, rng_a)
+    _share_on(net, fwd, message, k, rng_a)
     delivered = net.end_round()
-    word = _recv_word(spec, delivered, fwd, k)
+    word = _recv_word(message.spec, delivered, fwd, k)
     decoded = correct_errors(word, k - u)
-    b_prior = None
-    if decoded is not None:
-        b_prior = decoded.secret
-        for q in back:
-            net.send_ba(q, "stop")
-    else:
-        for q in back:
-            net.send_ba(q, "go")
-    delivered = net.end_round()
-    if all(delivered.get(("BA", q)) == "stop" for q in back):
-        _broadcast(net, fwd, ("done",))
-        net.end_round()
-        return b_prior
-    _broadcast(net, fwd, ("pad",))
-    delivered = net.end_round()
-    _recv_bcast(delivered, fwd, rng_b)
     return _pad_phase(message, k, net, fwd, back, rng_a, rng_b,
-                      _efficient_protocol, b_prior)
+                      _efficient_protocol,
+                      decoded.secret if decoded is not None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +378,9 @@ def _shared_sub(message, k, u, net, fwd_all, q, rng_a, rng_b):
     b_r0 = None
 
     def bcast(value):
-        _broadcast(net, fwd_all, value)
+        broadcast(net, fwd_all, value)
         delivered = net.end_round()
-        verdict, _ = _recv_bcast(delivered, fwd_all, rng_b)
+        verdict, _ = recv_broadcast(delivered, fwd_all, rng_b)
         return verdict
 
     for _ in range(u + 1):
@@ -453,21 +392,16 @@ def _shared_sub(message, k, u, net, fwd_all, q, rng_a, rng_b):
             if n_j < k + 1:
                 bcast(("bail",))
                 return None, True
-            value_a = r0_a if stage == 0 else message - r0_a
-            params = SharingParams(n_j, k, spec)
-            shares = share(value_a, params, rng_a).shares
-            for pos, ch in enumerate(ab_a):
-                net.send_ab(ch, shares[pos])
+            shares = _share_on(net, ab_a, r0_a if stage == 0 else message - r0_a,
+                               k, rng_a)
             delivered = net.end_round()
 
             b_sent = None
             b_entries = None
             b_val = None
             if b_active:
-                b_entries = tuple(as_field(spec, delivered.get(("AB", ch)))
-                                  for ch in ab_b)
-                word = ReceivedWord(b_entries,
-                                    SharingParams(len(ab_b), k, spec))
+                word = _recv_word(spec, delivered, ab_b, k)
+                b_entries = word.entries
                 if stage == 0 and j_cnt == 0:
                     decoded = correct_errors(word, k - u)
                     b_val = decoded.secret if decoded else None
@@ -565,15 +499,10 @@ def _shared_protocol(message, k, u, net, rng_a, rng_b):
         if bad:
             bad_count += 1
     # final phase: message shares over the channels disjoint from feedback
-    params = SharingParams(len(disjoint), k, spec)
-    shares = share(message, params, rng_a).shares
-    for pos, ch in enumerate(disjoint):
-        net.send_ab(ch, shares[pos])
+    _share_on(net, disjoint, message, k, rng_a)
     delivered = net.end_round()
     if result is None and bad_count == u:
-        entries = tuple(as_field(spec, delivered.get(("AB", ch)))
-                        for ch in disjoint)
-        decoded = correct_errors(ReceivedWord(entries, params), k - u)
+        decoded = correct_errors(_recv_word(spec, delivered, disjoint, k), k - u)
         result = decoded.secret if decoded else None
     return result
 

@@ -30,15 +30,9 @@ class Randomness:
 
     def __init__(self, seed):
         self._rng = random.Random(_canon(seed))
-        self.draws = 0
 
     def draw(self, n: int) -> tuple[int, None]:
-        self.draws += 1
         return self._rng.randrange(n), None
-
-    def spawn(self, label) -> "Randomness":
-        """Independent child stream, reproducible from the parent seed."""
-        return Randomness((self._rng.random(), label))
 
 
 class TracingRandomness:
@@ -65,9 +59,6 @@ class TracingRandomness:
         else:
             value = random.Random(_canon((self._seed, idx))).randrange(n)
         return value, frozenset((idx,))
-
-    def spawn(self, label) -> "TracingRandomness":
-        raise RuntimeError("tracing sources are not spawned mid-run")
 
 
 def derive_trial_seed(master_seed, trial: int):

@@ -12,15 +12,6 @@ from .errors import ParamError
 from .field import FieldElement, FieldSpec
 
 
-def passive():
-    """No tampering; the adversary only records.  (Passive corruption is
-    expressed by leaving the strategy unset; this helper exists for the
-    CLI's benefit and simply forwards payloads.)"""
-    def strategy(ctx):
-        return ctx.payload
-    return strategy
-
-
 def random_tamperer(spec: FieldSpec):
     """Replace every field element with a fresh uniform one, keeping shape."""
     def strategy(ctx):
@@ -81,28 +72,6 @@ def scripted(script: dict, default=None):
         if key in script:
             return script[key]
         return ctx.payload if default is None else default
-    return strategy
-
-
-def simulation_attack(spec: FieldSpec, decoy: FieldElement):
-    """Simulate an honest sender transmitting a different message.
-
-    On the first tampered round the adversary commits to the decoy and
-    thereafter answers every single-field-element payload with a share
-    of its own simulated run; structured payloads pass through with
-    their field elements replaced by simulated uniform values.
-    """
-    def strategy(ctx):
-        def mess(x):
-            if isinstance(x, FieldElement):
-                v, _ = ctx.rng.draw(spec.order)
-                return spec.element(v)
-            if isinstance(x, tuple):
-                return tuple(mess(v) for v in x)
-            return x
-        if isinstance(ctx.payload, FieldElement):
-            return decoy if ctx.state.setdefault("plain", True) else mess(ctx.payload)
-        return mess(ctx.payload)
     return strategy
 
 

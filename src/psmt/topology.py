@@ -1,27 +1,27 @@
-"""Graph models and exhaustive connectivity analysis.
+"""Graph models and exact connectivity analysis.
 
 Three network models: directed graphs, multicast hypergraphs, and
-neighbor networks (undirected multicast).  All predicates are exact
-exhaustive-search implementations sized for desk-scale instances; the
-documented limit is |V| <= 20 for k <= 3.
+neighbor networks (undirected multicast).  Disjoint paths and minimum
+vertex separators come from one node-split max flow (Menger's theorem)
+and have no size limit.  The hypergraph and neighbor-network
+connectivity predicates enumerate node subsets and refuse graphs with
+more than 20 nodes.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import ParamError, SizeLimit
 
 _NODE_LIMIT = 20
 
 
-def _check_size(nodes, k: int) -> None:
-    if len(nodes) > _NODE_LIMIT and k > 3:
-        raise SizeLimit(f"exhaustive search limited to |V| <= {_NODE_LIMIT} for k <= 3")
+def _check_size(nodes) -> None:
     if len(nodes) > _NODE_LIMIT:
-        raise SizeLimit(f"exhaustive search limited to |V| <= {_NODE_LIMIT}")
+        raise SizeLimit(f"subset enumeration limited to |V| <= {_NODE_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,6 @@ class PathSet:
     def __len__(self) -> int:
         return len(self.paths)
 
-    def internal_nodes(self) -> tuple:
-        return tuple(frozenset(p[1:-1]) for p in self.paths)
-
     def validate(self, links: frozenset, sender, receiver) -> None:
         seen = set()
         for p in self.paths:
@@ -141,24 +138,25 @@ class PathSet:
 # disjoint paths via node-splitting max flow
 
 
-def max_disjoint_paths(g) -> PathSet:
-    """Maximum set of internally node-disjoint directed sender->receiver paths."""
-    if isinstance(g, Hypergraph):
-        g = g.induced_digraph()
-    src, dst = g.sender, g.receiver
-    # split every node v into v_in -> v_out with unit capacity
-    # (endpoints get unbounded "capacity" by using a large count)
-    arcs: dict = {}
+def _max_flow(g: Digraph):
+    """Unit-capacity max flow in the node-split network of ``g``.
 
-    def add_arc(u, v, cap):
+    Every node v becomes an arc ("in", v) -> ("out", v) of capacity 1
+    (the endpoints get an unbounded count) and every link (a, b) an arc
+    ("out", a) -> ("in", b) of capacity 1.  Returns the residual
+    capacities, the original capacities and the flow value.
+    """
+    src, dst = g.sender, g.receiver
+    big = len(g.nodes) + 1
+    caps: dict = {}
+    for v in sorted(g.nodes):
+        caps[(("in", v), ("out", v))] = big if v in (src, dst) else 1
+    for a, b in sorted(g.edges):
+        caps[(("out", a), ("in", b))] = 1
+    arcs: dict = {}
+    for (u, v), cap in caps.items():
         arcs.setdefault(u, {})[v] = arcs.get(u, {}).get(v, 0) + cap
         arcs.setdefault(v, {}).setdefault(u, 0)
-
-    big = len(g.nodes) + 1
-    for v in sorted(g.nodes):
-        add_arc(("in", v), ("out", v), big if v in (src, dst) else 1)
-    for a, b in sorted(g.edges):
-        add_arc(("out", a), ("in", b), 1)
 
     s, t = ("out", src), ("in", dst)
     flow = 0
@@ -173,7 +171,7 @@ def max_disjoint_paths(g) -> PathSet:
                     prev[v] = u
                     queue.append(v)
         if t not in prev:
-            break
+            return arcs, caps, flow
         v = t
         while prev[v] is not None:
             u = prev[v]
@@ -182,17 +180,19 @@ def max_disjoint_paths(g) -> PathSet:
             v = u
         flow += 1
 
+
+def max_disjoint_paths(g) -> PathSet:
+    """Maximum set of internally node-disjoint directed sender->receiver paths."""
+    if isinstance(g, Hypergraph):
+        g = g.induced_digraph()
+    src, dst = g.sender, g.receiver
+    arcs, caps, flow = _max_flow(g)
+    t = ("in", dst)
     # decompose the flow into node sequences, smallest successor first;
     # per-arc flow = original capacity minus remaining residual capacity
     paths = []
     fwd = {}
-    orig_caps: dict = {}
-    for v in sorted(g.nodes):
-        orig_caps[(("in", v), ("out", v))] = big if v in (src, dst) else 1
-    for a, b in sorted(g.edges):
-        key = (("out", a), ("in", b))
-        orig_caps[key] = orig_caps.get(key, 0) + 1
-    for (u, v), cap in orig_caps.items():
+    for (u, v), cap in caps.items():
         f = cap - arcs[u][v]
         if f > 0:
             fwd[(u, v)] = f
@@ -215,18 +215,37 @@ def max_disjoint_paths(g) -> PathSet:
 
 
 def min_vertex_separator(g) -> frozenset | None:
-    """Brute-force smallest W in V-{A,B} meeting every directed A->B path.
+    """Smallest W in V-{A,B} meeting every directed A->B path (Menger).
 
-    Returns None when no such set exists (a direct sender->receiver edge).
+    Read off the max flow's residual graph: every original arc from the
+    residual-reachable set to the rest is saturated, so there are exactly
+    flow-many.  Each maps to one internal node on it: a node arc to its
+    node, a link (a, b) to b, or to a when b is the receiver.  Returns
+    None when no such set exists (a direct sender->receiver edge).
     """
     if isinstance(g, Hypergraph):
         g = g.induced_digraph()
-    internal = sorted(g.nodes - {g.sender, g.receiver})
-    for size in range(len(internal) + 1):
-        for w in itertools.combinations(internal, size):
-            if not _digraph_connected(g, frozenset(w)):
-                return frozenset(w)
-    return None
+    arcs, caps, _ = _max_flow(g)
+    s = ("out", g.sender)
+    reach = {s}
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        for v, cap in arcs[u].items():
+            if cap > 0 and v not in reach:
+                reach.add(v)
+                queue.append(v)
+    cut = set()
+    for u, v in caps:
+        if u not in reach or v in reach:
+            continue
+        if u[0] == "in" or v[1] != g.receiver:
+            cut.add(v[1])
+        elif u[1] != g.sender:
+            cut.add(u[1])
+        else:
+            return None
+    return frozenset(cut)
 
 
 def _digraph_connected(g: Digraph, removed: frozenset) -> bool:
@@ -247,12 +266,9 @@ def _digraph_connected(g: Digraph, removed: frozenset) -> bool:
 
 def is_k_separable(h: Hypergraph, k: int):
     """(True, witness W) if some W (|W| <= k) meets every directed path."""
-    g = h.induced_digraph()
-    internal = sorted(h.nodes - {h.sender, h.receiver})
-    for size in range(min(k, len(internal)) + 1):
-        for w in itertools.combinations(internal, size):
-            if not _digraph_connected(g, frozenset(w)):
-                return True, frozenset(w)
+    cut = min_vertex_separator(h)
+    if cut is not None and len(cut) <= k:
+        return True, cut
     return False, None
 
 
@@ -278,7 +294,7 @@ def _hyper_connected(h: Hypergraph, removed: frozenset, directed: bool) -> bool:
 
 
 def strongly_k_connected(h: Hypergraph, k: int) -> bool:
-    _check_size(h.nodes, k)
+    _check_size(h.nodes)
     internal = sorted(h.nodes - {h.sender, h.receiver})
     for size in range(min(k - 1, len(internal)) + 1):
         for s in itertools.combinations(internal, size):
@@ -288,7 +304,7 @@ def strongly_k_connected(h: Hypergraph, k: int) -> bool:
 
 
 def weakly_k_connected(h: Hypergraph, k: int) -> bool:
-    _check_size(h.nodes, k)
+    _check_size(h.nodes)
     internal = sorted(h.nodes - {h.sender, h.receiver})
     for size in range(min(k - 1, len(internal)) + 1):
         for s in itertools.combinations(internal, size):
@@ -360,7 +376,7 @@ def neighbor_closure(g: NeighborNet, v1: frozenset) -> frozenset:
 
 
 def neighbor_k_connected(g: NeighborNet, k: int) -> bool:
-    _check_size(g.nodes, k)
+    _check_size(g.nodes)
     internal = sorted(g.nodes - {g.sender, g.receiver})
     base = _undirected_digraph(g)
     for size in range(min(k - 1, len(internal)) + 1):
@@ -390,7 +406,7 @@ def _all_simple_paths(g: NeighborNet) -> list:
 
 def weakly_nk_connected(g: NeighborNet, n: int, k: int):
     """(True, witness path family) per the disjoint-neighborhood definition."""
-    _check_size(g.nodes, k)
+    _check_size(g.nodes)
     internal = sorted(g.nodes - {g.sender, g.receiver})
     paths = _all_simple_paths(g)
     tsets = [frozenset(t)

@@ -9,6 +9,7 @@ import random
 import time
 
 import conftest
+from oracles import brute_force_separator, reaches
 
 from psmt.field import GF
 from psmt.netsim import AdversarySpec, PathNetwork, majority_of, majority_transmit
@@ -361,7 +362,11 @@ def test_criterion_6_menger_equivalence():
         g = Digraph.build(nodes, edges, "A", "B")
         paths = max_disjoint_paths(g)
         sep = min_vertex_separator(g)
-        if sep is None or len(paths) != len(sep):
+        # the brute-force oracle is the independent side of the equality
+        want = brute_force_separator(g)
+        if (want is None or len(paths) != len(want) or sep is None
+                or len(sep) != len(want)
+                or reaches(g.edges, g.sender, g.receiver, sep)):
             violations.append((trial, sorted(edges)))
     _verdict(6, "max disjoint paths == min vertex separator on 500 digraphs",
              violations, started, 60.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from psmt import fixtures
-from psmt.errors import ParamError, PreconditionError
+from psmt.errors import ParamError
 from psmt.field import GF, encode_tuple
 from psmt.netsim import (
     AdversarySpec,
@@ -11,10 +11,10 @@ from psmt.netsim import (
     HyperNet,
     IdealizedReliableChannel,
     PathNetwork,
+    broadcast,
     majority_of,
     majority_transmit,
     recv_broadcast,
-    reliable_broadcast,
 )
 from psmt.randomness import Randomness
 from psmt.strategies import constant_replacer, shift_tamperer
@@ -70,9 +70,10 @@ def test_view_contains_only_corrupted_traffic_and_broadcasts():
     net.send_ab(1, "seen")
     net.send_ab(2, "secret2")
     net.end_round()
-    net.broadcast_ab("public")
+    broadcast(net, range(3), "public")
     net.end_round()
-    assert net.view.events == [(0, ("AB", 1), "seen"), (1, ("AB", 1), "public")]
+    assert net.view.events == [(0, ("AB", 1), "seen"),
+                               (1, ("AB", 1), ("public", None))]
     assert net.view.public == [(1, "AB", "public")]
 
 
@@ -89,14 +90,20 @@ def test_active_tampering_applied_per_corrupted_channel():
     assert net.view.events == [(0, ("AB", 1), spec.element(3))]
 
 
-def test_reliable_broadcast_needs_majority():
-    net = PathNetwork(4, 0)
-    with pytest.raises(PreconditionError):
-        reliable_broadcast(net, "x", 2)  # 2k = 4 channels is not enough
-    net5 = PathNetwork(5, 0)
-    reliable_broadcast(net5, "x", 2)
-    delivered = net5.end_round()
-    assert recv_broadcast(delivered, "AB", 5, Randomness(0)) == "x"
+def test_broadcast_majority_outvotes_corrupted_channels():
+    # 2k+1 = 5 channels with k = 2 corrupted: the honest majority wins, and
+    # only the channels that carried the winner hand over their extras
+    net = PathNetwork(5, 0, AdversarySpec(frozenset({("AB", 0), ("AB", 3)}),
+                                          constant_replacer(("y", "forged"))))
+    broadcast(net, range(5), "x", {ch: f"extra{ch}" for ch in range(5)})
+    delivered = net.end_round()
+    winner, extras = recv_broadcast(delivered, range(5), Randomness(0))
+    assert winner == "x"
+    assert extras == {1: "extra1", 2: "extra2", 4: "extra4"}
+    assert net.view.public == [(0, "AB", "x")]
+    # a subset of the channels broadcasts on its own
+    broadcast(net, [1, 2], "z")
+    assert recv_broadcast(net.end_round(), [1, 2], Randomness(0)) == ("z", {1: None, 2: None})
 
 
 def test_majority_transmit_has_no_precondition():
@@ -112,6 +119,9 @@ def test_majority_transmit_has_no_precondition():
 def test_majority_of_clear_and_tie():
     assert majority_of(["a", "b", "a"], Randomness(0)) == "a"
     assert majority_of([], Randomness(0)) is None
+    # unhashable values vote for None instead of raising
+    assert majority_of([["a"], ("a", ["b"]), "a"], Randomness(0)) is None
+    assert majority_of([["a"], "a", "a"], Randomness(0)) == "a"
     picks = {majority_of(["a", "b"], Randomness(s)) for s in range(40)}
     assert picks == {"a", "b"}  # the tie coin actually varies
     counts = {"a": 0, "b": 0}

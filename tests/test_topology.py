@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from oracles import brute_force_separator, reaches
 
 from psmt import fixtures
 from psmt.errors import ParamError, SizeLimit
@@ -45,12 +46,50 @@ def test_menger_max_paths_equals_min_separator_random():
         g = _random_digraph(rng)
         paths = max_disjoint_paths(g)
         sep = min_vertex_separator(g)
-        assert sep is not None  # no direct A->B edge by construction
-        assert len(paths) == len(sep)
+        want = brute_force_separator(g)
+        assert want is not None  # no direct A->B edge by construction
+        assert len(paths) == len(want)
+        assert sep is not None and len(sep) == len(want)
+        assert not reaches(g.edges, "A", "B", sep)
         paths.validate(g.edges, "A", "B")
         # the separator really disconnects: every path hits it
         for p in paths.paths:
             assert set(p[1:-1]) & sep
+
+
+def test_separator_cut_on_an_edge_arc():
+    # the minimum cut of fig009's node-split network falls on link arcs,
+    # so reading only the node arcs would give an empty separator
+    g = to_hypergraph(fixtures.get("fig009")).induced_digraph()
+    sep = min_vertex_separator(g)
+    assert len(max_disjoint_paths(g)) == 2
+    assert sep is not None and len(sep) == 2
+    assert not reaches(g.edges, g.sender, g.receiver, sep)
+    assert is_k_separable(to_hypergraph(fixtures.get("fig009")), 2) == (True, sep)
+
+
+def test_separator_above_the_enumeration_limit():
+    # three braided chains of eight relays: 26 nodes, three disjoint paths
+    rng = random.Random(2024)
+    chains = [[f"c{c}_{i}" for i in range(8)] for c in range(3)]
+    edges = set()
+    for chain in chains:
+        edges |= {("A", chain[0]), (chain[-1], "B")}
+        edges |= set(zip(chain, chain[1:]))
+    for _ in range(12):
+        a, b = rng.sample(range(3), 2)
+        i, j = sorted(rng.sample(range(8), 2))
+        edges.add((chains[a][i], chains[b][j]))
+    nodes = ["A", "B"] + [v for chain in chains for v in chain]
+    g = Digraph.build(nodes, edges, "A", "B")
+    assert len(g.nodes) > 20
+    sep = min_vertex_separator(g)
+    paths = max_disjoint_paths(g)
+    paths.validate(g.edges, "A", "B")
+    assert len(paths) == len(sep) == 3
+    assert not reaches(g.edges, "A", "B", sep)
+    for v in sep:
+        assert reaches(g.edges, "A", "B", sep - {v})
 
 
 def test_direct_edge_has_no_separator():
@@ -162,7 +201,7 @@ def test_separability_trivial_cases():
 
 def test_size_limit_enforced():
     with pytest.raises(SizeLimit):
-        _check_size(range(25), 2)
+        _check_size(range(25))
     big = NeighborNet.build(
         [f"v{i}" for i in range(23)] + ["A", "B"],
         [(f"v{i}", f"v{i+1}") for i in range(22)] + [("A", "v0"), ("v22", "B")],
