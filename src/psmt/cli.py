@@ -89,7 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--m1", type=int, required=False)
             group = p.add_mutually_exclusive_group()
             group.add_argument("--exact", action="store_true",
-                               help="exact enumeration (default)")
+                               help="certified analysis: symbolic, then exact"
+                                    " enumeration (default)")
             group.add_argument("--estimate", action="store_true",
                                help="Monte Carlo estimate only")
             p.add_argument("--limit", type=int, default=200_000,
@@ -324,6 +325,8 @@ def _cmd_privacy(args) -> dict:
         "samples": rep.samples,
         "perfectly_private": rep.perfectly_private,
         "note": rep.note,
+        "replays": rep.replays,
+        "fallback": rep.fallback,
         "seed": args.seed,
     }
     if rep.method == "monte-carlo":

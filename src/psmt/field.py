@@ -405,9 +405,16 @@ class FieldSpec:
         return (FieldElement(self, v) for v in range(self.order))
 
     def sample(self, rng) -> "FieldElement":
-        """Uniform element from a seeded randomness source."""
+        """Uniform element from a seeded randomness source; a tracing
+        source (one with an ``element`` method) turns a tainted draw into
+        a ``TracedElement``."""
         value, taint = rng.draw(self.order)
-        return FieldElement(self, value, taint)
+        if taint is None:
+            return FieldElement(self, value)
+        traced = getattr(rng, "element", None)
+        if traced is None:
+            return FieldElement(self, value, taint)
+        return traced(self, value, taint)
 
     # -- misc --------------------------------------------------------------
 
@@ -416,13 +423,6 @@ class FieldSpec:
         if self.reduction is not None:
             cfg["reduction"] = "".join(str(c) for c in self.reduction)
         return cfg
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "FieldSpec":
-        reduction = cfg.get("reduction")
-        if reduction is not None:
-            reduction = [int(ch) for ch in str(reduction)]
-        return GF(int(cfg["order"]), reduction)
 
     def __repr__(self) -> str:
         if self.m == 1:
@@ -524,6 +524,214 @@ class FieldElement:
 
     def __bool__(self) -> bool:
         return self.value != 0
+
+
+# ---------------------------------------------------------------------------
+# traced elements: exact polynomials over the draws, for the privacy analyzer
+#
+# A polynomial is a dict {monomial: coefficient} with nonzero raw
+# coefficients; a monomial is a tuple of (variable, exponent) pairs sorted
+# by variable, () for the constant term.  Variables are draw indices
+# (>= 0) and opaque atoms (< 0) whose supports the tracer keeps.
+# Exponents are reduced with x^q = x, so two polynomials over draws alone
+# are equal as functions exactly when their dicts are equal; with atoms,
+# equal dicts still mean equal values.
+
+
+_get_raw = FieldElement.value.__get__
+_set_raw = FieldElement.value.__set__
+
+
+def peek(e: FieldElement) -> int:
+    """The packed value of ``e``; unlike ``e.value`` on a traced element,
+    records no observation.  For the privacy analyzer's own reads."""
+    return _get_raw(e)
+
+
+def _is_constant(poly: dict) -> bool:
+    return not poly or (len(poly) == 1 and () in poly)
+
+
+def _poly_termwise(op, p: dict, r: dict) -> dict:
+    out = dict(p)
+    for mono, c in r.items():
+        s = op(out.get(mono, 0), c)
+        if s:
+            out[mono] = s
+        else:
+            del out[mono]
+    return out
+
+
+def _poly_add(spec: FieldSpec, p: dict, r: dict) -> dict:
+    return _poly_termwise(spec.add_raw, p, r)
+
+
+def _poly_sub(spec: FieldSpec, p: dict, r: dict) -> dict:
+    return _poly_termwise(spec.sub_raw, p, r)
+
+
+def _poly_scale(spec: FieldSpec, p: dict, c: int) -> dict:
+    if not c:
+        return {}
+    mul = spec.mul_raw
+    return {mono: mul(c, x) for mono, x in p.items()}
+
+
+def _mono_mul(a: tuple, b: tuple, q: int) -> tuple:
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = exps.get(v, 0) + e
+    # x^q = x: reduce every exponent into 1 .. q-1
+    return tuple(sorted((v, (e - 1) % (q - 1) + 1) for v, e in exps.items()))
+
+
+def _poly_mul(spec: FieldSpec, p: dict, r: dict) -> dict:
+    if _is_constant(p):
+        return _poly_scale(spec, r, p.get((), 0))
+    if _is_constant(r):
+        return _poly_scale(spec, p, r.get((), 0))
+    add, mul, q = spec.add_raw, spec.mul_raw, spec.order
+    out: dict = {}
+    for ma, ca in p.items():
+        for mb, cb in r.items():
+            mono = _mono_mul(ma, mb, q)
+            s = add(out.get(mono, 0), mul(ca, cb))
+            if s:
+                out[mono] = s
+            else:
+                out.pop(mono, None)
+    return out
+
+
+class TracedElement(FieldElement):
+    """A field element that also carries its value as an exact polynomial
+    over the draws of a tracing randomness source (``tracer``).
+
+    Ring operators (``+ - * neg`` and non-negative ``pow``, reflected ones
+    included, so ``spec.zero() + traced`` lands here) stay polynomial.
+    Inverting a non-constant gives an opaque atom: a fresh variable whose
+    support the tracer keeps; the divisor is observed, since its zero test
+    decides whether the division raises.  ``taint`` is the union of the
+    operands' taints, as for ``FieldElement``.
+
+    Every read of the value outside these operators is an observation the
+    tracer records (the support of the polynomial read): ``value``,
+    ``hash``, ``bool``, ``repr``, and an ``==`` whose difference is not a
+    constant.  An ``==`` whose difference is a constant is decided without
+    observing anything.  A tainted plain ``FieldElement`` operand (an
+    output of ``sharing``'s raw kernels) enters as an atom over its taint.
+    """
+
+    __slots__ = ("poly", "tracer")
+
+    def __init__(self, spec: FieldSpec, value: int, taint: frozenset[int] | None,
+                 poly: dict, tracer):
+        self.spec = spec
+        _set_raw(self, value)
+        self.taint = taint
+        self.poly = poly
+        self.tracer = tracer
+
+    @property
+    def value(self) -> int:
+        self.tracer.observe(self.poly)
+        return _get_raw(self)
+
+    def _make(self, value: int, taint, poly: dict) -> "TracedElement":
+        return TracedElement(self.spec, value, taint, poly, self.tracer)
+
+    def _binary(self, a: FieldElement, b: FieldElement, raw, poly) -> "TracedElement":
+        """``a op b`` from the raw kernel and the polynomial operation."""
+        poly_of = self.tracer.poly_of
+        return self._make(raw(_get_raw(a), _get_raw(b)), self._merge(a.taint, b.taint),
+                          poly(self.spec, poly_of(a), poly_of(b)))
+
+    def __add__(self, other):
+        self._check(other)
+        return self._binary(self, other, self.spec.add_raw, _poly_add)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        self._check(other)
+        return self._binary(self, other, self.spec.sub_raw, _poly_sub)
+
+    def __rsub__(self, other):
+        self._check(other)
+        return self._binary(other, self, self.spec.sub_raw, _poly_sub)
+
+    def __mul__(self, other):
+        self._check(other)
+        return self._binary(self, other, self.spec.mul_raw, _poly_mul)
+
+    __rmul__ = __mul__
+
+    def _quotient(self, num: FieldElement, den: FieldElement) -> "TracedElement":
+        spec = self.spec
+        top, bottom = self.tracer.poly_of(num), self.tracer.poly_of(den)
+        if _is_constant(bottom):
+            inv = spec.inv_raw(bottom.get((), 0))
+            poly = _poly_scale(spec, top, inv)
+        else:
+            self.tracer.observe(bottom)
+            inv = spec.inv_raw(_get_raw(den))
+            poly = self.tracer.atom(self.tracer.support(top)
+                                    | self.tracer.support(bottom))
+        return self._make(spec.mul_raw(_get_raw(num), inv),
+                          self._merge(num.taint, den.taint), poly)
+
+    def __truediv__(self, other):
+        self._check(other)
+        return self._quotient(self, other)
+
+    def __rtruediv__(self, other):
+        self._check(other)
+        return self._quotient(other, self)
+
+    def inv(self) -> "TracedElement":
+        return self._quotient(self.spec.one(), self)
+
+    def __neg__(self):
+        return self._make(self.spec.neg_raw(_get_raw(self)), self.taint,
+                          _poly_sub(self.spec, {}, self.poly))
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.inv() ** -e
+        result = self._make(1, self.taint, {(): 1})
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FieldElement) or not (
+                other.spec is self.spec or other.spec == self.spec):
+            return False
+        diff = _poly_sub(self.spec, self.poly, self.tracer.poly_of(other))
+        if _is_constant(diff):
+            return not diff
+        self.tracer.observe(diff)
+        return _get_raw(self) == _get_raw(other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        self.tracer.observe(self.poly)
+        return hash((self.spec.order, _get_raw(self)))
+
+    def __repr__(self) -> str:
+        self.tracer.observe(self.poly)
+        return f"{_get_raw(self)}:{self.spec!r}"
+
+    def __bool__(self) -> bool:
+        self.tracer.observe(self.poly)
+        return _get_raw(self) != 0
 
 
 # ---------------------------------------------------------------------------

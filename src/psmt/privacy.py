@@ -5,31 +5,61 @@ Pr[view(m1)=c]|, ranging from 0 (perfect privacy) to 2 (views disjoint,
 e.g. a cleartext protocol); it equals twice the total variation.
 
 The analyzer replays a protocol with a tracing randomness source shared
-by every honest party, so each uniform draw gets a global index and
-every field element in the adversary's view carries the set of draw
-indices it depends on.  Draw indices that never mix in a view leaf are
-independent, so the view factors into independent components; per
-component the marginal distribution is enumerated exactly by pinning
-the component's draws to every possible assignment and re-running.
+by every honest party, so each uniform draw gets a global index.  Every
+field element in the adversary's view carries its taint, the set of
+draw indices it can depend on, and its value as an exact polynomial over
+the draws (``field.TracedElement``).  The tracer's ledger records every
+*observed* draw, one whose value may have steered the run: the support
+of any traced value read outside the element operators (``value``,
+``hash``, ``bool``, ``repr``, an ``==`` whose difference is not a
+constant) and any draw handed back as a raw int.  An ``==`` whose
+difference is a constant, as in an honest tag check, observes nothing.
+
+``view_distance`` traces m0 and m1 once each and then:
+
+1. Optimistic sampling (Barthe et al., EUROCRYPT 2015), to a fixpoint on
+   both traces at once: a leaf ``c*r + e``, with ``c`` a nonzero constant,
+   ``r`` a uniform field draw that is not observed, in no opaque atom and
+   in no other remaining leaf, and ``e`` free of ``r``, is uniform and
+   independent of the rest of the view; it is dropped.  A leaf drops only
+   when the same draw eliminates it in both traces.
+2. The remaining leaves split into independent components by taint.  A
+   component whose leaves are the same polynomials in both traces, with
+   no atom and no observed draw, has the same distribution under both
+   messages: it certifies at 0 without a replay.
+3. Every other component is enumerated exactly by pinning its draws to
+   every assignment and re-running; each observed draw outside them is
+   enumerated on its own axis, for stability.  Every such replay must
+   reproduce the untainted leaves, keep each leaf outside the component
+   at its reference value and each dropped leaf eliminable.
+
+When the reference runs observe no draw, no branch depended on a draw,
+so every run follows them and each leaf is its polynomial: steps 1 and
+2 are exact.  Otherwise the checks of step 3, and a probe run with every
+draw moved, test the factorization on the runs made, as plain
+enumeration always has.
 
 The distance then satisfies
 
     max_C d(C)  <=  d(view_m0, view_m1)  <=  min(2, sum_C d(C))
 
-with equality on both sides when at most one component differs.  When a
-component's state space is too large, or the trace turns out to be
-value-dependent (the factorization assumption fails), the analyzer
-falls back to a Monte Carlo plug-in estimate over full canonical views.
+with equality on both sides when at most one component differs.  The
+report's ``method`` is ``"symbolic"`` when nothing was enumerated,
+``"exact"`` or ``"bounds"`` after enumeration, and ``"monte-carlo"`` when
+a component's state space exceeds the limit, the random structure
+depends on the message, or a replay breaks the factorization; ``fallback``
+then names the reason and the bounds are the uncertified 0 .. 2.
 """
 
 from __future__ import annotations
 
 import inspect
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .field import FieldElement
+from .field import FieldElement, peek
 from .netsim import AdversaryView
 from .randomness import Randomness, TracingRandomness, derive_trial_seed
 
@@ -42,17 +72,19 @@ class _Unstable(Exception):
 class PrivacyReport:
     """Bounds on the L1 view distance between the two views (0 .. 2)."""
 
-    method: str            # "exact", "bounds", or "monte-carlo"
+    method: str            # "symbolic", "exact", "bounds" or "monte-carlo"
     lower: float
     upper: float
     components: int = 0
     component_tv: list = dc_field(default_factory=list)
     samples: int = 0
     note: str = ""
+    replays: int = 0               # protocol runs the analyzer made
+    fallback: str | None = None    # why a certified analysis gave way to sampling
 
     @property
     def perfectly_private(self) -> bool:
-        return self.method in ("exact", "bounds") and self.upper == 0.0
+        return self.method in ("symbolic", "exact", "bounds") and self.upper == 0.0
 
 
 def shared_rng_runner(func, **fixed):
@@ -77,21 +109,138 @@ def shared_rng_runner(func, **fixed):
 def _leaf_key(value):
     """Hashable, taint-free image of one view leaf."""
     if isinstance(value, FieldElement):
-        return ("F", value.value)
+        return ("F", peek(value))
     return value
 
 
-def _split_leaves(view: AdversaryView):
-    """Partition view leaves into untainted (deterministic) and tainted."""
-    plain = []
-    tainted = []
-    for path, value in view.leaves():
-        taint = value.taint if isinstance(value, FieldElement) else None
-        if taint:
-            tainted.append((path, value, taint))
-        else:
-            plain.append((path, _leaf_key(value)))
-    return plain, tainted
+class _Trace:
+    """One traced run: untainted leaves as (path, key), tainted ones as
+    (path, value, taint), each tainted leaf's polynomial and key by path,
+    and the draws no eliminated leaf may hinge on (observed or in an
+    atom)."""
+
+    def __init__(self, view: AdversaryView, rng: TracingRandomness):
+        self.rng = rng
+        self.plain = []
+        self.tainted = []
+        for path, value in view.leaves():
+            taint = value.taint if isinstance(value, FieldElement) else None
+            if taint:
+                self.tainted.append((path, value, taint))
+            else:
+                self.plain.append((path, _leaf_key(value)))
+        self.paths = [path for path, _, _ in self.tainted]
+        self.keys = {path: _leaf_key(value) for path, value, _ in self.tainted}
+        self.polys = {path: rng.poly_of(value) for path, value, _ in self.tainted}
+        self.blocked = set(rng.observed).union(*rng.atoms.values())
+
+
+def _trace(run, message, seed, pinned=None) -> _Trace:
+    rng = TracingRandomness(seed, pinned=dict(pinned or {}))
+    return _Trace(run(message, rng), rng)
+
+
+# ---------------------------------------------------------------------------
+# optimistic sampling
+
+
+def _linear_draws(poly: dict) -> set:
+    """Draws r with poly = c*r + e, c a nonzero constant and e free of r."""
+    count: dict = {}
+    for mono in poly:
+        for v, _ in mono:
+            count[v] = count.get(v, 0) + 1
+    return {mono[0][0] for mono in poly
+            if len(mono) == 1 and mono[0][1] == 1 and mono[0][0] >= 0
+            and count[mono[0][0]] == 1}
+
+
+def _occurrences(polys: dict, paths) -> dict:
+    """Variable -> the leaves among ``paths`` whose polynomial holds it."""
+    occ: dict = {}
+    for path in paths:
+        for mono in polys[path]:
+            for v, _ in mono:
+                occ.setdefault(v, set()).add(path)
+    return occ
+
+
+def _remove(occ: dict, polys: dict, path) -> None:
+    for mono in polys[path]:
+        for v, _ in mono:
+            occ[v].discard(path)
+
+
+def _qualifies(trace: _Trace, occ: dict, path, r: int, order: int) -> bool:
+    """The leaf at ``path`` is c*r + e with r a uniform field draw that
+    nothing else left in the view, observed or atom depends on: the leaf
+    is uniform and independent of the rest."""
+    return (r in _linear_draws(trace.polys[path]) and r not in trace.blocked
+            and trace.rng.moduli.get(r) == order and occ.get(r) == {path})
+
+
+def _eliminate(traces, order: int) -> list:
+    """Optimistic sampling to a fixpoint on both traces at once.
+
+    Returns the dropped (path, r) pairs in the order they were dropped;
+    each qualified in both traces given the leaves still left then.
+    """
+    paths = traces[0].paths
+    occs = [_occurrences(t.polys, paths) for t in traces]
+    dropped: list = []
+    gone: set = set()
+    changed = True
+    while changed:
+        changed = False
+        for path in paths:
+            if path in gone:
+                continue
+            for r in sorted(_linear_draws(traces[0].polys[path])):
+                if all(_qualifies(t, occ, path, r, order)
+                       for t, occ in zip(traces, occs)):
+                    dropped.append((path, r))
+                    gone.add(path)
+                    for t, occ in zip(traces, occs):
+                        _remove(occ, t.polys, path)
+                    changed = True
+                    break
+    return dropped
+
+
+class _Residual:
+    """What elimination leaves: the kept leaf paths, the dropped (path, r)
+    pairs in drop order, and the field order the draws must range over."""
+
+    def __init__(self, kept: list, dropped: list, order: int):
+        self.kept = kept
+        self.dropped = dropped
+        self.gone = {path for path, _ in dropped}
+        self.order = order
+
+    def check_dropped(self, trace: _Trace) -> None:
+        """On a replay, every dropped leaf must still qualify, in order."""
+        occ = _occurrences(trace.polys, self.kept + [path for path, _ in self.dropped])
+        for path, r in self.dropped:
+            if not _qualifies(trace, occ, path, r, self.order):
+                raise _Unstable(f"leaf {path} no longer eliminates through draw {r}")
+            _remove(occ, trace.polys, path)
+
+
+def _certifies(refs, paths, comp: frozenset, observed: set) -> bool:
+    """Same polynomials in both traces, no atom, no observed draw."""
+    if comp & observed:
+        return False
+    for path in paths:
+        poly = refs[0].polys[path]
+        if poly != refs[1].polys[path]:
+            return False
+        if any(v < 0 for mono in poly for v, _ in mono):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# enumeration of what is left
 
 
 def _components(taints) -> list[frozenset]:
@@ -118,29 +267,31 @@ def _components(taints) -> list[frozenset]:
     return sorted((frozenset(g) for g in groups.values()), key=min)
 
 
-def _trace(run, message, seed, pinned=None):
-    rng = TracingRandomness(seed, pinned=dict(pinned or {}))
-    view = run(message, rng)
-    return view, rng.moduli
+def _replay_key(trace: _Trace, ref: _Trace, comp: frozenset, res: _Residual) -> tuple:
+    """Values of the kept leaves inside ``comp`` on a replay that pinned
+    only ``comp``'s draws.
 
-
-def _component_key(view: AdversaryView, comp: frozenset, ref_plain):
-    """Values of all leaves whose taints lie inside ``comp``.
-
-    Raises ``_Unstable`` if a leaf's taint straddles the component
-    boundary or the deterministic part of the view shifted — either
-    means the factorization derived from the reference run is invalid
-    for this assignment.
+    Raises ``_Unstable`` when the replay leaves the factorization derived
+    from the reference run ``ref``: the untainted leaves or the leaf paths
+    changed, a leaf straddles the component, a kept leaf outside it moved
+    off its reference value, or a dropped leaf no longer eliminates.
     """
-    plain, tainted = _split_leaves(view)
-    if plain != ref_plain:
+    if trace.plain != ref.plain:
         raise _Unstable("deterministic view part changed under pinning")
+    if trace.paths != ref.paths:
+        raise _Unstable("view leaves changed under pinning")
     key = []
-    for path, value, taint in tainted:
+    for path, _, taint in trace.tainted:
+        if path in res.gone:
+            continue
         if taint & comp:
             if not taint <= comp:
                 raise _Unstable("leaf taint straddles a component boundary")
-            key.append((path, _leaf_key(value)))
+            key.append((path, trace.keys[path]))
+        elif trace.keys[path] != ref.keys[path]:
+            raise _Unstable("a leaf outside the component changed under pinning")
+    if res.dropped:
+        res.check_dropped(trace)
     return tuple(sorted(key, key=str))
 
 
@@ -154,19 +305,31 @@ def _l1(counts_a: dict, total_a: int, counts_b: dict, total_b: int) -> float:
     return float(acc)
 
 
-def _enumerate_component(run, message, seed, comp, moduli, ref_plain):
+def _enumerate_component(run, message, seed, comp, moduli, ref, res):
     """Exact marginal of the component's leaves, uniform over its draws."""
     indices = sorted(comp)
-    total = 1
-    for idx in indices:
-        total *= moduli[idx]
     counts: dict = {}
     for assignment in itertools.product(*(range(moduli[i]) for i in indices)):
-        pinned = dict(zip(indices, assignment))
-        view, _ = _trace(run, message, seed, pinned)
-        key = _component_key(view, comp, ref_plain)
+        trace = _trace(run, message, seed, dict(zip(indices, assignment)))
+        key = _replay_key(trace, ref, comp, res)
         counts[key] = counts.get(key, 0) + 1
-    return counts, total
+    return counts, math.prod(moduli[i] for i in indices)
+
+
+def _probe(run, messages, seed, refs, comps, moduli, res) -> None:
+    """The factorization must also hold at a second point, with every draw
+    moved off its reference value."""
+    probe = {idx: (idx * 7 + 3) % moduli[idx] for idx in moduli}
+    for message, ref in zip(messages, refs):
+        trace = _trace(run, message, seed, probe)
+        if trace.plain != ref.plain:
+            raise _Unstable("deterministic part changed at probe point")
+        if trace.paths != ref.paths:
+            raise _Unstable("view leaves changed at probe point")
+        for path, _, taint in trace.tainted:
+            if path not in res.gone and not any(taint <= comp for comp in comps):
+                raise _Unstable("new taint pattern at probe point")
+        res.check_dropped(trace)
 
 
 def _monte_carlo(run, m0, m1, seed, samples) -> PrivacyReport:
@@ -185,6 +348,13 @@ def _monte_carlo(run, m0, m1, seed, samples) -> PrivacyReport:
                          note=f"plug-in estimate {est:.4f}")
 
 
+def _fallback(run, m0, m1, seed, samples, reason: str, detail: str = "") -> PrivacyReport:
+    report = _monte_carlo(run, m0, m1, seed, samples)
+    report.fallback = reason
+    report.note += detail
+    return report
+
+
 def monte_carlo_distance(run, m0, m1, *, seed=0,
                          samples: int = 4000) -> PrivacyReport:
     """Plug-in total variation estimate over full canonical views.
@@ -196,7 +366,7 @@ def monte_carlo_distance(run, m0, m1, *, seed=0,
 
 
 def view_distance(run, m0, m1, *, seed=0, limit: int = 200_000,
-                  samples: int = 4000) -> PrivacyReport:
+                  samples: int = 4000, symbolic: bool = True) -> PrivacyReport:
     """Bound the total variation distance between the adversary's views
     of transmissions of ``m0`` and of ``m1``.
 
@@ -205,57 +375,78 @@ def view_distance(run, m0, m1, *, seed=0, limit: int = 200_000,
     ``limit`` caps the per-component state space enumerated exactly;
     beyond it (or if the trace is value-dependent) a Monte Carlo
     plug-in estimate over ``samples`` runs per message is returned.
+    ``symbolic=False`` skips the elimination and the symbolic
+    certification and enumerates every component.
     """
-    view0, moduli0 = _trace(run, m0, seed)
-    view1, moduli1 = _trace(run, m1, seed)
-    plain0, tainted0 = _split_leaves(view0)
-    plain1, tainted1 = _split_leaves(view1)
+    replays = 0
 
-    if plain0 != plain1:
+    def counted(message, rng):
+        nonlocal replays
+        replays += 1
+        return run(message, rng)
+
+    report = _view_distance(counted, m0, m1, seed, limit, samples, symbolic)
+    report.replays = replays
+    return report
+
+
+def _view_distance(run, m0, m1, seed, limit, samples, symbolic) -> PrivacyReport:
+    refs = (_trace(run, m0, seed), _trace(run, m1, seed))
+    if refs[0].plain != refs[1].plain:
         return PrivacyReport("exact", 2.0, 2.0,
                              note="deterministic view parts differ")
-    if ([(p, t) for p, _, t in tainted0] != [(p, t) for p, _, t in tainted1]):
+    shapes = [[(path, taint) for path, _, taint in ref.tainted] for ref in refs]
+    if shapes[0] != shapes[1]:
         # the random scaffolding itself depends on the message
-        return _monte_carlo(run, m0, m1, seed, samples)
+        return _fallback(run, m0, m1, seed, samples, "message-dependent-structure")
 
-    moduli = dict(moduli0)
-    moduli.update(moduli1)
-    comps = _components([t for _, _, t in tainted0])
+    dropped = _eliminate(refs, m0.spec.order) if symbolic else []
+    gone = {path for path, _ in dropped}
+    kept = [(path, taint) for path, taint in shapes[0] if path not in gone]
+    res = _Residual([path for path, _ in kept], dropped, m0.spec.order)
+    comps = _components([taint for _, taint in kept])
+    observed = refs[0].rng.observed | refs[1].rng.observed
+    moduli = {**refs[0].rng.moduli, **refs[1].rng.moduli}
 
-    for comp in comps:
-        size = 1
-        for idx in comp:
-            size *= moduli[idx]
-        if size > limit:
-            report = _monte_carlo(run, m0, m1, seed, samples)
-            report.note += f"; component of size {size} exceeds limit {limit}"
-            return report
-
-    # soundness recheck: the factorization must hold at a second reference
-    # point, not just the one the components were derived from
-    probe = {idx: (idx * 7 + 3) % moduli[idx] for idx in moduli}
-    try:
-        for message in (m0, m1):
-            view, _ = _trace(run, message, seed, probe)
-            plain, tainted = _split_leaves(view)
-            if plain != plain0:
-                raise _Unstable("deterministic part changed at probe point")
-            for _, _, taint in tainted:
-                if not any(taint <= comp for comp in comps):
-                    raise _Unstable("new taint pattern at probe point")
-        component_tv = []
+    certified = set()
+    if symbolic:
         for comp in comps:
-            c0, t0 = _enumerate_component(run, m0, seed, comp, moduli, plain0)
-            c1, t1 = _enumerate_component(run, m1, seed, comp, moduli, plain0)
-            component_tv.append(_l1(c0, t0, c1, t1))
-    except _Unstable as exc:
-        report = _monte_carlo(run, m0, m1, seed, samples)
-        report.note += f"; exact analysis aborted: {exc}"
-        return report
+            paths = [path for path, taint in kept if taint <= comp]
+            if _certifies(refs, paths, comp, observed):
+                certified.add(comp)
+    enumerated = [comp for comp in comps if comp not in certified]
+    # observed draws outside every enumerated component: one axis each,
+    # enumerated only to show that they leave the view alone
+    axes = [frozenset((idx,)) for idx in sorted(observed - set().union(*enumerated))]
 
+    for comp in enumerated + axes:
+        size = math.prod(moduli[idx] for idx in comp)
+        if size > limit:
+            return _fallback(run, m0, m1, seed, samples, "component-too-large",
+                             f"; component of size {size} exceeds limit {limit}")
+
+    tv = dict.fromkeys(certified, 0.0)
+    if enumerated or axes:
+        try:
+            _probe(run, (m0, m1), seed, refs, comps, moduli, res)
+            for comp in enumerated + axes:
+                c0, t0 = _enumerate_component(run, m0, seed, comp, moduli, refs[0], res)
+                c1, t1 = _enumerate_component(run, m1, seed, comp, moduli, refs[1], res)
+                tv[comp] = _l1(c0, t0, c1, t1)
+                if tv[comp] and comp in axes:
+                    raise _Unstable("an observed draw outside every component"
+                                    " moves the view")
+        except _Unstable as exc:
+            return _fallback(run, m0, m1, seed, samples, "unstable",
+                             f"; exact analysis aborted: {exc}")
+
+    component_tv = [tv[comp] for comp in comps]
     lower = max(component_tv, default=0.0)
-    upper = min(2.0, sum(component_tv))
-    nonzero = sum(1 for tv in component_tv if tv > 0)
-    method = "exact" if nonzero <= 1 else "bounds"
+    upper = min(2.0, sum(component_tv, 0.0))
+    if symbolic and not enumerated and not axes:
+        method = "symbolic"
+    else:
+        nonzero = sum(1 for d in component_tv if d > 0)
+        method = "exact" if nonzero <= 1 else "bounds"
     return PrivacyReport(method, lower, upper, components=len(comps),
                          component_tv=component_tv)

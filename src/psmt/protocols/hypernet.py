@@ -9,6 +9,7 @@ idealized reliable channel) carry public data only.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from ..authcodes import LinearKey, auth_linear, verify
 from ..errors import PreconditionError
@@ -160,6 +161,12 @@ def exchange_network() -> NeighborNet:
         "A", "B")
 
 
+@lru_cache(maxsize=None)
+def _exchange_hypergraph() -> Hypergraph:
+    """``exchange_network`` as a hypergraph, built once; it is immutable."""
+    return to_hypergraph(exchange_network())
+
+
 def neighbor_exchange(message: FieldElement,
                       adversary: AdversarySpec | None = None,
                       rng_a=None, rng_b=None, seed=0,
@@ -176,8 +183,7 @@ def neighbor_exchange(message: FieldElement,
     rng_a, rng_b = _rngs(rng_a, rng_b, seed)
     if rng_t is None:
         rng_t = Randomness((seed, "relays"))
-    graph = to_hypergraph(exchange_network())
-    net = HyperNet(graph, adversary)
+    net = HyperNet(_exchange_hypergraph(), adversary)
     reliable = IdealizedReliableChannel(delta_r, net.view,
                                         Randomness((seed, "channel")))
 

@@ -2,14 +2,17 @@
 
 All draws go through ``draw(n)`` which returns ``(value, taint)``.  The
 plain source returns untainted values from a Mersenne stream.  The
-tracing/enumerating sources are used by the privacy analyzer: they give
-every draw a sequential index, taint the result with that index, and can
-pin selected indices to enumerated values.
+tracing source is used by the privacy analyzer: it gives every draw a
+sequential index, taints the result with that index, can pin selected
+indices to enumerated values, and keeps the ledger of what the run
+observed (see ``TracingRandomness``).
 """
 
 from __future__ import annotations
 
 import random
+
+from .field import FieldElement, FieldSpec, TracedElement
 
 
 def _canon(seed):
@@ -35,30 +38,100 @@ class Randomness:
         return self._rng.randrange(n), None
 
 
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _splitmix64(z: int) -> int:
+    """SplitMix64's output function (Steele, Lea & Flood, OOPSLA 2014)."""
+    z &= _MASK64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
 class TracingRandomness:
     """Assigns each draw a global index and taints results with it.
 
     ``pinned`` maps draw index -> value, overriding the reference value.
-    Reference values are a pure function of (seed, index) so the same
-    index yields the same value across runs regardless of draw order.
+    Reference values are SplitMix64 of the index over a 64-bit stream
+    base taken from the seed, so the same index yields the same value
+    across runs and processes regardless of draw order.
+
+    ``FieldSpec.sample`` turns a draw into a ``TracedElement`` whose
+    polynomial is the draw's variable.  The ledger ``observed`` holds
+    every draw whose value may have steered the run: the support of each
+    traced value read outside the element operators, and every draw
+    handed back as a raw int (a tie coin, say).  ``atoms`` maps each
+    opaque atom variable (< 0) to the draws it depends on.
     """
 
-    def __init__(self, seed, base: int = 0, pinned: dict[int, int] | None = None):
-        self._seed = seed
-        self._base = base
+    def __init__(self, seed, pinned: dict[int, int] | None = None):
+        self._stream = random.Random(_canon(seed)).getrandbits(64)
         self.pinned = pinned or {}
         self.draws = 0
         self.moduli: dict[int, int] = {}
+        self.observed: set[int] = set()
+        self.atoms: dict[int, frozenset[int]] = {}
+        self._atom_of: dict[int, tuple] = {}   # id(element) -> (element, poly)
 
     def draw(self, n: int) -> tuple[int, frozenset[int]]:
-        idx = self._base + self.draws
+        idx = self.draws
         self.draws += 1
         self.moduli[idx] = n
         if idx in self.pinned:
             value = self.pinned[idx] % n
         else:
-            value = random.Random(_canon((self._seed, idx))).randrange(n)
+            value = _splitmix64(self._stream + idx * _GOLDEN) % n
+        # a raw int can steer the run; ``element`` clears the mark for a
+        # draw that becomes a polynomial variable instead
+        self.observed.add(idx)
         return value, frozenset((idx,))
+
+    def element(self, spec: FieldSpec, value: int,
+                taint: frozenset[int]) -> TracedElement:
+        """The draw just made by ``FieldSpec.sample``, as a traced element."""
+        (idx,) = taint
+        self.observed.discard(idx)
+        return TracedElement(spec, value, taint, {((idx, 1),): 1}, self)
+
+    # -- the ledger ----------------------------------------------------------
+
+    def support(self, poly: dict) -> set[int]:
+        """Draws a polynomial depends on, through its atoms too."""
+        out: set[int] = set()
+        for mono in poly:
+            for v, _ in mono:
+                if v >= 0:
+                    out.add(v)
+                else:
+                    out |= self.atoms[v]
+        return out
+
+    def observe(self, poly: dict) -> None:
+        self.observed |= self.support(poly)
+
+    def atom(self, support) -> dict:
+        """A fresh opaque variable over ``support``, as a polynomial."""
+        var = -1 - len(self.atoms)
+        self.atoms[var] = frozenset(support)
+        return {((var, 1),): 1}
+
+    def atom_for(self, element: FieldElement) -> dict:
+        """The atom standing for a tainted plain element, one per object."""
+        hit = self._atom_of.get(id(element))
+        if hit is None:   # the entry keeps the element alive, so ids stay unique
+            hit = self._atom_of[id(element)] = (element, self.atom(element.taint))
+        return hit[1]
+
+    def poly_of(self, element: FieldElement) -> dict:
+        """Polynomial of any field element: traced, tainted plain or constant."""
+        if isinstance(element, TracedElement):
+            return element.poly
+        if element.taint:
+            return self.atom_for(element)
+        v = element.value
+        return {(): v} if v else {}
 
 
 def derive_trial_seed(master_seed, trial: int):

@@ -221,3 +221,41 @@ def test_binary_field_mul_matches_carryless_reference(order):
         assert spec.mul_raw(a, b) == _clmul_reference(a, b, spec.reduction)
         if a:
             assert spec.mul_raw(a, spec.inv_raw(a)) == 1
+
+
+def _evaluate(spec, poly, point):
+    """A traced polynomial's value at ``point`` (draw index -> raw value)."""
+    acc = 0
+    for mono, coeff in poly.items():
+        term = coeff
+        for var, exp in mono:
+            term = spec.mul_raw(term, spec.pow_raw(point[var], exp))
+        acc = spec.add_raw(acc, term)
+    return acc
+
+
+@pytest.mark.parametrize("order", [2, 4, 5, 9, 16])
+def test_traced_polynomial_is_the_value_at_every_point(order):
+    """Ring operators on traced elements keep value and polynomial in step
+    (x^q = x included), at the reference draws and at pinned ones."""
+    from psmt.field import peek
+    from psmt.randomness import TracingRandomness
+
+    spec = GF(order)
+    rng = random.Random(order)
+    for _ in range(40):
+        ops = [rng.randrange(6) for _ in range(8)]
+        consts = [spec.element(rng.randrange(order)) for _ in range(8)]
+        exps = [rng.randrange(order + 3) for _ in range(8)]
+        pinned = {i: rng.randrange(order) for i in range(3) if rng.random() < 0.5}
+
+        tracer = TracingRandomness(rng.random(), pinned=pinned)
+        xs = [spec.sample(tracer) for _ in range(3)]
+        acc = xs[0]
+        for op, c, e, x in zip(ops, consts, exps, itertools.cycle(xs)):
+            acc = [lambda: acc + x, lambda: c - acc, lambda: acc * x,
+                   lambda: -acc + c, lambda: acc ** e, lambda: c * acc - x][op]()
+        point = {i: peek(x) for i, x in enumerate(xs)}
+        assert _evaluate(spec, acc.poly, point) == peek(acc)
+        assert all(e <= order - 1 for mono in acc.poly for _, e in mono)
+        assert not tracer.observed

@@ -1,5 +1,7 @@
 """Exact and estimated statistical distance between adversary views."""
 
+import pytest
+
 from psmt.field import GF
 from psmt.netsim import AdversarySpec, AdversaryView
 from psmt.privacy import (
@@ -8,9 +10,21 @@ from psmt.privacy import (
     shared_rng_runner,
     view_distance,
 )
-from psmt.protocols.directed import oneway, single_feedback
+from psmt.protocols.directed import (
+    feedback_efficient,
+    oneway,
+    single_feedback,
+    subset_exchange,
+)
 from psmt.protocols.hypernet import neighbor_exchange
-from psmt.protocols.perfect import perfect_3k
+from psmt.protocols.perfect import (
+    perfect_3k,
+    perfect_efficient,
+    perfect_general,
+    perfect_oneway,
+    perfect_shared_feedback,
+    perfect_u1,
+)
 
 
 def _pad_runner(spec, leak=False):
@@ -31,10 +45,15 @@ def test_one_time_pad_is_exactly_private():
     spec = GF(5)
     run = _pad_runner(spec)
     report = view_distance(run, spec.element(1), spec.element(3))
-    assert report.method == "exact"
+    # the ciphertext is eliminated by its pad: nothing is left to enumerate
+    assert report.method == "symbolic"
     assert report.lower == report.upper == 0.0
     assert report.perfectly_private
-    assert report.components == 1
+    assert report.components == 0
+    assert report.replays == 2 and report.fallback is None
+    enumerated = view_distance(run, spec.element(1), spec.element(3), symbolic=False)
+    assert enumerated.method == "exact" and enumerated.components == 1
+    assert enumerated.upper == 0.0 and enumerated.replays == 2 + 2 + 2 * 5
 
 
 def test_leaked_pad_is_fully_distinguishable():
@@ -119,6 +138,7 @@ def test_oversized_component_falls_back_to_monte_carlo():
     report = view_distance(run, spec.element(1), spec.element(2),
                            limit=10, samples=50)
     assert report.method == "monte-carlo"
+    assert report.fallback == "component-too-large"
     assert "exceeds limit" in report.note
     assert (report.lower, report.upper) == (0.0, 2.0)  # uncertified
 
@@ -159,3 +179,243 @@ def test_report_bounds_are_consistent():
     report = view_distance(run, spec.element(0), spec.element(1))
     assert 0.0 <= report.lower <= report.upper <= 2.0
     assert len(report.component_tv) == report.components
+
+
+# ---------------------------------------------------------------------------
+# symbolic elimination against the enumerator
+
+
+def _verdict(report):
+    return report.method == "monte-carlo", report.lower, report.upper
+
+
+def _both(run, spec, m0, m1):
+    """The symbolic report and the enumerator's, which must agree."""
+    e0, e1 = spec.element(m0), spec.element(m1)
+    symbolic = view_distance(run, e0, e1, samples=200)
+    enumerated = view_distance(run, e0, e1, samples=200, symbolic=False)
+    assert _verdict(symbolic) == _verdict(enumerated), (symbolic, enumerated)
+    return symbolic
+
+
+def test_branch_on_pad_is_not_eliminated():
+    spec = GF(5)
+
+    def run(message, rng):
+        view = AdversaryView()
+        pad = spec.sample(rng)
+        view.record(0, ("AB", 0), message + pad)
+        # a value whose polynomial is constant but which the branch ties to
+        # the pad: only the observation of ``pad == 0`` keeps the elimination
+        # from dropping ``message + pad``
+        flag = pad - pad + (spec.one() if pad == spec.zero() else spec.zero())
+        view.record(0, ("AB", 1), flag)
+        return view
+
+    report = _both(run, spec, 1, 3)
+    assert report.method == "exact"
+    assert report.lower == report.upper == 0.8
+
+
+def test_observed_draw_blocks_symbolic_certification():
+    spec = GF(5)
+
+    def run(message, rng):
+        view = AdversaryView()
+        # the same polynomial under both messages wherever the draw misses
+        # them, but the branch maps the message's own value away
+        draw = spec.sample(rng)
+        view.record(0, ("AB", 0), draw if draw != message else draw + spec.one())
+        return view
+
+    report = _both(run, spec, 1, 3)
+    assert report.method == "exact"
+    assert report.lower == report.upper == 0.8
+
+
+def test_raw_value_read_is_an_observation():
+    spec = GF(5)
+
+    def run(message, rng):
+        view = AdversaryView()
+        pad = spec.sample(rng)
+        view.record(0, ("AB", 0), message + pad)
+        view.announce(0, "parity", pad.value % 2)
+        return view
+
+    report = _both(run, spec, 0, 4)
+    assert report.method == "monte-carlo" and report.fallback == "unstable"
+    assert not report.perfectly_private
+
+
+def test_message_times_pad_with_zero_message():
+    spec = GF(5)
+
+    def run(message, rng):
+        view = AdversaryView()
+        view.record(0, ("AB", 0), message * spec.sample(rng))
+        return view
+
+    # m = 0 shows a constant 0, m = 4 a uniform element: 2 * (1 - 1/5);
+    # the pad eliminates the leaf in one trace only, in either order
+    for m0, m1 in ((0, 4), (4, 0)):
+        report = _both(run, spec, m0, m1)
+        assert report.method == "exact"
+        assert report.lower == report.upper == 1.6
+
+
+def test_nonlinear_pad_is_not_eliminated():
+    spec = GF(5)
+    for mask in (lambda pad: pad * pad, lambda pad: pad + pad * pad):
+        def run(message, rng, mask=mask):
+            view = AdversaryView()
+            view.record(0, ("AB", 0), message + mask(spec.sample(rng)))
+            return view
+
+        report = _both(run, spec, 1, 3)
+        assert report.method == "exact" and report.upper > 0
+
+
+def test_pad_used_in_two_leaves():
+    spec = GF(5)
+
+    def run_masked(message, rng):
+        view = AdversaryView()
+        pad, mask = spec.sample(rng), spec.sample(rng)
+        view.record(0, ("AB", 0), message + pad)
+        view.record(0, ("AB", 1), pad + mask)
+        return view
+
+    def run_leaked(message, rng):
+        view = AdversaryView()
+        pad = spec.sample(rng)
+        view.record(0, ("AB", 0), message + pad)
+        view.record(0, ("AB", 1), pad + pad)
+        return view
+
+    masked = _both(run_masked, spec, 1, 3)
+    assert masked.method == "symbolic" and masked.upper == 0.0
+    leaked = _both(run_leaked, spec, 1, 3)
+    assert leaked.method == "exact" and leaked.lower == leaked.upper == 2.0
+
+
+def test_tie_coin_drawn_raw_is_enumerated():
+    spec = GF(5)
+
+    def run_private(message, rng):
+        view = AdversaryView()
+        pad = spec.sample(rng)
+        coin, _ = rng.draw(2)
+        view.record(0, ("AB", 0), message + pad + (spec.one() if coin else spec.zero()))
+        return view
+
+    def leaky(flip):
+        def run(message, rng):
+            view = AdversaryView()
+            pad, other = spec.sample(rng), spec.sample(rng)
+            coin, _ = rng.draw(2)
+            view.record(0, ("AB", 0), message + (pad if coin != flip else other))
+            view.record(0, ("AB", 1), pad)
+            return view
+        return run
+
+    # at a fixed coin the views are either disjoint or identical; the
+    # coin's own axis shows that neither answer holds for the run, whether
+    # the reference coin masks the message with the shown pad or with the
+    # other one (then both leaves drop, and the other coin undoes that)
+    for flip in (0, 1):
+        report = _both(leaky(flip), spec, 1, 3)
+        assert report.method == "monte-carlo" and report.fallback == "unstable"
+    # the observed coin is enumerated for stability; the dropped leaf
+    # still eliminates through its pad at either coin
+    e1, e3 = spec.element(1), spec.element(3)
+    private = view_distance(run_private, e1, e3)
+    assert private.method == "exact" and private.upper == 0.0
+    assert private.replays == 2 + 2 + 2 * 2
+    # the coin moves the leaf's value outside its taint: the enumerator
+    # alone cannot certify this run
+    enumerated = view_distance(run_private, e1, e3, samples=200, symbolic=False)
+    assert enumerated.fallback == "unstable"
+
+
+def test_tracing_ledger_records_reads_and_skips_identities():
+    from psmt.randomness import TracingRandomness
+    spec = GF(7)
+    rng = TracingRandomness(0)
+    a, b = spec.sample(rng), spec.sample(rng)
+    tag = a * spec.element(3) + b
+    assert not rng.observed
+    assert tag == a * spec.element(3) + b      # difference identically zero
+    assert spec.zero() + tag - b != b          # difference a nonzero polynomial
+    assert rng.observed == {0, 1}
+    rng = TracingRandomness(0)
+    a, b = spec.sample(rng), spec.sample(rng)
+    hash(a)
+    assert rng.observed == {0}
+    coin, _ = rng.draw(3)
+    assert rng.observed == {0, 2}
+    assert (a + b - a).poly == b.poly and (a + b - a).taint == frozenset({0, 1})
+    assert type(spec.zero() + a).__name__ == "TracedElement"
+    assert (a / spec.element(2)).poly == {((0, 1),): 4}
+    inv = b.inv()
+    assert rng.observed == {0, 1, 2} and inv.poly == {((-1, 1),): 1}
+    assert rng.atoms == {-1: frozenset({1})}
+
+
+def test_tracing_reference_draws_are_counter_based():
+    from psmt.randomness import TracingRandomness
+    first = [TracingRandomness(("case", 7)).draw(1000)[0] for _ in range(2)]
+    assert first[0] == first[1]
+    rng = TracingRandomness(("case", 7))
+    values = [rng.draw(1000)[0] for _ in range(4)]
+    pinned = TracingRandomness(("case", 7), pinned={1: 5})
+    assert [pinned.draw(1000)[0] for _ in range(4)] == [values[0], 5] + values[2:]
+    assert values != [TracingRandomness(("case", 8)).draw(1000)[0] for _ in range(4)]
+
+
+# criterion 4's cases that the enumerator finishes in seconds
+_CROSS_CHECK = [
+    ("single-feedback fwd", single_feedback, {}, {("AB", 0)}, 5),
+    ("single-feedback back", single_feedback, {}, {("BA", 0)}, 5),
+    ("subset-exchange fwd", subset_exchange,
+     {"k": 1, "n_forward": 2, "n_backward": 1}, {("AB", 0)}, 5),
+    ("subset-exchange back", subset_exchange,
+     {"k": 1, "n_forward": 2, "n_backward": 1}, {("BA", 0)}, 5),
+    ("feedback-efficient back", feedback_efficient, {"k": 1, "u": 1}, {("BA", 0)}, 5),
+    ("perfect-oneway", perfect_oneway, {"k": 1}, {("AB", 0)}, 5),
+    ("perfect-3k fwd", perfect_3k, {"k": 1}, {("AB", 0)}, 5),
+    ("perfect-3k back", perfect_3k, {"k": 1}, {("BA", 0)}, 5),
+    ("perfect-u1", perfect_u1, {"k": 2}, {("AB", 0), ("BA", 0)}, 7),
+    ("perfect-general", perfect_general, {"k": 2, "u": 1}, {("AB", 0), ("BA", 0)}, 7),
+    ("perfect-efficient", perfect_efficient, {"k": 1, "u": 1}, {("AB", 0)}, 5),
+    ("perfect-shared", perfect_shared_feedback, {"k": 1, "u": 1},
+     {("AB", 2), ("BA", 0)}, 5),
+    ("neighbor-exchange C", neighbor_exchange, {}, {"C"}, 2),
+    ("neighbor-exchange F", neighbor_exchange, {}, {"F"}, 2),
+]
+
+
+@pytest.mark.parametrize("label, func, kw, corrupted, q", _CROSS_CHECK,
+                         ids=[case[0] for case in _CROSS_CHECK])
+def test_symbolic_matches_enumerator_on_criterion_4(label, func, kw, corrupted, q):
+    spec = GF(q)
+    run = shared_rng_runner(func, adversary=AdversarySpec(frozenset(corrupted)), **kw)
+    m0, m1 = spec.element(0), spec.element(q - 1)
+    symbolic = view_distance(run, m0, m1, limit=2_000_000)
+    enumerated = view_distance(run, m0, m1, limit=2_000_000, symbolic=False)
+    assert enumerated.method == "exact" and enumerated.fallback is None
+    assert (symbolic.lower, symbolic.upper) == (enumerated.lower, enumerated.upper)
+    assert symbolic.upper == 0.0
+    assert symbolic.perfectly_private and symbolic.replays <= enumerated.replays
+
+
+@pytest.mark.parametrize("q", [3, 5, 1 << 16])
+def test_neighbor_exchange_certified_symbolically(q):
+    spec = GF(q)
+    for node in ("C", "F"):
+        run = shared_rng_runner(
+            neighbor_exchange, adversary=AdversarySpec(frozenset({node})))
+        report = view_distance(run, spec.element(0), spec.element(q - 1))
+        assert report.method == "symbolic", (node, report)
+        assert report.lower == report.upper == 0.0
+        assert report.replays == 2 and report.perfectly_private
