@@ -621,6 +621,8 @@ class TracedElement(FieldElement):
     constant.  An ``==`` whose difference is a constant is decided without
     observing anything.  A tainted plain ``FieldElement`` operand (an
     output of ``sharing``'s raw kernels) enters as an atom over its taint.
+    Elements of two different tracers (two runs side by side in the
+    analyzer) compare by value, as plain elements do.
     """
 
     __slots__ = ("poly", "tracer")
@@ -712,6 +714,9 @@ class TracedElement(FieldElement):
         if not isinstance(other, FieldElement) or not (
                 other.spec is self.spec or other.spec == self.spec):
             return False
+        if isinstance(other, TracedElement) and other.tracer is not self.tracer:
+            # elements of two runs, compared by the analyzer: by value
+            return _get_raw(self) == _get_raw(other)
         diff = _poly_sub(self.spec, self.poly, self.tracer.poly_of(other))
         if _is_constant(diff):
             return not diff

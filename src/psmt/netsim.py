@@ -74,6 +74,16 @@ class AdversaryView:
                 return ("E",) + tuple(v.value for v in value.payload)
             if isinstance(value, tuple):
                 return tuple(conv(v) for v in value)
+            if isinstance(value, list):
+                return ("list",) + tuple(conv(v) for v in value)
+            if isinstance(value, dict):
+                return ("dict", frozenset((conv(k), conv(v)) for k, v in value.items()))
+            if isinstance(value, (set, frozenset)):
+                return ("set", frozenset(conv(v) for v in value))
+            try:
+                hash(value)
+            except TypeError:   # any other unhashable payload, by its repr
+                return ("repr", repr(value))
             return value
 
         return (tuple((r, w, conv(p)) for r, w, p in self.events),

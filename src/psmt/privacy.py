@@ -12,8 +12,10 @@ the draws (``field.TracedElement``).  The tracer's ledger records every
 *observed* draw, one whose value may have steered the run: the support
 of any traced value read outside the element operators (``value``,
 ``hash``, ``bool``, ``repr``, an ``==`` whose difference is not a
-constant) and any draw handed back as a raw int.  An ``==`` whose
-difference is a constant, as in an honest tag check, observes nothing.
+constant), any draw handed back as a raw int, and the taint of any
+tainted element nested inside a plain leaf (a list, a dict, a
+dataclass).  An ``==`` whose difference is a constant, as in an honest
+tag check, observes nothing.
 
 ``view_distance`` traces m0 and m1 once each and then:
 
@@ -59,7 +61,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .field import FieldElement, peek
+from .field import ExtElement, FieldElement, peek
 from .netsim import AdversaryView
 from .randomness import Randomness, TracingRandomness, derive_trial_seed
 
@@ -113,6 +115,33 @@ def _leaf_key(value):
     return value
 
 
+def _nested_elements(value, seen: set):
+    """Tainted field elements nested inside a plain leaf, at any depth:
+    in containers, extension elements and object attributes."""
+    if isinstance(value, FieldElement):
+        if value.taint:
+            yield value
+        return
+    if isinstance(value, (str, bytes, int, float, type)) or value is None \
+            or id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, ExtElement):
+        children = value.payload
+    elif isinstance(value, dict):
+        children = [*value.keys(), *value.values()]
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        children = value
+    else:
+        children = list(getattr(value, "__dict__", {}).values())
+        for cls in type(value).__mro__:
+            slots = cls.__dict__.get("__slots__", ())
+            for name in (slots,) if isinstance(slots, str) else slots:
+                children.append(getattr(value, name, None))
+    for child in children:
+        yield from _nested_elements(child, seen)
+
+
 class _Trace:
     """One traced run: untainted leaves as (path, key), tainted ones as
     (path, value, taint), each tainted leaf's polynomial and key by path,
@@ -128,6 +157,12 @@ class _Trace:
             if taint:
                 self.tainted.append((path, value, taint))
             else:
+                # a tainted element inside a plain leaf (a list, a dict, a
+                # dataclass) is shown to the adversary without a polynomial
+                # of its own: its draws count as observed, so no leaf is
+                # eliminated through them and pinning them is enumerated
+                for element in _nested_elements(value, set()):
+                    rng.observed |= element.taint
                 self.plain.append((path, _leaf_key(value)))
         self.paths = [path for path, _, _ in self.tainted]
         self.keys = {path: _leaf_key(value) for path, value, _ in self.tainted}
@@ -366,7 +401,7 @@ def monte_carlo_distance(run, m0, m1, *, seed=0,
 
 
 def view_distance(run, m0, m1, *, seed=0, limit: int = 200_000,
-                  samples: int = 4000, symbolic: bool = True) -> PrivacyReport:
+                  samples: int = 4000) -> PrivacyReport:
     """Bound the total variation distance between the adversary's views
     of transmissions of ``m0`` and of ``m1``.
 
@@ -375,9 +410,19 @@ def view_distance(run, m0, m1, *, seed=0, limit: int = 200_000,
     ``limit`` caps the per-component state space enumerated exactly;
     beyond it (or if the trace is value-dependent) a Monte Carlo
     plug-in estimate over ``samples`` runs per message is returned.
-    ``symbolic=False`` skips the elimination and the symbolic
-    certification and enumerates every component.
     """
+    return _counted(run, m0, m1, seed, limit, samples, symbolic=True)
+
+
+def _enumerated_distance(run, m0, m1, *, seed=0, limit: int = 200_000,
+                         samples: int = 4000) -> PrivacyReport:
+    """``view_distance`` without the elimination and the symbolic
+    certification: every component is enumerated.  The reference the
+    symbolic path is tested against."""
+    return _counted(run, m0, m1, seed, limit, samples, symbolic=False)
+
+
+def _counted(run, m0, m1, seed, limit, samples, symbolic) -> PrivacyReport:
     replays = 0
 
     def counted(message, rng):

@@ -1,11 +1,14 @@
 """Exact and estimated statistical distance between adversary views."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from psmt.field import GF
 from psmt.netsim import AdversarySpec, AdversaryView
 from psmt.privacy import (
     PrivacyReport,
+    _enumerated_distance,
     monte_carlo_distance,
     shared_rng_runner,
     view_distance,
@@ -51,7 +54,7 @@ def test_one_time_pad_is_exactly_private():
     assert report.perfectly_private
     assert report.components == 0
     assert report.replays == 2 and report.fallback is None
-    enumerated = view_distance(run, spec.element(1), spec.element(3), symbolic=False)
+    enumerated = _enumerated_distance(run, spec.element(1), spec.element(3))
     assert enumerated.method == "exact" and enumerated.components == 1
     assert enumerated.upper == 0.0 and enumerated.replays == 2 + 2 + 2 * 5
 
@@ -193,7 +196,7 @@ def _both(run, spec, m0, m1):
     """The symbolic report and the enumerator's, which must agree."""
     e0, e1 = spec.element(m0), spec.element(m1)
     symbolic = view_distance(run, e0, e1, samples=200)
-    enumerated = view_distance(run, e0, e1, samples=200, symbolic=False)
+    enumerated = _enumerated_distance(run, e0, e1, samples=200)
     assert _verdict(symbolic) == _verdict(enumerated), (symbolic, enumerated)
     return symbolic
 
@@ -246,6 +249,59 @@ def test_raw_value_read_is_an_observation():
     report = _both(run, spec, 0, 4)
     assert report.method == "monte-carlo" and report.fallback == "unstable"
     assert not report.perfectly_private
+
+
+class _Box:
+    """A payload object whose repr hides what it carries."""
+
+    def __init__(self, item):
+        self.item = item
+
+    def __repr__(self):
+        return "_Box"
+
+    def __eq__(self, other):
+        return isinstance(other, _Box) and self.item == other.item
+
+
+@dataclass
+class _Pair:
+    left: object
+    right: object
+
+
+def test_pad_nested_in_a_payload_is_an_observation():
+    spec = GF(5)
+    wrappers = [
+        lambda pad: [pad],
+        lambda pad: {"pad": pad},
+        lambda pad: [(spec.one(), pad)],
+        lambda pad: _Pair(spec.one(), [pad]),
+        lambda pad: _Box(pad),
+    ]
+    for wrap in wrappers:
+        def run(message, rng, wrap=wrap):
+            view = AdversaryView()
+            pad = spec.sample(rng)
+            # the pad, shown inside a payload that is not split into leaves,
+            # and the ciphertext together determine the message
+            view.record(0, ("AB", 0), wrap(pad))
+            view.record(0, ("AB", 1), message + pad)
+            return view
+
+        report = _both(run, spec, 1, 3)
+        assert report.method == "monte-carlo" and report.fallback == "unstable"
+        assert not report.perfectly_private
+
+    def run_untainted(message, rng):
+        view = AdversaryView()
+        pad = spec.sample(rng)
+        view.record(0, ("AB", 0), [spec.one(), _Box(spec.zero())])
+        view.record(0, ("AB", 1), message + pad)
+        return view
+
+    report = _both(run_untainted, spec, 1, 3)
+    assert report.method == "symbolic" and report.upper == 0.0
 
 
 def test_message_times_pad_with_zero_message():
@@ -334,7 +390,7 @@ def test_tie_coin_drawn_raw_is_enumerated():
     assert private.replays == 2 + 2 + 2 * 2
     # the coin moves the leaf's value outside its taint: the enumerator
     # alone cannot certify this run
-    enumerated = view_distance(run_private, e1, e3, samples=200, symbolic=False)
+    enumerated = _enumerated_distance(run_private, e1, e3, samples=200)
     assert enumerated.fallback == "unstable"
 
 
@@ -402,7 +458,7 @@ def test_symbolic_matches_enumerator_on_criterion_4(label, func, kw, corrupted, 
     run = shared_rng_runner(func, adversary=AdversarySpec(frozenset(corrupted)), **kw)
     m0, m1 = spec.element(0), spec.element(q - 1)
     symbolic = view_distance(run, m0, m1, limit=2_000_000)
-    enumerated = view_distance(run, m0, m1, limit=2_000_000, symbolic=False)
+    enumerated = _enumerated_distance(run, m0, m1, limit=2_000_000)
     assert enumerated.method == "exact" and enumerated.fallback is None
     assert (symbolic.lower, symbolic.upper) == (enumerated.lower, enumerated.upper)
     assert symbolic.upper == 0.0
