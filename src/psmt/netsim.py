@@ -74,15 +74,9 @@ class AdversaryView:
                 return ("E",) + tuple(v.value for v in value.payload)
             if isinstance(value, tuple):
                 return tuple(conv(v) for v in value)
-            if isinstance(value, list):
-                return ("list",) + tuple(conv(v) for v in value)
-            if isinstance(value, dict):
-                return ("dict", frozenset((conv(k), conv(v)) for k, v in value.items()))
-            if isinstance(value, (set, frozenset)):
-                return ("set", frozenset(conv(v) for v in value))
             try:
                 hash(value)
-            except TypeError:   # any other unhashable payload, by its repr
+            except TypeError:   # a list, dict or other unhashable payload
                 return ("repr", repr(value))
             return value
 

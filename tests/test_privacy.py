@@ -264,7 +264,7 @@ class _Box:
         return isinstance(other, _Box) and self.item == other.item
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pair:
     left: object
     right: object
