@@ -509,6 +509,10 @@ class FieldElement:
     def inv(self) -> "FieldElement":
         return FieldElement(self.spec, self.spec.inv_raw(self.value), self.taint)
 
+    def with_taint(self, taint: frozenset[int] | None) -> "FieldElement":
+        """The same element carrying ``taint`` instead."""
+        return FieldElement(self.spec, self.value, taint)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldElement)
@@ -619,8 +623,9 @@ class TracedElement(FieldElement):
     tracer records (the support of the polynomial read): ``value``,
     ``hash``, ``bool``, ``repr``, and an ``==`` whose difference is not a
     constant.  An ``==`` whose difference is a constant is decided without
-    observing anything.  A tainted plain ``FieldElement`` operand (an
-    output of ``sharing``'s raw kernels) enters as an atom over its taint.
+    observing anything.  A tainted plain ``FieldElement`` operand (a
+    secret ``sharing`` decoded on raw ints) enters as an atom over its
+    taint.
     Elements of two different tracers (two runs side by side in the
     analyzer) compare by value, as plain elements do.
     """
@@ -693,6 +698,9 @@ class TracedElement(FieldElement):
 
     def inv(self) -> "TracedElement":
         return self._quotient(self.spec.one(), self)
+
+    def with_taint(self, taint: frozenset[int] | None) -> "TracedElement":
+        return self._make(_get_raw(self), taint, self.poly)
 
     def __neg__(self):
         return self._make(self.spec.neg_raw(_get_raw(self)), self.taint,

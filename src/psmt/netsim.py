@@ -192,9 +192,10 @@ def majority_of(values, tie_rng: Randomness):
     if not counts:
         return None
     top = max(counts.values())
-    tied = sorted((v for v, c in counts.items() if c == top), key=str)
+    tied = [v for v, c in counts.items() if c == top]
     if len(tied) == 1:
         return tied[0]
+    tied.sort(key=str)
     idx, _ = tie_rng.draw(len(tied))
     return tied[idx]
 

@@ -28,7 +28,14 @@ tag check, observes nothing.
 2. The remaining leaves split into independent components by taint.  A
    component whose leaves are the same polynomials in both traces, with
    no atom and no observed draw, has the same distribution under both
-   messages: it certifies at 0 without a replay.
+   messages: it certifies at 0 without a replay.  So does, at exactly 0
+   or 2, a component whose leaves are affine in its draws (monomials of
+   degree <= 1, no atom), every draw a field draw of the analyzed order
+   that is not observed, with the same linear part M in both traces: its
+   view is uniform on the coset ``c_m + col(M)``, and the two cosets
+   coincide when ``c_0 - c_1`` lies in col(M) and are disjoint
+   otherwise.  A rank test over GF(q) decides which; it covers leaves
+   that repeat one polynomial, such as an echoed share.
 3. Every other component is enumerated exactly by pinning its draws to
    every assignment and re-running; each observed draw outside them is
    enumerated on its own axis, for stability.  Every such replay must
@@ -64,6 +71,7 @@ from fractions import Fraction
 from .field import ExtElement, FieldElement, peek
 from .netsim import AdversaryView
 from .randomness import Randomness, TracingRandomness, derive_trial_seed
+from .sharing import solve_raw
 
 
 class _Unstable(Exception):
@@ -165,6 +173,7 @@ class _Trace:
                     rng.observed |= element.taint
                 self.plain.append((path, _leaf_key(value)))
         self.paths = [path for path, _, _ in self.tainted]
+        self.fields = {path: value.spec for path, value, _ in self.tainted}
         self.keys = {path: _leaf_key(value) for path, value, _ in self.tainted}
         self.polys = {path: rng.poly_of(value) for path, value, _ in self.tainted}
         self.blocked = set(rng.observed).union(*rng.atoms.values())
@@ -272,6 +281,37 @@ def _certifies(refs, paths, comp: frozenset, observed: set) -> bool:
         if any(v < 0 for mono in poly for v, _ in mono):
             return False
     return True
+
+
+def _coset_distance(refs, paths, comp: frozenset, observed: set, moduli: dict,
+                    spec) -> float | None:
+    """Exact distance of a component whose leaves are affine in its draws.
+
+    Applies when every leaf is an element of the analyzed field, equal to
+    ``c + sum_r M_r * r`` over unobserved field draws r of its order with
+    no atom, and the linear part M is the same in both traces; None
+    otherwise.  Such a view is uniform on the coset ``c_m + col(M)``: the
+    two cosets coincide when ``c_0 - c_1`` lies in col(M) (distance 0) and
+    are disjoint otherwise (distance 2).  Gaussian elimination over the
+    field decides which.
+    """
+    if comp & observed:
+        return None
+    rows = []
+    for path in paths:
+        if refs[0].fields[path] != spec:
+            return None
+        p0, p1 = refs[0].polys[path], refs[1].polys[path]
+        linear = {mono: c for mono, c in p0.items() if mono}
+        if linear != {mono: c for mono, c in p1.items() if mono}:
+            return None
+        if any(len(mono) != 1 or mono[0][1] != 1 or mono[0][0] < 0
+               or moduli.get(mono[0][0]) != spec.order for mono in linear):
+            return None
+        rows.append((linear, spec.sub_raw(p0.get((), 0), p1.get((), 0))))
+    draws = sorted({mono for linear, _ in rows for mono in linear})
+    system = [[linear.get(mono, 0) for mono in draws] + [diff] for linear, diff in rows]
+    return 2.0 if solve_raw(spec, system, len(draws)) is None else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +493,17 @@ def _view_distance(run, m0, m1, seed, limit, samples, symbolic) -> PrivacyReport
     observed = refs[0].rng.observed | refs[1].rng.observed
     moduli = {**refs[0].rng.moduli, **refs[1].rng.moduli}
 
-    certified = set()
+    certified: dict = {}   # component -> its exact distance
     if symbolic:
         for comp in comps:
             paths = [path for path, taint in kept if taint <= comp]
             if _certifies(refs, paths, comp, observed):
-                certified.add(comp)
+                certified[comp] = 0.0
+            else:
+                distance = _coset_distance(refs, paths, comp, observed, moduli,
+                                           m0.spec)
+                if distance is not None:
+                    certified[comp] = distance
     enumerated = [comp for comp in comps if comp not in certified]
     # observed draws outside every enumerated component: one axis each,
     # enumerated only to show that they leave the view alone
@@ -470,7 +515,7 @@ def _view_distance(run, m0, m1, seed, limit, samples, symbolic) -> PrivacyReport
             return _fallback(run, m0, m1, seed, samples, "component-too-large",
                              f"; component of size {size} exceeds limit {limit}")
 
-    tv = dict.fromkeys(certified, 0.0)
+    tv = dict(certified)
     if enumerated or axes:
         try:
             _probe(run, (m0, m1), seed, refs, comps, moduli, res)

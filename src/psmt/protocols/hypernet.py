@@ -45,14 +45,21 @@ def _route_majority(net: HyperNet, paths, payload, tie_rng):
     return majority_of([delivered.get(i) for i in range(len(paths))], tie_rng)
 
 
-def reliable_transmit(net: HyperNet, graph: Hypergraph, payload, k: int,
-                      tie_rng, public: bool = True):
-    """Majority transmission over 2k+1 disjoint paths; the value is public."""
+@lru_cache(maxsize=64)
+def _majority_paths(graph: Hypergraph, k: int) -> tuple:
+    """2k+1 node-disjoint paths, computed once per (graph, k); refused
+    when 2k nodes separate the endpoints."""
     ok, witness = is_k_separable(graph, 2 * k)
     if ok:
         raise PreconditionError(
             f"endpoints are {2 * k}-separable (witness {sorted(witness)})")
-    paths = max_disjoint_paths(graph).paths[: 2 * k + 1]
+    return max_disjoint_paths(graph).paths[: 2 * k + 1]
+
+
+def reliable_transmit(net: HyperNet, graph: Hypergraph, payload, k: int,
+                      tie_rng, public: bool = True):
+    """Majority transmission over 2k+1 disjoint paths; the value is public."""
+    paths = _majority_paths(graph, k)
     if public:
         net.view.announce(net.round, (graph.sender, graph.receiver), payload)
     return _route_majority(net, paths, payload, tie_rng)
@@ -70,6 +77,30 @@ def hypergraph_reliable(message: FieldElement, graph: Hypergraph, k: int,
                    net.transcript)
 
 
+@lru_cache(maxsize=64)
+def _private_plan(graph: Hypergraph, k: int):
+    """The reverse graph and the (suspect set, path) pairs: per set of k
+    internal nodes, a path it can neither read nor touch.  Checked and
+    computed once per (graph, k)."""
+    if not strongly_k_connected(graph, k):
+        raise PreconditionError("endpoints are not strongly k-connected")
+    back = _reverse(graph)
+    for g in (graph, back):
+        sep, witness = is_k_separable(g, 2 * k)
+        if sep:
+            raise PreconditionError(
+                f"{g.sender}->{g.receiver} is {2 * k}-separable"
+                f" (witness {sorted(witness)})")
+    internal = sorted(graph.nodes - {graph.sender, graph.receiver})
+    witness_paths = []
+    for s in itertools.combinations(internal, k):
+        path = strong_witness_path(graph, frozenset(s))
+        if path is None:
+            raise PreconditionError(f"no path avoiding the closure of {s}")
+        witness_paths.append((s, path))
+    return back, tuple(witness_paths)
+
+
 def hypergraph_private(message: FieldElement, graph: Hypergraph, k: int,
                        adversary: AdversarySpec | None = None,
                        rng_a=None, rng_b=None, seed=0) -> Outcome:
@@ -82,29 +113,14 @@ def hypergraph_private(message: FieldElement, graph: Hypergraph, k: int,
     """
     spec = message.spec
     rng_a, rng_b = _rngs(rng_a, rng_b, seed)
-    if not strongly_k_connected(graph, k):
-        raise PreconditionError("endpoints are not strongly k-connected")
-    back = _reverse(graph)
-    for g in (graph, back):
-        sep, witness = is_k_separable(g, 2 * k)
-        if sep:
-            raise PreconditionError(
-                f"{g.sender}->{g.receiver} is {2 * k}-separable"
-                f" (witness {sorted(witness)})")
+    back, plan = _private_plan(graph, k)
+    witness_paths = dict(plan)
+    suspects = list(witness_paths)
     net = HyperNet(graph, adversary)
     net_back = HyperNet(back, adversary)
     net_back.view = net.view
     net_back.transcript = net.transcript
     net_back.round = net.round
-
-    internal = sorted(graph.nodes - {graph.sender, graph.receiver})
-    suspects = list(itertools.combinations(internal, k))
-    witness_paths = {}
-    for s in suspects:
-        path = strong_witness_path(graph, frozenset(s))
-        if path is None:
-            raise PreconditionError(f"no path avoiding the closure of {s}")
-        witness_paths[s] = path
 
     # step 1: one key pair per suspect set, along its witness path
     keys_a = {s: LinearKey.random(spec, rng_a) for s in suspects}

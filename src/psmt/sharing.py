@@ -5,6 +5,17 @@ at most k, evaluated at n distinct nonzero points.  Decoding offers
 plain reconstruction, error detection, and bounded-distance correction
 with guaranteed simultaneous detection (never a wrong secret inside the
 n-k-e-1 detection range).
+
+The linear algebra runs on one of two representations.  Plain elements
+are turned into packed ints and computed on with the field's raw
+kernels.  When an operand is a ``TracedElement`` (a draw of the privacy
+analyzer's tracing source) the same rows are applied with the element
+operators instead, so every result stays an exact polynomial over the
+draws.  On that path ``share``, ``reconstruct``, ``detect_errors`` and a
+``correct_errors`` call on a word that lies on the code observe nothing:
+an honest word's parity differences are the zero polynomial.  A parity
+check that fails observes its difference; ``correct_errors`` on such a
+word and ``oracle_decode`` read every entry's value, which observes it.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from .errors import (
     ParamError,
     SpecMismatch,
 )
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec, TracedElement
 
 # Lagrange row sets kept, keyed by (field, interpolation points, targets)
 _ROW_CACHE = 4096
@@ -88,18 +99,18 @@ class ReceivedWord:
             self.params)
 
 
-def _value(spec: FieldSpec, e) -> int:
-    if not isinstance(e, FieldElement) or (e.spec is not spec and e.spec != spec):
-        raise SpecMismatch("entries must belong to the sharing field")
-    return e.value
+def _checked(spec: FieldSpec, elements):
+    for e in elements:
+        if not isinstance(e, FieldElement) or (e.spec is not spec and e.spec != spec):
+            raise SpecMismatch("entries must belong to the sharing field")
+    return elements
 
 
-def _values(word: ReceivedWord) -> list[int]:
-    """The entries as raw integers of the sharing field; every slot filled."""
+def _full(word: ReceivedWord) -> tuple:
+    """The entries of the sharing field; every slot filled."""
     if any(e is None for e in word.entries):
         raise MissingEntries("substitute defaults before decoding")
-    spec = word.params.field
-    return [_value(spec, e) for e in word.entries]
+    return _checked(word.params.field, word.entries)
 
 
 def _taint(elements) -> frozenset[int] | None:
@@ -111,12 +122,43 @@ def _taint(elements) -> frozenset[int] | None:
     return out
 
 
-def _horner(spec: FieldSpec, coeffs: Sequence[int], x: int) -> int:
-    mul, add = spec.mul_raw, spec.add_raw
-    acc = 0
-    for c in reversed(coeffs):
-        acc = add(mul(acc, x), c)
+def _dot_elements(spec: FieldSpec, row: Sequence[int], ys) -> FieldElement:
+    """``dot_raw`` over field elements, with the row as constants."""
+    acc = spec.zero()
+    for c, y in zip(row, ys):
+        acc = acc + FieldElement(spec, c) * y
     return acc
+
+
+def _with_taint(spec: FieldSpec, y: FieldElement, taint) -> FieldElement:
+    return y.with_taint(taint)
+
+
+def _linear(spec: FieldSpec, elements, raw: bool = False):
+    """The representation the linear algebra runs on (module docstring);
+    packed ints when ``raw``, whatever the elements.
+
+    Returns the coordinates of ``elements``, the dot product of a
+    constant raw row with coordinates, and the map from (spec, result,
+    taint) to a field element.
+    """
+    if not raw and TracedElement in map(type, elements):
+        return elements, lambda row, ys: _dot_elements(spec, row, ys), _with_taint
+    return [e.value for e in elements], spec.dot_raw, FieldElement
+
+
+@lru_cache(maxsize=_ROW_CACHE)
+def _power_rows(spec: FieldSpec, xs: tuple[int, ...], k1: int) -> tuple[tuple[int, ...], ...]:
+    """Row i holds xs[i]^0 .. xs[i]^(k1-1): its dot product with the
+    coefficients of a polynomial of degree < k1 is the value at xs[i]."""
+    rows = []
+    for x in xs:
+        row, xp = [], 1
+        for _ in range(k1):
+            row.append(xp)
+            xp = spec.mul_raw(xp, x)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=_ROW_CACHE)
@@ -151,9 +193,10 @@ def share(secret: FieldElement, params: SharingParams, rng) -> Codeword:
         raise ParamError("secret must belong to the sharing field")
     coeffs = [secret] + [spec.sample(rng) for _ in range(params.k)]
     taint = _taint(coeffs)
-    raw = [c.value for c in coeffs]
+    ys, dot, element = _linear(spec, coeffs)
     return Codeword(
-        tuple(FieldElement(spec, _horner(spec, raw, x), taint) for x in params.xs),
+        tuple(element(spec, dot(row, ys), taint)
+              for row in _power_rows(spec, params.xs, params.k + 1)),
         params)
 
 
@@ -167,24 +210,24 @@ def reconstruct(word: ReceivedWord) -> FieldElement:
     used = present[: params.k + 1]
     spec = params.field
     row = _lagrange_rows(spec, tuple(params.xs[i] for i, _ in used), (0,))[0]
-    return FieldElement(spec, spec.dot_raw(row, [_value(spec, e) for _, e in used]),
-                        _taint(e for _, e in used))
+    entries = _checked(spec, [e for _, e in used])
+    ys, dot, element = _linear(spec, entries)
+    return element(spec, dot(row, ys), _taint(entries))
 
 
 CLEAN = "clean"
 CORRUPTED = "corrupted"
 
 
-def _on_code(params: SharingParams, ys: Sequence[int]) -> bool:
+def _on_code(params: SharingParams, ys: Sequence, dot) -> bool:
     """Whether the values lie on one polynomial of degree <= k.
 
     The first k+1 values fix the polynomial; each remaining one must equal
     its Lagrange combination of them (a parity check of the GRS code).
     """
-    k1, xs, spec = params.k + 1, params.xs, params.field
-    rows = _lagrange_rows(spec, xs[:k1], xs[k1:])
+    k1, xs = params.k + 1, params.xs
+    rows = _lagrange_rows(params.field, xs[:k1], xs[k1:])
     head = ys[:k1]
-    dot = spec.dot_raw
     return all(dot(row, head) == y for row, y in zip(rows, ys[k1:]))
 
 
@@ -196,7 +239,8 @@ def detect_errors(word: ReceivedWord, max_detect: int | None = None) -> str:
     if max_detect > params.max_detect:
         raise ParamError(
             f"max_detect {max_detect} exceeds MDS bound {params.max_detect}")
-    return CLEAN if _on_code(params, _values(word)) else CORRUPTED
+    ys, dot, _ = _linear(params.field, _full(word))
+    return CLEAN if _on_code(params, ys, dot) else CORRUPTED
 
 
 @dataclass(frozen=True)
@@ -213,57 +257,56 @@ def correct_errors(word: ReceivedWord, e: int) -> Decoded | None:
     when between e+1 and n-k-e-1 entries are wrong; never a wrong secret
     inside that range.  The secret's taint is the union over the k+1
     entries it is read from at radius 0, and over all n entries otherwise.
+    A word on the code is its own nearest codeword at every radius, so
+    it is decoded without Berlekamp-Welch.
     """
     params = word.params
     if e > params.max_correct:
         raise ParamError(f"radius {e} exceeds MDS bound {params.max_correct}")
-    ys = _values(word)
-    codeword = _berlekamp_welch(params, ys, e)
-    if codeword is None:
-        return None
-    errs = frozenset(
-        i for i, (got, want) in enumerate(zip(ys, codeword)) if got != want)
-    if len(errs) > e:
-        return None
     k1, spec = params.k + 1, params.field
+    entries = _full(word)
+    ys, dot, element = _linear(spec, entries)
+    errs = frozenset()
+    if not _on_code(params, ys, dot):
+        if e == 0:
+            return None
+        # Berlekamp-Welch runs on raw values: reading a traced entry's
+        # value observes it
+        ys, dot, element = _linear(spec, entries, raw=True)
+        codeword = _berlekamp_welch(params, ys, e)
+        if codeword is None:
+            return None
+        errs = frozenset(
+            i for i, (got, want) in enumerate(zip(ys, codeword)) if got != want)
+        if len(errs) > e:
+            return None
+        ys = codeword
     row = _lagrange_rows(spec, params.xs[:k1], (0,))[0]
-    secret = spec.dot_raw(row, codeword[:k1])
-    taint = _taint(word.entries[:k1] if e == 0 else word.entries)
-    return Decoded(FieldElement(spec, secret, taint), errs)
+    taint = _taint(entries[:k1] if e == 0 else entries)
+    return Decoded(element(spec, dot(row, ys[:k1]), taint), errs)
 
 
 def _berlekamp_welch(params: SharingParams, ys: list[int], e: int) -> list[int] | None:
-    """Find the codeword within distance e, if any (unique when e <= max_correct)."""
-    if e == 0:
-        return ys if _on_code(params, ys) else None
+    """Find the codeword within distance 0 < e, if any (unique when
+    e <= max_correct)."""
     spec, xs, k = params.field, params.xs, params.k
-    mul, neg = spec.mul_raw, spec.neg_raw
+    mul, neg, dot = spec.mul_raw, spec.neg_raw, spec.dot_raw
     # Solve Q(x) = y * E(x) with deg Q <= e+k, E monic of degree e.
     # Unknowns: q_0..q_{e+k}, e_0..e_{e-1}  (E = x^e + sum e_j x^j)
     nq = e + k + 1
-    rows = []
-    for x, y in zip(xs, ys):
-        row = []
-        xp = 1
-        for _ in range(nq):
-            row.append(xp)
-            xp = mul(xp, x)
-        xp = 1
-        for _ in range(e):
-            row.append(neg(mul(y, xp)))
-            xp = mul(xp, x)
-        row.append(mul(y, xp))
-        rows.append(row)
-    sol = _solve(spec, rows, nq + e)
+    powers = _power_rows(spec, xs, nq)   # x^0 .. x^(e+k) per point
+    rows = [list(pw) + [neg(mul(y, xp)) for xp in pw[:e]] + [mul(y, pw[e])]
+            for pw, y in zip(powers, ys)]
+    sol = solve_raw(spec, rows, nq + e)
     if sol is None:
         return None
     q = sol[:nq]
     ecf = sol[nq:] + [1]
     # codeword_i = Q(x_i) / E(x_i); E(x_i) = 0 marks an error position
     out = []
-    for x in xs:
-        ev = _horner(spec, ecf, x)
-        out.append(None if ev == 0 else mul(_horner(spec, q, x), spec.inv_raw(ev)))
+    for pw in powers:
+        ev = dot(pw[: e + 1], ecf)
+        out.append(None if ev == 0 else mul(dot(pw, q), spec.inv_raw(ev)))
     # fill error positions from the interpolant through k+1 non-error slots,
     # and require every non-error slot to lie on it
     good = [i for i, v in enumerate(out) if v is not None][: k + 1]
@@ -280,9 +323,9 @@ def _berlekamp_welch(params: SharingParams, ys: list[int], e: int) -> list[int] 
     return full
 
 
-def _solve(spec: FieldSpec, rows: list[list[int]], ncols: int) -> list[int] | None:
+def solve_raw(spec: FieldSpec, rows: list[list[int]], ncols: int) -> list[int] | None:
     """Gauss-Jordan elimination on raw rows (last column the right-hand
-    side); returns one solution or None if inconsistent."""
+    side), in place; returns one solution or None if inconsistent."""
     mul, sub = spec.mul_raw, spec.sub_raw
     nrows = len(rows)
     pivots = []
@@ -324,7 +367,7 @@ def oracle_decode(word: ReceivedWord) -> list[tuple[FieldElement, tuple[FieldEle
     """
     params = word.params
     spec, xs = params.field, params.xs
-    ys = _values(word)
+    ys = [e.value for e in _full(word)]
     dot = spec.dot_raw
 
     best: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}

@@ -352,7 +352,7 @@ def test_pad_used_in_two_leaves():
     masked = _both(run_masked, spec, 1, 3)
     assert masked.method == "symbolic" and masked.upper == 0.0
     leaked = _both(run_leaked, spec, 1, 3)
-    assert leaked.method == "exact" and leaked.lower == leaked.upper == 2.0
+    assert leaked.method == "symbolic" and leaked.lower == leaked.upper == 2.0
 
 
 def test_tie_coin_drawn_raw_is_enumerated():
@@ -475,3 +475,125 @@ def test_neighbor_exchange_certified_symbolically(q):
         assert report.method == "symbolic", (node, report)
         assert report.lower == report.upper == 0.0
         assert report.replays == 2 and report.perfectly_private
+
+
+# ---------------------------------------------------------------------------
+# the rank test for components affine in their draws
+
+
+def test_duplicated_leaf_is_rank_tested_private():
+    spec = GF(5)
+
+    def run(message, rng):
+        view = AdversaryView()
+        pad = spec.sample(rng)
+        # the pad sits in both leaves, so optimistic sampling keeps both
+        view.record(0, ("AB", 0), message + pad)
+        view.record(0, ("BA", 0), message + pad)
+        return view
+
+    report = _both(run, spec, 1, 3)
+    assert report.method == "symbolic" and report.replays == 2
+    assert report.components == 1 and report.lower == report.upper == 0.0
+
+
+def test_dependent_rows_with_constants_outside_their_span():
+    spec = GF(5)
+
+    def run(message, rng):
+        view = AdversaryView()
+        pad, mask = spec.sample(rng), spec.sample(rng)
+        view.record(0, ("AB", 0), pad + mask)
+        view.record(0, ("AB", 1), message + pad + mask)
+        view.record(0, ("AB", 2), pad + mask + pad + mask)
+        return view
+
+    report = _both(run, spec, 1, 3)
+    assert report.method == "symbolic" and report.replays == 2
+    assert report.lower == report.upper == 2.0
+
+
+def test_product_of_draws_is_enumerated():
+    spec = GF(5)
+
+    def run(message, rng):
+        view = AdversaryView()
+        r, s = spec.sample(rng), spec.sample(rng)
+        view.record(0, ("AB", 0), message + r * s)
+        return view
+
+    # r*s is 0 with probability 9/25 and each other value with 4/25
+    report = _both(run, spec, 1, 3)
+    assert report.method == "exact" and report.replays > 2
+    assert report.lower == report.upper == pytest.approx(0.4)
+
+
+def test_observed_draw_is_enumerated_not_rank_tested():
+    spec = GF(5)
+
+    def run(message, rng):
+        view = AdversaryView()
+        pad = spec.sample(rng)
+        view.record(0, ("AB", 0), message + pad)
+        # affine in the pad at every nonzero pad, but the branch on it
+        # shows the message's shift when the pad is zero
+        view.record(0, ("AB", 1), message + pad if pad != spec.zero() else pad)
+        return view
+
+    report = _both(run, spec, 1, 3)
+    assert report.method == "exact"
+    assert report.lower == report.upper == pytest.approx(0.8)
+
+
+def test_draws_and_leaves_of_another_field_are_enumerated():
+    spec, other = GF(5), GF(7)
+
+    def run_coin(message, rng):
+        view = AdversaryView()
+        # a traced element that ranges over {0, 1} only, not over the field
+        value, taint = rng.draw(2)
+        coin = rng.element(spec, value, taint)
+        view.record(0, ("AB", 0), message + coin)
+        view.record(0, ("AB", 1), message + coin)
+        return view
+
+    def run_foreign(message, rng):
+        view = AdversaryView()
+        pad = other.sample(rng)
+        # constant GF(7) values whose difference is 0 mod 5
+        view.record(0, ("AB", 0), pad - pad + other.element(6 if message.value == 1 else 1))
+        return view
+
+    for run in (run_coin, run_foreign):
+        report = _both(run, spec, 1, 3)
+        assert report.method == "exact"
+        assert report.lower == report.upper == 2.0
+
+
+# k+1 passively corrupted channels: the protocols built on (k+1)-out-of-n
+# sharing show the message; k channels keep it hidden
+_CONVERSE = [
+    ("perfect-oneway", perfect_oneway, {"k": 1}, {("AB", 0), ("AB", 1)}, 5, 2.0),
+    ("perfect-3k", perfect_3k, {"k": 1}, {("AB", 0), ("AB", 1)}, 5, 2.0),
+    ("perfect-efficient", perfect_efficient, {"k": 1, "u": 1},
+     {("AB", 0), ("AB", 1)}, 5, 2.0),
+    ("perfect-u1 three", perfect_u1, {"k": 2}, {("AB", 0), ("AB", 1), ("AB", 2)}, 7, 2.0),
+    ("perfect-shared", perfect_shared_feedback, {"k": 1, "u": 1},
+     {("AB", 0), ("AB", 1)}, 5, 2.0),
+    ("perfect-u1 two", perfect_u1, {"k": 2}, {("AB", 0), ("AB", 1)}, 7, 0.0),
+]
+
+
+@pytest.mark.parametrize("label, func, kw, corrupted, q, distance", _CONVERSE,
+                         ids=[case[0] for case in _CONVERSE])
+def test_converse_k_plus_one_channels_show_the_message(label, func, kw, corrupted,
+                                                       q, distance):
+    spec = GF(q)
+    run = shared_rng_runner(func, adversary=AdversarySpec(frozenset(corrupted)), **kw)
+    m0, m1 = spec.element(0), spec.element(q - 1)
+    report = view_distance(run, m0, m1)
+    assert report.method == "symbolic" and report.replays == 2, report
+    assert report.lower == report.upper == distance
+    enumerated = _enumerated_distance(run, m0, m1)
+    assert enumerated.method != "monte-carlo", enumerated
+    assert enumerated.lower == enumerated.upper == distance

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psmt.errors import InsufficientShares, MissingEntries, ParamError, SpecMismatch
-from psmt.field import GF, FieldElement
-from psmt.randomness import Randomness
+from psmt.field import GF, FieldElement, TracedElement, peek
+from psmt.randomness import Randomness, TracingRandomness
 from psmt.sharing import (
     CLEAN,
     CORRUPTED,
@@ -453,3 +453,99 @@ def test_int_kernels_match_reference_oracle(order):
                 def triples(best):
                     return [(s.value, s.taint, _with_taint(c), d) for s, c, d in best]
                 assert triples(oracle_decode(word)) == triples(_ref_oracle(word))
+
+
+# ---------------------------------------------------------------------------
+# the traced path: the same linear algebra over the analyzer's polynomials
+
+
+class _PlainDraws:
+    """A tracing source's draw values and taints, as plain tainted elements
+    (no ``element`` method), so ``sharing`` takes its raw path."""
+
+    def __init__(self, seed, pinned):
+        self._rng = TracingRandomness(seed, pinned=dict(pinned))
+
+    def draw(self, n):
+        return self._rng.draw(n)
+
+
+def _raw_view(elements):
+    return [(peek(e), e.taint) for e in elements]
+
+
+@pytest.mark.parametrize("order", [7, 16, 9])
+def test_traced_path_matches_raw_path(order):
+    spec = GF(order)
+    rng = random.Random(order)
+    for n in range(2, 7):
+        for k in range(n):
+            params = SharingParams(n, k, spec)
+            for trial in range(6):
+                pinned = {i: rng.randrange(order) for i in range(k) if rng.random() < 0.5}
+                secret = spec.element(rng.randrange(order))
+                traced = share(secret, params, TracingRandomness(trial, pinned=pinned))
+                plain = share(secret, params, _PlainDraws(trial, pinned))
+                assert _raw_view(traced.shares) == _raw_view(plain.shares)
+                if k:
+                    assert all(isinstance(s, TracedElement) for s in traced.shares)
+
+                corrupt = rng.sample(range(n), rng.randrange(n + 1))
+                words = []
+                for cw in (traced, plain):
+                    entries = list(cw.shares)
+                    for pos in corrupt:
+                        entries[pos] = spec.element((pos * 5 + 1) % order)
+                    words.append(ReceivedWord(tuple(entries), params))
+                traced_word, plain_word = words
+
+                assert detect_errors(traced_word) == detect_errors(plain_word)
+                assert _raw_view([reconstruct(traced_word)]) == \
+                    _raw_view([reconstruct(plain_word)])
+                for e in range(params.max_correct + 1):
+                    got, want = correct_errors(traced_word, e), correct_errors(plain_word, e)
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert _raw_view([got.secret]) == _raw_view([want.secret])
+                        assert got.error_positions == want.error_positions
+
+
+@pytest.mark.parametrize("order", [11, 16])
+def test_honest_word_observes_nothing(order):
+    spec = GF(order)
+    params = SharingParams(7, 2, spec)
+    rng = TracingRandomness(("honest", order))
+    secret = spec.element(3)
+    word = ReceivedWord(share(secret, params, rng).shares, params)
+    assert detect_errors(word) == CLEAN
+    assert reconstruct(word).poly == {(): 3}
+    for e in range(params.max_correct + 1):
+        decoded = correct_errors(word, e)
+        assert decoded.error_positions == frozenset()
+        assert decoded.secret.poly == {(): 3} and decoded.secret == secret
+        want = word.entries[: params.k + 1] if e == 0 else word.entries
+        assert decoded.secret.taint == frozenset().union(*(s.taint for s in want))
+    assert rng.observed == set()
+
+
+def test_corrupted_word_observes():
+    spec = GF(11)
+    params = SharingParams(7, 2, spec)
+    rng = TracingRandomness("corrupted")
+    shares = share(spec.element(3), params, rng).shares   # draws 0 and 1
+    # a share moved by a constant: the parity checks decide it without
+    # reading a value, so detection observes nothing
+    word = ReceivedWord((shares[0] + spec.one(),) + shares[1:], params)
+    assert detect_errors(word) == CORRUPTED
+    assert rng.observed == set()
+    # the last share moved by a fresh draw: the one failing check observes
+    # that draw, and Berlekamp-Welch then reads every entry's value
+    extra = spec.sample(rng)
+    word = ReceivedWord(shares[:-1] + (shares[-1] + extra,), params)
+    assert detect_errors(word) == CORRUPTED
+    assert rng.observed == {2}
+    decoded = correct_errors(word, 2)
+    assert rng.observed == {0, 1, 2}
+    assert decoded.error_positions == frozenset({6})
+    assert peek(decoded.secret) == 3 and not isinstance(decoded.secret, TracedElement)
+    assert decoded.secret.taint == frozenset({0, 1, 2})
