@@ -226,9 +226,11 @@ def _on_code(params: SharingParams, ys: Sequence, dot) -> bool:
     its Lagrange combination of them (a parity check of the GRS code).
     """
     k1, xs = params.k + 1, params.xs
-    rows = _lagrange_rows(params.field, xs[:k1], xs[k1:])
     head = ys[:k1]
-    return all(dot(row, head) == y for row, y in zip(rows, ys[k1:]))
+    for row, y in zip(_lagrange_rows(params.field, xs[:k1], xs[k1:]), ys[k1:]):
+        if not dot(row, head) == y:
+            return False
+    return True
 
 
 def detect_errors(word: ReceivedWord, max_detect: int | None = None) -> str:
@@ -270,9 +272,10 @@ def correct_errors(word: ReceivedWord, e: int) -> Decoded | None:
     if not _on_code(params, ys, dot):
         if e == 0:
             return None
-        # Berlekamp-Welch runs on raw values: reading a traced entry's
-        # value observes it
-        ys, dot, element = _linear(spec, entries, raw=True)
+        if element is not FieldElement:
+            # Berlekamp-Welch runs on raw values: reading a traced entry's
+            # value observes it
+            ys, dot, element = _linear(spec, entries, raw=True)
         codeword = _berlekamp_welch(params, ys, e)
         if codeword is None:
             return None
