@@ -1,0 +1,76 @@
+"""Golden ``psmt simulate`` reports: the JSON stays byte-identical.
+
+Fifteen configurations (every registry entry, feedback-efficient at two
+sizes, hyper-reliable on two graphs) times five fixed adversaries, at
+GF(2^16) with 30 trials and seed 3.  ``duo.json`` is a multicast network
+A -> B directly and through relays x and y, both ways; it is the one
+topology here that meets hyper-private's precondition.
+
+Regenerate after an intended change of behaviour with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+import pathlib
+import sys
+
+import pytest
+
+from psmt.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+DUO = str(GOLDEN / "duo.json")
+
+CASES = {   # name: (protocol, options)
+    "oneway": ("oneway", ["--k", "1", "--corrupt", "AB0"]),
+    "single-feedback": ("single-feedback", ["--corrupt", "AB0"]),
+    "subset-exchange": ("subset-exchange", ["--k", "1", "--n-forward", "2",
+                                            "--n-backward", "1", "--corrupt", "AB0"]),
+    "feedback-efficient-1-1": ("feedback-efficient",
+                               ["--k", "1", "--u", "1", "--corrupt", "AB0"]),
+    "feedback-efficient-2-2": ("feedback-efficient",
+                               ["--k", "2", "--u", "2", "--corrupt", "AB0,BA0"]),
+    "perfect-oneway": ("perfect-oneway", ["--k", "1", "--corrupt", "AB0"]),
+    "perfect-3k": ("perfect-3k", ["--k", "1", "--corrupt", "AB1"]),
+    "perfect-u1": ("perfect-u1", ["--k", "2", "--corrupt", "AB0,BA0"]),
+    "perfect-general": ("perfect-general",
+                        ["--k", "2", "--u", "1", "--corrupt", "AB1,AB3"]),
+    "perfect-efficient": ("perfect-efficient",
+                          ["--k", "1", "--u", "1", "--corrupt", "BA0"]),
+    "perfect-shared": ("perfect-shared",
+                       ["--k", "1", "--u", "1", "--corrupt", "AB2,BA0"]),
+    "hyper-reliable-fig5": ("hyper-reliable",
+                            ["--fixture", "fig5", "--k", "1", "--corrupt", "v1"]),
+    "hyper-reliable-duo": ("hyper-reliable",
+                           ["--topology-file", DUO, "--k", "1", "--corrupt", "x"]),
+    "hyper-private": ("hyper-private",
+                      ["--topology-file", DUO, "--k", "1", "--corrupt", "x"]),
+    "neighbor-exchange": ("neighbor-exchange", ["--corrupt", "C"]),
+}
+ADVERSARIES = ["passive", "random", "shift", "junk", "stop"]
+
+
+def _argv(case: str, adversary: str, out) -> list[str]:
+    protocol, options = CASES[case]
+    return ["simulate", "--protocol", protocol, "--field", "65536",
+            "--trials", "30", "--seed", "3", "--adversary", adversary,
+            "--out", str(out)] + options
+
+
+def _name(case: str, adversary: str) -> str:
+    return f"{case}__{adversary}.json"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_simulate_report_is_byte_identical(case, tmp_path, capsys):
+    for adversary in ADVERSARIES:
+        out = tmp_path / _name(case, adversary)
+        assert main(_argv(case, adversary, out)) == 0, capsys.readouterr().err
+        want = (GOLDEN / _name(case, adversary)).read_bytes()
+        assert out.read_bytes() == want, (case, adversary)
+
+
+if __name__ == "__main__":
+    for case in CASES:
+        for adversary in ADVERSARIES:
+            if main(_argv(case, adversary, GOLDEN / _name(case, adversary))):
+                sys.exit(f"{case} {adversary} failed")
