@@ -2,8 +2,7 @@
 
 Linear keys (a, b) authenticate one message as a*M + b; quadratic keys
 (a, b, c) authenticate up to two messages as a*M^2 + b*M + c.  Key reuse
-discipline belongs to protocol logic; an optional armed wrapper asserts
-it in tests.
+discipline belongs to protocol logic.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PsmtError
-from .field import ExtElement, FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec
 
 
 @dataclass(frozen=True)
@@ -44,9 +43,7 @@ def auth_quad(message: FieldElement, key: QuadKey) -> FieldElement:
 
 
 def auth(message, key):
-    """Authenticate a field element or, component-wise, a tuple encoding."""
-    if isinstance(message, ExtElement):
-        return tuple(auth(component, key) for component in message.payload)
+    """Authenticate a field element under a linear or a quadratic key."""
     if isinstance(key, LinearKey):
         return auth_linear(message, key)
     return auth_quad(message, key)
@@ -57,22 +54,3 @@ def verify(message, tag, key) -> bool:
         return auth(message, key) == tag
     except PsmtError:
         return False
-
-
-class KeyReuseError(PsmtError):
-    pass
-
-
-class ArmedKey:
-    """Debug wrapper asserting single-use (linear) or two-use (quad) keys."""
-
-    def __init__(self, key):
-        self._key = key
-        self._uses = 0
-        self._limit = 1 if isinstance(key, LinearKey) else 2
-
-    def auth(self, message):
-        if self._uses >= self._limit:
-            raise KeyReuseError(f"key used more than {self._limit} time(s)")
-        self._uses += 1
-        return auth(message, self._key)

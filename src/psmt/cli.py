@@ -87,12 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--m0", type=int, required=False)
             p.add_argument("--m1", type=int, required=False)
-            group = p.add_mutually_exclusive_group()
-            group.add_argument("--exact", action="store_true",
-                               help="certified analysis: symbolic, then exact"
-                                    " enumeration (default)")
-            group.add_argument("--estimate", action="store_true",
-                               help="Monte Carlo estimate only")
+            p.add_argument("--estimate", action="store_true",
+                           help="Monte Carlo estimate only (default: certified"
+                                " analysis, symbolic then exact enumeration)")
             p.add_argument("--limit", type=int, default=200_000,
                            help="per-component state-space cap for enumeration")
             p.add_argument("--samples", type=int, default=4000,

@@ -13,14 +13,6 @@ class DivisionByZero(PsmtError):
     """Inversion or division by the zero element."""
 
 
-class TupleTooLong(PsmtError):
-    """Tuple encoding exceeds the configured length bound."""
-
-
-class DecodeError(PsmtError):
-    """Payload is not a valid tuple encoding."""
-
-
 class ParamError(PsmtError):
     """Invalid secret-sharing or decoding parameters."""
 

@@ -1,4 +1,4 @@
-"""Finite field arithmetic and the injective tuple encoding.
+"""Finite field arithmetic.
 
 Fields GF(p^m) are represented with elements packed into integers in
 [0, p^m): the base-p digits of the integer are the coefficients of the
@@ -13,13 +13,7 @@ import operator
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import (
-    DecodeError,
-    DivisionByZero,
-    ParamError,
-    SpecMismatch,
-    TupleTooLong,
-)
+from .errors import DivisionByZero, ParamError, SpecMismatch
 
 # ---------------------------------------------------------------------------
 # polynomial helpers over GF(p), little-endian coefficient tuples
@@ -418,12 +412,6 @@ class FieldSpec:
 
     # -- misc --------------------------------------------------------------
 
-    def to_config(self) -> dict:
-        cfg: dict = {"order": self.order}
-        if self.reduction is not None:
-            cfg["reduction"] = "".join(str(c) for c in self.reduction)
-        return cfg
-
     def __repr__(self) -> str:
         if self.m == 1:
             return f"GF({self.p})"
@@ -745,56 +733,3 @@ class TracedElement(FieldElement):
     def __bool__(self) -> bool:
         self.tracer.observe(self.poly)
         return _get_raw(self) != 0
-
-
-# ---------------------------------------------------------------------------
-# tuple encoding <...>
-
-
-class ExtElement:
-    """Image of the injective encoding of an ordered tuple of field elements.
-
-    Structurally a length-tagged vector; injectivity and exact round-trips
-    are immediate from the representation.
-    """
-
-    __slots__ = ("spec", "payload")
-
-    def __init__(self, spec: FieldSpec, payload: tuple[FieldElement, ...]):
-        self.spec = spec
-        self.payload = payload
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtElement)
-            and self.spec == other.spec
-            and self.payload == other.payload
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.spec.order, tuple(e.value for e in self.payload)))
-
-    def __len__(self) -> int:
-        return len(self.payload)
-
-    def __repr__(self) -> str:
-        return f"<{','.join(str(e.value) for e in self.payload)}>"
-
-
-def encode_tuple(spec: FieldSpec, items: Sequence[FieldElement],
-                 bound: int | None = None) -> ExtElement:
-    if bound is not None and len(items) > bound:
-        raise TupleTooLong(f"tuple of length {len(items)} exceeds bound {bound}")
-    for item in items:
-        if not isinstance(item, FieldElement) or item.spec != spec:
-            raise SpecMismatch("tuple items must belong to the given field")
-    return ExtElement(spec, tuple(items))
-
-
-def decode_tuple(spec: FieldSpec, e) -> tuple[FieldElement, ...]:
-    if not isinstance(e, ExtElement) or e.spec != spec:
-        raise DecodeError("payload is not a valid tuple encoding")
-    for item in e.payload:
-        if not isinstance(item, FieldElement) or item.spec != spec:
-            raise DecodeError("payload is not a valid tuple encoding")
-    return e.payload

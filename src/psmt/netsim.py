@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Any, Callable
 
 from .errors import ParamError
-from .field import ExtElement, FieldElement
+from .field import FieldElement
 from .randomness import Randomness
 from .topology import Hypergraph
 
@@ -51,10 +51,6 @@ class AdversaryView:
             if isinstance(value, tuple) and not isinstance(value, FieldElement):
                 for i, v in enumerate(value):
                     walk(prefix + (i,), v)
-            elif isinstance(value, ExtElement):
-                out.append((prefix + ("len",), len(value)))
-                for i, v in enumerate(value.payload):
-                    out.append((prefix + (i,), v))
             else:
                 out.append((prefix, value))
 
@@ -70,8 +66,6 @@ class AdversaryView:
         def conv(value):
             if isinstance(value, FieldElement):
                 return ("F", value.value)
-            if isinstance(value, ExtElement):
-                return ("E",) + tuple(v.value for v in value.payload)
             if isinstance(value, tuple):
                 return tuple(conv(v) for v in value)
             try:

@@ -68,7 +68,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .field import ExtElement, FieldElement, peek
+from .field import FieldElement, peek
 from .netsim import AdversaryView
 from .randomness import Randomness, TracingRandomness, derive_trial_seed
 from .sharing import solve_raw
@@ -125,7 +125,7 @@ def _leaf_key(value):
 
 def _nested_elements(value, seen: set):
     """Tainted field elements nested inside a plain leaf, at any depth:
-    in containers, extension elements and object attributes."""
+    in containers and object attributes."""
     if isinstance(value, FieldElement):
         if value.taint:
             yield value
@@ -134,9 +134,7 @@ def _nested_elements(value, seen: set):
             or id(value) in seen:
         return
     seen.add(id(value))
-    if isinstance(value, ExtElement):
-        children = value.payload
-    elif isinstance(value, dict):
+    if isinstance(value, dict):
         children = [*value.keys(), *value.values()]
     elif isinstance(value, (list, tuple, set, frozenset)):
         children = value

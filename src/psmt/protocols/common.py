@@ -1,14 +1,30 @@
 """Helpers shared by the message transmission protocols.
 
-Receivers never trust payload shapes: anything arriving on a possibly
-corrupted channel is coerced into the expected shape, with the field's
-zero substituted for missing or malformed components.
+Receivers never trust payload shapes.  Every read of a delivered payload
+or broadcast verdict goes through one coercion:
+
+* ``as_field`` and its vector and key forms: an element of the run's
+  field, the field's zero for anything else;
+* ``fields``: the first n items of a tuple, ``None`` for each missing one;
+* ``tagged``: the n items after a string tag, else ``None``;
+* ``as_indices``: the ints in ``range(bound)`` among a tuple's items.
+
+The rule is sound: every coerced value is a payload the adversary could
+have sent in the expected shape, so acting on the coercion gives it
+nothing it could not get anyway.  The images of these helpers are also
+the finite alphabet of payloads a receiver can tell apart.
+
+``first`` takes a sub-protocol's channels and ``finish`` closes a run.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ..authcodes import LinearKey, QuadKey
+from ..errors import PreconditionError
 from ..field import FieldElement, FieldSpec
+from ..netsim import Outcome
 from ..randomness import Randomness
 from ..sharing import ReceivedWord, SharingParams, share
 
@@ -22,6 +38,25 @@ def _rngs(rng_a, rng_b, seed):
     return rng_a, rng_b
 
 
+def fields(value, n: int) -> tuple:
+    """The first n items of a tuple payload, ``None`` for each missing one."""
+    items = value[:n] if isinstance(value, tuple) else ()
+    return items + (None,) * (n - len(items))
+
+
+def tagged(value, tag: str, n: int) -> tuple | None:
+    """The n items of a payload ``(tag, x1, ..., xn)``, else ``None``."""
+    if isinstance(value, tuple) and len(value) == n + 1 and value[0] == tag:
+        return value[1:]
+    return None
+
+
+def as_indices(value, bound: int) -> tuple:
+    """The ints in ``range(bound)`` among a tuple payload's items."""
+    items = value if isinstance(value, tuple) else ()
+    return tuple(i for i in items if isinstance(i, int) and 0 <= i < bound)
+
+
 def as_field(spec: FieldSpec, value) -> FieldElement:
     if isinstance(value, FieldElement) and value.spec == spec:
         return value
@@ -29,9 +64,7 @@ def as_field(spec: FieldSpec, value) -> FieldElement:
 
 
 def as_field_vec(spec: FieldSpec, value, n: int) -> tuple:
-    items = value if isinstance(value, tuple) else ()
-    return tuple(as_field(spec, items[i] if i < len(items) else None)
-                 for i in range(n))
+    return tuple(as_field(spec, v) for v in fields(value, n))
 
 
 def as_linear_key(spec: FieldSpec, value) -> LinearKey:
@@ -44,10 +77,32 @@ def as_quad_key(spec: FieldSpec, value) -> QuadKey:
     return QuadKey(a, b, c)
 
 
+def first(fwd, n: int) -> list:
+    """The first n of the channels ``fwd``; refused when fewer are left."""
+    if len(fwd) < n:
+        raise PreconditionError(f"need {n} forward channels, have {len(fwd)}")
+    return fwd[:n]
+
+
+def finish(message, net, result,
+           detail: str = "receiver could not determine the message") -> Outcome:
+    """The run's outcome; a ``None`` result is a detected failure."""
+    if result is None:
+        return Outcome(None, False, True, net.round, net.view, net.transcript,
+                       detail)
+    return Outcome(result, result == message, False, net.round, net.view,
+                   net.transcript)
+
+
+@lru_cache(maxsize=256)
+def sharing_params(n: int, k: int, spec: FieldSpec) -> SharingParams:
+    """(k+1)-out-of-n parameters over the points 1..n, built once."""
+    return SharingParams(n, k, spec)
+
+
 def share_vector(secret: FieldElement, n: int, k: int, rng) -> tuple:
     """Fresh (k+1)-out-of-n sharing; returns the n shares in point order."""
-    params = SharingParams(n, k, secret.spec)
-    return share(secret, params, rng).shares
+    return share(secret, sharing_params(n, k, secret.spec), rng).shares
 
 
 def subset_word(spec: FieldSpec, pairs, n_points: int, k: int) -> ReceivedWord:
@@ -56,9 +111,7 @@ def subset_word(spec: FieldSpec, pairs, n_points: int, k: int) -> ReceivedWord:
     ``pairs`` is an iterable of (point_index, element); other slots are
     marked missing rather than zero-filled.
     """
-    params = SharingParams(n_points, k, spec)
     entries = [None] * n_points
     for i, e in pairs:
         entries[i] = as_field(spec, e)
-    return ReceivedWord(tuple(entries), params)
-
+    return ReceivedWord(tuple(entries), sharing_params(n_points, k, spec))

@@ -9,17 +9,20 @@ from __future__ import annotations
 
 import itertools
 
-from ..authcodes import LinearKey, QuadKey, auth, auth_linear, auth_quad, verify
+from ..authcodes import LinearKey, QuadKey, auth_linear, auth_quad, verify
 from ..errors import PreconditionError
-from ..field import FieldElement, encode_tuple
+from ..field import FieldElement
 from ..netsim import AdversarySpec, Outcome, PathNetwork
 from ..sharing import reconstruct
 from .common import (
     _rngs,
     as_field,
     as_field_vec,
+    as_indices,
     as_linear_key,
     as_quad_key,
+    fields,
+    finish,
     share_vector,
     subset_word,
 )
@@ -41,13 +44,11 @@ def _authenticated_shares(net, message, n, k, rng_a) -> dict:
             net.send_ab(j, ((keys[j].a, keys[j].b), carried))
         delivered = net.end_round()
         # receiver side for round i
-        got = [delivered.get(("AB", j)) for j in range(n)]
-        rkeys = [as_linear_key(spec, g[0] if isinstance(g, tuple) and g else None)
-                 for g in got]
-        carried = got[i][1] if isinstance(got[i], tuple) and len(got[i]) > 1 else None
-        s_i = as_field(spec, carried[0] if isinstance(carried, tuple) and carried else None)
-        rtags = as_field_vec(spec, carried[1] if isinstance(carried, tuple)
-                             and len(carried) > 1 else None, n)
+        got = [fields(delivered.get(("AB", j)), 2) for j in range(n)]
+        rkeys = [as_linear_key(spec, key) for key, _ in got]
+        s_i, rtags = fields(got[i][1], 2)
+        s_i = as_field(spec, s_i)
+        rtags = as_field_vec(spec, rtags, n)
         if sum(1 for j in range(n) if verify(s_i, rtags[j], rkeys[j])) >= k + 1:
             valid[i] = s_i
     return valid
@@ -68,13 +69,10 @@ def oneway(message: FieldElement, k: int, adversary: AdversarySpec | None = None
         raise PreconditionError(f"need {2 * k + 1} forward channels, have {n}")
     net = PathNetwork(n, 0, adversary)
     valid = _authenticated_shares(net, message, n, k, rng_a)
-    if len(valid) <= k:
-        return Outcome(None, False, True, net.round, net.view, net.transcript,
-                       "fewer than k+1 valid shares")
-    word = subset_word(spec, sorted(valid.items()), n, k)
-    recovered = reconstruct(word)
-    return Outcome(recovered, recovered == message, False, net.round,
-                   net.view, net.transcript)
+    recovered = None
+    if len(valid) > k:
+        recovered = reconstruct(subset_word(spec, sorted(valid.items()), n, k))
+    return finish(message, net, recovered, "fewer than k+1 valid shares")
 
 
 def single_feedback(message: FieldElement, adversary: AdversarySpec | None = None,
@@ -93,21 +91,18 @@ def single_feedback(message: FieldElement, adversary: AdversarySpec | None = Non
     s = [spec.sample(rng_a), None]
     s[1] = message - s[0]
     keys = [LinearKey.random(spec, rng_a) for _ in range(2)]
-    sent_triples = []
-    for i in range(2):
-        triple = (s[i], (keys[i].a, keys[i].b), auth_linear(s[i], keys[1 - i]))
-        sent_triples.append(triple)
-        net.send_ab(i, triple)
+    sent = [(s[i], keys[i], auth_linear(s[i], keys[1 - i])) for i in range(2)]
+    for i, (si, ki, ci) in enumerate(sent):
+        net.send_ab(i, (si, (ki.a, ki.b), ci))
     delivered = net.end_round()
 
+    def triple(payload) -> tuple:
+        """A (share, key, tag) payload as its reader sees it."""
+        si, ki, ci = fields(payload, 3)
+        return as_field(spec, si), as_linear_key(spec, ki), as_field(spec, ci)
+
     # receiver checks both cross-authenticated triples
-    got = []
-    for i in range(2):
-        g = delivered.get(("AB", i))
-        si = as_field(spec, g[0] if isinstance(g, tuple) and g else None)
-        ki = as_linear_key(spec, g[1] if isinstance(g, tuple) and len(g) > 1 else None)
-        ci = as_field(spec, g[2] if isinstance(g, tuple) and len(g) > 2 else None)
-        got.append((si, ki, ci))
+    got = [triple(delivered.get(("AB", i))) for i in range(2)]
     ok = all(verify(got[i][0], got[i][2], got[1 - i][1]) for i in range(2))
     b_key = None
     b_result = None
@@ -121,37 +116,20 @@ def single_feedback(message: FieldElement, adversary: AdversarySpec | None = Non
     delivered = net.end_round()
 
     feedback = delivered.get(("BA", 0))
-    if feedback == "OK":
-        return Outcome(b_result, b_result == message, b_result is None,
-                       net.round, net.view, net.transcript)
-    # sender identifies the clean forward channel from the echo
-    fb = feedback if isinstance(feedback, tuple) else ((), ())
-    a_key = as_linear_key(spec, fb[0] if fb else None)
-    echoed = fb[1] if len(fb) > 1 and isinstance(fb[1], tuple) else ((), ())
-    matches = []
-    for i in range(2):
-        e = echoed[i] if i < len(echoed) and isinstance(echoed[i], tuple) else ()
-        e_si = as_field(spec, e[0] if e else None)
-        e_ki = as_linear_key(spec, e[1] if len(e) > 1 else None)
-        e_ci = as_field(spec, e[2] if len(e) > 2 else None)
-        matches.append((e_si, (e_ki.a, e_ki.b), e_ci) == sent_triples[i])
-    # exactly one mismatch identifies the corrupted channel; anything
-    # else means the feedback channel itself lied (receiver already done)
-    good = matches.index(True) if matches.count(True) == 1 else 0
-    net.send_ab(good, (message, auth_linear(message, a_key)))
-    delivered = net.end_round()
-
-    if b_result is not None:
-        return Outcome(b_result, b_result == message, False, net.round,
-                       net.view, net.transcript)
-    g = delivered.get(("AB", good))
-    m2 = as_field(spec, g[0] if isinstance(g, tuple) and g else None)
-    t2 = as_field(spec, g[1] if isinstance(g, tuple) and len(g) > 1 else None)
-    if verify(m2, t2, b_key):
-        return Outcome(m2, m2 == message, False, net.round, net.view,
-                       net.transcript)
-    return Outcome(None, False, True, net.round, net.view, net.transcript,
-                   "retransmission failed authentication")
+    if feedback != "OK":
+        # sender identifies the clean forward channel from the echo
+        a_key, echoed = fields(feedback, 2)
+        a_key = as_linear_key(spec, a_key)
+        matches = [triple(e) == sent[i] for i, e in enumerate(fields(echoed, 2))]
+        # exactly one mismatch identifies the corrupted channel; anything
+        # else means the feedback channel itself lied (receiver already done)
+        good = matches.index(True) if matches.count(True) == 1 else 0
+        net.send_ab(good, (message, auth_linear(message, a_key)))
+        delivered = net.end_round()
+        if b_result is None:
+            m2, t2 = as_field_vec(spec, delivered.get(("AB", good)), 2)
+            b_result = m2 if verify(m2, t2, b_key) else None
+    return finish(message, net, b_result, "no authenticated delivery")
 
 
 def subset_exchange(message: FieldElement, k: int, n_forward: int, n_backward: int,
@@ -205,19 +183,14 @@ def subset_exchange(message: FieldElement, k: int, n_forward: int, n_backward: i
         got = copies[fwd[0]]
         if any(copies[i] != got for i in fwd[1:]):
             continue
-        e_b = as_field(spec, got[0] if isinstance(got, tuple) and got else None)
-        f_b = as_field(spec, got[1] if isinstance(got, tuple) and len(got) > 1 else None)
+        e_b, f_b = as_field_vec(spec, got, 2)
         c_b = sum((b_fwd[i][0] for i in fwd), spec.zero()) + \
             sum((b_keys[j][0] for j in back), spec.zero())
         d_b = sum((b_fwd[i][1] for i in fwd), spec.zero()) + \
             sum((b_keys[j][1] for j in back), spec.zero())
         if verify(e_b, f_b, LinearKey(c_b, d_b)):
             result = e_b - c_b
-    if result is None:
-        return Outcome(None, False, True, net.round, net.view, net.transcript,
-                       "no subset produced a verified pad")
-    return Outcome(result, result == message, False, net.round, net.view,
-                   net.transcript)
+    return finish(message, net, result, "no subset produced a verified pad")
 
 
 def feedback_efficient(message: FieldElement, k: int, u: int,
@@ -255,43 +228,45 @@ def feedback_efficient(message: FieldElement, k: int, u: int,
     r_b = [spec.sample(rng_b) for _ in range(n)]
     beta_b = tuple((r_b[i], auth_quad(r_b[i], quads_b[i])) for i in range(n))
 
-    # u feedback rounds: nonces plus cross-authenticated pad components
+    # u feedback rounds: nonces plus cross-authenticated pad components.
+    # Each nonce component gets its own one-time key per channel: the two
+    # tags of one key would let that channel's holder solve for the key.
     de_b = [(spec.sample(rng_b), spec.sample(rng_b)) for _ in range(u)]
-    vw_b = [[LinearKey.random(spec, rng_b) for _ in range(u)] for _ in range(u)]
+    vw_b = [[(LinearKey.random(spec, rng_b), LinearKey.random(spec, rng_b))
+             for _ in range(u)] for _ in range(u)]
+
+    def tags(de, keys) -> tuple:
+        return tuple(auth_linear(x, key) for x, key in zip(de, keys))
+
     # one round per feedback channel j: the nonce bundle travels on
-    # channel j while the cross keys (v, w) for j travel on channel l
+    # channel j while the cross keys for j travel on channel l
     fb: list = [None] * u
     keys_at_a: list = [[None] * u for _ in range(u)]
     for j in range(u):
-        de_enc = encode_tuple(spec, list(de_b[j]))
-        alphas = tuple(auth(de_enc, vw_b[j][l]) for l in range(u))
+        alphas = tuple(tags(de_b[j], vw_b[j][l]) for l in range(u))
         for l in range(u):
-            bundle = ((de_b[j][0], de_b[j][1]), beta_b, alphas) if l == j else None
-            net.send_ba(l, (bundle, (vw_b[j][l].a, vw_b[j][l].b)))
+            bundle = (de_b[j], beta_b, alphas) if l == j else None
+            v, w = vw_b[j][l]
+            net.send_ba(l, (bundle, (v.a, v.b, w.a, w.b)))
         delivered = net.end_round()
         for l in range(u):
-            g = delivered.get(("BA", l))
-            g = g if isinstance(g, tuple) and len(g) == 2 else (None, None)
+            bundle, keys = fields(delivered.get(("BA", l)), 2)
             if l == j:
-                fb[j] = g[0]
-            keys_at_a[j][l] = as_linear_key(spec, g[1])
+                fb[j] = bundle
+            keys = as_field_vec(spec, keys, 4)
+            keys_at_a[j][l] = (LinearKey(*keys[:2]), LinearKey(*keys[2:]))
 
     # sender parses the feedback
     de_a, beta_a, alpha_a = [], [], []
     for j in range(u):
-        g = fb[j] if isinstance(fb[j], tuple) and len(fb[j]) == 3 else (None, None, None)
-        de_a.append(as_field_vec(spec, g[0], 2))
-        beta = g[1] if isinstance(g[1], tuple) else ()
-        beta_a.append(tuple(as_field_vec(spec, beta[i] if i < len(beta) else None, 2)
-                            for i in range(n)))
-        alpha_a.append(g[2] if isinstance(g[2], tuple) else ())
+        de, beta, alphas = fields(fb[j], 3)
+        de_a.append(as_field_vec(spec, de, 2))
+        beta_a.append(tuple(as_field_vec(spec, b, 2) for b in fields(beta, n)))
+        alpha_a.append(tuple(as_field_vec(spec, t, 2) for t in fields(alphas, u)))
 
     def cross_ok(m: int, l: int) -> bool:
-        """Does channel m's tag for channel l's nonce pair verify?"""
-        tag = alpha_a[m][l] if l < len(alpha_a[m]) else None
-        de_enc = encode_tuple(spec, list(de_a[m]))
-        want = auth(de_enc, keys_at_a[m][l])
-        return tag == want
+        """Do channel m's nonce tags verify under the keys channel l carried?"""
+        return alpha_a[m][l] == tags(de_a[m], keys_at_a[m][l])
 
     # greedy partition of feedback channels into consistent classes
     classes: list[list[int]] = []
@@ -336,25 +311,17 @@ def feedback_efficient(message: FieldElement, k: int, u: int,
         if accepted is not None:
             continue
         for i in range(n):
-            g = delivered.get(("AB", i))
-            if not (isinstance(g, tuple) and len(g) == 4):
-                continue
-            qs = g[0] if isinstance(g[0], tuple) else ()
-            ps = g[1] if isinstance(g[1], tuple) else ()
-            if not all(isinstance(x, int) and 0 <= x < u for x in qs):
-                continue
-            if not all(isinstance(x, int) and 0 <= x < n for x in ps):
-                continue
-            e_b = as_field(spec, g[2])
+            qs, ps, e_b, t_b = fields(delivered.get(("AB", i)), 4)
+            qs, ps = set(as_indices(qs, u)), set(as_indices(ps, n))
+            if len(qs) + len(ps) <= k:
+                continue   # as the sender's rule: k keys may all be known
+            e_b = as_field(spec, e_b)
             c_b = sum((quads_b[i2].a for i2 in ps), spec.zero()) + \
                 sum((de_b[j2][0] for j2 in qs), spec.zero())
             d_b = sum((quads_b[i2].b for i2 in ps), spec.zero()) + \
                 sum((de_b[j2][1] for j2 in qs), spec.zero())
-            if auth_linear(e_b, LinearKey(c_b, d_b)) == g[3]:
+            if verify(e_b, as_field(spec, t_b), LinearKey(c_b, d_b)):
                 accepted = e_b - c_b
                 break
-    if accepted is None:
-        return Outcome(None, False, True, net.round, net.view, net.transcript,
-                       "no acceptable feedback class delivered the message")
-    return Outcome(accepted, accepted == message, False, net.round, net.view,
-                   net.transcript)
+    return finish(message, net, accepted,
+                  "no acceptable feedback class delivered the message")

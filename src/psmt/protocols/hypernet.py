@@ -31,7 +31,7 @@ from ..topology import (
     strongly_k_connected,
     to_hypergraph,
 )
-from .common import _rngs, as_field, as_field_vec
+from .common import _rngs, as_field, as_field_vec, as_indices, fields, finish, tagged
 
 
 def _reverse(h: Hypergraph) -> Hypergraph:
@@ -73,8 +73,7 @@ def hypergraph_reliable(message: FieldElement, graph: Hypergraph, k: int,
     rng_a, rng_b = _rngs(rng_a, rng_b, seed)
     net = HyperNet(graph, adversary)
     got = reliable_transmit(net, graph, message, k, rng_b, public=False)
-    return Outcome(got, got == message, False, net.round, net.view,
-                   net.transcript)
+    return finish(message, net, as_field(message.spec, got))
 
 
 @lru_cache(maxsize=64)
@@ -117,10 +116,6 @@ def hypergraph_private(message: FieldElement, graph: Hypergraph, k: int,
     witness_paths = dict(plan)
     suspects = list(witness_paths)
     net = HyperNet(graph, adversary)
-    net_back = HyperNet(back, adversary)
-    net_back.view = net.view
-    net_back.transcript = net.transcript
-    net_back.round = net.round
 
     # step 1: one key pair per suspect set, along its witness path
     keys_a = {s: LinearKey.random(spec, rng_a) for s in suspects}
@@ -132,20 +127,17 @@ def hypergraph_private(message: FieldElement, graph: Hypergraph, k: int,
         a, b = as_field_vec(spec, delivered.get(s), 2)
         keys_b[s] = LinearKey(a, b)
 
-    # step 2: authenticated nonces back to the sender, publicly
+    # step 2: authenticated nonces back to the sender, publicly; the
+    # reverse paths run on the same hyperedges
     nonces_b = {s: spec.sample(rng_b) for s in suspects}
     bundle = tuple((nonces_b[s], auth_linear(nonces_b[s], keys_b[s]))
                    for s in suspects)
-    net_back.round = net.round
-    got = reliable_transmit(net_back, back, bundle, k, rng_a)
-    net.round = net_back.round
+    got = reliable_transmit(net, back, bundle, k, rng_a)
 
     # step 3: the verified keys' sum pads the message, publicly
-    got = got if isinstance(got, tuple) else ()
     k_index = []
     pad_a = spec.zero()
-    for i, s in enumerate(suspects):
-        pair = got[i] if i < len(got) else None
+    for i, (s, pair) in enumerate(zip(suspects, fields(got, len(suspects)))):
         r, t = as_field_vec(spec, pair, 2)
         if verify(r, t, keys_a[s]):
             k_index.append(i)
@@ -153,16 +145,11 @@ def hypergraph_private(message: FieldElement, graph: Hypergraph, k: int,
     final = reliable_transmit(net, graph, (tuple(k_index), message + pad_a),
                               k, rng_b)
 
-    final = final if isinstance(final, tuple) and len(final) == 2 else ((), None)
-    idx = final[0] if isinstance(final[0], tuple) else ()
-    cipher = as_field(spec, final[1])
+    idx, cipher = fields(final, 2)
     pad_b = spec.zero()
-    for i in idx:
-        if isinstance(i, int) and 0 <= i < len(suspects):
-            pad_b = pad_b + keys_b[suspects[i]].a
-    result = cipher - pad_b
-    return Outcome(result, result == message, False, net.round, net.view,
-                   net.transcript)
+    for i in as_indices(idx, len(suspects)):
+        pad_b = pad_b + keys_b[suspects[i]].a
+    return finish(message, net, as_field(spec, cipher) - pad_b)
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +201,8 @@ def neighbor_exchange(message: FieldElement,
     relay_out = {}
     for slot, relay in enumerate(("C", "D")):
         key = LinearKey.random(spec, rng_t)
-        ga = heard_a.get(relay)
-        gb = heard_b.get(relay)
-        ma = as_field_vec(spec, ga[slot + 1] if isinstance(ga, tuple)
-                          and len(ga) == 3 else None, 2)
-        mb = as_field_vec(spec, gb[slot + 1] if isinstance(gb, tuple)
-                          and len(gb) == 3 else None, 2)
+        ma = as_field_vec(spec, fields(tagged(heard_a.get(relay), "masks", 2), 2)[slot], 2)
+        mb = as_field_vec(spec, fields(tagged(heard_b.get(relay), "masks", 2), 2)[slot], 2)
         out = net.multicast(relay, (key.a + ma[0], key.b + ma[1],
                                     key.a + mb[0], key.b + mb[1]))
         relay_out[relay] = out
@@ -244,19 +227,14 @@ def neighbor_exchange(message: FieldElement,
                             auth_linear(r_b, keys_b[1])))
     net.advance_round()
     if bundle is IdealizedReliableChannel.FAILED:
-        return Outcome(None, False, True, net.round, net.view, net.transcript,
-                       "reliable channel failed")
-    r_a = as_field(spec, bundle[0])
-    k_index = [i for i in range(2)
-               if verify(r_a, as_field(spec, bundle[i + 1]), keys_a[i])]
+        return finish(message, net, None, "reliable channel failed")
+    r_a, *tags = as_field_vec(spec, bundle, 3)
+    k_index = [i for i, t in enumerate(tags) if verify(r_a, t, keys_a[i])]
     pad_a = sum((keys_a[i].a for i in k_index), spec.zero())
     final = reliable.send(net.round, "AB", (tuple(k_index), message + pad_a))
     net.advance_round()
     if final is IdealizedReliableChannel.FAILED:
-        return Outcome(None, False, True, net.round, net.view, net.transcript,
-                       "reliable channel failed")
-    idx = final[0] if isinstance(final[0], tuple) else ()
-    pad_b = sum((keys_b[i].a for i in idx if i in (0, 1)), spec.zero())
-    result = as_field(spec, final[1]) - pad_b
-    return Outcome(result, result == message, False, net.round, net.view,
-                   net.transcript)
+        return finish(message, net, None, "reliable channel failed")
+    idx, cipher = fields(final, 2)
+    pad_b = sum((keys_b[i].a for i in as_indices(idx, 2)), spec.zero())
+    return finish(message, net, as_field(spec, cipher) - pad_b)

@@ -15,9 +15,18 @@ from itertools import permutations
 from ..errors import PreconditionError
 from ..field import FieldElement
 from ..netsim import AdversarySpec, Outcome, PathNetwork, broadcast, recv_broadcast
-from ..sharing import CLEAN, SharingParams, ReceivedWord, correct_errors, \
-    detect_errors, reconstruct, share
-from .common import _rngs, as_field, as_field_vec, share_vector
+from ..sharing import CLEAN, ReceivedWord, correct_errors, detect_errors, reconstruct
+from .common import (
+    _rngs,
+    as_field,
+    as_field_vec,
+    as_indices,
+    finish,
+    first,
+    share_vector,
+    sharing_params,
+    tagged,
+)
 
 
 def _share_on(net, fwd, secret, k, rng_a):
@@ -29,9 +38,14 @@ def _share_on(net, fwd, secret, k, rng_a):
 
 
 def _recv_word(spec, delivered, fwd, k) -> ReceivedWord:
-    params = SharingParams(len(fwd), k, spec)
     entries = tuple(as_field(spec, delivered.get(("AB", ch))) for ch in fwd)
-    return ReceivedWord(entries, params)
+    return ReceivedWord(entries, sharing_params(len(fwd), k, spec))
+
+
+def _echoed(spec, feedback, n):
+    """The word a ``("vec", entries)`` feedback echoes, else ``None``."""
+    vec = tagged(feedback, "vec", 1)
+    return None if vec is None else as_field_vec(spec, vec[0], n)
 
 
 def _echo_tail(net, fwd, q, word, shares, rng_b, b_result=None):
@@ -43,9 +57,8 @@ def _echo_tail(net, fwd, q, word, shares, rng_b, b_result=None):
     n = len(fwd)
     net.send_ba(q, "stop" if b_result is not None else ("vec", word.entries))
     delivered = net.end_round()
-    fb = delivered.get(("BA", q))
-    if isinstance(fb, tuple) and len(fb) == 2 and fb[0] == "vec":
-        echoed = as_field_vec(spec, fb[1], n)
+    echoed = _echoed(spec, delivered.get(("BA", q)), n)
+    if echoed is not None:
         bad = tuple(i for i in range(n) if echoed[i] != shares[i])
         broadcast(net, fwd, ("drop", bad))
     else:
@@ -54,11 +67,13 @@ def _echo_tail(net, fwd, q, word, shares, rng_b, b_result=None):
     if b_result is not None:
         return b_result
     verdict, _ = recv_broadcast(delivered, fwd, rng_b)
-    if not (isinstance(verdict, tuple) and verdict and verdict[0] == "drop"):
+    drop = tagged(verdict, "drop", 1)
+    if drop is None:
         return None
-    bad = set(verdict[1])
-    entries = tuple(None if i in bad else e for i, e in enumerate(word.entries))
-    return reconstruct(ReceivedWord(entries, word.params))
+    bad = as_indices(drop[0], n)
+    word = ReceivedWord(tuple(None if i in bad else e
+                              for i, e in enumerate(word.entries)), word.params)
+    return reconstruct(word) if len(word.present()) > word.params.k else None
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +82,7 @@ def _echo_tail(net, fwd, q, word, shares, rng_b, b_result=None):
 
 def _oneway_perfect(message, k, net, fwd, rng_a, rng_b):
     n = 3 * k + 1
-    fwd = fwd[:n]
-    if len(fwd) < n:
-        raise PreconditionError(f"need {n} forward channels, have {len(fwd)}")
+    fwd = first(fwd, n)
     spec = message.spec
     _share_on(net, fwd, message, k, rng_a)
     delivered = net.end_round()
@@ -84,9 +97,7 @@ def _oneway_perfect(message, k, net, fwd, rng_a, rng_b):
 
 def _threek_one_feedback(message, k, net, fwd, q, rng_a, rng_b):
     n = 3 * k
-    fwd = fwd[:n]
-    if len(fwd) < n:
-        raise PreconditionError(f"need {n} forward channels, have {len(fwd)}")
+    fwd = first(fwd, n)
     shares = _share_on(net, fwd, message, k, rng_a)
     delivered = net.end_round()
     word = _recv_word(message.spec, delivered, fwd, k)
@@ -101,9 +112,7 @@ def _threek_one_feedback(message, k, net, fwd, q, rng_a, rng_b):
 
 def _u1_protocol(message, k, net, fwd, q, rng_a, rng_b):
     n = 3 * k - 1
-    fwd = fwd[:n]
-    if len(fwd) < n:
-        raise PreconditionError(f"need {n} forward channels, have {len(fwd)}")
+    fwd = first(fwd, n)
     spec = message.spec
     guesses = []
     last_word = None
@@ -126,14 +135,14 @@ def _u1_protocol(message, k, net, fwd, q, rng_a, rng_b):
         # the sender pins the fault to this forward channel or the
         # feedback channel; reshare with threshold k over the others
         others = [ch for pos, ch in enumerate(fwd) if pos != big_i]
-        params = SharingParams(n - 1, k - 1, spec)
-        reshares = share(message, params, rng_a).shares
+        reshares = share_vector(message, n - 1, k - 1, rng_a)
         extras = {ch: reshares[pos] for pos, ch in enumerate(others)}
         broadcast(net, fwd, ("faulty", big_i), extras)
         delivered = net.end_round()
-        verdict, got = recv_broadcast(delivered, fwd, rng_b)
+        _, got = recv_broadcast(delivered, fwd, rng_b)
         entries = tuple(as_field(spec, got.get(ch)) for ch in others)
-        decoded = correct_errors(ReceivedWord(entries, params), k - 1)
+        decoded = correct_errors(
+            ReceivedWord(entries, sharing_params(n - 1, k - 1, spec)), k - 1)
         return decoded.secret if decoded else None
     # every echo matched: the receiver decides from its round guesses
     if guesses[0] is not None and all(g == guesses[0] for g in guesses):
@@ -185,9 +194,8 @@ def _pad_phase(message, k, net, fwd, back, rng_a, rng_b, recurse, b_prior):
         delivered = net.end_round()
         fault = None
         for pos_q, q in enumerate(back):
-            fb = delivered.get(("BA", q))
-            if isinstance(fb, tuple) and len(fb) == 2 and fb[0] == "vec":
-                echoed = as_field_vec(spec, fb[1], n)
+            echoed = _echoed(spec, delivered.get(("BA", q)), n)
+            if echoed is not None:
                 for pos_p in range(n):
                     if echoed[pos_p] != shares[pos_p]:
                         fault = (pos_p, pos_q)
@@ -224,9 +232,7 @@ def _general_protocol(message, k, net, fwd, back, rng_a, rng_b):
     if u == 1 or k == 2:
         return _u1_protocol(message, k, net, fwd, back[0], rng_a, rng_b)
     n = max(3 * k + 1 - 2 * u, 2 * k + 1)
-    fwd = fwd[:n]
-    if len(fwd) < n:
-        raise PreconditionError(f"need {n} forward channels, have {len(fwd)}")
+    fwd = first(fwd, n)
     spec = message.spec
     guesses = []
     for h in permutations(range(n), u):
@@ -270,9 +276,7 @@ def _efficient_protocol(message, k, net, fwd, back, rng_a, rng_b):
     if u == 0:
         return _oneway_perfect(message, k, net, fwd, rng_a, rng_b)
     n = 3 * k + 1 - u
-    fwd = fwd[:n]
-    if len(fwd) < n:
-        raise PreconditionError(f"need {n} forward channels, have {len(fwd)}")
+    fwd = first(fwd, n)
     _share_on(net, fwd, message, k, rng_a)
     delivered = net.end_round()
     word = _recv_word(message.spec, delivered, fwd, k)
@@ -286,14 +290,6 @@ def _efficient_protocol(message, k, net, fwd, back, rng_a, rng_b):
 # public entry points
 
 
-def _finish(message, net, result) -> Outcome:
-    if result is None:
-        return Outcome(None, False, True, net.round, net.view, net.transcript,
-                       "receiver could not determine the message")
-    return Outcome(result, result == message, False, net.round, net.view,
-                   net.transcript)
-
-
 def perfect_oneway(message: FieldElement, k: int,
                    adversary: AdversarySpec | None = None,
                    rng_a=None, rng_b=None, seed=0) -> Outcome:
@@ -302,7 +298,7 @@ def perfect_oneway(message: FieldElement, k: int,
     net = PathNetwork(3 * k + 1, 0, adversary)
     result = _oneway_perfect(message, k, net, list(range(3 * k + 1)),
                              rng_a, rng_b)
-    return _finish(message, net, result)
+    return finish(message, net, result)
 
 
 def perfect_3k(message: FieldElement, k: int,
@@ -313,7 +309,7 @@ def perfect_3k(message: FieldElement, k: int,
     net = PathNetwork(3 * k, 1, adversary)
     result = _threek_one_feedback(message, k, net, list(range(3 * k)), 0,
                                   rng_a, rng_b)
-    return _finish(message, net, result)
+    return finish(message, net, result)
 
 
 def perfect_u1(message: FieldElement, k: int,
@@ -326,7 +322,7 @@ def perfect_u1(message: FieldElement, k: int,
     net = PathNetwork(3 * k - 1, 1, adversary)
     result = _u1_protocol(message, k, net, list(range(3 * k - 1)), 0,
                           rng_a, rng_b)
-    return _finish(message, net, result)
+    return finish(message, net, result)
 
 
 def perfect_general(message: FieldElement, k: int, u: int,
@@ -340,7 +336,7 @@ def perfect_general(message: FieldElement, k: int, u: int,
     net = PathNetwork(n, u, adversary)
     result = _general_protocol(message, k, net, list(range(n)),
                                list(range(u)), rng_a, rng_b)
-    return _finish(message, net, result)
+    return finish(message, net, result)
 
 
 def perfect_efficient(message: FieldElement, k: int, u: int,
@@ -354,7 +350,7 @@ def perfect_efficient(message: FieldElement, k: int, u: int,
     net = PathNetwork(n, u, adversary)
     result = _efficient_protocol(message, k, net, list(range(n)),
                                  list(range(u)), rng_a, rng_b)
-    return _finish(message, net, result)
+    return finish(message, net, result)
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +393,9 @@ def _shared_sub(message, k, u, net, fwd_all, q, rng_a, rng_b):
             delivered = net.end_round()
 
             b_sent = None
-            b_entries = None
             b_val = None
             if b_active:
                 word = _recv_word(spec, delivered, ab_b, k)
-                b_entries = word.entries
                 if stage == 0 and j_cnt == 0:
                     decoded = correct_errors(word, k - u)
                     b_val = decoded.secret if decoded else None
@@ -412,10 +406,10 @@ def _shared_sub(message, k, u, net, fwd_all, q, rng_a, rng_b):
                 elif stage == 1 and b_asked_r0:
                     b_sent = "continue"
                 else:
-                    b_sent = ("vec", b_entries)
+                    b_sent = "vec"
                     if stage == 0:
                         b_asked_r0 = True
-                net.send_ba(q, b_sent)
+                net.send_ba(q, ("vec", word.entries) if b_sent == "vec" else b_sent)
             delivered = net.end_round()
 
             # the sender turns the raw feedback into a reliable verdict
@@ -427,8 +421,7 @@ def _shared_sub(message, k, u, net, fwd_all, q, rng_a, rng_b):
             elif stage == 1 and fb == "continue":
                 verdict = bcast(("continue",))
             else:
-                vec = fb[1] if isinstance(fb, tuple) and len(fb) == 2 else None
-                echoed = as_field_vec(spec, vec, n_j)
+                echoed = _echoed(spec, fb, n_j) or (spec.zero(),) * n_j
                 bad = tuple(ch for pos, ch in enumerate(ab_a)
                             if echoed[pos] != shares[pos])
                 ab_a = [ch for ch in ab_a if ch not in bad]
@@ -439,6 +432,7 @@ def _shared_sub(message, k, u, net, fwd_all, q, rng_a, rng_b):
             if not b_active:
                 continue
             # receiver-side handling of the verdict
+            help_ = tagged(verdict, "help", 2)
             if verdict == ("ok",):
                 if b_sent == "ok":
                     if stage == 0:
@@ -452,31 +446,19 @@ def _shared_sub(message, k, u, net, fwd_all, q, rng_a, rng_b):
                     j_cnt += 1
                 else:
                     b_active = False
-            elif isinstance(verdict, tuple) and len(verdict) == 3 \
-                    and verdict[0] == "help":
-                _, echoed_v, bad_v = verdict
-                if (isinstance(b_sent, tuple) and b_sent[0] == "vec"
-                        and tuple(echoed_v) == b_entries):
-                    keep = [(pos, e) for pos, (ch, e) in
-                            enumerate(zip(ab_b, b_entries))
-                            if ch not in set(bad_v)]
-                    ab_b = [ch for ch in ab_b if ch not in set(bad_v)]
-                    if len(keep) < k + 1:
-                        b_active = False
-                    else:
-                        entries = [None] * len(b_entries)
-                        for pos, e in keep:
-                            entries[pos] = e
-                        word = ReceivedWord(
-                            tuple(entries),
-                            SharingParams(len(b_entries), k, spec))
-                        val = reconstruct(word)
-                        if stage == 0:
-                            b_r0 = val
-                        else:
-                            b_result = b_r0 + val
-                else:
+            elif (help_ is not None and b_sent == "vec"
+                    and as_field_vec(spec, help_[0], len(ab_b)) == word.entries):
+                bad_v = as_indices(help_[1], net.n_forward)
+                word = ReceivedWord(tuple(None if ch in bad_v else e
+                                          for ch, e in zip(ab_b, word.entries)),
+                                    word.params)
+                ab_b = [ch for ch in ab_b if ch not in bad_v]
+                if len(ab_b) < k + 1:
                     b_active = False
+                elif stage == 0:
+                    b_r0 = reconstruct(word)
+                else:
+                    b_result = b_r0 + reconstruct(word)
             else:
                 b_active = False
         if sub_done:
@@ -522,4 +504,4 @@ def perfect_shared_feedback(message: FieldElement, k: int, u: int,
     rng_a, rng_b = _rngs(rng_a, rng_b, seed)
     net = PathNetwork(3 * k + 1 - u, u, adversary)
     result = _shared_protocol(message, k, u, net, rng_a, rng_b)
-    return _finish(message, net, result)
+    return finish(message, net, result)

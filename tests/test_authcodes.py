@@ -2,19 +2,14 @@
 
 import itertools
 
-import pytest
-
 from psmt.authcodes import (
-    ArmedKey,
-    KeyReuseError,
     LinearKey,
     QuadKey,
-    auth,
     auth_linear,
     auth_quad,
     verify,
 )
-from psmt.field import GF, encode_tuple
+from psmt.field import GF
 from psmt.randomness import Randomness
 
 
@@ -48,17 +43,6 @@ def test_verify_consistency():
     assert verify(spec.element(3), spec.element(3), key)
     assert not verify(spec.element(3), spec.element(4), key)
     assert not verify(spec.element(3), "garbage", key)
-
-
-def test_ext_element_auth_component_wise():
-    spec = GF(7)
-    key = k_lin(spec, 2, 4)
-    e = encode_tuple(spec, (spec.element(1), spec.element(3)))
-    tags = auth(e, key)
-    assert tags == (auth_linear(spec.element(1), key),
-                    auth_linear(spec.element(3), key))
-    assert verify(e, tags, key)
-    assert not verify(e, (tags[0], spec.element(0)), key)
 
 
 def test_one_time_secrecy_linear_exhaustive_gf5():
@@ -127,16 +111,3 @@ def test_random_keys_reproducible():
     q1 = QuadKey.random(spec, Randomness(9))
     q2 = QuadKey.random(spec, Randomness(9))
     assert q1 == q2
-
-
-def test_armed_key_enforces_use_limits():
-    spec = GF(7)
-    armed = ArmedKey(k_lin(spec, 2, 4))
-    armed.auth(spec.element(1))
-    with pytest.raises(KeyReuseError):
-        armed.auth(spec.element(2))
-    armed_q = ArmedKey(k_quad(spec, 1, 1, 1))
-    armed_q.auth(spec.element(1))
-    armed_q.auth(spec.element(2))
-    with pytest.raises(KeyReuseError):
-        armed_q.auth(spec.element(3))

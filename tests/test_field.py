@@ -1,4 +1,4 @@
-"""Field arithmetic axioms, sampling statistics, and tuple encoding."""
+"""Field arithmetic axioms and sampling statistics."""
 
 import itertools
 import math
@@ -8,14 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psmt.errors import (
-    DecodeError,
-    DivisionByZero,
-    ParamError,
-    SpecMismatch,
-    TupleTooLong,
-)
-from psmt.field import GF, ExtElement, decode_tuple, encode_tuple
+from psmt.errors import DivisionByZero, ParamError, SpecMismatch
+from psmt.field import GF
 from psmt.randomness import Randomness
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
@@ -128,53 +122,6 @@ def test_sampling_uniform_chi_square_gf7():
     sigma = math.sqrt(7000 * (1 / 7) * (6 / 7))
     for c in counts:
         assert abs(c - 1000) <= 5 * sigma
-
-
-def test_encode_decode_round_trip_exhaustive():
-    spec = GF(7)
-    for length in range(4):
-        for values in itertools.product(range(7), repeat=length):
-            items = tuple(spec.element(v) for v in values)
-            e = encode_tuple(spec, items)
-            assert decode_tuple(spec, e) == items
-
-
-def test_encode_injective_gf5():
-    spec = GF(5)
-    seen = {}
-    for length in range(3):
-        for values in itertools.product(range(5), repeat=length):
-            items = tuple(spec.element(v) for v in values)
-            e = encode_tuple(spec, items)
-            assert e not in seen or seen[e] == values
-            seen[e] = values
-    # ordered: (1,2) and (2,1) differ
-    a = encode_tuple(spec, (spec.element(1), spec.element(2)))
-    b = encode_tuple(spec, (spec.element(2), spec.element(1)))
-    assert a != b
-
-
-def test_encode_bound_and_decode_errors():
-    spec = GF(7)
-    with pytest.raises(TupleTooLong):
-        encode_tuple(spec, (spec.element(1),) * 3, bound=2)
-    with pytest.raises(DecodeError):
-        decode_tuple(spec, ("garbage",))
-    with pytest.raises(DecodeError):
-        decode_tuple(spec, ExtElement(GF(5), (GF(5).element(1),)))
-
-
-def test_empty_encoding():
-    spec = GF(7)
-    e = encode_tuple(spec, ())
-    assert decode_tuple(spec, e) == ()
-    assert len(e) == 0
-
-
-def test_field_config_round_trip():
-    for spec in (GF(7), GF(4), GF(2**16)):
-        again = GF(int(spec.to_config()["order"]))
-        assert again == spec
 
 
 def _digits(a, p, m):

@@ -4,7 +4,7 @@ import pytest
 
 from psmt import fixtures
 from psmt.errors import ParamError
-from psmt.field import GF, encode_tuple
+from psmt.field import GF
 from psmt.netsim import (
     AdversarySpec,
     AdversaryView,
@@ -184,18 +184,17 @@ def test_hypernet_transmit_routing_and_tampering():
         net.transmit({"bad": (("A", "B"), "x")})  # A and B are not adjacent
 
 
-def test_view_leaves_and_canonical_descend_into_encodings():
+def test_view_leaves_and_canonical_descend_into_tuples():
     spec = GF(7)
     tainted = spec.element(3, frozenset({9}))
-    e = encode_tuple(spec, (tainted, spec.element(5)))
     view = AdversaryView()
-    view.record(0, ("AB", 0), (e, "tag"))
+    view.record(0, ("AB", 0), ((tainted, spec.element(5)), "tag"))
     leaves = dict(view.leaves())
-    assert leaves[("event", 0, 0, ("AB", 0), 0, "len")] == 2
     assert leaves[("event", 0, 0, ("AB", 0), 0, 0)].taint == frozenset({9})
+    assert leaves[("event", 0, 0, ("AB", 0), 0, 1)] == spec.element(5)
     assert leaves[("event", 0, 0, ("AB", 0), 1)] == "tag"
     canon = view.canonical()
-    assert canon[0][0][2][0] == ("E", 3, 5)  # taints dropped, values kept
+    assert canon[0][0][2][0] == (("F", 3), ("F", 5))  # taints dropped, values kept
 
 
 def test_adversary_rng_is_seed_deterministic():

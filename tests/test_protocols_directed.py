@@ -161,6 +161,69 @@ def test_feedback_efficient_precondition():
         feedback_efficient(BIG.element(1), 1, 0)
 
 
+def _spoil_phase_one_key(payload):
+    """Phase one on a corrupted forward channel: break the carried key so
+    that no share gathers k+1 valid tags and the fallback must run."""
+    (a, b), carried = payload
+    return ((a + a.spec.one(), b), carried)
+
+
+def test_feedback_efficient_nonce_tags_do_not_reveal_their_keys():
+    # Holding the nonce bundle's channel, the adversary sees every tag on
+    # the nonce pair (d, e).  Were both tagged under one key (a, b), the
+    # two tags would give a = (t1 - t2)/(d - e), b = t1 - a*d, and the
+    # adversary could re-tag a shifted pair so that the sender merges the
+    # channels into one class and pads the message with a forged nonce.
+    k, u = 2, 2
+
+    def retag(ctx):
+        payload = ctx.payload
+        if ctx.where == ("AB", 0) and ctx.round < 2 * k + 1 - u:
+            return _spoil_phase_one_key(payload)
+        if ctx.where != ("BA", 0) or payload[0] is None:
+            return payload
+        (bundle, keys), one = payload, BIG.one()
+        (d, e), beta, alphas = bundle
+        if d == e:
+            return payload
+        forged = []
+        for t1, t2 in alphas:
+            a = (t1 - t2) / (d - e)
+            b = t1 - a * d
+            forged.append((a * (d + one) + b, a * (e + one) + b))
+        return (((d + one, e + one), beta, tuple(forged)), keys)
+
+    corrupted = frozenset({("AB", 0), ("BA", 0)})
+    for seed in range(20):
+        m = BIG.element(3000 + seed)
+        out = feedback_efficient(m, k, u, AdversarySpec(corrupted, retag, seed=seed),
+                                 seed=seed)
+        assert out.succeeded, (seed, out.detail)
+
+
+def test_feedback_efficient_refuses_a_pad_of_k_known_keys():
+    # An index list naming only the corrupted channel makes a pad the
+    # adversary knows: it saw that channel's fallback key.  The receiver
+    # must apply the sender's rule and want more than k key components.
+    forged = BIG.element(777)
+
+    def forge(ctx):
+        payload = ctx.payload
+        if len(payload) == 2:
+            return _spoil_phase_one_key(payload)
+        if len(payload) == 3:
+            ctx.state["quad"] = payload
+            return payload
+        a, b, _ = ctx.state["quad"]
+        return ((), (0,), forged + a, a * (forged + a) + b)
+
+    for seed in range(10):
+        m = BIG.element(1000 + seed)
+        out = feedback_efficient(
+            m, 1, 1, AdversarySpec(frozenset({("AB", 0)}), forge, seed=seed), seed=seed)
+        assert out.succeeded and out.delivered == m, (seed, out.delivered)
+
+
 def test_failure_rate_shrinks_with_field_size():
     # a forged share needs k+1 forged tags to verify, so the wrong-delivery
     # rate scales like 1/|F|^2: clearly visible at GF(7), rarer at GF(49)

@@ -96,6 +96,22 @@ def test_hypergraph_private_transcript_covers_both_directions():
                for b in bundles)
 
 
+def test_hypergraph_private_adversary_keeps_one_state_and_stream():
+    # the reverse paths run on the same network, so the strategy's state
+    # and randomness persist across the run, as TamperContext documents
+    seen = []
+
+    def watch(ctx):
+        seen.append((id(ctx.state), id(ctx.rng)))
+        ctx.state["calls"] = ctx.state.get("calls", 0) + 1
+        return ctx.payload
+
+    out = hypergraph_private(BIG.element(7), duo_graph(), 1,
+                             AdversarySpec(frozenset({"x"}), watch), seed=2)
+    assert out.succeeded
+    assert len(seen) >= 2 and len(set(seen)) == 1
+
+
 def test_multicast_needs_a_single_hyperedge():
     # A has three hyperedges in the duo graph: which one to use is ambiguous
     net = HyperNet(duo_graph())

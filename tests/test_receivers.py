@@ -1,11 +1,14 @@
 """Receivers never crash on a payload an adversary can send."""
 
+import itertools
+import pathlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from psmt import fixtures, protocols
 from psmt.field import GF, FieldElement
-from psmt.netsim import AdversarySpec, recv_broadcast
+from psmt.netsim import AdversarySpec, Outcome, recv_broadcast
 from psmt.protocols.common import as_field, as_field_vec
 from psmt.randomness import Randomness
 from psmt.strategies import scripted
@@ -89,3 +92,106 @@ def test_recv_broadcast_survives_any_minority(junk, value):
 def test_recv_broadcast_never_raises(junk):
     delivered = {("AB", ch): p for ch, p in enumerate(junk)}
     recv_broadcast(delivered, range(len(junk) + 1), Randomness(0))
+
+
+# ---------------------------------------------------------------------------
+# whole protocol runs against junk, beyond the tolerated corruption bound
+
+FUZZ_SPEC = GF(11)
+TAGS = ("vec", "drop", "help", "ok", "faulty", "continue", "masks", "done")
+
+
+def _junk_atoms():
+    return [None, 0, 1, 2, 5, -1, 99, "", "x", "stop", "OK", [0], {"a": 1},
+            FUZZ_SPEC.element(3), OTHER.element(2), (), (0,), (0, 1), (99, 0),
+            (FUZZ_SPEC.element(1),) * 3, (OTHER.element(1), None)]
+
+
+def _junk_value(rng):
+    """One shape-violating payload: an atom, a tuple of the wrong length,
+    a tuple carrying a protocol tag followed by junk, or such a tagged
+    tuple in the (value, extra) shape of a broadcast."""
+    atoms = _junk_atoms()
+    kind, _ = rng.draw(6)
+    if kind == 0:
+        return atoms[rng.draw(len(atoms))[0]]
+    size, _ = rng.draw(4)
+    items = tuple(atoms[rng.draw(len(atoms))[0]] for _ in range(size))
+    if kind == 1:
+        return items
+    items = (TAGS[rng.draw(len(TAGS))[0]],) + items
+    return items if kind < 4 else (items, atoms[rng.draw(len(atoms))[0]])
+
+
+def _shifted(x):
+    if isinstance(x, FieldElement):
+        return x + x.spec.one()
+    if isinstance(x, tuple):
+        return tuple(_shifted(v) for v in x)
+    return x
+
+
+def junk_per_round(ctx):
+    """Per round, one choice for every corrupted location: forward the
+    payload, shift its field elements, or replace it by one junk value.
+    Corrupted locations agree, so a forged verdict can win a vote."""
+    if ctx.round not in ctx.state:
+        kind, _ = ctx.rng.draw(4)
+        ctx.state[ctx.round] = (kind, _junk_value(ctx.rng))
+    kind, junk = ctx.state[ctx.round]
+    if kind == 0:
+        return ctx.payload
+    if kind == 1:
+        return _shifted(ctx.payload)
+    return junk
+
+
+def _channels(n_forward, n_backward):
+    return [("AB", i) for i in range(n_forward)] + [("BA", j) for j in range(n_backward)]
+
+
+# (protocol, keyword arguments, every corruptible location)
+FUZZ_CASES = [
+    ("oneway", {"k": 1}, _channels(3, 0)),
+    ("single-feedback", {}, _channels(2, 1)),
+    ("subset-exchange", {"k": 1, "n_forward": 2, "n_backward": 1}, _channels(2, 1)),
+    ("feedback-efficient", {"k": 1, "u": 1}, _channels(2, 1)),
+    ("perfect-oneway", {"k": 1}, _channels(4, 0)),
+    ("perfect-3k", {"k": 1}, _channels(3, 1)),
+    ("perfect-u1", {"k": 2}, _channels(5, 1)),
+    ("perfect-general", {"k": 3, "u": 2}, _channels(7, 2)),
+    ("perfect-efficient", {"k": 2, "u": 2}, _channels(5, 2)),
+    ("perfect-shared", {"k": 1, "u": 1}, _channels(3, 1)),
+    ("hyper-reliable", {"k": 1, "graph": fixtures.get("fig5")},
+     ["v1", "v2", "v", "u1", "u2"]),
+    ("hyper-private", {"k": 1, "graph": fixtures.loads(
+        (pathlib.Path(__file__).parent / "golden" / "duo.json").read_text())},
+     ["x", "y"]),
+    ("neighbor-exchange", {}, ["C", "D", "F"]),
+]
+
+
+RUNS = 600   # runs per protocol, at least three per corruption set
+
+
+def _corruption_sets(locations):
+    for size in range(1, len(locations) + 1):
+        yield from itertools.combinations(locations, size)
+
+
+def test_fuzz_cases_cover_the_registry():
+    assert sorted(c[0] for c in FUZZ_CASES) == protocols.names()
+
+
+@pytest.mark.parametrize("name,kw,locations", FUZZ_CASES,
+                         ids=[c[0] for c in FUZZ_CASES])
+def test_every_run_ends_in_an_outcome_under_junk(name, kw, locations):
+    desc = protocols.get(name)
+    sets = list(_corruption_sets(locations))
+    for n_set, corrupted in enumerate(sets):
+        for seed in range(max(3, RUNS // len(sets))):
+            adversary = AdversarySpec(frozenset(corrupted), junk_per_round,
+                                      seed=(n_set, seed))
+            out = desc.run(FUZZ_SPEC.element(seed + 4), adversary=adversary,
+                           seed=seed, **kw)
+            assert isinstance(out, Outcome), (corrupted, seed)
