@@ -229,8 +229,9 @@ def feedback_efficient(message: FieldElement, k: int, u: int,
     beta_b = tuple((r_b[i], auth_quad(r_b[i], quads_b[i])) for i in range(n))
 
     # u feedback rounds: nonces plus cross-authenticated pad components.
-    # Each nonce component gets its own one-time key per channel: the two
-    # tags of one key would let that channel's holder solve for the key.
+    # Each nonce component gets its own one-time key per channel: a key
+    # that tagged both d and e would let anyone who sees both tags solve
+    # for it and re-tag a forged pair.
     de_b = [(spec.sample(rng_b), spec.sample(rng_b)) for _ in range(u)]
     vw_b = [[(LinearKey.random(spec, rng_b), LinearKey.random(spec, rng_b))
              for _ in range(u)] for _ in range(u)]

@@ -186,6 +186,8 @@ def test_fuzz_cases_cover_the_registry():
 @pytest.mark.parametrize("name,kw,locations", FUZZ_CASES,
                          ids=[c[0] for c in FUZZ_CASES])
 def test_every_run_ends_in_an_outcome_under_junk(name, kw, locations):
+    """Up to every location corrupted, so far beyond the bound that only
+    the receivers' coercions stand between junk and an exception."""
     desc = protocols.get(name)
     sets = list(_corruption_sets(locations))
     for n_set, corrupted in enumerate(sets):
@@ -195,3 +197,5 @@ def test_every_run_ends_in_an_outcome_under_junk(name, kw, locations):
             out = desc.run(FUZZ_SPEC.element(seed + 4), adversary=adversary,
                            seed=seed, **kw)
             assert isinstance(out, Outcome), (corrupted, seed)
+            # what a receiver outputs is an element of the run's field
+            assert out.delivered is None or out.delivered.spec == FUZZ_SPEC
