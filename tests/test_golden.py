@@ -1,10 +1,18 @@
-"""Golden ``psmt simulate`` reports: the JSON stays byte-identical.
+"""Golden ``psmt simulate`` and ``psmt privacy`` reports: the JSON stays
+byte-identical.
 
-Fifteen configurations (every registry entry, feedback-efficient at two
-sizes, hyper-reliable on two graphs) times five fixed adversaries, at
-GF(2^16) with 30 trials and seed 3.  ``duo.json`` is a multicast network
-A -> B directly and through relays x and y, both ways; it is the one
-topology here that meets hyper-private's precondition.
+Simulate: fifteen configurations (every registry entry,
+feedback-efficient at two sizes, hyper-reliable on two graphs) times
+five fixed adversaries, at GF(2^16) with 30 trials and seed 3.
+``duo.json`` is a multicast network A -> B directly and through relays x
+and y, both ways; it is the one topology here that meets hyper-private's
+precondition.
+
+Privacy: the benchmark's fifteen private cases, plus ``oneway`` and
+feedback-efficient's forward channel (the two that enumerate), each for
+the messages 0 and q-1 at seed 3, and one Monte Carlo estimate.
+hyper-private is left out for its run time; the acceptance tests cover
+it.
 
 Regenerate after an intended change of behaviour with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -48,6 +56,36 @@ CASES = {   # name: (protocol, options)
 }
 ADVERSARIES = ["passive", "random", "shift", "junk", "stop"]
 
+PRIVACY = {   # name: (protocol, field order, options)
+    "oneway": ("oneway", 5, ["--k", "1", "--corrupt", "AB0"]),
+    "single-feedback-fwd": ("single-feedback", 5, ["--corrupt", "AB0"]),
+    "single-feedback-back": ("single-feedback", 5, ["--corrupt", "BA0"]),
+    "subset-exchange-fwd": ("subset-exchange", 5, ["--k", "1", "--n-forward", "2",
+                                                   "--n-backward", "1", "--corrupt", "AB0"]),
+    "subset-exchange-back": ("subset-exchange", 5, ["--k", "1", "--n-forward", "2",
+                                                    "--n-backward", "1", "--corrupt", "BA0"]),
+    "feedback-efficient-fwd": ("feedback-efficient", 5,
+                               ["--k", "1", "--u", "1", "--corrupt", "AB0"]),
+    "feedback-efficient-back": ("feedback-efficient", 5,
+                                ["--k", "1", "--u", "1", "--corrupt", "BA0"]),
+    "perfect-oneway": ("perfect-oneway", 5, ["--k", "1", "--corrupt", "AB0"]),
+    "perfect-3k-fwd": ("perfect-3k", 5, ["--k", "1", "--corrupt", "AB0"]),
+    "perfect-3k-back": ("perfect-3k", 5, ["--k", "1", "--corrupt", "BA0"]),
+    "perfect-u1": ("perfect-u1", 7, ["--k", "2", "--corrupt", "AB0,BA0"]),
+    "perfect-general": ("perfect-general", 7,
+                        ["--k", "2", "--u", "1", "--corrupt", "AB0,BA0"]),
+    "perfect-efficient": ("perfect-efficient", 5,
+                          ["--k", "1", "--u", "1", "--corrupt", "AB0"]),
+    "perfect-shared": ("perfect-shared", 5,
+                       ["--k", "1", "--u", "1", "--corrupt", "AB2,BA0"]),
+    "neighbor-exchange-C": ("neighbor-exchange", 2, ["--corrupt", "C"]),
+    "neighbor-exchange-F": ("neighbor-exchange", 2, ["--corrupt", "F"]),
+    "neighbor-exchange-C-gf3": ("neighbor-exchange", 3, ["--corrupt", "C"]),
+    "single-feedback-fwd-estimate": ("single-feedback", 5,
+                                     ["--corrupt", "AB0", "--estimate",
+                                      "--samples", "200"]),
+}
+
 
 def _argv(case: str, adversary: str, out) -> list[str]:
     protocol, options = CASES[case]
@@ -60,6 +98,17 @@ def _name(case: str, adversary: str) -> str:
     return f"{case}__{adversary}.json"
 
 
+def _privacy_argv(case: str, out) -> list[str]:
+    protocol, order, options = PRIVACY[case]
+    return ["privacy", "--protocol", protocol, "--field", str(order),
+            "--m0", "0", "--m1", str(order - 1), "--seed", "3",
+            "--out", str(out)] + options
+
+
+def _privacy_name(case: str) -> str:
+    return f"privacy__{case}.json"
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_simulate_report_is_byte_identical(case, tmp_path, capsys):
     for adversary in ADVERSARIES:
@@ -69,8 +118,18 @@ def test_simulate_report_is_byte_identical(case, tmp_path, capsys):
         assert out.read_bytes() == want, (case, adversary)
 
 
+@pytest.mark.parametrize("case", sorted(PRIVACY))
+def test_privacy_report_is_byte_identical(case, tmp_path, capsys):
+    out = tmp_path / _privacy_name(case)
+    assert main(_privacy_argv(case, out)) == 0, capsys.readouterr().err
+    assert out.read_bytes() == (GOLDEN / _privacy_name(case)).read_bytes(), case
+
+
 if __name__ == "__main__":
     for case in CASES:
         for adversary in ADVERSARIES:
             if main(_argv(case, adversary, GOLDEN / _name(case, adversary))):
                 sys.exit(f"{case} {adversary} failed")
+    for case in PRIVACY:
+        if main(_privacy_argv(case, GOLDEN / _privacy_name(case))):
+            sys.exit(f"privacy {case} failed")
