@@ -14,6 +14,7 @@ from functools import lru_cache
 from ..authcodes import LinearKey, auth_linear, verify
 from ..errors import PreconditionError
 from ..field import FieldElement
+from ..fixtures import fig2
 from ..netsim import (
     AdversarySpec,
     HyperNet,
@@ -24,7 +25,6 @@ from ..netsim import (
 from ..randomness import Randomness
 from ..topology import (
     Hypergraph,
-    NeighborNet,
     is_k_separable,
     max_disjoint_paths,
     strong_witness_path,
@@ -156,18 +156,11 @@ def hypergraph_private(message: FieldElement, graph: Hypergraph, k: int,
 # neighbor-network protocol on the two-chain network with relay-masked keys
 
 
-def exchange_network() -> NeighborNet:
-    """The five-node neighbor network this protocol is designed for."""
-    return NeighborNet.build(
-        "ABCDF",
-        [("A", "C"), ("A", "D"), ("C", "B"), ("D", "B"), ("C", "F"), ("F", "D")],
-        "A", "B")
-
-
 @lru_cache(maxsize=None)
 def _exchange_hypergraph() -> Hypergraph:
-    """``exchange_network`` as a hypergraph, built once; it is immutable."""
-    return to_hypergraph(exchange_network())
+    """The five-node neighbor network this protocol is designed for
+    (``fixtures.fig2``) as a hypergraph, built once; it is immutable."""
+    return to_hypergraph(fig2())
 
 
 def neighbor_exchange(message: FieldElement,

@@ -40,9 +40,6 @@ class Digraph:
         if self.sender not in self.nodes or self.receiver not in self.nodes:
             raise ParamError("sender/receiver missing from node set")
 
-    def successors(self, v) -> list:
-        return sorted(b for a, b in self.edges if a == v)
-
     @classmethod
     def build(cls, nodes, edges, sender, receiver) -> "Digraph":
         return cls(frozenset(nodes), frozenset(tuple(e) for e in edges),
@@ -80,12 +77,6 @@ class Hypergraph:
 
     def induced_digraph(self) -> Digraph:
         return Digraph(self.nodes, self.direct_links(), self.sender, self.receiver)
-
-    def restricted(self, removed: frozenset) -> tuple:
-        """Hyperedges surviving removal of the node set `removed`."""
-        return tuple(
-            (origin, recipients) for origin, recipients in self.hyperedges
-            if not (removed & (recipients | {origin})))
 
 
 @dataclass(frozen=True)
@@ -248,16 +239,32 @@ def min_vertex_separator(g) -> frozenset | None:
     return frozenset(cut)
 
 
-def _digraph_connected(g: Digraph, removed: frozenset) -> bool:
-    reach = {g.sender}
-    queue = deque([g.sender])
+def _bfs_path(succ: dict, src, dst) -> tuple | None:
+    """A shortest src -> dst path over the successor sets ``succ``."""
+    prev = {src: None}
+    queue = deque([src])
     while queue:
         u = queue.popleft()
-        for v in g.successors(u):
-            if v not in removed and v not in reach:
-                reach.add(v)
+        if u == dst:
+            path = []
+            while u is not None:
+                path.append(u)
+                u = prev[u]
+            return tuple(reversed(path))
+        for v in sorted(succ.get(u, ())):
+            if v not in prev:
+                prev[v] = u
                 queue.append(v)
-    return g.receiver in reach
+    return None
+
+
+def _survive_all(g, k: int, survives) -> bool:
+    """Whether ``survives(removed)`` for every set of < k internal nodes."""
+    _check_size(g.nodes)
+    internal = sorted(g.nodes - {g.sender, g.receiver})
+    return all(survives(frozenset(s))
+               for size in range(min(k - 1, len(internal)) + 1)
+               for s in itertools.combinations(internal, size))
 
 
 # ---------------------------------------------------------------------------
@@ -272,70 +279,35 @@ def is_k_separable(h: Hypergraph, k: int):
     return False, None
 
 
-def _hyper_connected(h: Hypergraph, removed: frozenset, directed: bool) -> bool:
-    """Path survival after removing `removed` and every touched hyperedge."""
-    surviving = h.restricted(removed)
-    links = set()
-    for origin, recipients in surviving:
-        for r in recipients:
-            if r != origin:
-                links.add((origin, r))
-                if not directed:
-                    links.add((r, origin))
-    reach = {h.sender}
-    queue = deque([h.sender])
-    while queue:
-        u = queue.popleft()
-        for a, b in links:
-            if a == u and b not in reach and b not in removed:
-                reach.add(b)
-                queue.append(b)
-    return h.receiver in reach
+def _surviving_links(h: Hypergraph, removed: frozenset, directed: bool = True) -> dict:
+    """Successor sets of the links left after removing `removed` and every
+    hyperedge it touches; each link both ways unless ``directed``."""
+    succ: dict = {}
+    for origin, recipients in h.hyperedges:
+        if removed & (recipients | {origin}):
+            continue
+        for r in recipients - {origin}:
+            succ.setdefault(origin, set()).add(r)
+            if not directed:
+                succ.setdefault(r, set()).add(origin)
+    return succ
 
 
 def strongly_k_connected(h: Hypergraph, k: int) -> bool:
-    _check_size(h.nodes)
-    internal = sorted(h.nodes - {h.sender, h.receiver})
-    for size in range(min(k - 1, len(internal)) + 1):
-        for s in itertools.combinations(internal, size):
-            if not _hyper_connected(h, frozenset(s), directed=True):
-                return False
-    return True
+    return _survive_all(h, k, lambda removed: strong_witness_path(h, removed) is not None)
 
 
 def weakly_k_connected(h: Hypergraph, k: int) -> bool:
-    _check_size(h.nodes)
-    internal = sorted(h.nodes - {h.sender, h.receiver})
-    for size in range(min(k - 1, len(internal)) + 1):
-        for s in itertools.combinations(internal, size):
-            if not _hyper_connected(h, frozenset(s), directed=False):
-                return False
-    return True
+    def survives(removed: frozenset) -> bool:
+        succ = _surviving_links(h, removed, directed=False)
+        return _bfs_path(succ, h.sender, h.receiver) is not None
+
+    return _survive_all(h, k, survives)
 
 
 def strong_witness_path(h: Hypergraph, removed: frozenset) -> tuple | None:
     """A directed path surviving removal of `removed` and touched hyperedges."""
-    surviving = h.restricted(removed)
-    links = {}
-    for origin, recipients in surviving:
-        for r in recipients:
-            if r != origin and r not in removed and origin not in removed:
-                links.setdefault(origin, set()).add(r)
-    prev = {h.sender: None}
-    queue = deque([h.sender])
-    while queue:
-        u = queue.popleft()
-        if u == h.receiver:
-            path = []
-            while u is not None:
-                path.append(u)
-                u = prev[u]
-            return tuple(reversed(path))
-        for v in sorted(links.get(u, ())):
-            if v not in prev:
-                prev[v] = u
-                queue.append(v)
-    return None
+    return _bfs_path(_surviving_links(h, removed), h.sender, h.receiver)
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +348,12 @@ def neighbor_closure(g: NeighborNet, v1: frozenset) -> frozenset:
 
 
 def neighbor_k_connected(g: NeighborNet, k: int) -> bool:
-    _check_size(g.nodes)
-    internal = sorted(g.nodes - {g.sender, g.receiver})
-    base = _undirected_digraph(g)
-    for size in range(min(k - 1, len(internal)) + 1):
-        for v1 in itertools.combinations(internal, size):
-            removed = neighbor_closure(g, frozenset(v1))
-            if not _digraph_connected(base, removed):
-                return False
-    return True
+    def survives(v1: frozenset) -> bool:
+        removed = neighbor_closure(g, v1)
+        succ = {v: g.neighbors(v) - removed for v in g.nodes - removed}
+        return _bfs_path(succ, g.sender, g.receiver) is not None
+
+    return _survive_all(g, k, survives)
 
 
 def _all_simple_paths(g: NeighborNet) -> list:
@@ -428,10 +397,10 @@ def weakly_nk_connected(g: NeighborNet, n: int, k: int):
 
 def connectivity_hierarchy(g: NeighborNet, k: int) -> dict:
     """All four predicates at level k, with the implication chain asserted."""
-    kc = k_connected(g, k)
+    max_n = len(max_disjoint_paths(_undirected_digraph(g)))
+    kc = max_n >= k   # k_connected, from the one max flow
     wh = weakly_k_hyper_connected(g, k)
     nc = neighbor_k_connected(g, k)
-    max_n = len(max_disjoint_paths(_undirected_digraph(g)))
     wnk = any(weakly_nk_connected(g, n, k - 1)[0]
               for n in range(k, max_n + 1))
     report = {

@@ -9,7 +9,6 @@ from psmt.errors import ParamError, PreconditionError
 from psmt.field import GF, FieldElement
 from psmt.netsim import AdversarySpec, HyperNet
 from psmt.protocols.hypernet import (
-    exchange_network,
     hypergraph_private,
     hypergraph_reliable,
     neighbor_exchange,
@@ -171,7 +170,3 @@ def test_neighbor_exchange_reliable_channel_failures():
     assert aborted > 0 and delivered > 0
     # two reliable uses per run: abort rate ~ 1 - 0.8^2 = 0.36
     assert 60 <= aborted <= 160
-
-
-def test_exchange_network_is_fig2():
-    assert exchange_network() == fixtures.get("fig2")
