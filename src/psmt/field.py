@@ -381,8 +381,8 @@ class FieldSpec:
 
     # -- element constructors --------------------------------------------
 
-    def element(self, value: int, taint: frozenset[int] | None = None) -> "FieldElement":
-        return FieldElement(self, value % self.order if self.m == 1 else self._coerce(value), taint)
+    def element(self, value: int) -> "FieldElement":
+        return FieldElement(self, value % self.order if self.m == 1 else self._coerce(value))
 
     def _coerce(self, value: int) -> int:
         if 0 <= value < self.order:
@@ -400,15 +400,12 @@ class FieldSpec:
 
     def sample(self, rng) -> "FieldElement":
         """Uniform element from a seeded randomness source; a tracing
-        source (one with an ``element`` method) turns a tainted draw into
-        a ``TracedElement``."""
+        source taints its draws and turns each one into a
+        ``TracedElement`` through its ``element`` method."""
         value, taint = rng.draw(self.order)
         if taint is None:
             return FieldElement(self, value)
-        traced = getattr(rng, "element", None)
-        if traced is None:
-            return FieldElement(self, value, taint)
-        return traced(self, value, taint)
+        return rng.element(self, value, taint)
 
     # -- misc --------------------------------------------------------------
 
@@ -439,19 +436,16 @@ def GF(order: int, reduction: Sequence[int] | None = None) -> FieldSpec:
 
 
 class FieldElement:
-    """Immutable element of a FieldSpec, with optional provenance taint.
+    """Immutable element of a FieldSpec: a value and nothing else.
 
-    The taint is the set of randomness-draw indices the value depends on;
-    it is carried through arithmetic and used by the privacy analyzer.
-    Equality and hashing ignore taint.
+    Only a ``TracedElement`` records the draws a value depends on.
     """
 
-    __slots__ = ("spec", "value", "taint")
+    __slots__ = ("spec", "value")
 
-    def __init__(self, spec: FieldSpec, value: int, taint: frozenset[int] | None = None):
+    def __init__(self, spec: FieldSpec, value: int):
         self.spec = spec
         self.value = value
-        self.taint = taint
 
     def _check(self, other: "FieldElement") -> None:
         if not isinstance(other, FieldElement):
@@ -459,47 +453,31 @@ class FieldElement:
         if other.spec is not self.spec and other.spec != self.spec:
             raise SpecMismatch(f"mixed field specs {self.spec} and {other.spec}")
 
-    @staticmethod
-    def _merge(a: frozenset | None, b: frozenset | None) -> frozenset | None:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return a | b
-
     def __add__(self, other):
         self._check(other)
-        return FieldElement(self.spec, self.spec.add_raw(self.value, other.value),
-                            self._merge(self.taint, other.taint))
+        return FieldElement(self.spec, self.spec.add_raw(self.value, other.value))
 
     def __sub__(self, other):
         self._check(other)
-        return FieldElement(self.spec, self.spec.sub_raw(self.value, other.value),
-                            self._merge(self.taint, other.taint))
+        return FieldElement(self.spec, self.spec.sub_raw(self.value, other.value))
 
     def __mul__(self, other):
         self._check(other)
-        return FieldElement(self.spec, self.spec.mul_raw(self.value, other.value),
-                            self._merge(self.taint, other.taint))
+        return FieldElement(self.spec, self.spec.mul_raw(self.value, other.value))
 
     def __truediv__(self, other):
         self._check(other)
         return FieldElement(self.spec,
-                            self.spec.mul_raw(self.value, self.spec.inv_raw(other.value)),
-                            self._merge(self.taint, other.taint))
+                            self.spec.mul_raw(self.value, self.spec.inv_raw(other.value)))
 
     def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg_raw(self.value), self.taint)
+        return FieldElement(self.spec, self.spec.neg_raw(self.value))
 
     def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.pow_raw(self.value, e), self.taint)
+        return FieldElement(self.spec, self.spec.pow_raw(self.value, e))
 
     def inv(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv_raw(self.value), self.taint)
-
-    def with_taint(self, taint: frozenset[int] | None) -> "FieldElement":
-        """The same element carrying ``taint`` instead."""
-        return FieldElement(self.spec, self.value, taint)
+        return FieldElement(self.spec, self.spec.inv_raw(self.value))
 
     def __eq__(self, other) -> bool:
         return (
@@ -604,21 +582,20 @@ class TracedElement(FieldElement):
     included, so ``spec.zero() + traced`` lands here) stay polynomial.
     Inverting a non-constant gives an opaque atom: a fresh variable whose
     support the tracer keeps; the divisor is observed, since its zero test
-    decides whether the division raises.  ``taint`` is the union of the
-    operands' taints, as for ``FieldElement``.
+    decides whether the division raises.  A plain operand is a constant.
+    ``taint`` is the union of the operands' taints (a draw's is its own
+    index): a syntactic record, kept when the polynomial cancels a draw.
 
     Every read of the value outside these operators is an observation the
     tracer records (the support of the polynomial read): ``value``,
     ``hash``, ``bool``, ``repr``, and an ``==`` whose difference is not a
     constant.  An ``==`` whose difference is a constant is decided without
-    observing anything.  A tainted plain ``FieldElement`` operand (a
-    secret ``sharing`` decoded on raw ints) enters as an atom over its
-    taint.
+    observing anything.
     Elements of two different tracers (two runs side by side in the
     analyzer) compare by value, as plain elements do.
     """
 
-    __slots__ = ("poly", "tracer")
+    __slots__ = ("taint", "poly", "tracer")
 
     def __init__(self, spec: FieldSpec, value: int, taint: frozenset[int] | None,
                  poly: dict, tracer):
@@ -636,10 +613,18 @@ class TracedElement(FieldElement):
     def _make(self, value: int, taint, poly: dict) -> "TracedElement":
         return TracedElement(self.spec, value, taint, poly, self.tracer)
 
+    @staticmethod
+    def _merge(a: FieldElement, b: FieldElement) -> frozenset | None:
+        """The union of two operands' taints."""
+        ta, tb = getattr(a, "taint", None), getattr(b, "taint", None)
+        if ta is None or tb is None:
+            return tb if ta is None else ta
+        return ta | tb
+
     def _binary(self, a: FieldElement, b: FieldElement, raw, poly) -> "TracedElement":
         """``a op b`` from the raw kernel and the polynomial operation."""
         poly_of = self.tracer.poly_of
-        return self._make(raw(_get_raw(a), _get_raw(b)), self._merge(a.taint, b.taint),
+        return self._make(raw(_get_raw(a), _get_raw(b)), self._merge(a, b),
                           poly(self.spec, poly_of(a), poly_of(b)))
 
     def __add__(self, other):
@@ -674,7 +659,7 @@ class TracedElement(FieldElement):
             poly = self.tracer.atom(self.tracer.support(top)
                                     | self.tracer.support(bottom))
         return self._make(spec.mul_raw(_get_raw(num), inv),
-                          self._merge(num.taint, den.taint), poly)
+                          self._merge(num, den), poly)
 
     def __truediv__(self, other):
         self._check(other)
@@ -688,6 +673,7 @@ class TracedElement(FieldElement):
         return self._quotient(self.spec.one(), self)
 
     def with_taint(self, taint: frozenset[int] | None) -> "TracedElement":
+        """The same element carrying ``taint`` instead."""
         return self._make(_get_raw(self), taint, self.poly)
 
     def __neg__(self):
@@ -718,9 +704,6 @@ class TracedElement(FieldElement):
             return not diff
         self.tracer.observe(diff)
         return _get_raw(self) == _get_raw(other)
-
-    def __ne__(self, other) -> bool:
-        return not self == other
 
     def __hash__(self) -> int:
         self.tracer.observe(self.poly)

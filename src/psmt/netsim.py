@@ -28,6 +28,7 @@ from .randomness import Randomness
 from .topology import Hypergraph
 
 Channel = tuple  # ("AB"|"BA", index)
+_COIN_RESOLUTION = 10**6  # IdealizedReliableChannel's failure coin ranges over it
 
 
 @dataclass
@@ -44,11 +45,11 @@ class AdversaryView:
         self.public.append((rnd, label, payload))
 
     def leaves(self) -> list:
-        """Flatten to (path, leaf) pairs; field elements keep their taints."""
+        """Flatten to (path, leaf) pairs; a traced element keeps its taint."""
         out = []
 
         def walk(prefix, value):
-            if isinstance(value, tuple) and not isinstance(value, FieldElement):
+            if isinstance(value, tuple):
                 for i, v in enumerate(value):
                     walk(prefix + (i,), v)
             else:
@@ -61,7 +62,7 @@ class AdversaryView:
         return out
 
     def canonical(self) -> tuple:
-        """Hashable value of the whole view (taints dropped)."""
+        """Hashable value of the whole view: field elements by value."""
 
         def conv(value):
             if isinstance(value, FieldElement):
@@ -338,21 +339,19 @@ class IdealizedReliableChannel:
 
     FAILED = None
 
-    def __init__(self, delta_r: float, view: AdversaryView, rng: Randomness,
-                 resolution: int = 10**6):
+    def __init__(self, delta_r: float, view: AdversaryView, rng: Randomness):
         if not 0 <= delta_r < 1:
             raise ParamError("delta_r must be in [0, 1)")
         self.delta_r = delta_r
         self.view = view
         self._rng = rng
-        self._resolution = resolution
         self.uses = 0
 
     def send(self, rnd: int, label, payload):
         self.uses += 1
         self.view.announce(rnd, ("reliable", label), payload)
-        coin, _ = self._rng.draw(self._resolution)
-        if coin < self.delta_r * self._resolution:
+        coin, _ = self._rng.draw(_COIN_RESOLUTION)
+        if coin < self.delta_r * _COIN_RESOLUTION:
             return self.FAILED
         return payload
 

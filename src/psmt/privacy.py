@@ -6,9 +6,9 @@ e.g. a cleartext protocol); it equals twice the total variation.
 
 The analyzer replays a protocol with a tracing randomness source shared
 by every honest party, so each uniform draw gets a global index.  Every
-field element in the adversary's view carries its taint, the set of
-draw indices it can depend on, and its value as an exact polynomial over
-the draws (``field.TracedElement``).  The tracer's ledger records every
+traced element in the adversary's view (``field.TracedElement``) carries
+its taint, the set of draw indices it can depend on, and its value as an
+exact polynomial over the draws.  The tracer's ledger records every
 *observed* draw, one whose value may have steered the run: the support
 of any traced value read outside the element operators (``value``,
 ``hash``, ``bool``, ``repr``, an ``==`` whose difference is not a
@@ -16,6 +16,10 @@ constant), any draw handed back as a raw int, and the taint of any
 tainted element nested inside a plain leaf (a list, a dict, a
 dataclass).  An ``==`` whose difference is a constant, as in an honest
 tag check, observes nothing.
+
+Untainted leaves that differ between the two reference runs give exactly
+2 when neither run observed a draw; otherwise a branch on an observed
+draw may explain them, and the analyzer falls back to sampling.
 
 ``view_distance`` traces m0 and m1 once each and then:
 
@@ -68,7 +72,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .field import FieldElement, peek
+from .field import FieldElement, TracedElement, peek
 from .netsim import AdversaryView
 from .randomness import Randomness, TracingRandomness, derive_trial_seed
 from .sharing import solve_raw
@@ -124,10 +128,10 @@ def _leaf_key(value):
 
 
 def _nested_elements(value, seen: set):
-    """Tainted field elements nested inside a plain leaf, at any depth:
+    """Tainted traced elements nested inside a plain leaf, at any depth:
     in containers and object attributes."""
     if isinstance(value, FieldElement):
-        if value.taint:
+        if isinstance(value, TracedElement) and value.taint:
             yield value
         return
     if isinstance(value, (str, bytes, int, float, type)) or value is None \
@@ -159,7 +163,7 @@ class _Trace:
         self.plain = []
         self.tainted = []
         for path, value in view.leaves():
-            taint = value.taint if isinstance(value, FieldElement) else None
+            taint = value.taint if isinstance(value, TracedElement) else None
             if taint:
                 self.tainted.append((path, value, taint))
             else:
@@ -476,6 +480,9 @@ def _counted(run, m0, m1, seed, limit, samples, symbolic) -> PrivacyReport:
 def _view_distance(run, m0, m1, seed, limit, samples, symbolic) -> PrivacyReport:
     refs = (_trace(run, m0, seed), _trace(run, m1, seed))
     if refs[0].plain != refs[1].plain:
+        if refs[0].rng.observed or refs[1].rng.observed:
+            return _fallback(run, m0, m1, seed, samples, "unstable",
+                             "; deterministic view parts differ after an observed draw")
         return PrivacyReport("exact", 2.0, 2.0,
                              note="deterministic view parts differ")
     shapes = [[(path, taint) for path, _, taint in ref.tainted] for ref in refs]

@@ -3,9 +3,9 @@
 All draws go through ``draw(n)`` which returns ``(value, taint)``.  The
 plain source returns untainted values from a Mersenne stream.  The
 tracing source is used by the privacy analyzer: it gives every draw a
-sequential index, taints the result with that index, can pin selected
-indices to enumerated values, and keeps the ledger of what the run
-observed (see ``TracingRandomness``).
+sequential index, taints the result with that index (a sampled draw is a
+``TracedElement``), can pin selected indices to enumerated values, and
+keeps the ledger of what the run observed (see ``TracingRandomness``).
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ class TracingRandomness:
     every draw whose value may have steered the run: the support of each
     traced value read outside the element operators, and every draw
     handed back as a raw int (a tie coin, say).  ``atoms`` maps each
-    opaque atom variable (< 0) to the draws it depends on.
+    opaque atom variable (< 0), a quotient by a non-constant or a value
+    ``sharing`` computed on raw ints, to the draws it depends on.
     """
 
     def __init__(self, seed, pinned: dict[int, int] | None = None):
@@ -73,7 +74,6 @@ class TracingRandomness:
         self.moduli: dict[int, int] = {}
         self.observed: set[int] = set()
         self.atoms: dict[int, frozenset[int]] = {}
-        self._atom_of: dict[int, tuple] = {}   # id(element) -> (element, poly)
 
     def draw(self, n: int) -> tuple[int, frozenset[int]]:
         idx = self.draws
@@ -117,19 +117,10 @@ class TracingRandomness:
         self.atoms[var] = frozenset(support)
         return {((var, 1),): 1}
 
-    def atom_for(self, element: FieldElement) -> dict:
-        """The atom standing for a tainted plain element, one per object."""
-        hit = self._atom_of.get(id(element))
-        if hit is None:   # the entry keeps the element alive, so ids stay unique
-            hit = self._atom_of[id(element)] = (element, self.atom(element.taint))
-        return hit[1]
-
     def poly_of(self, element: FieldElement) -> dict:
-        """Polynomial of any field element: traced, tainted plain or constant."""
+        """Polynomial of any field element: a plain one is a constant."""
         if isinstance(element, TracedElement):
             return element.poly
-        if element.taint:
-            return self.atom_for(element)
         v = element.value
         return {(): v} if v else {}
 

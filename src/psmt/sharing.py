@@ -8,21 +8,23 @@ n-k-e-1 detection range).
 
 The linear algebra runs on one of two representations.  Plain elements
 are turned into packed ints and computed on with the field's raw
-kernels.  When an operand is a ``TracedElement`` (a draw of the privacy
-analyzer's tracing source) the same rows are applied with the element
-operators instead, so every result stays an exact polynomial over the
-draws.  On that path ``share``, ``reconstruct``, ``detect_errors`` and a
-``correct_errors`` call on a word that lies on the code observe nothing:
-an honest word's parity differences are the zero polynomial.  A parity
-check that fails observes its difference; ``correct_errors`` on such a
-word and ``oracle_decode`` read every entry's value, which observes it.
+kernels; the results are plain.  When an operand is a ``TracedElement``
+(a draw of the privacy analyzer's tracing source) the same rows are
+applied with the element operators instead, so every result stays an
+exact polynomial over the draws.  On that path ``share``,
+``reconstruct``, ``detect_errors`` and a ``correct_errors`` call on a
+word that lies on the code observe nothing: an honest word's parity
+differences are the zero polynomial.  A parity check that fails
+observes its difference; ``correct_errors`` on such a word and
+``oracle_decode`` read every entry's value, which observes it, and
+return each result as a fresh atom over the taint they name.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Sequence
 
 from .errors import (
@@ -114,11 +116,12 @@ def _full(word: ReceivedWord) -> tuple:
 
 
 def _taint(elements) -> frozenset[int] | None:
-    """Union of the elements' taints; None when none of them is tainted."""
+    """Union of the traced elements' taints; None when none is traced."""
     out = None
     for e in elements:
-        if e.taint is not None:
-            out = e.taint if out is None else out | e.taint
+        taint = getattr(e, "taint", None)
+        if taint is not None:
+            out = taint if out is None else out | taint
     return out
 
 
@@ -130,8 +133,18 @@ def _dot_elements(spec: FieldSpec, row: Sequence[int], ys) -> FieldElement:
     return acc
 
 
-def _with_taint(spec: FieldSpec, y: FieldElement, taint) -> FieldElement:
-    return y.with_taint(taint)
+def _from_raw(tracer, spec: FieldSpec, value: int, operands) -> FieldElement:
+    """A value computed on raw ints: a fresh atom over the operands' taints."""
+    taint = _taint(operands)
+    if not taint:
+        return FieldElement(spec, value)
+    return TracedElement(spec, value, taint, tracer.atom(taint), tracer)
+
+
+def _from_elements(tracer, spec: FieldSpec, y: FieldElement, operands) -> FieldElement:
+    if type(y) is TracedElement:   # else it met no traced operand: a raw result
+        return y.with_taint(_taint(operands))
+    return _from_raw(tracer, spec, y.value, operands)
 
 
 def _linear(spec: FieldSpec, elements, raw: bool = False):
@@ -139,12 +152,17 @@ def _linear(spec: FieldSpec, elements, raw: bool = False):
     packed ints when ``raw``, whatever the elements.
 
     Returns the coordinates of ``elements``, the dot product of a
-    constant raw row with coordinates, and the map from (spec, result,
-    taint) to a field element.
+    constant raw row with coordinates, and the map from (result,
+    operands) to a field element.
     """
-    if not raw and TracedElement in map(type, elements):
-        return elements, lambda row, ys: _dot_elements(spec, row, ys), _with_taint
-    return [e.value for e in elements], spec.dot_raw, FieldElement
+    if TracedElement not in map(type, elements):
+        return ([e.value for e in elements], spec.dot_raw,
+                lambda value, _: FieldElement(spec, value))
+    tracer = next(e.tracer for e in elements if type(e) is TracedElement)
+    if raw:
+        return [e.value for e in elements], spec.dot_raw, partial(_from_raw, tracer, spec)
+    return (elements, partial(_dot_elements, spec),
+            partial(_from_elements, tracer, spec))
 
 
 @lru_cache(maxsize=_ROW_CACHE)
@@ -192,10 +210,9 @@ def share(secret: FieldElement, params: SharingParams, rng) -> Codeword:
     if secret.spec != spec:
         raise ParamError("secret must belong to the sharing field")
     coeffs = [secret] + [spec.sample(rng) for _ in range(params.k)]
-    taint = _taint(coeffs)
     ys, dot, element = _linear(spec, coeffs)
     return Codeword(
-        tuple(element(spec, dot(row, ys), taint)
+        tuple(element(dot(row, ys), coeffs)
               for row in _power_rows(spec, params.xs, params.k + 1)),
         params)
 
@@ -212,7 +229,7 @@ def reconstruct(word: ReceivedWord) -> FieldElement:
     row = _lagrange_rows(spec, tuple(params.xs[i] for i, _ in used), (0,))[0]
     entries = _checked(spec, [e for _, e in used])
     ys, dot, element = _linear(spec, entries)
-    return element(spec, dot(row, ys), _taint(entries))
+    return element(dot(row, ys), entries)
 
 
 CLEAN = "clean"
@@ -257,10 +274,10 @@ def correct_errors(word: ReceivedWord, e: int) -> Decoded | None:
     Returns the secret and the exact corrupted positions when at most e
     entries are wrong.  Returns None (errors detected beyond the radius)
     when between e+1 and n-k-e-1 entries are wrong; never a wrong secret
-    inside that range.  The secret's taint is the union over the k+1
-    entries it is read from at radius 0, and over all n entries otherwise.
-    A word on the code is its own nearest codeword at every radius, so
-    it is decoded without Berlekamp-Welch.
+    inside that range.  On traced entries the secret's taint is the union
+    over the k+1 entries it is read from at radius 0, and over all n
+    entries otherwise.  A word on the code is its own nearest codeword at
+    every radius, so it is decoded without Berlekamp-Welch.
     """
     params = word.params
     if e > params.max_correct:
@@ -272,7 +289,7 @@ def correct_errors(word: ReceivedWord, e: int) -> Decoded | None:
     if not _on_code(params, ys, dot):
         if e == 0:
             return None
-        if element is not FieldElement:
+        if dot is not spec.dot_raw:
             # Berlekamp-Welch runs on raw values: reading a traced entry's
             # value observes it
             ys, dot, element = _linear(spec, entries, raw=True)
@@ -285,8 +302,8 @@ def correct_errors(word: ReceivedWord, e: int) -> Decoded | None:
             return None
         ys = codeword
     row = _lagrange_rows(spec, params.xs[:k1], (0,))[0]
-    taint = _taint(entries[:k1] if e == 0 else entries)
-    return Decoded(element(spec, dot(row, ys[:k1]), taint), errs)
+    return Decoded(element(dot(row, ys[:k1]), entries[:k1] if e == 0 else entries),
+                   errs)
 
 
 def _berlekamp_welch(params: SharingParams, ys: list[int], e: int) -> list[int] | None:
@@ -364,14 +381,14 @@ def oracle_decode(word: ReceivedWord) -> list[tuple[FieldElement, tuple[FieldEle
     that subset, so the nearest distance is at most n-k-1.  A codeword
     within that distance agrees with the word on at least k+1 positions,
     so it is the interpolant of one of the subsets: interpolating every
-    (k+1)-subset finds every nearest codeword.  A triple's elements carry
-    the union of the taints of the subset that produced it (the last
-    one, in subset order).
+    (k+1)-subset finds every nearest codeword.  On traced entries a
+    triple's elements carry the union of the taints of the subset that
+    produced it (the last one, in subset order).
     """
     params = word.params
     spec, xs = params.field, params.xs
-    ys = [e.value for e in _full(word)]
-    dot = spec.dot_raw
+    entries = _full(word)
+    ys, dot, element = _linear(spec, entries, raw=True)
 
     best: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
     best_dist = params.n + 1
@@ -387,7 +404,7 @@ def oracle_decode(word: ReceivedWord) -> list[tuple[FieldElement, tuple[FieldEle
             best[cw] = (dot(rows[0], vals), subset)
     out = []
     for cw, (secret, subset) in best.items():
-        taint = _taint(word.entries[i] for i in subset)
-        out.append((FieldElement(spec, secret, taint),
-                    tuple(FieldElement(spec, v, taint) for v in cw), best_dist))
+        operands = [entries[i] for i in subset]
+        out.append((element(secret, operands),
+                    tuple(element(v, operands) for v in cw), best_dist))
     return out

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from psmt.errors import DivisionByZero, ParamError, SpecMismatch
 from psmt.field import GF
-from psmt.randomness import Randomness
+from psmt.randomness import Randomness, TracingRandomness
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -91,11 +91,14 @@ def test_extension_field_reduction_validated():
 
 def test_taint_propagates_through_arithmetic():
     spec = GF(7)
-    a = spec.element(3, frozenset({1}))
-    b = spec.element(4, frozenset({2}))
-    assert (a + b).taint == frozenset({1, 2})
-    assert (a * b).taint == frozenset({1, 2})
-    assert (-a).taint == frozenset({1})
+    rng = TracingRandomness("taint", pinned={0: 3, 1: 4})
+    a, b = spec.sample(rng), spec.sample(rng)   # draws 0 and 1
+    assert (a + b).taint == frozenset({0, 1})
+    assert (a * b).taint == frozenset({0, 1})
+    assert (-a).taint == frozenset({0})
+    # a plain operand is a value with no provenance
+    assert (a + spec.one()).taint == (spec.one() - a).taint == frozenset({0})
+    assert not hasattr(spec.one(), "taint")
     # equality and hashing ignore taint
     assert a == spec.element(3)
     assert hash(a) == hash(spec.element(3))

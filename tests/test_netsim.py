@@ -16,7 +16,7 @@ from psmt.netsim import (
     majority_transmit,
     recv_broadcast,
 )
-from psmt.randomness import Randomness
+from psmt.randomness import Randomness, TracingRandomness
 from psmt.strategies import constant_replacer, shift_tamperer
 from psmt.topology import to_hypergraph
 
@@ -186,11 +186,11 @@ def test_hypernet_transmit_routing_and_tampering():
 
 def test_view_leaves_and_canonical_descend_into_tuples():
     spec = GF(7)
-    tainted = spec.element(3, frozenset({9}))
+    tainted = spec.sample(TracingRandomness("view", pinned={0: 3}))
     view = AdversaryView()
     view.record(0, ("AB", 0), ((tainted, spec.element(5)), "tag"))
     leaves = dict(view.leaves())
-    assert leaves[("event", 0, 0, ("AB", 0), 0, 0)].taint == frozenset({9})
+    assert leaves[("event", 0, 0, ("AB", 0), 0, 0)].taint == frozenset({0})
     assert leaves[("event", 0, 0, ("AB", 0), 0, 1)] == spec.element(5)
     assert leaves[("event", 0, 0, ("AB", 0), 1)] == "tag"
     canon = view.canonical()

@@ -163,6 +163,26 @@ def test_monte_carlo_estimator_direction():
     assert 0.8 <= est <= 1.2  # true L1 distance is 1.0
 
 
+def test_plain_leaves_that_differ_after_an_observed_draw_are_not_exact():
+    # the message is shown in the clear when a coin comes up 1: the true
+    # distance is 1.0.  The untainted leaves of the two reference runs
+    # differ exactly when their coin was 1, a draw the run observed, so
+    # that difference does not make the views disjoint
+    spec = GF(5)
+
+    def run(message, rng):
+        view = AdversaryView()
+        coin, _ = rng.draw(2)
+        view.record(0, ("AB", 0), message if coin else spec.zero())
+        return view
+
+    for seed in range(6):
+        report = view_distance(run, spec.element(1), spec.element(4), seed=seed,
+                               samples=400)
+        assert report.method == "monte-carlo", (seed, report)
+        assert report.fallback == "unstable", (seed, report)
+
+
 def test_shared_rng_runner_passes_relay_randomness():
     spec = GF(2)
     run = shared_rng_runner(

@@ -381,59 +381,59 @@ def _ref_oracle(word):
     return list(best.values())
 
 
-class TaintedDraws:
-    """Seeded draws, each tainted with its own index or, at times, not at all."""
-
-    def __init__(self, seed):
-        self._rng = random.Random(seed)
-        self._next = 0
-
-    def draw(self, n):
-        self._next += 1
-        taint = frozenset({self._next}) if self._rng.random() < 0.8 else None
-        return self._rng.randrange(n), taint
-
-
-def _with_taint(elements):
-    return [(e.value, e.taint) for e in elements]
+def _provenance(elements):
+    """Value, representation and taint of each element (read by ``peek``)."""
+    return [(peek(e), type(e), getattr(e, "taint", None)) for e in elements]
 
 
 def _taint_union(elements):
-    taints = [e.taint for e in elements if e.taint is not None]
+    taints = [e.taint for e in elements if isinstance(e, TracedElement)]
     return frozenset().union(*taints) if taints else None
+
+
+def _source(seed, traced):
+    return TracingRandomness(seed) if traced else Randomness(seed)
 
 
 @pytest.mark.parametrize("order", [7, 16, 9, 81])
 def test_int_kernels_match_reference_oracle(order):
     spec = GF(order)
     rng = random.Random(order)
-    taint_choices = [None, frozenset(), frozenset({900}), frozenset({901, 902})]
     for n in range(2, 7):
         for k in range(n):
             params = SharingParams(n, k, spec)
             for _ in range(12):
-                secret = spec.element(rng.randrange(order),
-                                      rng.choice(taint_choices))
-                seed = rng.random()
-                cw = share(secret, params, TaintedDraws(seed))
-                ref = _ref_share(secret, params, TaintedDraws(seed))
-                assert _with_taint(cw.shares) == _with_taint(ref)
+                # a plain source runs every decoder on raw ints; a tracing
+                # one runs the element path, and Berlekamp-Welch and the
+                # oracle still on raw ints
+                traced, seed = rng.random() < 0.5, rng.random()
+                src, ref_src = _source(seed, traced), _source(seed, traced)
+                secret = spec.element(rng.randrange(order))
+                if traced and rng.random() < 0.3:
+                    secret = spec.sample(src)
+                    spec.sample(ref_src)   # both sources past the secret's draw
+                cw = share(secret, params, src)
+                ref = _ref_share(secret, params, ref_src)
+                assert _provenance(cw.shares) == _provenance(ref)
 
                 entries = list(cw.shares)
                 for pos in rng.sample(range(n), rng.randrange(n + 1)):
-                    entries[pos] = spec.element(rng.randrange(order),
-                                                rng.choice(taint_choices))
+                    entries[pos] = spec.element(rng.randrange(order))
+                    if traced and rng.random() < 0.6:
+                        entries[pos] = spec.sample(src)
+                        if rng.random() < 0.3:
+                            entries[pos] = entries[pos] + spec.sample(src)
                 word = ReceivedWord(tuple(entries), params)
 
                 assert (detect_errors(word) == CLEAN) == _ref_detect(word)
-                assert _with_taint([reconstruct(word)]) == \
-                    _with_taint([_ref_reconstruct(word)])
+                assert _provenance([reconstruct(word)]) == \
+                    _provenance([_ref_reconstruct(word)])
                 holes = list(entries)
                 for pos in rng.sample(range(n), rng.randrange(n - k)):
                     holes[pos] = None
                 holed = ReceivedWord(tuple(holes), params)
-                assert _with_taint([reconstruct(holed)]) == \
-                    _with_taint([_ref_reconstruct(holed)])
+                assert _provenance([reconstruct(holed)]) == \
+                    _provenance([_ref_reconstruct(holed)])
 
                 for e in range(params.max_correct + 1):
                     got, want = correct_errors(word, e), _ref_correct(word, e)
@@ -443,15 +443,17 @@ def test_int_kernels_match_reference_oracle(order):
                     assert got.secret == want[0]
                     assert got.error_positions == want[1]
                     if e == 0:
-                        assert got.secret.taint == want[0].taint
+                        assert _provenance([got.secret]) == _provenance([want[0]])
                     else:
                         # the elimination mixes every entry: all n taints
-                        assert got.secret.taint == _taint_union(entries)
-                        assert (want[0].taint or frozenset()) <= \
-                            (got.secret.taint or frozenset())
+                        taint = _taint_union(entries)
+                        assert getattr(got.secret, "taint", None) == taint
+                        assert isinstance(got.secret, TracedElement) == bool(taint)
+                        assert (getattr(want[0], "taint", None) or frozenset()) <= \
+                            (taint or frozenset())
 
                 def triples(best):
-                    return [(s.value, s.taint, _with_taint(c), d) for s, c, d in best]
+                    return [(_provenance([s]), _provenance(c), d) for s, c, d in best]
                 assert triples(oracle_decode(word)) == triples(_ref_oracle(word))
 
 
@@ -460,18 +462,18 @@ def test_int_kernels_match_reference_oracle(order):
 
 
 class _PlainDraws:
-    """A tracing source's draw values and taints, as plain tainted elements
-    (no ``element`` method), so ``sharing`` takes its raw path."""
+    """A tracing source's draw values, untainted, so ``sharing`` takes its
+    raw path."""
 
     def __init__(self, seed, pinned):
         self._rng = TracingRandomness(seed, pinned=dict(pinned))
 
     def draw(self, n):
-        return self._rng.draw(n)
+        return self._rng.draw(n)[0], None
 
 
 def _raw_view(elements):
-    return [(peek(e), e.taint) for e in elements]
+    return [peek(e) for e in elements]
 
 
 @pytest.mark.parametrize("order", [7, 16, 9])
@@ -487,8 +489,9 @@ def test_traced_path_matches_raw_path(order):
                 traced = share(secret, params, TracingRandomness(trial, pinned=pinned))
                 plain = share(secret, params, _PlainDraws(trial, pinned))
                 assert _raw_view(traced.shares) == _raw_view(plain.shares)
+                assert all(type(s) is FieldElement for s in plain.shares)
                 if k:
-                    assert all(isinstance(s, TracedElement) for s in traced.shares)
+                    assert all(s.taint == frozenset(range(k)) for s in traced.shares)
 
                 corrupt = rng.sample(range(n), rng.randrange(n + 1))
                 words = []
@@ -498,16 +501,20 @@ def test_traced_path_matches_raw_path(order):
                         entries[pos] = spec.element((pos * 5 + 1) % order)
                     words.append(ReceivedWord(tuple(entries), params))
                 traced_word, plain_word = words
+                head, entries = traced_word.entries[: k + 1], traced_word.entries
 
                 assert detect_errors(traced_word) == detect_errors(plain_word)
-                assert _raw_view([reconstruct(traced_word)]) == \
-                    _raw_view([reconstruct(plain_word)])
+                got = reconstruct(traced_word)
+                assert _raw_view([got]) == _raw_view([reconstruct(plain_word)])
+                assert getattr(got, "taint", None) == _taint_union(head)
                 for e in range(params.max_correct + 1):
                     got, want = correct_errors(traced_word, e), correct_errors(plain_word, e)
                     assert (got is None) == (want is None)
                     if got is not None:
                         assert _raw_view([got.secret]) == _raw_view([want.secret])
                         assert got.error_positions == want.error_positions
+                        assert getattr(got.secret, "taint", None) == \
+                            _taint_union(head if e == 0 else entries)
 
 
 @pytest.mark.parametrize("order", [11, 16])
@@ -547,5 +554,24 @@ def test_corrupted_word_observes():
     decoded = correct_errors(word, 2)
     assert rng.observed == {0, 1, 2}
     assert decoded.error_positions == frozenset({6})
-    assert peek(decoded.secret) == 3 and not isinstance(decoded.secret, TracedElement)
+    # Berlekamp-Welch ran on raw ints: the secret is a fresh atom over the
+    # taints of all n entries
+    assert peek(decoded.secret) == 3 and isinstance(decoded.secret, TracedElement)
     assert decoded.secret.taint == frozenset({0, 1, 2})
+    ((var, exponent),), = decoded.secret.poly
+    assert var < 0 and exponent == 1 and rng.atoms[var] == frozenset({0, 1, 2})
+
+
+def test_decoded_secret_is_plain_only_when_read_from_plain_entries():
+    # a word on the code whose first k+1 entries are plain: at radius 0
+    # the secret is read from them alone and stays plain; at radius 1 it
+    # answers for all n entries, so it is an atom over their taints
+    spec = GF(11)
+    params = SharingParams(3, 0, spec)
+    rng = TracingRandomness("plain head", pinned={0: 4, 1: 4})
+    word = ReceivedWord((spec.element(4), spec.sample(rng), spec.sample(rng)), params)
+    assert type(correct_errors(word, 0).secret) is FieldElement
+    decoded = correct_errors(word, 1)
+    assert peek(decoded.secret) == 4 and decoded.secret.taint == frozenset({0, 1})
+    ((var, _),), = decoded.secret.poly
+    assert rng.atoms[var] == frozenset({0, 1})
