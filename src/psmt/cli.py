@@ -19,6 +19,7 @@ parameters or malformed input, 3 file I/O failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -196,36 +197,30 @@ def _cmd_analyze(args) -> dict:
     return report
 
 
+# the uniform entry-point parameters, which the harness itself supplies
+_HARNESS = {"message", "adversary", "rng_a", "rng_b", "seed", "rng_t"}
+
+
 def _protocol_kwargs(desc, args, graph):
+    """The entry point's other parameters, read off its signature: one
+    without a default is required, an optional one is passed only when
+    its flag has a value."""
     kw: dict = {}
-    if desc.needs_k:
-        if getattr(args, "k", None) is None:
-            raise ParamError(f"protocol {desc.name} requires --k")
-        kw["k"] = args.k
-    if desc.needs_u:
-        if getattr(args, "u", None) is None:
-            raise ParamError(f"protocol {desc.name} requires --u")
-        kw["u"] = args.u
-    if desc.needs_graph:
-        if graph is None:
-            raise ParamError(
-                f"protocol {desc.name} requires --fixture or --topology-file")
-        if not isinstance(graph, Hypergraph):
-            if isinstance(graph, NeighborNet):
-                graph = topology.to_hypergraph(graph)
-            else:
+    for name, param in inspect.signature(desc.run).parameters.items():
+        if name in _HARNESS:
+            continue
+        value = graph if name == "graph" else getattr(args, name, None)
+        if value is None:
+            if param.default is param.empty:
+                flag = ("--fixture or --topology-file" if name == "graph"
+                        else "--" + name.replace("_", "-"))
+                raise ParamError(f"protocol {desc.name} requires {flag}")
+            continue
+        if name == "graph" and not isinstance(value, Hypergraph):
+            if not isinstance(value, NeighborNet):
                 raise ParamError(f"protocol {desc.name} needs a hypergraph")
-        kw["graph"] = graph
-    if desc.name == "subset-exchange":
-        if args.n_forward is None or args.n_backward is None:
-            raise ParamError(
-                "subset-exchange requires --n-forward and --n-backward")
-        kw["n_forward"] = args.n_forward
-        kw["n_backward"] = args.n_backward
-    elif desc.name == "oneway" and args.n_forward is not None:
-        kw["n_forward"] = args.n_forward
-    if desc.name == "neighbor-exchange" and getattr(args, "delta_r", 0.0):
-        kw["delta_r"] = args.delta_r
+            value = topology.to_hypergraph(value)
+        kw[name] = value
     return kw
 
 

@@ -63,15 +63,7 @@ def _poly_powmod(a: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int
 def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     a, b = _poly_trim(list(a)), _poly_trim(list(b))
     while b:
-        inv_lead = pow(b[-1], p - 2, p)
-        r = list(a)
-        for i in range(len(r) - 1, len(b) - 2, -1):
-            if r[i] == 0:
-                continue
-            factor = (r[i] * inv_lead) % p
-            for j, bj in enumerate(b):
-                r[i - len(b) + 1 + j] = (r[i - len(b) + 1 + j] - factor * bj) % p
-        a, b = b, _poly_trim(r)
+        a, b = b, _poly_modred(a, b, p)
     return a
 
 
@@ -96,46 +88,28 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
     if m < 1:
         return False
     x = [0, 1]
-    # x^(p^m) == x mod f
-    h = _poly_powmod(x, p**m, f, p)
-    diff = _poly_trim([(hi - xi) % p for hi, xi in
-                       zip(h + [0] * 2, x + [0] * len(h))])
-    if diff:
-        return False
-    for q in _prime_factors(m):
-        h = _poly_powmod(x, p ** (m // q), f, p)
-        diff = _poly_trim([(hi - xi) % p for hi, xi in
+
+    def x_power_minus_x(e: int) -> list[int]:
+        h = _poly_powmod(x, e, f, p)
+        return _poly_trim([(hi - xi) % p for hi, xi in
                            zip(h + [0] * 2, x + [0] * len(h))])
-        if len(_poly_gcd(f, diff, p)) != 1:
-            return False
-    return True
 
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
+    # x^(p^m) == x mod f, and x^(p^(m/q)) - x coprime to f for each prime q | m
+    if x_power_minus_x(p**m):
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return all(len(_poly_gcd(f, x_power_minus_x(p ** (m // q)), p)) == 1
+               for q in _prime_factors(m))
 
 
 def _factor_prime_power(order: int) -> tuple[int, int]:
-    for p in range(2, order + 1):
-        if not _is_prime(p):
-            continue
-        if order % p == 0:
-            m = 0
-            n = order
-            while n % p == 0:
-                n //= p
-                m += 1
-            if n != 1:
-                raise ParamError(f"order {order} is not a prime power")
-            return p, m
-    raise ParamError(f"order {order} is not a prime power")
+    factors = _prime_factors(order)
+    if len(factors) != 1:
+        raise ParamError(f"order {order} is not a prime power")
+    p, m = factors[0], 0
+    while order > 1:
+        order //= p
+        m += 1
+    return p, m
 
 
 def _int_to_digits(value: int, p: int, m: int) -> list[int]:

@@ -15,6 +15,9 @@ Two models:
 Payloads are arbitrary nested tuples of field elements, ints and
 strings.  Honest payloads stay hashable so that majority votes work; a
 majority vote counts an unhashable payload from the adversary as None.
+The adversary's view (``AdversaryView``) decomposes into (path, leaf)
+pairs, descending into non-empty tuples; an empty tuple is a leaf.  Its
+canonical form, and both privacy analyzers, read that one decomposition.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Any, Callable
 
 from .errors import ParamError
-from .field import FieldElement
+from .field import FieldElement, peek
 from .randomness import Randomness
 from .topology import Hypergraph
 
@@ -45,11 +48,12 @@ class AdversaryView:
         self.public.append((rnd, label, payload))
 
     def leaves(self) -> list:
-        """Flatten to (path, leaf) pairs; a traced element keeps its taint."""
+        """Flatten to (path, leaf) pairs, descending into non-empty tuples;
+        an empty tuple is a leaf, and a traced element keeps its taint."""
         out = []
 
         def walk(prefix, value):
-            if isinstance(value, tuple):
+            if isinstance(value, tuple) and value:
                 for i, v in enumerate(value):
                     walk(prefix + (i,), v)
             else:
@@ -62,21 +66,25 @@ class AdversaryView:
         return out
 
     def canonical(self) -> tuple:
-        """Hashable value of the whole view: field elements by value."""
-
-        def conv(value):
-            if isinstance(value, FieldElement):
-                return ("F", value.value)
-            if isinstance(value, tuple):
-                return tuple(conv(v) for v in value)
+        """Hashable value of the whole view: its leaves, each by
+        ``leaf_key``, and an unhashable one (a list, a dict) by its repr."""
+        out = []
+        for path, value in self.leaves():
+            key = leaf_key(value)
             try:
-                hash(value)
-            except TypeError:   # a list, dict or other unhashable payload
-                return ("repr", repr(value))
-            return value
+                hash(key)
+            except TypeError:
+                key = ("repr", repr(value))
+            out.append((path, key))
+        return tuple(out)
 
-        return (tuple((r, w, conv(p)) for r, w, p in self.events),
-                tuple((r, l, conv(p)) for r, l, p in self.public))
+
+def leaf_key(value):
+    """Taint-free image of one view leaf: a field element by its value,
+    read without observing it."""
+    if isinstance(value, FieldElement):
+        return ("F", peek(value))
+    return value
 
 
 @dataclass
@@ -345,10 +353,8 @@ class IdealizedReliableChannel:
         self.delta_r = delta_r
         self.view = view
         self._rng = rng
-        self.uses = 0
 
     def send(self, rnd: int, label, payload):
-        self.uses += 1
         self.view.announce(rnd, ("reliable", label), payload)
         coin, _ = self._rng.draw(_COIN_RESOLUTION)
         if coin < self.delta_r * _COIN_RESOLUTION:

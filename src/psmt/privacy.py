@@ -17,9 +17,14 @@ tainted element nested inside a plain leaf (a list, a dict, a
 dataclass).  An ``==`` whose difference is a constant, as in an honest
 tag check, observes nothing.
 
-Untainted leaves that differ between the two reference runs give exactly
-2 when neither run observed a draw; otherwise a branch on an observed
-draw may explain them, and the analyzer falls back to sampling.
+The view is read as ``AdversaryView.leaves()``, the same (path, leaf)
+decomposition the Monte Carlo estimator keys its histograms on; an empty
+tuple is a leaf.  A path that holds an untainted leaf in both reference
+runs, with a different value in each, gives exactly 2 when neither run
+observed a draw; otherwise a branch on an observed draw may explain it,
+and the analyzer falls back to sampling.  So it does when a path is
+untainted in one run and traced or absent in the other: the structure of
+the view depends on the message.
 
 ``view_distance`` traces m0 and m1 once each and then:
 
@@ -72,8 +77,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .field import FieldElement, TracedElement, peek
-from .netsim import AdversaryView
+from .field import FieldElement, TracedElement
+from .netsim import AdversaryView, leaf_key
 from .randomness import Randomness, TracingRandomness, derive_trial_seed
 from .sharing import solve_raw
 
@@ -118,13 +123,6 @@ def shared_rng_runner(func, **fixed):
         return func(message, **kw).view
 
     return run
-
-
-def _leaf_key(value):
-    """Hashable, taint-free image of one view leaf."""
-    if isinstance(value, FieldElement):
-        return ("F", peek(value))
-    return value
 
 
 def _nested_elements(value, seen: set):
@@ -173,10 +171,10 @@ class _Trace:
                 # eliminated through them and pinning them is enumerated
                 for element in _nested_elements(value, set()):
                     rng.observed |= element.taint
-                self.plain.append((path, _leaf_key(value)))
+                self.plain.append((path, leaf_key(value)))
         self.paths = [path for path, _, _ in self.tainted]
         self.fields = {path: value.spec for path, value, _ in self.tainted}
-        self.keys = {path: _leaf_key(value) for path, value, _ in self.tainted}
+        self.keys = {path: leaf_key(value) for path, value, _ in self.tainted}
         self.polys = {path: rng.poly_of(value) for path, value, _ in self.tainted}
         self.blocked = set(rng.observed).union(*rng.atoms.values())
 
@@ -483,10 +481,12 @@ def _view_distance(run, m0, m1, seed, limit, samples, symbolic) -> PrivacyReport
         if refs[0].rng.observed or refs[1].rng.observed:
             return _fallback(run, m0, m1, seed, samples, "unstable",
                              "; deterministic view parts differ after an observed draw")
-        return PrivacyReport("exact", 2.0, 2.0,
-                             note="deterministic view parts differ")
+        other = dict(refs[1].plain)
+        if any(path in other and other[path] != key for path, key in refs[0].plain):
+            return PrivacyReport("exact", 2.0, 2.0,
+                                 note="deterministic view parts differ")
     shapes = [[(path, taint) for path, _, taint in ref.tainted] for ref in refs]
-    if shapes[0] != shapes[1]:
+    if refs[0].plain != refs[1].plain or shapes[0] != shapes[1]:
         # the random scaffolding itself depends on the message
         return _fallback(run, m0, m1, seed, samples, "message-dependent-structure")
 

@@ -1,8 +1,11 @@
 """Protocol registry.
 
 Every protocol is described by a ``ProtocolDescriptor`` with a uniform
-``run(message, adversary=None, rng_a=None, rng_b=None, seed=0, **kw)``
+``run(message, ..., adversary=None, rng_a=None, rng_b=None, seed=0)``
 entry point and metadata used by the command line and the analyzers.
+The entry point's signature is the one declaration of the parameters a
+protocol takes beyond the uniform ones (``k``, ``u``, ``graph``,
+``n_forward``, ...): the command line requires each that has no default.
 """
 
 from __future__ import annotations
@@ -21,11 +24,7 @@ class ProtocolDescriptor:
     kind: str                 # "channels", "hypergraph", or "neighbor"
     perfectly_reliable: bool  # delta == 0
     private: bool             # epsilon == 0 claimed
-    needs_k: bool = True
-    needs_u: bool = False
-    needs_graph: bool = False
     round_bound: Callable | None = None   # (k, u) -> max simulator rounds
-    summary: str = ""
 
 
 REGISTRY: dict[str, ProtocolDescriptor] = {}
@@ -38,61 +37,48 @@ def _register(desc: ProtocolDescriptor) -> None:
 _register(ProtocolDescriptor(
     "oneway", directed.oneway, "channels",
     perfectly_reliable=False, private=True,
-    round_bound=lambda k, u: 2 * k + 1,
-    summary="2k+1 forward channels, authenticated share per round"))
+    round_bound=lambda k, u: 2 * k + 1))
 _register(ProtocolDescriptor(
     "single-feedback", directed.single_feedback, "channels",
-    perfectly_reliable=False, private=True, needs_k=False,
-    round_bound=lambda k, u: 3,
-    summary="2 forward + 1 backward channels, one corruption"))
+    perfectly_reliable=False, private=True,
+    round_bound=lambda k, u: 3))
 _register(ProtocolDescriptor(
     "subset-exchange", directed.subset_exchange, "channels",
-    perfectly_reliable=False, private=True,
-    summary="pad agreement over every (k+1)-subset of channels"))
+    perfectly_reliable=False, private=True))
 _register(ProtocolDescriptor(
     "feedback-efficient", directed.feedback_efficient, "channels",
-    perfectly_reliable=False, private=True, needs_u=True,
-    round_bound=lambda k, u: 2 * k + 2 + u,
-    summary="2k+1-u forward + u backward channels, rounds 2k+2+u"))
+    perfectly_reliable=False, private=True,
+    round_bound=lambda k, u: 2 * k + 2 + u))
 _register(ProtocolDescriptor(
     "perfect-oneway", perfect.perfect_oneway, "channels",
     perfectly_reliable=True, private=True,
-    round_bound=lambda k, u: 1,
-    summary="3k+1 forward channels, single round"))
+    round_bound=lambda k, u: 1))
 _register(ProtocolDescriptor(
     "perfect-3k", perfect.perfect_3k, "channels",
     perfectly_reliable=True, private=True,
-    round_bound=lambda k, u: 3,
-    summary="3k forward + 1 backward channels, any k"))
+    round_bound=lambda k, u: 3))
 _register(ProtocolDescriptor(
     "perfect-u1", perfect.perfect_u1, "channels",
-    perfectly_reliable=True, private=True,
-    summary="3k-1 forward + 1 backward channels, k >= 2"))
+    perfectly_reliable=True, private=True))
 _register(ProtocolDescriptor(
     "perfect-general", perfect.perfect_general, "channels",
-    perfectly_reliable=True, private=True, needs_u=True,
-    summary="max(3k+1-2u, 2k+1) forward + u backward channels"))
+    perfectly_reliable=True, private=True))
 _register(ProtocolDescriptor(
     "perfect-efficient", perfect.perfect_efficient, "channels",
-    perfectly_reliable=True, private=True, needs_u=True,
-    round_bound=lambda k, u: 11 * max(u, 1),
-    summary="3k+1-u forward + u backward channels, rounds linear in u"))
+    perfectly_reliable=True, private=True,
+    round_bound=lambda k, u: 11 * max(u, 1)))
 _register(ProtocolDescriptor(
     "perfect-shared", perfect.perfect_shared_feedback, "channels",
-    perfectly_reliable=True, private=True, needs_u=True,
-    summary="3k+1-u forward channels, feedback may share nodes"))
+    perfectly_reliable=True, private=True))
 _register(ProtocolDescriptor(
     "hyper-reliable", hypernet.hypergraph_reliable, "hypergraph",
-    perfectly_reliable=True, private=False, needs_graph=True,
-    summary="majority over 2k+1 disjoint hyperpaths (no privacy)"))
+    perfectly_reliable=True, private=False))
 _register(ProtocolDescriptor(
     "hyper-private", hypernet.hypergraph_private, "hypergraph",
-    perfectly_reliable=False, private=True, needs_graph=True,
-    summary="per-suspect-set key paths over a strongly k-connected hypergraph"))
+    perfectly_reliable=False, private=True))
 _register(ProtocolDescriptor(
     "neighbor-exchange", hypernet.neighbor_exchange, "neighbor",
-    perfectly_reliable=False, private=True, needs_k=False,
-    summary="relay-masked keys on the two-chain neighbor network"))
+    perfectly_reliable=False, private=True))
 
 
 def get(name: str) -> ProtocolDescriptor:

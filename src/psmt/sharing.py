@@ -23,7 +23,7 @@ return each result as a fresh atom over the taint they name.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Sequence
 
@@ -41,10 +41,12 @@ _ROW_CACHE = 4096
 
 @dataclass(frozen=True)
 class SharingParams:
+    """n shares of degree-k polynomials over ``field``, evaluated at the
+    points 1 .. n."""
+
     n: int
     k: int
     field: FieldSpec
-    points: tuple[FieldElement, ...] = dc_field(default=())
 
     def __post_init__(self):
         if not (0 <= self.k < self.n):
@@ -52,20 +54,15 @@ class SharingParams:
         if self.n > self.field.order - 1:
             raise ParamError(
                 f"n={self.n} exceeds the {self.field.order - 1} nonzero points of {self.field}")
-        if not self.points:
-            object.__setattr__(
-                self, "points",
-                tuple(self.field.element(i) for i in range(1, self.n + 1)))
-        if len(self.points) != self.n:
-            raise ParamError("need exactly n evaluation points")
-        seen = {pt.value for pt in self.points}
-        if len(seen) != self.n or 0 in seen:
-            raise ParamError("evaluation points must be distinct and nonzero")
 
     @cached_property
     def xs(self) -> tuple[int, ...]:
         """The evaluation points as raw integers."""
-        return tuple(pt.value for pt in self.points)
+        return tuple(range(1, self.n + 1))
+
+    @cached_property
+    def points(self) -> tuple[FieldElement, ...]:
+        return tuple(FieldElement(self.field, x) for x in self.xs)
 
     @property
     def max_detect(self) -> int:
@@ -91,14 +88,6 @@ class ReceivedWord:
 
     def present(self) -> list[tuple[int, FieldElement]]:
         return [(i, e) for i, e in enumerate(self.entries) if e is not None]
-
-    def filled(self, default: FieldElement | None = None) -> "ReceivedWord":
-        """Substitute the field's zero (or a given default) for missing slots."""
-        if default is None:
-            default = self.params.field.zero()
-        return ReceivedWord(
-            tuple(e if e is not None else default for e in self.entries),
-            self.params)
 
 
 def _checked(spec: FieldSpec, elements):
@@ -250,14 +239,9 @@ def _on_code(params: SharingParams, ys: Sequence, dot) -> bool:
     return True
 
 
-def detect_errors(word: ReceivedWord, max_detect: int | None = None) -> str:
+def detect_errors(word: ReceivedWord) -> str:
     """CLEAN iff the full word lies on a single degree-<=k polynomial."""
     params = word.params
-    if max_detect is None:
-        max_detect = params.max_detect
-    if max_detect > params.max_detect:
-        raise ParamError(
-            f"max_detect {max_detect} exceeds MDS bound {params.max_detect}")
     ys, dot, _ = _linear(params.field, _full(word))
     return CLEAN if _on_code(params, ys, dot) else CORRUPTED
 

@@ -12,30 +12,27 @@ from .errors import ParamError
 from .field import FieldElement, FieldSpec
 
 
+def _map_elements(payload, f):
+    """``payload`` with ``f`` applied to every field element, keeping shape."""
+    if isinstance(payload, FieldElement):
+        return f(payload)
+    if isinstance(payload, tuple):
+        return tuple(_map_elements(v, f) for v in payload)
+    return payload
+
+
 def random_tamperer(spec: FieldSpec):
     """Replace every field element with a fresh uniform one, keeping shape."""
     def strategy(ctx):
-        def mess(x):
-            if isinstance(x, FieldElement):
-                v, _ = ctx.rng.draw(spec.order)
-                return spec.element(v)
-            if isinstance(x, tuple):
-                return tuple(mess(v) for v in x)
-            return x
-        return mess(ctx.payload)
+        return _map_elements(ctx.payload,
+                             lambda x: spec.element(ctx.rng.draw(spec.order)[0]))
     return strategy
 
 
 def shift_tamperer():
     """Add one to every field element; minimal, always-detectable damage."""
     def strategy(ctx):
-        def mess(x):
-            if isinstance(x, FieldElement):
-                return x + x.spec.one()
-            if isinstance(x, tuple):
-                return tuple(mess(v) for v in x)
-            return x
-        return mess(ctx.payload)
+        return _map_elements(ctx.payload, lambda x: x + x.spec.one())
     return strategy
 
 
@@ -76,18 +73,18 @@ def scripted(script: dict, default=None):
 
 
 BUILTIN = {
-    "passive": lambda spec, **kw: None,
-    "random": lambda spec, **kw: random_tamperer(spec),
-    "shift": lambda spec, **kw: shift_tamperer(),
-    "junk": lambda spec, **kw: format_corruptor(),
-    "stop": lambda spec, **kw: stop_forger(),
+    "passive": lambda spec: None,
+    "random": random_tamperer,
+    "shift": lambda spec: shift_tamperer(),
+    "junk": lambda spec: format_corruptor(),
+    "stop": lambda spec: stop_forger(),
 }
 
 
-def build(name: str, spec: FieldSpec, **kw):
+def build(name: str, spec: FieldSpec):
     """Look up a named strategy; ``constant:<int>`` replays one element."""
     if name in BUILTIN:
-        return BUILTIN[name](spec, **kw)
+        return BUILTIN[name](spec)
     if name.startswith("constant:"):
         return constant_replacer(spec.element(int(name.split(":", 1)[1])))
     raise ParamError(f"unknown adversary strategy {name!r}")

@@ -1,10 +1,12 @@
 """Command line interface: subcommands, exit codes, and determinism."""
 
+import inspect
 import json
+import pathlib
 
 import pytest
 
-from psmt import fixtures
+from psmt import fixtures, protocols
 from psmt.cli import main
 
 
@@ -185,3 +187,58 @@ def test_privacy_rejects_non_private_protocol(capsys):
         capsys, "privacy", "--protocol", "hyper-reliable", "--field", "7",
         "--k", "1", "--fixture", "fig5", "--m0", "0", "--m1", "1")
     assert code == 2 and "privacy claim" in err
+
+
+_DUO = str(pathlib.Path(__file__).parent / "golden" / "duo.json")
+# every registry entry with the options its entry point requires, each
+# option a (flag, value) pair under the entry point's parameter name
+_REQUIRED = {
+    "oneway": {"k": ("--k", "1")},
+    "single-feedback": {},
+    "subset-exchange": {"k": ("--k", "1"), "n_forward": ("--n-forward", "2"),
+                        "n_backward": ("--n-backward", "1")},
+    "feedback-efficient": {"k": ("--k", "1"), "u": ("--u", "1")},
+    "perfect-oneway": {"k": ("--k", "1")},
+    "perfect-3k": {"k": ("--k", "1")},
+    "perfect-u1": {"k": ("--k", "2")},
+    "perfect-general": {"k": ("--k", "2"), "u": ("--u", "1")},
+    "perfect-efficient": {"k": ("--k", "1"), "u": ("--u", "1")},
+    "perfect-shared": {"k": ("--k", "1"), "u": ("--u", "1")},
+    "hyper-reliable": {"graph": ("--fixture", "fig5"), "k": ("--k", "1")},
+    "hyper-private": {"graph": ("--topology-file", _DUO), "k": ("--k", "1")},
+    "neighbor-exchange": {},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REQUIRED))
+def test_simulate_requires_each_parameter_without_a_default(capsys, name):
+    params = inspect.signature(protocols.get(name).run).parameters
+    assert set(_REQUIRED) == set(protocols.names())
+    assert set(_REQUIRED[name]) == {
+        p for p, v in params.items() if v.default is v.empty and p != "message"}
+    base = ["simulate", "--protocol", name, "--field", "7", "--trials", "2"]
+    options = _REQUIRED[name]
+    code, report, _ = run(capsys, *base, *[x for pair in options.values() for x in pair])
+    assert code == 0 and report["trials"] == 2
+    for left_out, (flag, _) in options.items():
+        argv = base + [x for p, pair in options.items() if p != left_out for x in pair]
+        code, _, err = run(capsys, *argv)
+        assert code == 2, (name, left_out)
+        assert "requires" in err and flag in err, (name, left_out, err)
+
+
+def test_optional_parameters_reach_their_entry_points(capsys):
+    neighbor = ["simulate", "--protocol", "neighbor-exchange", "--field", "5",
+                "--trials", "40", "--seed", "1", "--corrupt", "C"]
+    _, report, _ = run(capsys, *neighbor)
+    assert report["detected_failures"] == 0
+    _, report, _ = run(capsys, *neighbor, "--delta-r", "0.5")
+    assert report["detected_failures"] == 28 and report["successes"] == 12
+    oneway = ["simulate", "--protocol", "oneway", "--field", "7", "--k", "1",
+              "--trials", "10"]
+    _, report, _ = run(capsys, *oneway)
+    assert report["rounds_max"] == 3
+    _, report, _ = run(capsys, *oneway, "--n-forward", "4", "--corrupt", "AB3")
+    assert report["rounds_max"] == 4 and report["successes"] == 10
+    code, _, err = run(capsys, *oneway, "--n-forward", "2")
+    assert code == 1 and "precondition" in err

@@ -188,13 +188,22 @@ def test_view_leaves_and_canonical_descend_into_tuples():
     spec = GF(7)
     tainted = spec.sample(TracingRandomness("view", pinned={0: 3}))
     view = AdversaryView()
-    view.record(0, ("AB", 0), ((tainted, spec.element(5)), "tag"))
+    view.record(0, ("AB", 0), ((tainted, spec.element(5)), "tag", ()))
+    view.announce(1, "AB", [1, 2])
     leaves = dict(view.leaves())
     assert leaves[("event", 0, 0, ("AB", 0), 0, 0)].taint == frozenset({0})
     assert leaves[("event", 0, 0, ("AB", 0), 0, 1)] == spec.element(5)
     assert leaves[("event", 0, 0, ("AB", 0), 1)] == "tag"
-    canon = view.canonical()
-    assert canon[0][0][2][0] == (("F", 3), ("F", 5))  # taints dropped, values kept
+    assert leaves[("event", 0, 0, ("AB", 0), 2)] == ()   # an empty tuple is a leaf
+    assert leaves[("public", 0, 1, "AB")] == [1, 2]
+    # the canonical form keys the same leaves: taints dropped, values kept
+    assert dict(view.canonical()) == {
+        ("event", 0, 0, ("AB", 0), 0, 0): ("F", 3),
+        ("event", 0, 0, ("AB", 0), 0, 1): ("F", 5),
+        ("event", 0, 0, ("AB", 0), 1): "tag",
+        ("event", 0, 0, ("AB", 0), 2): (),
+        ("public", 0, 1, "AB"): ("repr", "[1, 2]"),
+    }
 
 
 def test_adversary_rng_is_seed_deterministic():

@@ -183,6 +183,46 @@ def test_plain_leaves_that_differ_after_an_observed_draw_are_not_exact():
         assert report.fallback == "unstable", (seed, report)
 
 
+def test_views_that_differ_by_an_empty_tuple_are_not_private():
+    # ("drop", ()) against ("drop",): the views are disjoint, distance 2.
+    # An empty tuple is a leaf of the one decomposition both the certified
+    # analysis and the Monte Carlo estimator read
+    spec = GF(5)
+
+    def run(message, rng):
+        view = AdversaryView()
+        view.record(0, ("AB", 0), ("drop", ()) if message == spec.zero() else ("drop",))
+        return view
+
+    m0, m1 = spec.element(0), spec.element(4)
+    for analyze in (view_distance, _enumerated_distance):
+        report = analyze(run, m0, m1, samples=50)
+        assert not report.perfectly_private, report
+        assert report.method == "monte-carlo", report
+        assert report.fallback == "message-dependent-structure", report
+        assert report.component_tv == [2.0]
+    assert monte_carlo_distance(run, m0, m1, samples=50).component_tv == [2.0]
+
+
+def test_path_traced_under_one_message_and_plain_under_the_other_is_not_exact():
+    # a uniform value against a point mass: the true distance is 1.6, not
+    # the 2.0 of two deterministic values that differ
+    spec = GF(5)
+
+    def run(message, rng):
+        view = AdversaryView()
+        pad = spec.sample(rng)
+        view.record(0, ("AB", 0), pad if message == spec.zero() else spec.element(3))
+        return view
+
+    m0, m1 = spec.element(0), spec.element(4)
+    for analyze in (view_distance, _enumerated_distance):
+        report = analyze(run, m0, m1, samples=2000)
+        assert report.method == "monte-carlo", report
+        assert report.fallback == "message-dependent-structure", report
+        assert 1.4 <= report.component_tv[0] <= 1.8
+
+
 def test_shared_rng_runner_passes_relay_randomness():
     spec = GF(2)
     run = shared_rng_runner(
@@ -338,6 +378,7 @@ def test_message_times_pad_with_zero_message():
         report = _both(run, spec, m0, m1)
         assert report.method == "exact"
         assert report.lower == report.upper == 1.6
+        assert report.replays == 14
 
 
 def test_nonlinear_pad_is_not_eliminated():
