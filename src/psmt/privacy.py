@@ -19,12 +19,13 @@ tag check, observes nothing.
 
 The view is read as ``AdversaryView.leaves()``, the same (path, leaf)
 decomposition the Monte Carlo estimator keys its histograms on; an empty
-tuple is a leaf.  A path that holds an untainted leaf in both reference
-runs, with a different value in each, gives exactly 2 when neither run
-observed a draw; otherwise a branch on an observed draw may explain it,
-and the analyzer falls back to sampling.  So it does when a path is
-untainted in one run and traced or absent in the other: the structure of
-the view depends on the message.
+tuple is a leaf.  When neither reference run observed a draw, every run
+follows its reference, so the views are disjoint, exactly 2 apart, if a
+path holds an untainted leaf in both runs with a different value in
+each, or if the runs' sets of leaf paths differ.  After an observed draw
+a branch on it may explain such a difference, and the analyzer falls
+back to sampling.  So it does when a path is untainted in one run and
+traced in the other: the structure of the view depends on the message.
 
 ``view_distance`` traces m0 and m1 once each and then:
 
@@ -477,8 +478,9 @@ def _counted(run, m0, m1, seed, limit, samples, symbolic) -> PrivacyReport:
 
 def _view_distance(run, m0, m1, seed, limit, samples, symbolic) -> PrivacyReport:
     refs = (_trace(run, m0, seed), _trace(run, m1, seed))
+    observed = refs[0].rng.observed | refs[1].rng.observed
     if refs[0].plain != refs[1].plain:
-        if refs[0].rng.observed or refs[1].rng.observed:
+        if observed:
             return _fallback(run, m0, m1, seed, samples, "unstable",
                              "; deterministic view parts differ after an observed draw")
         other = dict(refs[1].plain)
@@ -487,6 +489,11 @@ def _view_distance(run, m0, m1, seed, limit, samples, symbolic) -> PrivacyReport
                                  note="deterministic view parts differ")
     shapes = [[(path, taint) for path, _, taint in ref.tainted] for ref in refs]
     if refs[0].plain != refs[1].plain or shapes[0] != shapes[1]:
+        leaf_paths = [{path for path, _ in ref.plain} | set(ref.paths) for ref in refs]
+        if not observed and leaf_paths[0] != leaf_paths[1]:
+            # every run has its reference's leaf paths: the views are disjoint
+            return PrivacyReport("exact", 2.0, 2.0, components=1, component_tv=[2.0],
+                                 note="view structures differ")
         # the random scaffolding itself depends on the message
         return _fallback(run, m0, m1, seed, samples, "message-dependent-structure")
 
@@ -495,7 +502,6 @@ def _view_distance(run, m0, m1, seed, limit, samples, symbolic) -> PrivacyReport
     kept = [(path, taint) for path, taint in shapes[0] if path not in gone]
     res = _Residual([path for path, _ in kept], dropped, m0.spec.order)
     comps = _components([taint for _, taint in kept])
-    observed = refs[0].rng.observed | refs[1].rng.observed
     moduli = {**refs[0].rng.moduli, **refs[1].rng.moduli}
 
     certified: dict = {}   # component -> its exact distance

@@ -3,8 +3,8 @@
 A secret is the constant term of a uniformly random polynomial of degree
 at most k, evaluated at n distinct nonzero points.  Decoding offers
 plain reconstruction, error detection, and bounded-distance correction
-with guaranteed simultaneous detection (never a wrong secret inside the
-n-k-e-1 detection range).
+by syndrome decoding, with guaranteed simultaneous detection (never a
+wrong secret inside the n-k-e-1 detection range).
 
 The linear algebra runs on one of two representations.  Plain elements
 are turned into packed ints and computed on with the field's raw
@@ -169,29 +169,47 @@ def _power_rows(spec: FieldSpec, xs: tuple[int, ...], k1: int) -> tuple[tuple[in
 
 
 @lru_cache(maxsize=_ROW_CACHE)
-def _lagrange_rows(spec: FieldSpec, xs: tuple[int, ...],
-                   targets: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Row t evaluates at ``targets[t]`` the polynomial of degree < len(xs)
-    through the points ``xs``: its value there is the row's dot product
-    with the values at ``xs``."""
+def _weights(spec: FieldSpec, xs: tuple[int, ...]) -> tuple[int, ...]:
+    """The barycentric weights v_i = 1 / prod_{l != i} (xs[i] - xs[l])."""
     mul, sub = spec.mul_raw, spec.sub_raw
-    scales = []
+    out = []
     for i, xi in enumerate(xs):
         den = 1
         for j, xj in enumerate(xs):
             if j != i:
                 den = mul(den, sub(xi, xj))
-        scales.append(spec.inv_raw(den))
+        out.append(spec.inv_raw(den))
+    return tuple(out)
+
+
+@lru_cache(maxsize=_ROW_CACHE)
+def _lagrange_rows(spec: FieldSpec, xs: tuple[int, ...],
+                   targets: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Row t evaluates at ``targets[t]`` the polynomial of degree < len(xs)
+    through the points ``xs``: its value there is the row's dot product
+    with the values at ``xs``."""
+    mul, sub, weights = spec.mul_raw, spec.sub_raw, _weights(spec, xs)
     rows = []
     for t in targets:
         row = []
-        for i, scale in enumerate(scales):
+        for i, scale in enumerate(weights):
             for j, xj in enumerate(xs):
                 if j != i:
                     scale = mul(scale, sub(t, xj))
             row.append(scale)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+@lru_cache(maxsize=_ROW_CACHE)
+def _syndrome_rows(spec: FieldSpec, xs: tuple[int, ...],
+                   count: int) -> tuple[tuple[int, ...], ...]:
+    """Row j < ``count`` holds v_i * xs[i]^j (``_weights``): its dot product
+    with a word is the syndrome S_j, zero on a polynomial of degree <= n-2-j."""
+    mul, weights = spec.mul_raw, _weights(spec, xs)
+    powers = _power_rows(spec, xs, count)
+    return tuple(tuple(mul(v, pw[j]) for v, pw in zip(weights, powers))
+                 for j in range(count))
 
 
 def share(secret: FieldElement, params: SharingParams, rng) -> Codeword:
@@ -253,7 +271,7 @@ class Decoded:
 
 
 def correct_errors(word: ReceivedWord, e: int) -> Decoded | None:
-    """Bounded-distance decode at radius e (Berlekamp-Welch).
+    """Bounded-distance decode at radius e (syndrome decoding).
 
     Returns the secret and the exact corrupted positions when at most e
     entries are wrong.  Returns None (errors detected beyond the radius)
@@ -261,7 +279,7 @@ def correct_errors(word: ReceivedWord, e: int) -> Decoded | None:
     inside that range.  On traced entries the secret's taint is the union
     over the k+1 entries it is read from at radius 0, and over all n
     entries otherwise.  A word on the code is its own nearest codeword at
-    every radius, so it is decoded without Berlekamp-Welch.
+    every radius, so it is decoded without computing a syndrome.
     """
     params = word.params
     if e > params.max_correct:
@@ -274,10 +292,10 @@ def correct_errors(word: ReceivedWord, e: int) -> Decoded | None:
         if e == 0:
             return None
         if dot is not spec.dot_raw:
-            # Berlekamp-Welch runs on raw values: reading a traced entry's
-            # value observes it
+            # the syndromes are computed on raw values: reading a traced
+            # entry's value observes it
             ys, dot, element = _linear(spec, entries, raw=True)
-        codeword = _berlekamp_welch(params, ys, e)
+        codeword = _syndrome_decode(params, ys, e)
         if codeword is None:
             return None
         errs = frozenset(
@@ -290,40 +308,26 @@ def correct_errors(word: ReceivedWord, e: int) -> Decoded | None:
                    errs)
 
 
-def _berlekamp_welch(params: SharingParams, ys: list[int], e: int) -> list[int] | None:
+def _syndrome_decode(params: SharingParams, ys: list[int], e: int) -> list[int] | None:
     """Find the codeword within distance 0 < e, if any (unique when
-    e <= max_correct)."""
-    spec, xs, k = params.field, params.xs, params.k
-    mul, neg, dot = spec.mul_raw, spec.neg_raw, spec.dot_raw
-    # Solve Q(x) = y * E(x) with deg Q <= e+k, E monic of degree e.
-    # Unknowns: q_0..q_{e+k}, e_0..e_{e-1}  (E = x^e + sum e_j x^j)
-    nq = e + k + 1
-    powers = _power_rows(spec, xs, nq)   # x^0 .. x^(e+k) per point
-    rows = [list(pw) + [neg(mul(y, xp)) for xp in pw[:e]] + [mul(y, pw[e])]
-            for pw, y in zip(powers, ys)]
-    sol = solve_raw(spec, rows, nq + e)
+    e <= max_correct), by syndrome decoding (Peterson-Gorenstein-Zierler)."""
+    spec, xs, k, dot = params.field, params.xs, params.k, params.field.dot_raw
+    s = [dot(row, ys) for row in _syndrome_rows(spec, xs, 2 * e)]
+    # Key equation sum_t l_t S_{j+t} = -S_{j+e}, j < e: the errors alone make
+    # the syndromes, so each solution's monic locator x^e + sum_t l_t x^t
+    # vanishes at every error point; its other roots act as erasures.
+    sol = solve_raw(spec, [s[j:j + e] + [spec.neg_raw(s[j + e])] for j in range(e)], e)
     if sol is None:
         return None
-    q = sol[:nq]
-    ecf = sol[nq:] + [1]
-    # codeword_i = Q(x_i) / E(x_i); E(x_i) = 0 marks an error position
-    out = []
-    for pw in powers:
-        ev = dot(pw[: e + 1], ecf)
-        out.append(None if ev == 0 else mul(dot(pw, q), spec.inv_raw(ev)))
-    # fill error positions from the interpolant through k+1 non-error slots,
-    # and require every non-error slot to lie on it
-    good = [i for i, v in enumerate(out) if v is not None][: k + 1]
-    if len(good) < k + 1:
+    locator = sol + [1]
+    good = [i for i, pw in enumerate(_power_rows(spec, xs, e + 1)) if dot(pw, locator)]
+    # fill the (at most e) roots from the interpolant through k+1 other
+    # slots, and require every other slot to lie on it
+    used = good[: k + 1]
+    vals = [ys[i] for i in used]
+    full = [dot(row, vals) for row in _lagrange_rows(spec, tuple(xs[i] for i in used), xs)]
+    if any(full[i] != ys[i] for i in good):
         return None
-    rows = _lagrange_rows(spec, tuple(xs[i] for i in good), xs)
-    vals = [out[i] for i in good]
-    full = []
-    for row, v in zip(rows, out):
-        w = spec.dot_raw(row, vals)
-        if v is not None and v != w:
-            return None
-        full.append(w)
     return full
 
 

@@ -186,7 +186,9 @@ def test_plain_leaves_that_differ_after_an_observed_draw_are_not_exact():
 def test_views_that_differ_by_an_empty_tuple_are_not_private():
     # ("drop", ()) against ("drop",): the views are disjoint, distance 2.
     # An empty tuple is a leaf of the one decomposition both the certified
-    # analysis and the Monte Carlo estimator read
+    # analysis and the Monte Carlo estimator read.  No draw is observed, so
+    # every run has its reference's leaf paths: exact, with no replay
+    # beyond the two reference runs
     spec = GF(5)
 
     def run(message, rng):
@@ -198,10 +200,48 @@ def test_views_that_differ_by_an_empty_tuple_are_not_private():
     for analyze in (view_distance, _enumerated_distance):
         report = analyze(run, m0, m1, samples=50)
         assert not report.perfectly_private, report
+        assert report.method == "exact" and report.fallback is None, report
+        assert report.component_tv == [2.0] and report.replays == 2, report
+        assert report.lower == report.upper == 2.0
+    assert monte_carlo_distance(run, m0, m1, samples=50).component_tv == [2.0]
+
+
+def test_traced_leaves_on_different_paths_are_exactly_two_apart():
+    # a pad shown on AB0 under one message and on AB1 under the other: the
+    # untainted leaves agree, the leaf paths do not
+    spec = GF(5)
+
+    def run(message, rng):
+        view = AdversaryView()
+        view.record(0, ("AB", 0 if message == spec.zero() else 1), spec.sample(rng))
+        return view
+
+    m0, m1 = spec.element(0), spec.element(4)
+    for analyze in (view_distance, _enumerated_distance):
+        report = analyze(run, m0, m1, samples=50)
+        assert report.method == "exact" and report.component_tv == [2.0], report
+        assert report.replays == 2, report
+
+
+def test_different_leaf_paths_after_an_observed_draw_fall_back():
+    # the path depends on a draw the run branched on: the views are not
+    # disjoint (the channel is AB0 with probability 1/5 under either
+    # message, distance 0), so no exact 2.0
+    spec = GF(5)
+
+    def run(message, rng):
+        view = AdversaryView()
+        coin = spec.sample(rng)
+        channel = 0 if coin.value == (-message).value else 1
+        view.record(0, ("AB", channel), spec.sample(rng))
+        return view
+
+    # the coin of seed 0 is 0: the reference runs use different channels
+    m0, m1 = spec.element(0), spec.element(4)
+    for analyze in (view_distance, _enumerated_distance):
+        report = analyze(run, m0, m1, samples=400)
         assert report.method == "monte-carlo", report
         assert report.fallback == "message-dependent-structure", report
-        assert report.component_tv == [2.0]
-    assert monte_carlo_distance(run, m0, m1, samples=50).component_tv == [2.0]
 
 
 def test_path_traced_under_one_message_and_plain_under_the_other_is_not_exact():

@@ -1,5 +1,6 @@
 """Threshold sharing, detection, bounded-distance correction, oracle parity."""
 
+import functools
 import itertools
 import random
 
@@ -15,6 +16,7 @@ from psmt.sharing import (
     CORRUPTED,
     ReceivedWord,
     SharingParams,
+    _syndrome_decode,
     correct_errors,
     detect_errors,
     oracle_decode,
@@ -403,8 +405,8 @@ def test_int_kernels_match_reference_oracle(order):
             params = SharingParams(n, k, spec)
             for _ in range(12):
                 # a plain source runs every decoder on raw ints; a tracing
-                # one runs the element path, and Berlekamp-Welch and the
-                # oracle still on raw ints
+                # one runs the element path, and the syndrome decoder and
+                # the oracle still on raw ints
                 traced, seed = rng.random() < 0.5, rng.random()
                 src, ref_src = _source(seed, traced), _source(seed, traced)
                 secret = spec.element(rng.randrange(order))
@@ -444,7 +446,7 @@ def test_int_kernels_match_reference_oracle(order):
                     if e == 0:
                         assert _provenance([got.secret]) == _provenance([want[0]])
                     else:
-                        # the elimination mixes every entry: all n taints
+                        # the syndromes mix every entry: all n taints
                         taint = _taint_union(entries)
                         assert getattr(got.secret, "taint", None) == taint
                         assert isinstance(got.secret, TracedElement) == bool(taint)
@@ -454,6 +456,102 @@ def test_int_kernels_match_reference_oracle(order):
                 def triples(best):
                     return [(_provenance([s]), _provenance(c), d) for s, c, d in best]
                 assert triples(oracle_decode(word)) == triples(_ref_oracle(word))
+
+
+# ---------------------------------------------------------------------------
+# radius 3 and above: the syndrome decoder against the element-based
+# Berlekamp-Welch reference at n = 7..12, one word per error weight
+
+
+@functools.lru_cache(maxsize=None)
+def _wide_cases(order):
+    """(word, secret, error positions, radius) for every n in 7..12, k < n,
+    error weight 0..n and radius 1..max_correct."""
+    spec = GF(order)
+    rng = random.Random(order)
+    cases = []
+    for n in range(7, 13):
+        for k in range(n):
+            params = SharingParams(n, k, spec)
+            for weight in range(n + 1):
+                secret = spec.element(rng.randrange(order))
+                entries = list(share(secret, params, Randomness(rng.random())).shares)
+                positions = frozenset(rng.sample(range(n), weight))
+                for pos in positions:
+                    entries[pos] = entries[pos] + spec.element(rng.randrange(1, order))
+                word = ReceivedWord(tuple(entries), params)
+                cases += [(word, secret, positions, e)
+                          for e in range(1, params.max_correct + 1)]
+    return cases
+
+
+def _wide(order, select):
+    """The cases whose error weight t and radius e satisfy
+    ``select(t, e, detect)``, detect = n-k-e-1 the end of the
+    simultaneous-detection range; each decoded as the reference does."""
+    chosen = []
+    for word, secret, positions, e in _wide_cases(order):
+        params = word.params
+        if select(len(positions), e, params.n - params.k - e - 1):
+            got, want = correct_errors(word, e), _ref_correct(word, e)
+            assert (got is None) == (want is None), (word, e)
+            if got is not None:
+                assert (got.secret, got.error_positions) == want
+            chosen.append((word, secret, positions, e, got))
+    assert chosen
+    return chosen
+
+
+def _codeword_within(word, e):
+    """The syndrome decoder's own result: a codeword within distance e of
+    the word, or None.  Read directly, because ``correct_errors`` also
+    rejects more than e differences, which would hide a decoder that
+    returned a farther codeword."""
+    ys = [peek(v) for v in word.entries]
+    codeword = _syndrome_decode(word.params, ys, e)
+    if codeword is not None:
+        spec = word.params.field
+        found = ReceivedWord(tuple(spec.element(v) for v in codeword), word.params)
+        assert detect_errors(found) == CLEAN
+        assert sum(a != b for a, b in zip(codeword, ys)) <= e
+    return codeword
+
+
+WIDE_ORDERS = [16, 81, 101, 2 ** 16]
+
+
+@pytest.mark.parametrize("order", WIDE_ORDERS)
+def test_fewer_errors_than_the_radius_leave_extra_locator_roots(order):
+    # t < e: the key equation is singular; its locator is the error
+    # locator times a monic factor of degree e - t, whose roots among the
+    # points act as erasures
+    for word, secret, positions, e, got in _wide(order, lambda t, e, _: t < e):
+        assert got is not None and got.secret == secret
+        assert got.error_positions == positions
+
+
+@pytest.mark.parametrize("order", WIDE_ORDERS)
+def test_errors_at_the_radius_are_corrected(order):
+    for word, secret, positions, e, got in _wide(order, lambda t, e, _: 0 < t == e):
+        assert got is not None and got.secret == secret
+        assert got.error_positions == positions
+
+
+@pytest.mark.parametrize("order", WIDE_ORDERS)
+def test_errors_in_the_detection_range_give_none(order):
+    # e < t <= n-k-e-1: no codeword lies within e, so no secret at all
+    for word, _, _, e, got in _wide(order, lambda t, e, detect: e < t <= detect):
+        assert got is None
+        assert _codeword_within(word, e) is None
+
+
+@pytest.mark.parametrize("order", WIDE_ORDERS)
+def test_errors_beyond_the_detection_range_match_the_reference(order):
+    # t > n-k-e-1: the word may lie within e of another codeword (over the
+    # small fields it sometimes does); the decoder finds it exactly when
+    # the reference does
+    for word, _, _, e, got in _wide(order, lambda t, e, detect: t > detect):
+        assert (_codeword_within(word, e) is None) == (got is None)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +643,7 @@ def test_corrupted_word_observes():
     assert detect_errors(word) == CORRUPTED
     assert rng.observed == set()
     # the last share moved by a fresh draw: the one failing check observes
-    # that draw, and Berlekamp-Welch then reads every entry's value
+    # that draw, and the syndrome decoder then reads every entry's value
     extra = spec.sample(rng)
     word = ReceivedWord(shares[:-1] + (shares[-1] + extra,), params)
     assert detect_errors(word) == CORRUPTED
@@ -553,7 +651,7 @@ def test_corrupted_word_observes():
     decoded = correct_errors(word, 2)
     assert rng.observed == {0, 1, 2}
     assert decoded.error_positions == frozenset({6})
-    # Berlekamp-Welch ran on raw ints: the secret is a fresh atom over the
+    # the syndrome decoder ran on raw ints: the secret is a fresh atom over the
     # taints of all n entries
     assert peek(decoded.secret) == 3 and isinstance(decoded.secret, TracedElement)
     assert decoded.secret.taint == frozenset({0, 1, 2})
