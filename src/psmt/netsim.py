@@ -12,12 +12,16 @@ Two models:
   node paths; every recipient of a used hyperedge overhears the payload,
   and corrupted relay nodes may replace what they forward.
 
+``broadcast`` is one ``PathNetwork`` round of a public value; it returns
+the receiver's majority verdict (``recv_broadcast``).
+
 Payloads are arbitrary nested tuples of field elements, ints and
 strings.  Honest payloads stay hashable so that majority votes work; a
 majority vote counts an unhashable payload from the adversary as None.
 The adversary's view (``AdversaryView``) decomposes into (path, leaf)
 pairs, descending into non-empty tuples; an empty tuple is a leaf.  Its
-canonical form, and both privacy analyzers, read that one decomposition.
+canonical form, and both privacy analyzers, read that one decomposition;
+one walk over an unhashable leaf's structure (``unfold``) serves both.
 """
 
 from __future__ import annotations
@@ -67,14 +71,15 @@ class AdversaryView:
 
     def canonical(self) -> tuple:
         """Hashable value of the whole view: its leaves, each by
-        ``leaf_key``, and an unhashable one (a list, a dict) by its repr."""
+        ``leaf_key``, and an unhashable one (a list, a dict, an object
+        with ``__eq__``) by its structure, ``unfold(value, leaf_key)``."""
         out = []
         for path, value in self.leaves():
             key = leaf_key(value)
             try:
                 hash(key)
             except TypeError:
-                key = ("repr", repr(value))
+                key = unfold(value, leaf_key)
             out.append((path, key))
         return tuple(out)
 
@@ -85,6 +90,36 @@ def leaf_key(value):
     if isinstance(value, FieldElement):
         return ("F", peek(value))
     return value
+
+
+_ATOMS = (FieldElement, str, bytes, int, float, complex, type, type(None))
+
+
+def unfold(value, atom: Callable, seen: set | None = None):
+    """Hashable key of a value's structure, at any depth: a container by
+    its items, an object by its type and its ``__dict__`` and
+    ``__slots__`` values, and a field element, string or number by
+    ``atom``.  A container or object met a second time (a cycle, a shared
+    child) is keyed ``("seen",)``."""
+    if isinstance(value, _ATOMS):
+        return atom(value)
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return ("seen",)
+    seen.add(id(value))
+    if isinstance(value, (set, frozenset)):
+        return ("set", frozenset(unfold(c, atom, seen) for c in value))
+    if isinstance(value, dict):
+        parts = [(unfold(a, atom, seen), unfold(b, atom, seen)) for a, b in value.items()]
+    elif isinstance(value, (list, tuple)):
+        parts = [unfold(c, atom, seen) for c in value]
+    else:
+        names = list(getattr(value, "__dict__", ()))
+        for cls in type(value).__mro__:
+            slots = cls.__dict__.get("__slots__", ())
+            names += [slots] if isinstance(slots, str) else slots
+        parts = [(name, unfold(getattr(value, name, None), atom, seen)) for name in names]
+    return (type(value).__qualname__, tuple(parts))
 
 
 @dataclass
@@ -203,12 +238,15 @@ def majority_of(values, tie_rng: Randomness):
     return tied[idx]
 
 
-def broadcast(net: PathNetwork, fwd, value, extras=None) -> None:
-    """Public value on the forward channels ``fwd``, optionally with
-    per-channel private extras bundled alongside."""
+def broadcast(net: PathNetwork, fwd, value, tie_rng: Randomness, extras=None):
+    """One round: the public value on the forward channels ``fwd``,
+    optionally with per-channel private extras bundled alongside.  Returns
+    the receiver's (verdict, extras), read by ``recv_broadcast`` from the
+    round's deliveries with ties broken by ``tie_rng``."""
     for ch in fwd:
         net.send_ab(ch, (value, extras.get(ch) if extras else None))
     net.view.announce(net.round, "AB", value)
+    return recv_broadcast(net.end_round(), fwd, tie_rng)
 
 
 def recv_broadcast(delivered: dict, fwd, tie_rng: Randomness):
@@ -221,16 +259,6 @@ def recv_broadcast(delivered: dict, fwd, tie_rng: Randomness):
     extras = {ch: v[1] for ch, v in zip(fwd, values)
               if isinstance(v, tuple) and len(v) == 2 and v[0] == winner}
     return winner, extras
-
-
-def majority_transmit(net: PathNetwork, payload) -> None:
-    """Send on every forward channel with no channel-count precondition.
-
-    Unlike ``broadcast`` the value is not announced as public and the
-    majority at the receiver carries no guarantee.
-    """
-    for i in range(net.n_forward):
-        net.send_ab(i, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +304,13 @@ class HyperNet:
         if len(edges) > 1:
             raise ParamError(
                 f"{origin} has {len(edges)} hyperedges; multicast needs exactly one")
-        recipients = edges[0]
+        payload = self._hop(origin, edges[0], payload, "multicast")
+        return {r: payload for r in edges[0]}
+
+    def _hop(self, origin, recipients, payload, label):
+        """One hyperedge use: a corrupted origin may replace the payload,
+        a corrupted node on the edge records what it carries, and the
+        transcript logs it under ``label``.  Returns what is heard."""
         if origin in self.adversary.corrupted and self.adversary.active:
             ctx = TamperContext(self.round, origin, payload, self.view,
                                 self._adv_rng, self._adv_state)
@@ -284,8 +318,8 @@ class HyperNet:
         if (recipients | {origin}) & self.adversary.corrupted:
             self.view.record(self.round, (origin, tuple(sorted(recipients))),
                              payload)
-        self.transcript.append((self.round, "multicast", origin, payload))
-        return {r: payload for r in recipients}
+        self.transcript.append((self.round, label, origin, payload))
+        return payload
 
     def advance_round(self) -> None:
         self.round += 1
@@ -316,19 +350,8 @@ class HyperNet:
             for rid in sorted(state, key=str):
                 path, payload = state[rid]
                 origin, nxt = path[0], path[1]
-                recipients = self._edge_to(origin, nxt)
-                if origin in self.adversary.corrupted:
-                    # a corrupted relay may replace what it forwards
-                    if self.adversary.active:
-                        ctx = TamperContext(self.round, origin, payload,
-                                            self.view, self._adv_rng,
-                                            self._adv_state)
-                        payload = self.adversary.strategy(ctx)
-                if (recipients | {origin}) & self.adversary.corrupted:
-                    self.view.record(self.round, (origin, tuple(sorted(recipients))),
-                                     payload)
-                self.transcript.append((self.round, rid, origin, payload))
-                if nxt == path[-1] and len(path) == 2:
+                payload = self._hop(origin, self._edge_to(origin, nxt), payload, rid)
+                if len(path) == 2:
                     delivered[rid] = payload
                     del state[rid]
                 else:

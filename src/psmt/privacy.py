@@ -78,8 +78,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .field import FieldElement, TracedElement
-from .netsim import AdversaryView, leaf_key
+from .field import TracedElement
+from .netsim import AdversaryView, leaf_key, unfold
 from .randomness import Randomness, TracingRandomness, derive_trial_seed
 from .sharing import solve_raw
 
@@ -126,29 +126,17 @@ def shared_rng_runner(func, **fixed):
     return run
 
 
-def _nested_elements(value, seen: set):
-    """Tainted traced elements nested inside a plain leaf, at any depth:
-    in containers and object attributes."""
-    if isinstance(value, FieldElement):
-        if isinstance(value, TracedElement) and value.taint:
-            yield value
-        return
-    if isinstance(value, (str, bytes, int, float, type)) or value is None \
-            or id(value) in seen:
-        return
-    seen.add(id(value))
-    if isinstance(value, dict):
-        children = [*value.keys(), *value.values()]
-    elif isinstance(value, (list, tuple, set, frozenset)):
-        children = value
-    else:
-        children = list(getattr(value, "__dict__", {}).values())
-        for cls in type(value).__mro__:
-            slots = cls.__dict__.get("__slots__", ())
-            for name in (slots,) if isinstance(slots, str) else slots:
-                children.append(getattr(value, name, None))
-    for child in children:
-        yield from _nested_elements(child, seen)
+def _nested_taint(value) -> set:
+    """Draws of the traced elements nested inside a plain leaf, at any
+    depth: in containers and object attributes."""
+    draws = set()
+
+    def atom(v):
+        if isinstance(v, TracedElement):
+            draws.update(v.taint)
+
+    unfold(value, atom)
+    return draws
 
 
 class _Trace:
@@ -170,8 +158,7 @@ class _Trace:
                 # dataclass) is shown to the adversary without a polynomial
                 # of its own: its draws count as observed, so no leaf is
                 # eliminated through them and pinning them is enumerated
-                for element in _nested_elements(value, set()):
-                    rng.observed |= element.taint
+                rng.observed |= _nested_taint(value)
                 self.plain.append((path, leaf_key(value)))
         self.paths = [path for path, _, _ in self.tainted]
         self.fields = {path: value.spec for path, value, _ in self.tainted}

@@ -38,13 +38,6 @@ def _reverse(h: Hypergraph) -> Hypergraph:
     return Hypergraph(h.nodes, h.hyperedges, h.receiver, h.sender)
 
 
-def _route_majority(net: HyperNet, paths, payload, tie_rng):
-    """Send one copy per node-disjoint path; majority at the far end."""
-    routes = {i: (p, payload) for i, p in enumerate(paths)}
-    delivered = net.transmit(routes)
-    return majority_of([delivered.get(i) for i in range(len(paths))], tie_rng)
-
-
 @lru_cache(maxsize=64)
 def _majority_paths(graph: Hypergraph, k: int) -> tuple:
     """2k+1 node-disjoint paths, computed once per (graph, k); refused
@@ -58,11 +51,13 @@ def _majority_paths(graph: Hypergraph, k: int) -> tuple:
 
 def reliable_transmit(net: HyperNet, graph: Hypergraph, payload, k: int,
                       tie_rng, public: bool = True):
-    """Majority transmission over 2k+1 disjoint paths; the value is public."""
+    """One copy along each of 2k+1 node-disjoint paths and the majority at
+    the far end; the value is announced as public unless ``public`` is off."""
     paths = _majority_paths(graph, k)
     if public:
         net.view.announce(net.round, (graph.sender, graph.receiver), payload)
-    return _route_majority(net, paths, payload, tie_rng)
+    delivered = net.transmit({i: (p, payload) for i, p in enumerate(paths)})
+    return majority_of([delivered.get(i) for i in range(len(paths))], tie_rng)
 
 
 def hypergraph_reliable(message: FieldElement, graph: Hypergraph, k: int,

@@ -6,6 +6,10 @@ All of them combine bounded-distance decoding of fresh MDS sharings with
 feedback-channel echoes; when the sender can pin a fault down to one
 forward/backward channel pair, both ends drop the pair and fall back to
 a protocol tolerating one corruption fewer.
+
+Each forward round is one call: ``_share_round`` sends fresh shares and
+returns the word the receiver reads, and ``netsim.broadcast`` sends the
+sender's verdict and returns the receiver's majority reading of it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from itertools import permutations
 
 from ..errors import PreconditionError
 from ..field import FieldElement
-from ..netsim import AdversarySpec, Outcome, PathNetwork, broadcast, recv_broadcast
+from ..netsim import AdversarySpec, Outcome, PathNetwork, broadcast
 from ..sharing import CLEAN, ReceivedWord, correct_errors, detect_errors, reconstruct
 from .common import (
     _rngs,
@@ -30,16 +34,28 @@ from .common import (
 
 
 def _share_on(net, fwd, secret, k, rng_a):
-    """One round: fresh (k+1)-out-of-len(fwd) shares, one per channel."""
+    """Fresh (k+1)-out-of-len(fwd) shares, one per channel of ``fwd``."""
     shares = share_vector(secret, len(fwd), k, rng_a)
     for pos, ch in enumerate(fwd):
         net.send_ab(ch, shares[pos])
     return shares
 
 
+def _share_round(net, fwd, secret, k, rng_a):
+    """One round of ``_share_on``: the shares sent and the word received."""
+    shares = _share_on(net, fwd, secret, k, rng_a)
+    return shares, _recv_word(secret.spec, net.end_round(), fwd, k)
+
+
 def _recv_word(spec, delivered, fwd, k) -> ReceivedWord:
     entries = tuple(as_field(spec, delivered.get(("AB", ch))) for ch in fwd)
     return ReceivedWord(entries, sharing_params(len(fwd), k, spec))
+
+
+def _decode(word, e):
+    """The secret decoded at radius e, or ``None``."""
+    decoded = correct_errors(word, e)
+    return decoded.secret if decoded else None
 
 
 def _echoed(spec, feedback, n):
@@ -53,20 +69,16 @@ def _echo_tail(net, fwd, q, word, shares, rng_b, b_result=None):
     already decoded (``b_result``); the sender broadcasts the positions
     that differ from what it sent, and the receiver reconstructs from the
     rest."""
-    spec = word.params.field
     n = len(fwd)
     net.send_ba(q, "stop" if b_result is not None else ("vec", word.entries))
-    delivered = net.end_round()
-    echoed = _echoed(spec, delivered.get(("BA", q)), n)
+    echoed = _echoed(word.params.field, net.end_round().get(("BA", q)), n)
     if echoed is not None:
-        bad = tuple(i for i in range(n) if echoed[i] != shares[i])
-        broadcast(net, fwd, ("drop", bad))
+        verdict = ("drop", tuple(i for i in range(n) if echoed[i] != shares[i]))
     else:
-        broadcast(net, fwd, ("done",))
-    delivered = net.end_round()
+        verdict = ("done",)
+    verdict, _ = broadcast(net, fwd, verdict, rng_b)
     if b_result is not None:
         return b_result
-    verdict, _ = recv_broadcast(delivered, fwd, rng_b)
     drop = tagged(verdict, "drop", 1)
     if drop is None:
         return None
@@ -80,15 +92,9 @@ def _echo_tail(net, fwd, q, word, shares, rng_b, b_result=None):
 # forward-only base case: 3k+1 channels, single round
 
 
-def _oneway_perfect(message, k, net, fwd, rng_a, rng_b):
-    n = 3 * k + 1
-    fwd = first(fwd, n)
-    spec = message.spec
-    _share_on(net, fwd, message, k, rng_a)
-    delivered = net.end_round()
-    word = _recv_word(spec, delivered, fwd, k)
-    decoded = correct_errors(word, k)
-    return decoded.secret if decoded else None
+def _oneway_perfect(message, k, net, fwd, rng_a):
+    _, word = _share_round(net, first(fwd, 3 * k + 1), message, k, rng_a)
+    return _decode(word, k)
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +102,9 @@ def _oneway_perfect(message, k, net, fwd, rng_a, rng_b):
 
 
 def _threek_one_feedback(message, k, net, fwd, q, rng_a, rng_b):
-    n = 3 * k
-    fwd = first(fwd, n)
-    shares = _share_on(net, fwd, message, k, rng_a)
-    delivered = net.end_round()
-    word = _recv_word(message.spec, delivered, fwd, k)
-    decoded = correct_errors(word, k - 1)
-    return _echo_tail(net, fwd, q, word, shares, rng_b,
-                      decoded.secret if decoded is not None else None)
+    fwd = first(fwd, 3 * k)
+    shares, word = _share_round(net, fwd, message, k, rng_a)
+    return _echo_tail(net, fwd, q, word, shares, rng_b, _decode(word, k - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -115,43 +116,30 @@ def _u1_protocol(message, k, net, fwd, q, rng_a, rng_b):
     fwd = first(fwd, n)
     spec = message.spec
     guesses = []
-    last_word = None
-    last_shares = None
     for big_i in range(n):
-        shares = _share_on(net, fwd, message, k, rng_a)
-        delivered = net.end_round()
-        word = _recv_word(spec, delivered, fwd, k)
-        last_word, last_shares = word, shares
-        decoded = correct_errors(word, k - 1)
-        guesses.append(decoded.secret if decoded else None)
+        shares, word = _share_round(net, fwd, message, k, rng_a)
+        guesses.append(_decode(word, k - 1))
         net.send_ba(q, word.entries[big_i])
-        delivered = net.end_round()
-        echo = as_field(spec, delivered.get(("BA", q)))
+        echo = as_field(spec, net.end_round().get(("BA", q)))
         if echo == shares[big_i]:
-            broadcast(net, fwd, ("ok", big_i))
-            delivered = net.end_round()
-            recv_broadcast(delivered, fwd, rng_b)
+            broadcast(net, fwd, ("ok", big_i), rng_b)
             continue
         # the sender pins the fault to this forward channel or the
         # feedback channel; reshare with threshold k over the others
         others = [ch for pos, ch in enumerate(fwd) if pos != big_i]
         reshares = share_vector(message, n - 1, k - 1, rng_a)
-        extras = {ch: reshares[pos] for pos, ch in enumerate(others)}
-        broadcast(net, fwd, ("faulty", big_i), extras)
-        delivered = net.end_round()
-        _, got = recv_broadcast(delivered, fwd, rng_b)
+        _, got = broadcast(net, fwd, ("faulty", big_i), rng_b,
+                           {ch: reshares[pos] for pos, ch in enumerate(others)})
         entries = tuple(as_field(spec, got.get(ch)) for ch in others)
-        decoded = correct_errors(
-            ReceivedWord(entries, sharing_params(n - 1, k - 1, spec)), k - 1)
-        return decoded.secret if decoded else None
-    # every echo matched: the receiver decides from its round guesses
+        return _decode(ReceivedWord(entries, sharing_params(n - 1, k - 1, spec)),
+                       k - 1)
+    # every echo matched: decide from the guesses, else echo the last word
     if guesses[0] is not None and all(g == guesses[0] for g in guesses):
         net.send_ba(q, "stop")
         net.end_round()
-        broadcast(net, fwd, ("done",))
-        net.end_round()
+        broadcast(net, fwd, ("done",), rng_b)
         return guesses[0]
-    return _echo_tail(net, fwd, q, last_word, last_shares, rng_b)
+    return _echo_tail(net, fwd, q, word, shares, rng_b)
 
 
 # ---------------------------------------------------------------------------
@@ -168,21 +156,15 @@ def _pad_phase(message, k, net, fwd, back, rng_a, rng_b, recurse, b_prior):
         net.send_ba(q, "stop" if b_prior is not None else "go")
     delivered = net.end_round()
     if all(delivered.get(("BA", q)) == "stop" for q in back):
-        broadcast(net, fwd, ("done",))
-        net.end_round()
+        broadcast(net, fwd, ("done",), rng_b)
         return b_prior
-    broadcast(net, fwd, ("pad",))
-    delivered = net.end_round()
-    recv_broadcast(delivered, fwd, rng_b)
+    broadcast(net, fwd, ("pad",), rng_b)
     spec = message.spec
     n = len(fwd)
     r1_a = spec.sample(rng_a)
-    stage_vals_a = (r1_a, message - r1_a)
     recovered_b = []
-    for stage in range(2):
-        shares = _share_on(net, fwd, stage_vals_a[stage], k, rng_a)
-        delivered = net.end_round()
-        word = _recv_word(spec, delivered, fwd, k)
+    for value in (r1_a, message - r1_a):
+        shares, word = _share_round(net, fwd, value, k, rng_a)
         clean = detect_errors(word) == CLEAN
         if clean:
             recovered_b.append(reconstruct(word))
@@ -203,17 +185,13 @@ def _pad_phase(message, k, net, fwd, back, rng_a, rng_b, recurse, b_prior):
             if fault:
                 break
         if fault is not None:
-            broadcast(net, fwd, ("faulty", fault[0], fault[1]))
-            delivered = net.end_round()
-            recv_broadcast(delivered, fwd, rng_b)
+            broadcast(net, fwd, ("faulty", fault[0], fault[1]), rng_b)
             sub_fwd = [ch for pos, ch in enumerate(fwd) if pos != fault[0]]
             sub_back = [q for pos, q in enumerate(back) if pos != fault[1]]
             result = recurse(message, k - 1, net, sub_fwd, sub_back,
                              rng_a, rng_b)
             return b_prior if b_prior is not None else result
-        broadcast(net, fwd, ("continue",))
-        delivered = net.end_round()
-        recv_broadcast(delivered, fwd, rng_b)
+        broadcast(net, fwd, ("continue",), rng_b)
         if not clean:
             # the receiver's plea for help was suppressed; only possible
             # outside the tolerated corruption bound
@@ -236,11 +214,8 @@ def _general_protocol(message, k, net, fwd, back, rng_a, rng_b):
     spec = message.spec
     guesses = []
     for h in permutations(range(n), u):
-        shares = _share_on(net, fwd, message, k, rng_a)
-        delivered = net.end_round()
-        word = _recv_word(spec, delivered, fwd, k)
-        decoded = correct_errors(word, k - u)
-        guesses.append(decoded.secret if decoded else None)
+        shares, word = _share_round(net, fwd, message, k, rng_a)
+        guesses.append(_decode(word, k - u))
         for i, q in enumerate(back):
             net.send_ba(q, word.entries[h[i]])
         delivered = net.end_round()
@@ -251,13 +226,9 @@ def _general_protocol(message, k, net, fwd, back, rng_a, rng_b):
                 mismatch = (h[i], i)
                 break
         if mismatch is None:
-            broadcast(net, fwd, ("ok",) + h)
-            delivered = net.end_round()
-            recv_broadcast(delivered, fwd, rng_b)
+            broadcast(net, fwd, ("ok",) + h, rng_b)
             continue
-        broadcast(net, fwd, ("faulty", mismatch[0], mismatch[1]))
-        delivered = net.end_round()
-        recv_broadcast(delivered, fwd, rng_b)
+        broadcast(net, fwd, ("faulty", mismatch[0], mismatch[1]), rng_b)
         sub_fwd = [ch for pos, ch in enumerate(fwd) if pos != mismatch[0]]
         sub_back = [q for pos, q in enumerate(back) if pos != mismatch[1]]
         return _general_protocol(message, k - 1, net, sub_fwd, sub_back,
@@ -274,16 +245,11 @@ def _general_protocol(message, k, net, fwd, back, rng_a, rng_b):
 def _efficient_protocol(message, k, net, fwd, back, rng_a, rng_b):
     u = len(back)
     if u == 0:
-        return _oneway_perfect(message, k, net, fwd, rng_a, rng_b)
-    n = 3 * k + 1 - u
-    fwd = first(fwd, n)
-    _share_on(net, fwd, message, k, rng_a)
-    delivered = net.end_round()
-    word = _recv_word(message.spec, delivered, fwd, k)
-    decoded = correct_errors(word, k - u)
+        return _oneway_perfect(message, k, net, fwd, rng_a)
+    fwd = first(fwd, 3 * k + 1 - u)
+    _, word = _share_round(net, fwd, message, k, rng_a)
     return _pad_phase(message, k, net, fwd, back, rng_a, rng_b,
-                      _efficient_protocol,
-                      decoded.secret if decoded is not None else None)
+                      _efficient_protocol, _decode(word, k - u))
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +260,9 @@ def perfect_oneway(message: FieldElement, k: int,
                    adversary: AdversarySpec | None = None,
                    rng_a=None, rng_b=None, seed=0) -> Outcome:
     """3k+1 forward channels, no feedback, single round."""
-    rng_a, rng_b = _rngs(rng_a, rng_b, seed)
+    rng_a, _ = _rngs(rng_a, rng_b, seed)
     net = PathNetwork(3 * k + 1, 0, adversary)
-    result = _oneway_perfect(message, k, net, list(range(3 * k + 1)),
-                             rng_a, rng_b)
+    result = _oneway_perfect(message, k, net, list(range(3 * k + 1)), rng_a)
     return finish(message, net, result)
 
 
@@ -372,21 +337,13 @@ def _shared_sub(message, k, u, net, fwd_all, q, rng_a, rng_b):
     b_active = True
     b_asked_r0 = False
     b_r0 = None
-
-    def bcast(value):
-        broadcast(net, fwd_all, value)
-        delivered = net.end_round()
-        verdict, _ = recv_broadcast(delivered, fwd_all, rng_b)
-        return verdict
-
     for _ in range(u + 1):
         r0_a = spec.sample(rng_a)
-        sub_done = False
         b_result = None
         for stage in range(2):  # stage 0 carries a pad, stage 1 the rest
             n_j = len(ab_a)
             if n_j < k + 1:
-                bcast(("bail",))
+                broadcast(net, fwd_all, ("bail",), rng_b)
                 return None, True
             shares = _share_on(net, ab_a, r0_a if stage == 0 else message - r0_a,
                                k, rng_a)
@@ -397,8 +354,7 @@ def _shared_sub(message, k, u, net, fwd_all, q, rng_a, rng_b):
             if b_active:
                 word = _recv_word(spec, delivered, ab_b, k)
                 if stage == 0 and j_cnt == 0:
-                    decoded = correct_errors(word, k - u)
-                    b_val = decoded.secret if decoded else None
+                    b_val = _decode(word, k - u)
                 elif detect_errors(word) == CLEAN:
                     b_val = reconstruct(word)
                 if b_val is not None:
@@ -415,19 +371,17 @@ def _shared_sub(message, k, u, net, fwd_all, q, rng_a, rng_b):
             # the sender turns the raw feedback into a reliable verdict
             fb = delivered.get(("BA", q))
             if fb == "ok":
-                verdict = bcast(("ok",))
-                if stage == 1:
-                    sub_done = True
+                verdict = ("ok",)
             elif stage == 1 and fb == "continue":
-                verdict = bcast(("continue",))
+                verdict = ("continue",)
             else:
                 echoed = _echoed(spec, fb, n_j) or (spec.zero(),) * n_j
                 bad = tuple(ch for pos, ch in enumerate(ab_a)
                             if echoed[pos] != shares[pos])
                 ab_a = [ch for ch in ab_a if ch not in bad]
-                verdict = bcast(("help", echoed, bad))
-                if stage == 1:
-                    sub_done = True
+                verdict = ("help", echoed, bad)
+            verdict, _ = broadcast(net, fwd_all, verdict, rng_b)
+            sub_done = stage == 1 and fb != "continue"
 
             if not b_active:
                 continue
@@ -463,12 +417,11 @@ def _shared_sub(message, k, u, net, fwd_all, q, rng_a, rng_b):
                 b_active = False
         if sub_done:
             return (b_result, False) if b_result is not None else (None, True)
-    bcast(("bail",))
+    broadcast(net, fwd_all, ("bail",), rng_b)
     return None, True
 
 
 def _shared_protocol(message, k, u, net, rng_a, rng_b):
-    spec = message.spec
     n = 3 * k + 1 - u
     disjoint = list(range(3 * k + 1 - 2 * u))
     fwd_all = list(range(n))
@@ -481,11 +434,9 @@ def _shared_protocol(message, k, u, net, rng_a, rng_b):
         if bad:
             bad_count += 1
     # final phase: message shares over the channels disjoint from feedback
-    _share_on(net, disjoint, message, k, rng_a)
-    delivered = net.end_round()
+    _, word = _share_round(net, disjoint, message, k, rng_a)
     if result is None and bad_count == u:
-        decoded = correct_errors(_recv_word(spec, delivered, disjoint, k), k - u)
-        result = decoded.secret if decoded else None
+        result = _decode(word, k - u)
     return result
 
 

@@ -300,8 +300,6 @@ def correct_errors(word: ReceivedWord, e: int) -> Decoded | None:
             return None
         errs = frozenset(
             i for i, (got, want) in enumerate(zip(ys, codeword)) if got != want)
-        if len(errs) > e:
-            return None
         ys = codeword
     row = _lagrange_rows(spec, params.xs[:k1], (0,))[0]
     return Decoded(element(dot(row, ys[:k1]), entries[:k1] if e == 0 else entries),

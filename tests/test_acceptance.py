@@ -12,7 +12,7 @@ import conftest
 from oracles import brute_force_separator, reaches
 
 from psmt.field import GF
-from psmt.netsim import AdversarySpec, PathNetwork, majority_of, majority_transmit
+from psmt.netsim import AdversarySpec, PathNetwork, majority_of
 from psmt.privacy import shared_rng_runner, view_distance
 from psmt.protocols.directed import (
     feedback_efficient,
@@ -333,7 +333,8 @@ def test_criterion_5_split_simulation_attack():
             corrupted = frozenset(("AB", i) for i in range(k))
             net = PathNetwork(2 * k, 0,
                               AdversarySpec(corrupted, constant_replacer(m1)))
-            majority_transmit(net, m0)
+            for i in range(2 * k):
+                net.send_ab(i, m0)
             delivered = net.end_round()
             got = majority_of([delivered[("AB", i)] for i in range(2 * k)],
                               Randomness(("acc5", k, t)))

@@ -1,4 +1,5 @@
-"""Every psmt module uses each name it imports."""
+"""Every psmt module uses each name it imports, and every function each
+local it assigns."""
 
 import ast
 import pathlib
@@ -34,4 +35,61 @@ def test_no_module_imports_a_name_it_never_uses():
     found = [(str(path.relative_to(ROOT)), line, name)
              for path in sorted(ROOT.rglob("*.py")) if path.name != "__init__.py"
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(func):
+    """The nodes of a function's own scope, not those of nested scopes."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(source: str) -> list:
+    """(line, function, name) for each name a function assigns and never
+    reads, where a read inside a nested function counts; ``_`` and names
+    the function declares ``nonlocal`` or ``global`` are skipped."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own = list(_own_nodes(func))
+        declared = {name for node in own if isinstance(node, (ast.Nonlocal, ast.Global))
+                    for name in node.names}
+        read = {n.id for n in ast.walk(func)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        stored = {}
+        for n in own:
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                stored.setdefault(n.id, n.lineno)
+        found += [(line, func.name, name) for name, line in stored.items()
+                  if name != "_" and name not in read and name not in declared]
+    return sorted(found)
+
+
+def test_unused_locals_are_detected():
+    source = ("def f(message, rng):\n"
+              "    spec = message.spec\n"
+              "    total, _ = 0, 1\n"
+              "    seen = []\n"
+              "    def g():\n"
+              "        nonlocal total\n"
+              "        total += 1\n"
+              "        unused = seen\n"
+              "    for i in range(3):\n"
+              "        g()\n"
+              "    return total\n")
+    assert unused_locals(source) == [(2, "f", "spec"), (8, "g", "unused"), (9, "f", "i")]
+
+
+def test_no_function_assigns_a_local_it_never_reads():
+    found = [(str(path.relative_to(ROOT)), line, func, name)
+             for path in sorted(ROOT.rglob("*.py"))
+             for line, func, name in unused_locals(path.read_text(encoding="utf-8"))]
     assert found == []

@@ -11,9 +11,9 @@ from psmt.netsim import (
     HyperNet,
     IdealizedReliableChannel,
     PathNetwork,
+    TamperContext,
     broadcast,
     majority_of,
-    majority_transmit,
     recv_broadcast,
 )
 from psmt.randomness import Randomness, TracingRandomness
@@ -70,8 +70,7 @@ def test_view_contains_only_corrupted_traffic_and_broadcasts():
     net.send_ab(1, "seen")
     net.send_ab(2, "secret2")
     net.end_round()
-    broadcast(net, range(3), "public")
-    net.end_round()
+    broadcast(net, range(3), "public", Randomness(0))
     assert net.view.events == [(0, ("AB", 1), "seen"),
                                (1, ("AB", 1), ("public", None))]
     assert net.view.public == [(1, "AB", "public")]
@@ -95,25 +94,67 @@ def test_broadcast_majority_outvotes_corrupted_channels():
     # only the channels that carried the winner hand over their extras
     net = PathNetwork(5, 0, AdversarySpec(frozenset({("AB", 0), ("AB", 3)}),
                                           constant_replacer(("y", "forged"))))
-    broadcast(net, range(5), "x", {ch: f"extra{ch}" for ch in range(5)})
-    delivered = net.end_round()
-    winner, extras = recv_broadcast(delivered, range(5), Randomness(0))
+    winner, extras = broadcast(net, range(5), "x", Randomness(0),
+                               {ch: f"extra{ch}" for ch in range(5)})
     assert winner == "x"
     assert extras == {1: "extra1", 2: "extra2", 4: "extra4"}
     assert net.view.public == [(0, "AB", "x")]
     # a subset of the channels broadcasts on its own
-    broadcast(net, [1, 2], "z")
-    assert recv_broadcast(net.end_round(), [1, 2], Randomness(0)) == ("z", {1: None, 2: None})
+    assert broadcast(net, [1, 2], "z", Randomness(0)) == ("z", {1: None, 2: None})
 
 
-def test_majority_transmit_has_no_precondition():
-    net = PathNetwork(4, 0, AdversarySpec(frozenset({("AB", 0), ("AB", 1)}),
-                                          constant_replacer("fake")))
-    majority_transmit(net, "real")
-    delivered = net.end_round()
-    values = [delivered[("AB", i)] for i in range(4)]
-    assert sorted(values) == ["fake", "fake", "real", "real"]
-    assert net.view.public == []  # not announced as broadcast content
+def test_broadcast_is_one_round_with_its_announcement():
+    net = PathNetwork(3, 1)
+    net.send_ba(0, "before")
+    net.end_round()
+    broadcast(net, range(3), ("ok", 1), Randomness(0))
+    assert net.round == 2
+    assert net.view.public == [(1, "AB", ("ok", 1))]
+    assert [(rnd, ch) for rnd, ch, _, _ in net.transcript] == [
+        (0, ("BA", 0)), (1, ("AB", 0)), (1, ("AB", 1)), (1, ("AB", 2))]
+    assert net.end_round() == {}  # nothing left staged
+
+
+def _last_round_deliveries(net):
+    return {ch: got for rnd, ch, _, got in net.transcript if rnd == net.round - 1}
+
+
+@pytest.mark.parametrize("n, corrupted", [(5, {0, 3}), (4, {1, 2})])
+def test_broadcast_returns_the_receivers_vote_on_its_round(n, corrupted):
+    # a corrupted minority, then an even split whose tie coin comes from
+    # tie_rng: either way the result is recv_broadcast of that round
+    adversary = AdversarySpec(frozenset(("AB", i) for i in corrupted),
+                              constant_replacer(("y", "forged")))
+    winners = set()
+    for s in range(30):
+        net = PathNetwork(n, 0, adversary)
+        got = broadcast(net, range(n), "x", Randomness(("tie", s)),
+                        {ch: ch for ch in range(n)})
+        assert got == recv_broadcast(_last_round_deliveries(net), range(n),
+                                     Randomness(("tie", s)))
+        winners.add(got[0])
+    assert winners == ({"x"} if 2 * len(corrupted) < n else {"x", "y"})
+
+
+def test_multicast_and_one_hop_transmit_are_the_same_hop():
+    graph = fixtures.get("fig5")
+    seen = []
+
+    def recorder(ctx: TamperContext):
+        seen.append((ctx.round, ctx.where, ctx.payload))
+        return ("forged", ctx.payload)
+
+    hops = []
+    for send in (lambda net: net.multicast("u1", "m")["B"],
+                 lambda net: net.transmit({"r": (("u1", "B"), "m")})["r"]):
+        net = HyperNet(graph, AdversarySpec(frozenset({"u1"}), recorder))
+        got = send(net)
+        (rnd, _, origin, payload), = net.transcript
+        hops.append((got, net.view.events, (rnd, origin, payload)))
+    assert hops[0] == hops[1]
+    assert hops[0] == (("forged", "m"), [(0, ("u1", ("B", "v")), ("forged", "m"))],
+                       (0, "u1", ("forged", "m")))
+    assert seen == [(0, "u1", "m")] * 2
 
 
 def test_majority_of_clear_and_tie():
@@ -202,8 +243,39 @@ def test_view_leaves_and_canonical_descend_into_tuples():
         ("event", 0, 0, ("AB", 0), 0, 1): ("F", 5),
         ("event", 0, 0, ("AB", 0), 1): "tag",
         ("event", 0, 0, ("AB", 0), 2): (),
-        ("public", 0, 1, "AB"): ("repr", "[1, 2]"),
+        ("public", 0, 1, "AB"): ("list", (1, 2)),
     }
+
+
+class _Hidden:
+    """An unhashable payload object whose repr hides what it carries."""
+
+    def __init__(self, item):
+        self.item = item
+
+    def __repr__(self):
+        return "_Hidden"
+
+    __hash__ = None
+
+
+def test_canonical_keys_an_unhashable_leaf_by_its_structure():
+    spec = GF(5)
+
+    def key(payload):
+        view = AdversaryView()
+        view.record(0, ("AB", 0), payload)
+        (_, got), = view.canonical()
+        hash(got)
+        return got
+
+    assert key(_Hidden(spec.element(1))) == key(_Hidden(spec.element(1)))
+    assert key(_Hidden(spec.element(1))) != key(_Hidden(spec.element(2)))
+    assert key({"a": [spec.element(3)]}) == ("dict", (("a", ("list", (("F", 3),))),))
+    assert key([{1, 2}]) == key([{2, 1}]) != key([{1, 3}])
+    cycle = [spec.element(4)]
+    cycle.append(cycle)
+    assert key(cycle) == ("list", (("F", 4), ("seen",)))
 
 
 def test_adversary_rng_is_seed_deterministic():

@@ -404,6 +404,24 @@ def test_pad_nested_in_a_payload_is_an_observation():
     assert report.method == "symbolic" and report.upper == 0.0
 
 
+def test_monte_carlo_tells_apart_payloads_whose_repr_hides_the_pad():
+    # the pad inside an object whose repr is a constant, next to the
+    # ciphertext: the views of two messages are disjoint, 2.0 apart
+    spec = GF(5)
+
+    def run(message, rng):
+        view = AdversaryView()
+        pad = spec.sample(rng)
+        view.record(0, ("AB", 0), _Box(pad))
+        view.record(0, ("AB", 1), message + pad)
+        return view
+
+    m0, m1 = spec.element(1), spec.element(3)
+    assert monte_carlo_distance(run, m0, m1, samples=2000).component_tv == [2.0]
+    report = view_distance(run, m0, m1, samples=2000)
+    assert report.fallback == "unstable" and report.component_tv == [2.0]
+
+
 def test_message_times_pad_with_zero_message():
     spec = GF(5)
 

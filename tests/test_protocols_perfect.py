@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from psmt.errors import PreconditionError
-from psmt.field import GF
+from psmt.field import GF, FieldElement
 from psmt.netsim import AdversarySpec
 from psmt.protocols.perfect import (
     perfect_3k,
@@ -126,6 +126,25 @@ def test_perfect_shared_feedback():
                spec, k, _units(3 * k + 1 - u, u, shared=u))
     with pytest.raises(PreconditionError):
         perfect_shared_feedback(spec.element(1), 2, 0)
+
+
+def test_shared_feedback_bails_after_u_plus_one_open_sub_rounds():
+    # beyond the bound (4 of 6 forward channels, k = 2): shares shifted at
+    # random keep the receiver answering "continue", so no sub-protocol
+    # round closes and the sender broadcasts a bail after u+1 of them
+    spec = GF(11)
+
+    def sometimes_shift(ctx):
+        v, _ = ctx.rng.draw(5)
+        p = ctx.payload
+        return p + p.spec.one() if v == 0 and isinstance(p, FieldElement) else p
+
+    adversary = AdversarySpec(frozenset(("AB", i) for i in range(4)),
+                              sometimes_shift, seed=18)
+    out = perfect_shared_feedback(spec.element(5), 2, 1, adversary)
+    verdicts = [payload[0] for _, _, payload in out.view.public]
+    assert verdicts == ["help", "continue", "ok", "continue", "bail"]
+    assert out.rounds == 2 * 2 * 3 + 2  # u+1 rounds of two 3-round stages, bail, final shares
 
 
 def test_perfect_protocols_never_report_failure_under_bound():

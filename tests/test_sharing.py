@@ -504,9 +504,8 @@ def _wide(order, select):
 
 def _codeword_within(word, e):
     """The syndrome decoder's own result: a codeword within distance e of
-    the word, or None.  Read directly, because ``correct_errors`` also
-    rejects more than e differences, which would hide a decoder that
-    returned a farther codeword."""
+    the word, or None.  ``correct_errors`` returns this codeword's secret
+    without counting its differences, so the bound is checked here."""
     ys = [peek(v) for v in word.entries]
     codeword = _syndrome_decode(word.params, ys, e)
     if codeword is not None:
