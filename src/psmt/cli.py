@@ -198,7 +198,7 @@ def _cmd_analyze(args) -> dict:
 
 
 # the uniform entry-point parameters, which the harness itself supplies
-_HARNESS = {"message", "adversary", "rng_a", "rng_b", "seed", "rng_t"}
+_HARNESS = {"message", "adversary", "seed", "rng"}
 
 
 def _protocol_kwargs(desc, args, graph):

@@ -4,13 +4,16 @@ Two models:
 
 * ``PathNetwork`` — the abstract channel model.  The sender and receiver
   are joined by unidirectional atomic channels ("AB", i) forward and
-  ("BA", j) backward.  Anything sent during a round is exposed to the
-  adversary at the end of the round (on corrupted channels), possibly
-  replaced (active mode), and delivered at the start of the next round.
+  ("BA", j) backward.  A round is one call, ``end_round(sends)``, with
+  at most one payload per channel: each is exposed to the adversary on a
+  corrupted channel, possibly replaced (active mode), and delivered.
 
 * ``HyperNet`` — node-level multicast.  Messages travel hop by hop along
   node paths; every recipient of a used hyperedge overhears the payload,
   and corrupted relay nodes may replace what they forward.
+
+Both keep the adversary, the round counter, the view and the transcript
+the same way, and both tamper through one step, ``_tamper``.
 
 ``broadcast`` is one ``PathNetwork`` round of a public value; it returns
 the receiver's majority verdict (``recv_broadcast``).
@@ -34,7 +37,6 @@ from .field import FieldElement, peek
 from .randomness import Randomness
 from .topology import Hypergraph
 
-Channel = tuple  # ("AB"|"BA", index)
 _COIN_RESOLUTION = 10**6  # IdealizedReliableChannel's failure coin ranges over it
 
 
@@ -151,7 +153,28 @@ class AdversarySpec:
         return self.strategy is not None
 
 
-class PathNetwork:
+class _Simulator:
+    """What both simulators share: the adversary, the round counter, the
+    adversary's view, the transcript and one tampering step."""
+
+    def __init__(self, adversary: AdversarySpec | None):
+        self.adversary = adversary or AdversarySpec()
+        self.round = 0
+        self.view = AdversaryView()
+        self.transcript: list = []
+        self._adv_rng = Randomness(("adversary", self.adversary.seed))
+        self._adv_state: dict = {}
+
+    def _tamper(self, where, payload):
+        """What crosses the corrupted location ``where``: the active
+        strategy's replacement, else the payload itself."""
+        if not self.adversary.active:
+            return payload
+        return self.adversary.strategy(TamperContext(
+            self.round, where, payload, self.view, self._adv_rng, self._adv_state))
+
+
+class PathNetwork(_Simulator):
     """Atomic-channel model with end-of-round adversarial tampering."""
 
     def __init__(self, n_forward: int, n_backward: int,
@@ -160,13 +183,7 @@ class PathNetwork:
             raise ParamError("need at least one forward channel")
         self.n_forward = n_forward
         self.n_backward = n_backward
-        self.adversary = adversary or AdversarySpec()
-        self.round = 0
-        self.view = AdversaryView()
-        self.transcript: list = []
-        self._pending: dict = {}
-        self._adv_rng = Randomness(("adversary", self.adversary.seed))
-        self._adv_state: dict = {}
+        super().__init__(adversary)
         for ch in self.adversary.corrupted:
             if not self._valid_channel(ch):
                 raise ParamError(f"corrupted channel {ch!r} does not exist")
@@ -176,40 +193,25 @@ class PathNetwork:
                 ((ch[0] == "AB" and 0 <= ch[1] < self.n_forward) or
                  (ch[0] == "BA" and 0 <= ch[1] < self.n_backward)))
 
-    # -- sending -----------------------------------------------------------
-
-    def send_ab(self, i: int, payload) -> None:
-        self._stage(("AB", i), payload)
-
-    def send_ba(self, j: int, payload) -> None:
-        self._stage(("BA", j), payload)
-
-    def _stage(self, ch: Channel, payload) -> None:
-        if not self._valid_channel(ch):
-            raise ParamError(f"no such channel {ch!r}")
-        if ch in self._pending:
-            raise ParamError(f"channel {ch!r} already used this round")
-        self._pending[ch] = payload
-
-    # -- round boundary ----------------------------------------------------
-
-    def end_round(self) -> dict:
-        """Tamper, deliver, and advance the round counter.
+    def end_round(self, sends: dict) -> dict:
+        """One round: ``sends`` maps each channel used, ("AB", i) or
+        ("BA", j), to its payload.  Every channel is checked before any is
+        tampered; then each payload is recorded and possibly replaced on a
+        corrupted channel, delivered, and the round counter advances.
 
         Returns {channel: payload} for every channel that carried data.
         """
+        for ch in sends:
+            if not self._valid_channel(ch):
+                raise ParamError(f"no such channel {ch!r}")
         delivered = {}
-        for ch in sorted(self._pending, key=str):
-            payload = self._pending[ch]
+        for ch in sorted(sends, key=str):
+            payload = sends[ch]
             if ch in self.adversary.corrupted:
                 self.view.record(self.round, ch, payload)
-                if self.adversary.active:
-                    ctx = TamperContext(self.round, ch, payload, self.view,
-                                        self._adv_rng, self._adv_state)
-                    payload = self.adversary.strategy(ctx)
+                payload = self._tamper(ch, payload)
             delivered[ch] = payload
-            self.transcript.append((self.round, ch, self._pending[ch], payload))
-        self._pending = {}
+            self.transcript.append((self.round, ch, sends[ch], payload))
         self.round += 1
         return delivered
 
@@ -243,10 +245,9 @@ def broadcast(net: PathNetwork, fwd, value, tie_rng: Randomness, extras=None):
     optionally with per-channel private extras bundled alongside.  Returns
     the receiver's (verdict, extras), read by ``recv_broadcast`` from the
     round's deliveries with ties broken by ``tie_rng``."""
-    for ch in fwd:
-        net.send_ab(ch, (value, extras.get(ch) if extras else None))
     net.view.announce(net.round, "AB", value)
-    return recv_broadcast(net.end_round(), fwd, tie_rng)
+    sends = {("AB", ch): (value, extras.get(ch) if extras else None) for ch in fwd}
+    return recv_broadcast(net.end_round(sends), fwd, tie_rng)
 
 
 def recv_broadcast(delivered: dict, fwd, tie_rng: Randomness):
@@ -265,7 +266,7 @@ def recv_broadcast(delivered: dict, fwd, tie_rng: Randomness):
 # node-level multicast simulation
 
 
-class HyperNet:
+class HyperNet(_Simulator):
     """Hop-by-hop routing over a multicast hypergraph.
 
     A corrupted node overhears every hyperedge whose recipient set it
@@ -274,18 +275,13 @@ class HyperNet:
     """
 
     def __init__(self, graph: Hypergraph, adversary: AdversarySpec | None = None):
+        super().__init__(adversary)
         self.graph = graph
-        self.adversary = adversary or AdversarySpec()
         bad = self.adversary.corrupted - graph.nodes
         if bad:
             raise ParamError(f"corrupted nodes {sorted(bad)} not in graph")
         if {graph.sender, graph.receiver} & self.adversary.corrupted:
             raise ParamError("sender and receiver are incorruptible")
-        self.round = 0
-        self.view = AdversaryView()
-        self.transcript: list = []
-        self._adv_rng = Randomness(("adversary", self.adversary.seed))
-        self._adv_state: dict = {}
         self._edges_from: dict = {}
         for origin, recipients in graph.hyperedges:
             self._edges_from.setdefault(origin, []).append(recipients)
@@ -311,10 +307,8 @@ class HyperNet:
         """One hyperedge use: a corrupted origin may replace the payload,
         a corrupted node on the edge records what it carries, and the
         transcript logs it under ``label``.  Returns what is heard."""
-        if origin in self.adversary.corrupted and self.adversary.active:
-            ctx = TamperContext(self.round, origin, payload, self.view,
-                                self._adv_rng, self._adv_state)
-            payload = self.adversary.strategy(ctx)
+        if origin in self.adversary.corrupted:
+            payload = self._tamper(origin, payload)
         if (recipients | {origin}) & self.adversary.corrupted:
             self.view.record(self.round, (origin, tuple(sorted(recipients))),
                              payload)
@@ -331,6 +325,8 @@ class HyperNet:
         raise ParamError(f"no hyperedge from {origin} reaching {nxt}")
 
     def validate_path(self, path) -> None:
+        if len(path) < 2:
+            raise ParamError(f"route {path!r} needs at least two nodes")
         for a, b in zip(path, path[1:]):
             self._edge_to(a, b)
 

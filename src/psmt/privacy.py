@@ -72,7 +72,6 @@ then names the reason and the bounds are the uncertified 0 .. 2.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -110,18 +109,11 @@ class PrivacyReport:
 def shared_rng_runner(func, **fixed):
     """Adapt a protocol entry point to ``run(message, rng) -> AdversaryView``.
 
-    The same randomness source is handed to every honest-party slot the
-    protocol accepts, so one tracing stream covers all coins of the run.
+    The entry point's ``rng`` is the one source of every honest party, so
+    one tracing stream covers all coins of the run.
     """
-    params = inspect.signature(func).parameters
-
     def run(message, rng) -> AdversaryView:
-        kw = dict(fixed)
-        kw["rng_a"] = rng
-        kw["rng_b"] = rng
-        if "rng_t" in params:
-            kw["rng_t"] = rng
-        return func(message, **kw).view
+        return func(message, rng=rng, **fixed).view
 
     return run
 

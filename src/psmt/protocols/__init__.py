@@ -1,11 +1,13 @@
 """Protocol registry.
 
 Every protocol is described by a ``ProtocolDescriptor`` with a uniform
-``run(message, ..., adversary=None, rng_a=None, rng_b=None, seed=0)``
-entry point and metadata used by the command line and the analyzers.
-The entry point's signature is the one declaration of the parameters a
-protocol takes beyond the uniform ones (``k``, ``u``, ``graph``,
-``n_forward``, ...): the command line requires each that has no default.
+``run(message, ..., adversary=None, seed=0, rng=None)`` entry point and
+metadata used by the command line and the analyzers.  A given ``rng`` is
+the one randomness source of every honest party; without it each party
+draws from its own stream of ``seed``.  The entry point's signature is
+the one declaration of the parameters a protocol takes beyond the
+uniform ones (``k``, ``u``, ``graph``, ``n_forward``, ...): the command
+line requires each that has no default.
 """
 
 from __future__ import annotations

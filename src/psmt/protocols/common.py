@@ -14,7 +14,8 @@ have sent in the expected shape, so acting on the coercion gives it
 nothing it could not get anyway.  The images of these helpers are also
 the finite alphabet of payloads a receiver can tell apart.
 
-``first`` takes a sub-protocol's channels and ``finish`` closes a run.
+``_rngs`` gives the parties their randomness, ``first`` takes a
+sub-protocol's channels and ``finish`` closes a run.
 """
 
 from __future__ import annotations
@@ -29,13 +30,13 @@ from ..randomness import Randomness
 from ..sharing import ReceivedWord, SharingParams, share
 
 
-def _rngs(rng_a, rng_b, seed):
-    """The parties' randomness: given sources, else streams from ``seed``."""
-    if rng_a is None:
-        rng_a = Randomness((seed, "A"))
-    if rng_b is None:
-        rng_b = Randomness((seed, "B"))
-    return rng_a, rng_b
+def _rngs(rng, seed):
+    """The sender's and the receiver's randomness: the one source ``rng``
+    for both when it is given, else each party's own stream from
+    ``seed``."""
+    if rng is not None:
+        return rng, rng
+    return Randomness((seed, "A")), Randomness((seed, "B"))
 
 
 def fields(value, n: int) -> tuple:

@@ -28,6 +28,14 @@ from .common import (
 )
 
 
+def _pad(spec, first, second) -> tuple:
+    """The pad (c, d): the component-wise sum of the key pairs ``first``,
+    plus that of the key pairs ``second``."""
+    def total(pairs, slot):
+        return sum((pair[slot] for pair in pairs), spec.zero())
+    return tuple(total(first, slot) + total(second, slot) for slot in range(2))
+
+
 def _authenticated_shares(net, message, n, k, rng_a) -> dict:
     """n rounds, one per share: round i carries share i with n tags on
     channel i while every channel j carries the matching key.  Returns
@@ -39,10 +47,9 @@ def _authenticated_shares(net, message, n, k, rng_a) -> dict:
     for i in range(n):
         keys = [LinearKey.random(spec, rng_a) for _ in range(n)]
         tags = tuple(auth_linear(shares[i], keys[j]) for j in range(n))
-        for j in range(n):
-            carried = (shares[i], tags) if j == i else None
-            net.send_ab(j, ((keys[j].a, keys[j].b), carried))
-        delivered = net.end_round()
+        delivered = net.end_round({
+            ("AB", j): ((keys[j].a, keys[j].b), (shares[i], tags) if j == i else None)
+            for j in range(n)})
         # receiver side for round i
         got = [fields(delivered.get(("AB", j)), 2) for j in range(n)]
         rkeys = [as_linear_key(spec, key) for key, _ in got]
@@ -55,7 +62,7 @@ def _authenticated_shares(net, message, n, k, rng_a) -> dict:
 
 
 def oneway(message: FieldElement, k: int, adversary: AdversarySpec | None = None,
-           rng_a=None, rng_b=None, seed=0, n_forward: int | None = None) -> Outcome:
+           seed=0, rng=None, n_forward: int | None = None) -> Outcome:
     """Forward-only transmission over 2k+1 channels.
 
     The message is shared (k+1)-out-of-n once; round i delivers share i
@@ -63,7 +70,7 @@ def oneway(message: FieldElement, k: int, adversary: AdversarySpec | None = None
     the matching key.  A share is accepted with at least k+1 valid tags.
     """
     spec = message.spec
-    rng_a, rng_b = _rngs(rng_a, rng_b, seed)
+    rng_a, _ = _rngs(rng, seed)
     n = n_forward if n_forward is not None else 2 * k + 1
     if n < 2 * k + 1:
         raise PreconditionError(f"need {2 * k + 1} forward channels, have {n}")
@@ -76,7 +83,7 @@ def oneway(message: FieldElement, k: int, adversary: AdversarySpec | None = None
 
 
 def single_feedback(message: FieldElement, adversary: AdversarySpec | None = None,
-                    rng_a=None, rng_b=None, seed=0) -> Outcome:
+                    seed=0, rng=None) -> Outcome:
     """Two forward channels plus one feedback channel, one corruption.
 
     The message is split into two additive shares, each authenticated
@@ -85,16 +92,15 @@ def single_feedback(message: FieldElement, adversary: AdversarySpec | None = Non
     identify the clean channel and retransmit over it.
     """
     spec = message.spec
-    rng_a, rng_b = _rngs(rng_a, rng_b, seed)
+    rng_a, rng_b = _rngs(rng, seed)
     net = PathNetwork(2, 1, adversary)
 
     s = [spec.sample(rng_a), None]
     s[1] = message - s[0]
     keys = [LinearKey.random(spec, rng_a) for _ in range(2)]
     sent = [(s[i], keys[i], auth_linear(s[i], keys[1 - i])) for i in range(2)]
-    for i, (si, ki, ci) in enumerate(sent):
-        net.send_ab(i, (si, (ki.a, ki.b), ci))
-    delivered = net.end_round()
+    delivered = net.end_round({("AB", i): (si, (ki.a, ki.b), ci)
+                               for i, (si, ki, ci) in enumerate(sent)})
 
     def triple(payload) -> tuple:
         """A (share, key, tag) payload as its reader sees it."""
@@ -108,14 +114,12 @@ def single_feedback(message: FieldElement, adversary: AdversarySpec | None = Non
     b_result = None
     if ok:
         b_result = got[0][0] + got[1][0]
-        net.send_ba(0, "OK")
+        reply = "OK"
     else:
         b_key = LinearKey.random(spec, rng_b)
         echo = tuple((g[0], (g[1].a, g[1].b), g[2]) for g in got)
-        net.send_ba(0, ((b_key.a, b_key.b), echo))
-    delivered = net.end_round()
-
-    feedback = delivered.get(("BA", 0))
+        reply = ((b_key.a, b_key.b), echo)
+    feedback = net.end_round({("BA", 0): reply}).get(("BA", 0))
     if feedback != "OK":
         # sender identifies the clean forward channel from the echo
         a_key, echoed = fields(feedback, 2)
@@ -124,8 +128,8 @@ def single_feedback(message: FieldElement, adversary: AdversarySpec | None = Non
         # exactly one mismatch identifies the corrupted channel; anything
         # else means the feedback channel itself lied (receiver already done)
         good = matches.index(True) if matches.count(True) == 1 else 0
-        net.send_ab(good, (message, auth_linear(message, a_key)))
-        delivered = net.end_round()
+        delivered = net.end_round(
+            {("AB", good): (message, auth_linear(message, a_key))})
         if b_result is None:
             m2, t2 = as_field_vec(spec, delivered.get(("AB", good)), 2)
             b_result = m2 if verify(m2, t2, b_key) else None
@@ -134,7 +138,7 @@ def single_feedback(message: FieldElement, adversary: AdversarySpec | None = Non
 
 def subset_exchange(message: FieldElement, k: int, n_forward: int, n_backward: int,
                     adversary: AdversarySpec | None = None,
-                    rng_a=None, rng_b=None, seed=0) -> Outcome:
+                    seed=0, rng=None) -> Outcome:
     """Key agreement over every (k+1)-subset of all channels.
 
     For each subset both ends accumulate pad components over the member
@@ -143,7 +147,7 @@ def subset_exchange(message: FieldElement, k: int, n_forward: int, n_backward: i
     forward members.  At least one subset is entirely honest.
     """
     spec = message.spec
-    rng_a, rng_b = _rngs(rng_a, rng_b, seed)
+    rng_a, rng_b = _rngs(rng, seed)
     if n_forward < k + 1 or n_forward + n_backward < 2 * k + 1:
         raise PreconditionError(
             "need k+1 forward channels and 2k+1 channels in total")
@@ -159,23 +163,16 @@ def subset_exchange(message: FieldElement, k: int, n_forward: int, n_backward: i
         # round 1: keys in both directions on the member channels
         a_keys = {i: (spec.sample(rng_a), spec.sample(rng_a)) for i in fwd}
         b_keys = {j: (spec.sample(rng_b), spec.sample(rng_b)) for j in back}
-        for i in fwd:
-            net.send_ab(i, a_keys[i])
-        for j in back:
-            net.send_ba(j, b_keys[j])
-        delivered = net.end_round()
+        sends = {("AB", i): a_keys[i] for i in fwd}
+        sends.update({("BA", j): b_keys[j] for j in back})
+        delivered = net.end_round(sends)
         a_back = {j: as_field_vec(spec, delivered.get(("BA", j)), 2) for j in back}
         b_fwd = {i: as_field_vec(spec, delivered.get(("AB", i)), 2) for i in fwd}
         # round 2: padded message on the forward members
-        c_a = sum((a_keys[i][0] for i in fwd), spec.zero()) + \
-            sum((a_back[j][0] for j in back), spec.zero())
-        d_a = sum((a_keys[i][1] for i in fwd), spec.zero()) + \
-            sum((a_back[j][1] for j in back), spec.zero())
+        c_a, d_a = _pad(spec, [a_keys[i] for i in fwd], [a_back[j] for j in back])
         e = message + c_a
         f = auth_linear(e, LinearKey(c_a, d_a))
-        for i in fwd:
-            net.send_ab(i, (e, f))
-        delivered = net.end_round()
+        delivered = net.end_round({("AB", i): (e, f) for i in fwd})
         copies = {i: delivered.get(("AB", i)) for i in fwd}
         if result is not None:
             continue
@@ -184,10 +181,7 @@ def subset_exchange(message: FieldElement, k: int, n_forward: int, n_backward: i
         if any(copies[i] != got for i in fwd[1:]):
             continue
         e_b, f_b = as_field_vec(spec, got, 2)
-        c_b = sum((b_fwd[i][0] for i in fwd), spec.zero()) + \
-            sum((b_keys[j][0] for j in back), spec.zero())
-        d_b = sum((b_fwd[i][1] for i in fwd), spec.zero()) + \
-            sum((b_keys[j][1] for j in back), spec.zero())
+        c_b, d_b = _pad(spec, [b_fwd[i] for i in fwd], [b_keys[j] for j in back])
         if verify(e_b, f_b, LinearKey(c_b, d_b)):
             result = e_b - c_b
     return finish(message, net, result, "no subset produced a verified pad")
@@ -195,7 +189,7 @@ def subset_exchange(message: FieldElement, k: int, n_forward: int, n_backward: i
 
 def feedback_efficient(message: FieldElement, k: int, u: int,
                        adversary: AdversarySpec | None = None,
-                       rng_a=None, rng_b=None, seed=0) -> Outcome:
+                       seed=0, rng=None) -> Outcome:
     """Efficient transmission over 2k+1-u forward and u backward channels.
 
     Phase one runs the forward-only protocol over the reduced channel
@@ -205,7 +199,7 @@ def feedback_efficient(message: FieldElement, k: int, u: int,
     message under a pad known only along an honest class.
     """
     spec = message.spec
-    rng_a, rng_b = _rngs(rng_a, rng_b, seed)
+    rng_a, rng_b = _rngs(rng, seed)
     if not 1 <= u <= k:
         raise PreconditionError("need 1 <= u <= k")
     n = 2 * k + 1 - u
@@ -221,9 +215,8 @@ def feedback_efficient(message: FieldElement, k: int, u: int,
 
     # fallback round: fresh two-time keys forward
     quads_a = [QuadKey.random(spec, rng_a) for _ in range(n)]
-    for i in range(n):
-        net.send_ab(i, (quads_a[i].a, quads_a[i].b, quads_a[i].c))
-    delivered = net.end_round()
+    delivered = net.end_round({("AB", i): (q.a, q.b, q.c)
+                               for i, q in enumerate(quads_a)})
     quads_b = [as_quad_key(spec, delivered.get(("AB", i))) for i in range(n)]
     r_b = [spec.sample(rng_b) for _ in range(n)]
     beta_b = tuple((r_b[i], auth_quad(r_b[i], quads_b[i])) for i in range(n))
@@ -245,11 +238,10 @@ def feedback_efficient(message: FieldElement, k: int, u: int,
     keys_at_a: list = [[None] * u for _ in range(u)]
     for j in range(u):
         alphas = tuple(tags(de_b[j], vw_b[j][l]) for l in range(u))
-        for l in range(u):
-            bundle = (de_b[j], beta_b, alphas) if l == j else None
-            v, w = vw_b[j][l]
-            net.send_ba(l, (bundle, (v.a, v.b, w.a, w.b)))
-        delivered = net.end_round()
+        delivered = net.end_round({
+            ("BA", l): ((de_b[j], beta_b, alphas) if l == j else None,
+                        (v.a, v.b, w.a, w.b))
+            for l, (v, w) in enumerate(vw_b[j])})
         for l in range(u):
             bundle, keys = fields(delivered.get(("BA", l)), 2)
             if l == j:
@@ -293,12 +285,10 @@ def feedback_efficient(message: FieldElement, k: int, u: int,
                       if beta_a[m][i][1] == auth_quad(beta_a[m][i][0], quads_a[i])]
             t_l = len(good_p) + len(cls)
         if cls is None or t_l <= k:
-            net.end_round()
+            net.end_round({})
             continue
-        c_a = sum((quads_a[i].a for i in good_p), spec.zero()) + \
-            sum((de_a[j][0] for j in cls), spec.zero())
-        d_a = sum((quads_a[i].b for i in good_p), spec.zero()) + \
-            sum((de_a[j][1] for j in cls), spec.zero())
+        c_a, d_a = _pad(spec, [(quads_a[i].a, quads_a[i].b) for i in good_p],
+                        [de_a[j] for j in cls])
         # the tag covers only the padded message; a single linear
         # equation in (c_a, d_a) reveals nothing about the pad, while
         # tampered index lists change the receiver's key and fail the
@@ -306,9 +296,7 @@ def feedback_efficient(message: FieldElement, k: int, u: int,
         # would hand the adversary equations that solve for the pad.
         tag = auth_linear(message + c_a, LinearKey(c_a, d_a))
         payload = (tuple(cls), tuple(good_p), message + c_a, tag)
-        for i in good_p:
-            net.send_ab(i, payload)
-        delivered = net.end_round()
+        delivered = net.end_round({("AB", i): payload for i in good_p})
         if accepted is not None:
             continue
         for i in range(n):
@@ -317,10 +305,8 @@ def feedback_efficient(message: FieldElement, k: int, u: int,
             if len(qs) + len(ps) <= k:
                 continue   # as the sender's rule: k keys may all be known
             e_b = as_field(spec, e_b)
-            c_b = sum((quads_b[i2].a for i2 in ps), spec.zero()) + \
-                sum((de_b[j2][0] for j2 in qs), spec.zero())
-            d_b = sum((quads_b[i2].b for i2 in ps), spec.zero()) + \
-                sum((de_b[j2][1] for j2 in qs), spec.zero())
+            c_b, d_b = _pad(spec, [(quads_b[i2].a, quads_b[i2].b) for i2 in ps],
+                            [de_b[j2] for j2 in qs])
             if verify(e_b, as_field(spec, t_b), LinearKey(c_b, d_b)):
                 accepted = e_b - c_b
                 break

@@ -62,10 +62,10 @@ def reliable_transmit(net: HyperNet, graph: Hypergraph, payload, k: int,
 
 def hypergraph_reliable(message: FieldElement, graph: Hypergraph, k: int,
                         adversary: AdversarySpec | None = None,
-                        rng_a=None, rng_b=None, seed=0) -> Outcome:
+                        seed=0, rng=None) -> Outcome:
     """Reliable (not private) transmission whenever the endpoints cannot
     be cut off by 2k nodes."""
-    rng_a, rng_b = _rngs(rng_a, rng_b, seed)
+    _, rng_b = _rngs(rng, seed)
     net = HyperNet(graph, adversary)
     got = reliable_transmit(net, graph, message, k, rng_b, public=False)
     return finish(message, net, as_field(message.spec, got))
@@ -97,7 +97,7 @@ def _private_plan(graph: Hypergraph, k: int):
 
 def hypergraph_private(message: FieldElement, graph: Hypergraph, k: int,
                        adversary: AdversarySpec | None = None,
-                       rng_a=None, rng_b=None, seed=0) -> Outcome:
+                       seed=0, rng=None) -> Outcome:
     """Private transmission built from per-suspect-set key paths.
 
     For every candidate corrupted set S a key pair travels along a path
@@ -106,7 +106,7 @@ def hypergraph_private(message: FieldElement, graph: Hypergraph, k: int,
     the message over a public reliable channel.
     """
     spec = message.spec
-    rng_a, rng_b = _rngs(rng_a, rng_b, seed)
+    rng_a, rng_b = _rngs(rng, seed)
     back, plan = _private_plan(graph, k)
     witness_paths = dict(plan)
     suspects = list(witness_paths)
@@ -160,8 +160,7 @@ def _exchange_hypergraph() -> Hypergraph:
 
 def neighbor_exchange(message: FieldElement,
                       adversary: AdversarySpec | None = None,
-                      rng_a=None, rng_b=None, seed=0,
-                      delta_r: float = 0.0, rng_t=None) -> Outcome:
+                      seed=0, rng=None, delta_r: float = 0.0) -> Outcome:
     """Private transmission over the two-chain neighbor network.
 
     Both ends hand one-time masks to the relays C and D; each relay
@@ -171,9 +170,8 @@ def neighbor_exchange(message: FieldElement,
     never modified) tell the sender which keys survived.
     """
     spec = message.spec
-    rng_a, rng_b = _rngs(rng_a, rng_b, seed)
-    if rng_t is None:
-        rng_t = Randomness((seed, "relays"))
+    rng_a, rng_b = _rngs(rng, seed)
+    relay_rng = rng if rng is not None else Randomness((seed, "relays"))
     net = HyperNet(_exchange_hypergraph(), adversary)
     reliable = IdealizedReliableChannel(delta_r, net.view,
                                         Randomness((seed, "channel")))
@@ -188,7 +186,7 @@ def neighbor_exchange(message: FieldElement,
     # round 2: each relay multicasts one key pair masked for either end
     relay_out = {}
     for slot, relay in enumerate(("C", "D")):
-        key = LinearKey.random(spec, rng_t)
+        key = LinearKey.random(spec, relay_rng)
         ma = as_field_vec(spec, fields(tagged(heard_a.get(relay), "masks", 2), 2)[slot], 2)
         mb = as_field_vec(spec, fields(tagged(heard_b.get(relay), "masks", 2), 2)[slot], 2)
         out = net.multicast(relay, (key.a + ma[0], key.b + ma[1],

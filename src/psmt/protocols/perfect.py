@@ -7,9 +7,10 @@ feedback-channel echoes; when the sender can pin a fault down to one
 forward/backward channel pair, both ends drop the pair and fall back to
 a protocol tolerating one corruption fewer.
 
-Each forward round is one call: ``_share_round`` sends fresh shares and
-returns the word the receiver reads, and ``netsim.broadcast`` sends the
-sender's verdict and returns the receiver's majority reading of it.
+Every round is one ``PathNetwork.end_round(sends)`` call with all of its
+sends.  ``_share_round`` sends fresh shares and returns the word the
+receiver reads, and ``netsim.broadcast`` sends the sender's verdict and
+returns the receiver's majority reading of it.
 """
 
 from __future__ import annotations
@@ -34,17 +35,16 @@ from .common import (
 
 
 def _share_on(net, fwd, secret, k, rng_a):
-    """Fresh (k+1)-out-of-len(fwd) shares, one per channel of ``fwd``."""
+    """One round of fresh (k+1)-out-of-len(fwd) shares, one per channel of
+    ``fwd``: the shares sent and the round's deliveries."""
     shares = share_vector(secret, len(fwd), k, rng_a)
-    for pos, ch in enumerate(fwd):
-        net.send_ab(ch, shares[pos])
-    return shares
+    return shares, net.end_round({("AB", ch): s for ch, s in zip(fwd, shares)})
 
 
 def _share_round(net, fwd, secret, k, rng_a):
-    """One round of ``_share_on``: the shares sent and the word received."""
-    shares = _share_on(net, fwd, secret, k, rng_a)
-    return shares, _recv_word(secret.spec, net.end_round(), fwd, k)
+    """``_share_on`` and the word the receiver reads on the same channels."""
+    shares, delivered = _share_on(net, fwd, secret, k, rng_a)
+    return shares, _recv_word(secret.spec, delivered, fwd, k)
 
 
 def _recv_word(spec, delivered, fwd, k) -> ReceivedWord:
@@ -70,8 +70,9 @@ def _echo_tail(net, fwd, q, word, shares, rng_b, b_result=None):
     that differ from what it sent, and the receiver reconstructs from the
     rest."""
     n = len(fwd)
-    net.send_ba(q, "stop" if b_result is not None else ("vec", word.entries))
-    echoed = _echoed(word.params.field, net.end_round().get(("BA", q)), n)
+    reply = "stop" if b_result is not None else ("vec", word.entries)
+    delivered = net.end_round({("BA", q): reply})
+    echoed = _echoed(word.params.field, delivered.get(("BA", q)), n)
     if echoed is not None:
         verdict = ("drop", tuple(i for i in range(n) if echoed[i] != shares[i]))
     else:
@@ -119,8 +120,8 @@ def _u1_protocol(message, k, net, fwd, q, rng_a, rng_b):
     for big_i in range(n):
         shares, word = _share_round(net, fwd, message, k, rng_a)
         guesses.append(_decode(word, k - 1))
-        net.send_ba(q, word.entries[big_i])
-        echo = as_field(spec, net.end_round().get(("BA", q)))
+        delivered = net.end_round({("BA", q): word.entries[big_i]})
+        echo = as_field(spec, delivered.get(("BA", q)))
         if echo == shares[big_i]:
             broadcast(net, fwd, ("ok", big_i), rng_b)
             continue
@@ -135,8 +136,7 @@ def _u1_protocol(message, k, net, fwd, q, rng_a, rng_b):
                        k - 1)
     # every echo matched: decide from the guesses, else echo the last word
     if guesses[0] is not None and all(g == guesses[0] for g in guesses):
-        net.send_ba(q, "stop")
-        net.end_round()
+        net.end_round({("BA", q): "stop"})
         broadcast(net, fwd, ("done",), rng_b)
         return guesses[0]
     return _echo_tail(net, fwd, q, word, shares, rng_b)
@@ -152,9 +152,8 @@ def _pad_phase(message, k, net, fwd, back, rng_a, rng_b, recurse, b_prior):
     every feedback channel says stop, the message is padded twice and
     each pad checked for errors, recursing with one corruption fewer
     once a fault is pinned to a channel pair."""
-    for q in back:
-        net.send_ba(q, "stop" if b_prior is not None else "go")
-    delivered = net.end_round()
+    delivered = net.end_round(
+        {("BA", q): "stop" if b_prior is not None else "go" for q in back})
     if all(delivered.get(("BA", q)) == "stop" for q in back):
         broadcast(net, fwd, ("done",), rng_b)
         return b_prior
@@ -168,12 +167,8 @@ def _pad_phase(message, k, net, fwd, back, rng_a, rng_b, recurse, b_prior):
         clean = detect_errors(word) == CLEAN
         if clean:
             recovered_b.append(reconstruct(word))
-            for q in back:
-                net.send_ba(q, "OK")
-        else:
-            for q in back:
-                net.send_ba(q, ("vec", word.entries))
-        delivered = net.end_round()
+        delivered = net.end_round(
+            {("BA", q): "OK" if clean else ("vec", word.entries) for q in back})
         fault = None
         for pos_q, q in enumerate(back):
             echoed = _echoed(spec, delivered.get(("BA", q)), n)
@@ -216,9 +211,8 @@ def _general_protocol(message, k, net, fwd, back, rng_a, rng_b):
     for h in permutations(range(n), u):
         shares, word = _share_round(net, fwd, message, k, rng_a)
         guesses.append(_decode(word, k - u))
-        for i, q in enumerate(back):
-            net.send_ba(q, word.entries[h[i]])
-        delivered = net.end_round()
+        delivered = net.end_round(
+            {("BA", q): word.entries[h[i]] for i, q in enumerate(back)})
         mismatch = None
         for i, q in enumerate(back):
             echo = as_field(spec, delivered.get(("BA", q)))
@@ -258,9 +252,9 @@ def _efficient_protocol(message, k, net, fwd, back, rng_a, rng_b):
 
 def perfect_oneway(message: FieldElement, k: int,
                    adversary: AdversarySpec | None = None,
-                   rng_a=None, rng_b=None, seed=0) -> Outcome:
+                   seed=0, rng=None) -> Outcome:
     """3k+1 forward channels, no feedback, single round."""
-    rng_a, _ = _rngs(rng_a, rng_b, seed)
+    rng_a, _ = _rngs(rng, seed)
     net = PathNetwork(3 * k + 1, 0, adversary)
     result = _oneway_perfect(message, k, net, list(range(3 * k + 1)), rng_a)
     return finish(message, net, result)
@@ -268,9 +262,9 @@ def perfect_oneway(message: FieldElement, k: int,
 
 def perfect_3k(message: FieldElement, k: int,
                adversary: AdversarySpec | None = None,
-               rng_a=None, rng_b=None, seed=0) -> Outcome:
+               seed=0, rng=None) -> Outcome:
     """3k forward channels plus one feedback channel, any k >= 1."""
-    rng_a, rng_b = _rngs(rng_a, rng_b, seed)
+    rng_a, rng_b = _rngs(rng, seed)
     net = PathNetwork(3 * k, 1, adversary)
     result = _threek_one_feedback(message, k, net, list(range(3 * k)), 0,
                                   rng_a, rng_b)
@@ -279,11 +273,11 @@ def perfect_3k(message: FieldElement, k: int,
 
 def perfect_u1(message: FieldElement, k: int,
                adversary: AdversarySpec | None = None,
-               rng_a=None, rng_b=None, seed=0) -> Outcome:
+               seed=0, rng=None) -> Outcome:
     """3k-1 forward channels plus one feedback channel, k >= 2."""
     if k < 2:
         raise PreconditionError("this construction needs k >= 2")
-    rng_a, rng_b = _rngs(rng_a, rng_b, seed)
+    rng_a, rng_b = _rngs(rng, seed)
     net = PathNetwork(3 * k - 1, 1, adversary)
     result = _u1_protocol(message, k, net, list(range(3 * k - 1)), 0,
                           rng_a, rng_b)
@@ -292,12 +286,12 @@ def perfect_u1(message: FieldElement, k: int,
 
 def perfect_general(message: FieldElement, k: int, u: int,
                     adversary: AdversarySpec | None = None,
-                    rng_a=None, rng_b=None, seed=0) -> Outcome:
+                    seed=0, rng=None) -> Outcome:
     """max(3k+1-2u, 2k+1) forward and u backward channels, k >= 2."""
     if k < 2 or u < 1:
         raise PreconditionError("this construction needs k >= 2 and u >= 1")
     n = max(3 * k + 1 - 2 * u, 2 * k + 1)
-    rng_a, rng_b = _rngs(rng_a, rng_b, seed)
+    rng_a, rng_b = _rngs(rng, seed)
     net = PathNetwork(n, u, adversary)
     result = _general_protocol(message, k, net, list(range(n)),
                                list(range(u)), rng_a, rng_b)
@@ -306,12 +300,12 @@ def perfect_general(message: FieldElement, k: int, u: int,
 
 def perfect_efficient(message: FieldElement, k: int, u: int,
                       adversary: AdversarySpec | None = None,
-                      rng_a=None, rng_b=None, seed=0) -> Outcome:
+                      seed=0, rng=None) -> Outcome:
     """3k+1-u forward and u backward channels, rounds linear in u."""
     if not 0 <= u <= k:
         raise PreconditionError("need 0 <= u <= k")
     n = 3 * k + 1 - u
-    rng_a, rng_b = _rngs(rng_a, rng_b, seed)
+    rng_a, rng_b = _rngs(rng, seed)
     net = PathNetwork(n, u, adversary)
     result = _efficient_protocol(message, k, net, list(range(n)),
                                  list(range(u)), rng_a, rng_b)
@@ -345,9 +339,8 @@ def _shared_sub(message, k, u, net, fwd_all, q, rng_a, rng_b):
             if n_j < k + 1:
                 broadcast(net, fwd_all, ("bail",), rng_b)
                 return None, True
-            shares = _share_on(net, ab_a, r0_a if stage == 0 else message - r0_a,
-                               k, rng_a)
-            delivered = net.end_round()
+            shares, delivered = _share_on(
+                net, ab_a, r0_a if stage == 0 else message - r0_a, k, rng_a)
 
             b_sent = None
             b_val = None
@@ -365,8 +358,9 @@ def _shared_sub(message, k, u, net, fwd_all, q, rng_a, rng_b):
                     b_sent = "vec"
                     if stage == 0:
                         b_asked_r0 = True
-                net.send_ba(q, ("vec", word.entries) if b_sent == "vec" else b_sent)
-            delivered = net.end_round()
+            delivered = net.end_round(
+                {} if b_sent is None else
+                {("BA", q): ("vec", word.entries) if b_sent == "vec" else b_sent})
 
             # the sender turns the raw feedback into a reliable verdict
             fb = delivered.get(("BA", q))
@@ -442,7 +436,7 @@ def _shared_protocol(message, k, u, net, rng_a, rng_b):
 
 def perfect_shared_feedback(message: FieldElement, k: int, u: int,
                             adversary: AdversarySpec | None = None,
-                            rng_a=None, rng_b=None, seed=0) -> Outcome:
+                            seed=0, rng=None) -> Outcome:
     """3k+1-u forward channels, u feedback channels that may intersect
     the last u forward paths.
 
@@ -452,7 +446,7 @@ def perfect_shared_feedback(message: FieldElement, k: int, u: int,
     """
     if not 1 <= u <= k:
         raise PreconditionError("need 1 <= u <= k")
-    rng_a, rng_b = _rngs(rng_a, rng_b, seed)
+    rng_a, rng_b = _rngs(rng, seed)
     net = PathNetwork(3 * k + 1 - u, u, adversary)
     result = _shared_protocol(message, k, u, net, rng_a, rng_b)
     return finish(message, net, result)

@@ -29,7 +29,9 @@ def _canon(seed):
 
 
 class Randomness:
-    """Deterministic stream of uniform draws. Single-owner; never shared."""
+    """Deterministic stream of uniform draws.  A party's own stream has
+    one owner; a source handed to a protocol's ``rng`` serves every
+    honest party of the run."""
 
     def __init__(self, seed):
         self._rng = random.Random(_canon(seed))

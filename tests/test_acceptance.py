@@ -333,9 +333,7 @@ def test_criterion_5_split_simulation_attack():
             corrupted = frozenset(("AB", i) for i in range(k))
             net = PathNetwork(2 * k, 0,
                               AdversarySpec(corrupted, constant_replacer(m1)))
-            for i in range(2 * k):
-                net.send_ab(i, m0)
-            delivered = net.end_round()
+            delivered = net.end_round({("AB", i): m0 for i in range(2 * k)})
             got = majority_of([delivered[("AB", i)] for i in range(2 * k)],
                               Randomness(("acc5", k, t)))
             if got != m0:

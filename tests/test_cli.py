@@ -7,7 +7,7 @@ import pathlib
 import pytest
 
 from psmt import fixtures, protocols
-from psmt.cli import main
+from psmt.cli import _HARNESS, main
 
 
 def run(capsys, *argv):
@@ -225,6 +225,15 @@ def test_simulate_requires_each_parameter_without_a_default(capsys, name):
         code, _, err = run(capsys, *argv)
         assert code == 2, (name, left_out)
         assert "requires" in err and flag in err, (name, left_out, err)
+
+
+def test_each_entry_point_takes_the_harness_parameters_besides_its_own():
+    optional = {"oneway": {"n_forward"}, "neighbor-exchange": {"delta_r"}}
+    beyond = {name: set(inspect.signature(protocols.get(name).run).parameters)
+              - set(_REQUIRED[name]) - optional.get(name, set())
+              for name in protocols.names()}
+    assert beyond == {name: _HARNESS for name in protocols.names()}
+    assert _HARNESS == {"message", "adversary", "seed", "rng"}
 
 
 def test_optional_parameters_reach_their_entry_points(capsys):

@@ -21,21 +21,16 @@ from psmt.strategies import constant_replacer, shift_tamperer
 from psmt.topology import to_hypergraph
 
 
-def test_channel_reuse_rejected():
-    net = PathNetwork(2, 1)
-    net.send_ab(0, "x")
-    with pytest.raises(ParamError):
-        net.send_ab(0, "y")
-    net.end_round()
-    net.send_ab(0, "z")  # fresh round, fine
-
-
 def test_unknown_channel_rejected():
-    net = PathNetwork(2, 0)
+    seen = []
+    net = PathNetwork(2, 0, AdversarySpec(frozenset({("AB", 0)}),
+                                          lambda ctx: seen.append(ctx.payload)))
     with pytest.raises(ParamError):
-        net.send_ab(2, "x")
+        net.end_round({("AB", 0): "x", ("AB", 2): "x"})
     with pytest.raises(ParamError):
-        net.send_ba(0, "x")
+        net.end_round({("AB", 0): "x", ("BA", 0): "x"})
+    # every channel is checked before any is tampered, recorded or delivered
+    assert (seen, net.view.events, net.transcript, net.round) == ([], [], [], 0)
     with pytest.raises(ParamError):
         PathNetwork(0, 1)
     with pytest.raises(ParamError):
@@ -44,12 +39,11 @@ def test_unknown_channel_rejected():
 
 def test_delivery_and_round_counter():
     net = PathNetwork(2, 1)
-    net.send_ab(0, "a")
-    net.send_ba(0, "b")
-    delivered = net.end_round()
+    delivered = net.end_round({("BA", 0): "b", ("AB", 0): "a"})
     assert delivered == {("AB", 0): "a", ("BA", 0): "b"}
     assert net.round == 1
-    assert net.end_round() == {}
+    assert net.end_round({}) == {}
+    assert net.round == 2
 
 
 def test_passive_adversary_never_alters_delivery():
@@ -58,18 +52,13 @@ def test_passive_adversary_never_alters_delivery():
     for adversary in (None,
                       AdversarySpec(frozenset({("AB", 0), ("AB", 1)}))):
         net = PathNetwork(2, 0, adversary)
-        for i, p in enumerate(payloads):
-            net.send_ab(i, p)
-        delivered = net.end_round()
+        delivered = net.end_round({("AB", i): p for i, p in enumerate(payloads)})
         assert delivered == {("AB", 0): payloads[0], ("AB", 1): payloads[1]}
 
 
 def test_view_contains_only_corrupted_traffic_and_broadcasts():
     net = PathNetwork(3, 0, AdversarySpec(frozenset({("AB", 1)})))
-    net.send_ab(0, "secret0")
-    net.send_ab(1, "seen")
-    net.send_ab(2, "secret2")
-    net.end_round()
+    net.end_round({("AB", 0): "secret0", ("AB", 1): "seen", ("AB", 2): "secret2"})
     broadcast(net, range(3), "public", Randomness(0))
     assert net.view.events == [(0, ("AB", 1), "seen"),
                                (1, ("AB", 1), ("public", None))]
@@ -80,9 +69,7 @@ def test_active_tampering_applied_per_corrupted_channel():
     spec = GF(7)
     net = PathNetwork(2, 0, AdversarySpec(frozenset({("AB", 1)}),
                                           shift_tamperer()))
-    net.send_ab(0, spec.element(3))
-    net.send_ab(1, spec.element(3))
-    delivered = net.end_round()
+    delivered = net.end_round({("AB", 0): spec.element(3), ("AB", 1): spec.element(3)})
     assert delivered[("AB", 0)].value == 3
     assert delivered[("AB", 1)].value == 4
     # the view records the original payload, before tampering
@@ -105,14 +92,12 @@ def test_broadcast_majority_outvotes_corrupted_channels():
 
 def test_broadcast_is_one_round_with_its_announcement():
     net = PathNetwork(3, 1)
-    net.send_ba(0, "before")
-    net.end_round()
+    net.end_round({("BA", 0): "before"})
     broadcast(net, range(3), ("ok", 1), Randomness(0))
     assert net.round == 2
     assert net.view.public == [(1, "AB", ("ok", 1))]
     assert [(rnd, ch) for rnd, ch, _, _ in net.transcript] == [
         (0, ("BA", 0)), (1, ("AB", 0)), (1, ("AB", 1)), (1, ("AB", 2))]
-    assert net.end_round() == {}  # nothing left staged
 
 
 def _last_round_deliveries(net):
@@ -155,6 +140,29 @@ def test_multicast_and_one_hop_transmit_are_the_same_hop():
     assert hops[0] == (("forged", "m"), [(0, ("u1", ("B", "v")), ("forged", "m"))],
                        (0, "u1", ("forged", "m")))
     assert seen == [(0, "u1", "m")] * 2
+
+
+def test_both_simulators_tamper_through_one_step():
+    # each strategy call sees the round, the location, the payload and the
+    # run's own view, with one state dict and one adversary stream per run
+    contexts = []
+
+    def counter(ctx):
+        contexts.append(ctx)
+        ctx.state["calls"] = ctx.state.get("calls", 0) + 1
+        return ("forged", ctx.state["calls"])
+
+    path = PathNetwork(1, 0, AdversarySpec(frozenset({("AB", 0)}), counter))
+    hyper = HyperNet(fixtures.get("fig5"), AdversarySpec(frozenset({"u1"}), counter))
+    for rnd in range(2):
+        assert path.end_round({("AB", 0): "m"}) == {("AB", 0): ("forged", rnd + 1)}
+        assert hyper.multicast("u1", "m")["B"] == ("forged", rnd + 1)
+        hyper.advance_round()
+    for net, where in ((path, ("AB", 0)), (hyper, "u1")):
+        mine = [c for c in contexts if c.view is net.view]
+        assert [(c.round, c.where, c.payload) for c in mine] == [
+            (0, where, "m"), (1, where, "m")]
+        assert mine[0].state is mine[1].state and mine[0].rng is mine[1].rng
 
 
 def test_majority_of_clear_and_tie():
@@ -225,6 +233,14 @@ def test_hypernet_transmit_routing_and_tampering():
         net.transmit({"bad": (("A", "B"), "x")})  # A and B are not adjacent
 
 
+@pytest.mark.parametrize("path", [("A",), ()], ids=["one-node", "empty"])
+def test_transmit_rejects_a_route_shorter_than_two_nodes(path):
+    net = HyperNet(fixtures.get("fig5"))
+    with pytest.raises(ParamError):
+        net.transmit({"r": (path, "x")})
+    assert (net.round, net.transcript) == (0, [])
+
+
 def test_view_leaves_and_canonical_descend_into_tuples():
     spec = GF(7)
     tainted = spec.sample(TracingRandomness("view", pinned={0: 3}))
@@ -289,6 +305,5 @@ def test_adversary_rng_is_seed_deterministic():
     for _ in range(2):
         net = PathNetwork(1, 0, AdversarySpec(frozenset({("AB", 0)}),
                                               noisy, seed=5))
-        net.send_ab(0, spec.element(0))
-        outs.append(net.end_round()[("AB", 0)])
+        outs.append(net.end_round({("AB", 0): spec.element(0)})[("AB", 0)])
     assert outs[0] == outs[1]

@@ -1,9 +1,11 @@
 """Exact and estimated statistical distance between adversary views."""
 
+import pathlib
 from dataclasses import dataclass
 
 import pytest
 
+from psmt import fixtures, protocols
 from psmt.field import GF
 from psmt.netsim import AdversarySpec, AdversaryView
 from psmt.privacy import (
@@ -28,6 +30,7 @@ from psmt.protocols.perfect import (
     perfect_shared_feedback,
     perfect_u1,
 )
+from psmt.randomness import Randomness, TracingRandomness
 
 
 def _pad_runner(spec, leak=False):
@@ -263,11 +266,48 @@ def test_path_traced_under_one_message_and_plain_under_the_other_is_not_exact():
         assert 1.4 <= report.component_tv[0] <= 1.8
 
 
+def _every_entry():
+    """(name, parameters, corrupted set) for each registry entry: every
+    channel, or one relay node, is eavesdropped."""
+    duo = fixtures.loads((pathlib.Path(__file__).parent / "golden" / "duo.json").read_text())
+    channels = {"oneway": ({"k": 1}, 3, 0), "single-feedback": ({}, 2, 1),
+                "subset-exchange": ({"k": 1, "n_forward": 2, "n_backward": 1}, 2, 1),
+                "feedback-efficient": ({"k": 1, "u": 1}, 2, 1),
+                "perfect-oneway": ({"k": 1}, 4, 0), "perfect-3k": ({"k": 1}, 3, 1),
+                "perfect-u1": ({"k": 2}, 5, 1), "perfect-general": ({"k": 2, "u": 1}, 5, 1),
+                "perfect-efficient": ({"k": 1, "u": 1}, 3, 1),
+                "perfect-shared": ({"k": 1, "u": 1}, 3, 1)}
+    out = {name: (kw, {("AB", i) for i in range(nf)} | {("BA", j) for j in range(nb)})
+           for name, (kw, nf, nb) in channels.items()}
+    out["hyper-reliable"] = ({"graph": fixtures.get("fig5"), "k": 1}, {"v"})
+    out["hyper-private"] = ({"graph": duo, "k": 1}, {"x"})
+    out["neighbor-exchange"] = ({}, {"C"})
+    assert sorted(out) == protocols.names()
+    return [pytest.param(name, *case, id=name) for name, case in sorted(out.items())]
+
+
+@pytest.mark.parametrize("name, kw, corrupted", _every_entry())
+def test_shared_rng_runner_gives_every_party_the_one_source(name, kw, corrupted):
+    # with the source given, no honest party draws from a stream of the
+    # seed: the view is the same under any seed, and the source drives it
+    # (hyper-reliable's parties draw only tie coins, and a passive run
+    # has no tie)
+    spec = GF(101)
+
+    def view(seed, source):
+        run = shared_rng_runner(protocols.get(name).run,
+                                adversary=AdversarySpec(frozenset(corrupted)),
+                                seed=seed, **kw)
+        return run(spec.element(7), Randomness(source)).canonical()
+
+    assert view(0, "one") == view(1, "one")
+    assert (view(0, "one") == view(0, "other")) == (name == "hyper-reliable")
+
+
 def test_shared_rng_runner_passes_relay_randomness():
     spec = GF(2)
     run = shared_rng_runner(
         neighbor_exchange, adversary=AdversarySpec(frozenset({"C"})))
-    from psmt.randomness import TracingRandomness
     rng = TracingRandomness(0)
     view = run(spec.element(0), rng)
     # relay draws went through the same tracing stream: taints present
