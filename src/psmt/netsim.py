@@ -8,15 +8,20 @@ Two models:
   at most one payload per channel: each is exposed to the adversary on a
   corrupted channel, possibly replaced (active mode), and delivered.
 
-* ``HyperNet`` — node-level multicast.  Messages travel hop by hop along
-  node paths; every recipient of a used hyperedge overhears the payload,
-  and corrupted relay nodes may replace what they forward.
+* ``HyperNet`` — node-level multicast.  A round is one call,
+  ``end_round(sends)``: each send crosses one hyperedge of its origin,
+  every recipient of that hyperedge overhears it, and a corrupted origin
+  may replace it.  ``transmit`` routes payloads along node paths, one
+  hop per round.
 
 Both keep the adversary, the round counter, the view and the transcript
-the same way, and both tamper through one step, ``_tamper``.
+the same way, and both tamper through one step, ``_tamper``.  The
+transcript logs every send as (round, where, sent, delivered).
 
 ``broadcast`` is one ``PathNetwork`` round of a public value; it returns
-the receiver's majority verdict (``recv_broadcast``).
+the receiver's majority verdict (``recv_broadcast``).  ``reliable_send``
+is one round of an idealized reliable channel, which may lose a public
+payload but never modifies it.
 
 Payloads are arbitrary nested tuples of field elements, ints and
 strings.  Honest payloads stay hashable so that majority votes work; a
@@ -37,7 +42,7 @@ from .field import FieldElement, peek
 from .randomness import Randomness
 from .topology import Hypergraph
 
-_COIN_RESOLUTION = 10**6  # IdealizedReliableChannel's failure coin ranges over it
+_COIN_RESOLUTION = 10**6  # reliable_send's loss coin ranges over it
 
 
 @dataclass
@@ -162,7 +167,8 @@ class _Simulator:
         self.round = 0
         self.view = AdversaryView()
         self.transcript: list = []
-        self._adv_rng = Randomness(("adversary", self.adversary.seed))
+        self._adv_rng = (Randomness(("adversary", self.adversary.seed))
+                         if self.adversary.active else None)
         self._adv_state: dict = {}
 
     def _tamper(self, where, payload):
@@ -267,11 +273,11 @@ def recv_broadcast(delivered: dict, fwd, tie_rng: Randomness):
 
 
 class HyperNet(_Simulator):
-    """Hop-by-hop routing over a multicast hypergraph.
+    """Rounds of hyperedge sends over a multicast hypergraph.
 
     A corrupted node overhears every hyperedge whose recipient set it
-    belongs to (or that it originates) and may replace payloads it is
-    asked to forward.
+    belongs to (or that it originates) and may replace payloads it
+    sends.
     """
 
     def __init__(self, graph: Hypergraph, adversary: AdversarySpec | None = None):
@@ -288,36 +294,6 @@ class HyperNet(_Simulator):
         for origin in self._edges_from:
             self._edges_from[origin].sort(key=lambda r: sorted(r))
 
-    def multicast(self, origin, payload):
-        """Origin sends on its one hyperedge; every recipient hears the
-        same value.  Returns {recipient: payload}.  A corrupted origin may
-        substitute the payload; corrupted listeners record it.  An origin
-        with several hyperedges must name a route: use ``transmit``.
-        """
-        edges = self._edges_from.get(origin)
-        if not edges:
-            raise ParamError(f"{origin} has no hyperedge to send on")
-        if len(edges) > 1:
-            raise ParamError(
-                f"{origin} has {len(edges)} hyperedges; multicast needs exactly one")
-        payload = self._hop(origin, edges[0], payload, "multicast")
-        return {r: payload for r in edges[0]}
-
-    def _hop(self, origin, recipients, payload, label):
-        """One hyperedge use: a corrupted origin may replace the payload,
-        a corrupted node on the edge records what it carries, and the
-        transcript logs it under ``label``.  Returns what is heard."""
-        if origin in self.adversary.corrupted:
-            payload = self._tamper(origin, payload)
-        if (recipients | {origin}) & self.adversary.corrupted:
-            self.view.record(self.round, (origin, tuple(sorted(recipients))),
-                             payload)
-        self.transcript.append((self.round, label, origin, payload))
-        return payload
-
-    def advance_round(self) -> None:
-        self.round += 1
-
     def _edge_to(self, origin, nxt) -> frozenset:
         for recipients in self._edges_from.get(origin, ()):
             if nxt in recipients:
@@ -330,55 +306,70 @@ class HyperNet(_Simulator):
         for a, b in zip(path, path[1:]):
             self._edge_to(a, b)
 
+    def end_round(self, sends: dict) -> dict:
+        """One round: ``sends`` maps each label to (origin, node, payload),
+        a payload on the hyperedge of ``origin`` that reaches ``node``;
+        every recipient of that hyperedge hears the same value.  Every
+        hyperedge is looked up before any send is tampered; then, in label
+        order, a corrupted origin may replace its payload, a corrupted node
+        on the edge records what it carries, the transcript logs
+        ``(round, (label, origin), sent, heard)``, and the round counter
+        advances.
+
+        Returns {label: payload heard}.
+        """
+        edges = {label: self._edge_to(origin, node)
+                 for label, (origin, node, _) in sends.items()}
+        heard = {}
+        for label in sorted(sends, key=str):
+            origin, _, sent = sends[label]
+            payload = (self._tamper(origin, sent)
+                       if origin in self.adversary.corrupted else sent)
+            if (edges[label] | {origin}) & self.adversary.corrupted:
+                self.view.record(self.round, (origin, tuple(sorted(edges[label]))),
+                                 payload)
+            heard[label] = payload
+            self.transcript.append((self.round, (label, origin), sent, payload))
+        self.round += 1
+        return heard
+
     def transmit(self, routes: dict) -> dict:
         """Route {route_id: (path, payload)}; one hop per round, in parallel.
 
-        Returns {route_id: delivered payload}.  The round counter advances
-        by the length of the longest path.
+        Every route is validated before the first round.  Returns
+        {route_id: delivered payload}.  The round counter advances by the
+        length of the longest path.
         """
-        state = {}
-        for rid in sorted(routes, key=str):
-            path, payload = routes[rid]
+        for path, _ in routes.values():
             self.validate_path(path)
-            state[rid] = [list(path), payload]
+        state = dict(routes)
         delivered = {}
         while state:
-            for rid in sorted(state, key=str):
-                path, payload = state[rid]
-                origin, nxt = path[0], path[1]
-                payload = self._hop(origin, self._edge_to(origin, nxt), payload, rid)
-                if len(path) == 2:
-                    delivered[rid] = payload
-                    del state[rid]
+            heard = self.end_round({rid: (path[0], path[1], payload)
+                                    for rid, (path, payload) in state.items()})
+            for rid, payload in heard.items():
+                path = state.pop(rid)[0][1:]
+                if len(path) > 1:
+                    state[rid] = (path, payload)
                 else:
-                    state[rid] = [path[1:], payload]
-            self.round += 1
+                    delivered[rid] = payload
         return delivered
 
 
-class IdealizedReliableChannel:
-    """Two-way channel that may fail to deliver but never modifies data.
-
-    Each transmission independently fails with probability ``delta_r``
-    (the receiver sees ``None``).  Contents are public: the adversary
-    observes every payload sent through the channel.
-    """
-
-    FAILED = None
-
-    def __init__(self, delta_r: float, view: AdversaryView, rng: Randomness):
-        if not 0 <= delta_r < 1:
-            raise ParamError("delta_r must be in [0, 1)")
-        self.delta_r = delta_r
-        self.view = view
-        self._rng = rng
-
-    def send(self, rnd: int, label, payload):
-        self.view.announce(rnd, ("reliable", label), payload)
-        coin, _ = self._rng.draw(_COIN_RESOLUTION)
-        if coin < self.delta_r * _COIN_RESOLUTION:
-            return self.FAILED
-        return payload
+def reliable_send(net: _Simulator, label, payload, delta_r: float,
+                  rng: Randomness):
+    """One round of an idealized reliable channel: the payload is public
+    (announced to the adversary) and never modified, but it is lost, and
+    ``None`` delivered, with probability ``delta_r`` by a coin from
+    ``rng``.  The transcript logs ``(round, ("reliable", label), payload,
+    delivered)``; the round carries no other send."""
+    where = ("reliable", label)
+    net.view.announce(net.round, where, payload)
+    coin, _ = rng.draw(_COIN_RESOLUTION)
+    delivered = None if coin < delta_r * _COIN_RESOLUTION else payload
+    net.transcript.append((net.round, where, payload, delivered))
+    net.end_round({})
+    return delivered
 
 
 @dataclass

@@ -14,7 +14,7 @@ have sent in the expected shape, so acting on the coercion gives it
 nothing it could not get anyway.  The images of these helpers are also
 the finite alphabet of payloads a receiver can tell apart.
 
-``_rngs`` gives the parties their randomness, ``first`` takes a
+``_rng`` gives each party its randomness, ``first`` takes a
 sub-protocol's channels and ``finish`` closes a run.
 """
 
@@ -30,13 +30,11 @@ from ..randomness import Randomness
 from ..sharing import ReceivedWord, SharingParams, share
 
 
-def _rngs(rng, seed):
-    """The sender's and the receiver's randomness: the one source ``rng``
-    for both when it is given, else each party's own stream from
-    ``seed``."""
-    if rng is not None:
-        return rng, rng
-    return Randomness((seed, "A")), Randomness((seed, "B"))
+def _rng(rng, seed, party: str):
+    """The randomness of ``party``: the one source ``rng`` that every
+    honest party shares when it is given, else the party's own stream
+    from ``seed``.  An entry point asks only for the parties that draw."""
+    return rng if rng is not None else Randomness((seed, party))
 
 
 def fields(value, n: int) -> tuple:

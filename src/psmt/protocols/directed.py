@@ -15,7 +15,7 @@ from ..field import FieldElement
 from ..netsim import AdversarySpec, Outcome, PathNetwork
 from ..sharing import reconstruct
 from .common import (
-    _rngs,
+    _rng,
     as_field,
     as_field_vec,
     as_indices,
@@ -70,7 +70,7 @@ def oneway(message: FieldElement, k: int, adversary: AdversarySpec | None = None
     the matching key.  A share is accepted with at least k+1 valid tags.
     """
     spec = message.spec
-    rng_a, _ = _rngs(rng, seed)
+    rng_a = _rng(rng, seed, "A")
     n = n_forward if n_forward is not None else 2 * k + 1
     if n < 2 * k + 1:
         raise PreconditionError(f"need {2 * k + 1} forward channels, have {n}")
@@ -92,7 +92,7 @@ def single_feedback(message: FieldElement, adversary: AdversarySpec | None = Non
     identify the clean channel and retransmit over it.
     """
     spec = message.spec
-    rng_a, rng_b = _rngs(rng, seed)
+    rng_a, rng_b = _rng(rng, seed, "A"), _rng(rng, seed, "B")
     net = PathNetwork(2, 1, adversary)
 
     s = [spec.sample(rng_a), None]
@@ -147,7 +147,7 @@ def subset_exchange(message: FieldElement, k: int, n_forward: int, n_backward: i
     forward members.  At least one subset is entirely honest.
     """
     spec = message.spec
-    rng_a, rng_b = _rngs(rng, seed)
+    rng_a, rng_b = _rng(rng, seed, "A"), _rng(rng, seed, "B")
     if n_forward < k + 1 or n_forward + n_backward < 2 * k + 1:
         raise PreconditionError(
             "need k+1 forward channels and 2k+1 channels in total")
@@ -199,7 +199,7 @@ def feedback_efficient(message: FieldElement, k: int, u: int,
     message under a pad known only along an honest class.
     """
     spec = message.spec
-    rng_a, rng_b = _rngs(rng, seed)
+    rng_a, rng_b = _rng(rng, seed, "A"), _rng(rng, seed, "B")
     if not 1 <= u <= k:
         raise PreconditionError("need 1 <= u <= k")
     n = 2 * k + 1 - u

@@ -2,8 +2,11 @@
 
 Corruption here is node-level: a corrupted node overhears every
 hyperedge it can receive on and may replace anything it forwards or
-originates.  Reliable sub-channels (disjoint-path majorities or an
-idealized reliable channel) carry public data only.
+originates.  Every round is one ``HyperNet.end_round`` call, made
+directly or by ``transmit``; ``neighbor_exchange``'s two rounds on its
+idealized reliable channel are ``netsim.reliable_send`` calls.
+Reliable sub-channels (disjoint-path majorities or that channel) carry
+public data only.
 """
 
 from __future__ import annotations
@@ -12,16 +15,10 @@ import itertools
 from functools import lru_cache
 
 from ..authcodes import LinearKey, auth_linear, verify
-from ..errors import PreconditionError
+from ..errors import ParamError, PreconditionError
 from ..field import FieldElement
 from ..fixtures import fig2
-from ..netsim import (
-    AdversarySpec,
-    HyperNet,
-    IdealizedReliableChannel,
-    Outcome,
-    majority_of,
-)
+from ..netsim import AdversarySpec, HyperNet, Outcome, majority_of, reliable_send
 from ..randomness import Randomness
 from ..topology import (
     Hypergraph,
@@ -31,7 +28,7 @@ from ..topology import (
     strongly_k_connected,
     to_hypergraph,
 )
-from .common import _rngs, as_field, as_field_vec, as_indices, fields, finish, tagged
+from .common import _rng, as_field, as_field_vec, as_indices, fields, finish, tagged
 
 
 def _reverse(h: Hypergraph) -> Hypergraph:
@@ -65,7 +62,7 @@ def hypergraph_reliable(message: FieldElement, graph: Hypergraph, k: int,
                         seed=0, rng=None) -> Outcome:
     """Reliable (not private) transmission whenever the endpoints cannot
     be cut off by 2k nodes."""
-    _, rng_b = _rngs(rng, seed)
+    rng_b = _rng(rng, seed, "B")
     net = HyperNet(graph, adversary)
     got = reliable_transmit(net, graph, message, k, rng_b, public=False)
     return finish(message, net, as_field(message.spec, got))
@@ -106,7 +103,7 @@ def hypergraph_private(message: FieldElement, graph: Hypergraph, k: int,
     the message over a public reliable channel.
     """
     spec = message.spec
-    rng_a, rng_b = _rngs(rng, seed)
+    rng_a, rng_b = _rng(rng, seed, "A"), _rng(rng, seed, "B")
     back, plan = _private_plan(graph, k)
     witness_paths = dict(plan)
     suspects = list(witness_paths)
@@ -169,36 +166,35 @@ def neighbor_exchange(message: FieldElement,
     reliable channel (failure probability ``delta_r``, contents public,
     never modified) tell the sender which keys survived.
     """
+    if not 0 <= delta_r < 1:
+        raise ParamError("delta_r must be in [0, 1)")
     spec = message.spec
-    rng_a, rng_b = _rngs(rng, seed)
-    relay_rng = rng if rng is not None else Randomness((seed, "relays"))
+    rng_a, rng_b = _rng(rng, seed, "A"), _rng(rng, seed, "B")
+    relay_rng = _rng(rng, seed, "relays")
+    channel_rng = Randomness((seed, "channel"))
     net = HyperNet(_exchange_hypergraph(), adversary)
-    reliable = IdealizedReliableChannel(delta_r, net.view,
-                                        Randomness((seed, "channel")))
 
     # round 1: fresh masks from both ends (relays C and D both hear both)
     masks_a = [spec.sample(rng_a) for _ in range(4)]
     masks_b = [spec.sample(rng_b) for _ in range(4)]
-    heard_a = net.multicast("A", ("masks", tuple(masks_a[:2]), tuple(masks_a[2:])))
-    heard_b = net.multicast("B", ("masks", tuple(masks_b[:2]), tuple(masks_b[2:])))
-    net.advance_round()
+    heard = net.end_round({
+        "A": ("A", "C", ("masks", tuple(masks_a[:2]), tuple(masks_a[2:]))),
+        "B": ("B", "C", ("masks", tuple(masks_b[:2]), tuple(masks_b[2:])))})
 
     # round 2: each relay multicasts one key pair masked for either end
-    relay_out = {}
+    sends = {}
     for slot, relay in enumerate(("C", "D")):
         key = LinearKey.random(spec, relay_rng)
-        ma = as_field_vec(spec, fields(tagged(heard_a.get(relay), "masks", 2), 2)[slot], 2)
-        mb = as_field_vec(spec, fields(tagged(heard_b.get(relay), "masks", 2), 2)[slot], 2)
-        out = net.multicast(relay, (key.a + ma[0], key.b + ma[1],
-                                    key.a + mb[0], key.b + mb[1]))
-        relay_out[relay] = out
-    net.advance_round()
+        ma = as_field_vec(spec, fields(tagged(heard["A"], "masks", 2), 2)[slot], 2)
+        mb = as_field_vec(spec, fields(tagged(heard["B"], "masks", 2), 2)[slot], 2)
+        sends[relay] = (relay, "A", (key.a + ma[0], key.b + ma[1],
+                                     key.a + mb[0], key.b + mb[1]))
+    relay_out = net.end_round(sends)
 
     def unmask(end: str, masks) -> list[LinearKey]:
         keys = []
         for slot, relay in enumerate(("C", "D")):
-            got = relay_out[relay].get(end)
-            vec = as_field_vec(spec, got, 4)
+            vec = as_field_vec(spec, relay_out[relay], 4)
             base = 0 if end == "A" else 2
             keys.append(LinearKey(vec[base] - masks[2 * slot],
                                   vec[base + 1] - masks[2 * slot + 1]))
@@ -208,18 +204,17 @@ def neighbor_exchange(message: FieldElement,
 
     # authenticated nonce from the receiver over the reliable channel
     r_b = spec.sample(rng_b)
-    bundle = reliable.send(net.round, "BA",
-                           (r_b, auth_linear(r_b, keys_b[0]),
-                            auth_linear(r_b, keys_b[1])))
-    net.advance_round()
-    if bundle is IdealizedReliableChannel.FAILED:
+    bundle = reliable_send(net, "BA", (r_b, auth_linear(r_b, keys_b[0]),
+                                       auth_linear(r_b, keys_b[1])),
+                           delta_r, channel_rng)
+    if bundle is None:
         return finish(message, net, None, "reliable channel failed")
     r_a, *tags = as_field_vec(spec, bundle, 3)
     k_index = [i for i, t in enumerate(tags) if verify(r_a, t, keys_a[i])]
     pad_a = sum((keys_a[i].a for i in k_index), spec.zero())
-    final = reliable.send(net.round, "AB", (tuple(k_index), message + pad_a))
-    net.advance_round()
-    if final is IdealizedReliableChannel.FAILED:
+    final = reliable_send(net, "AB", (tuple(k_index), message + pad_a),
+                          delta_r, channel_rng)
+    if final is None:
         return finish(message, net, None, "reliable channel failed")
     idx, cipher = fields(final, 2)
     pad_b = sum((keys_b[i].a for i in as_indices(idx, 2)), spec.zero())

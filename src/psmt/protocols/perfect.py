@@ -22,7 +22,7 @@ from ..field import FieldElement
 from ..netsim import AdversarySpec, Outcome, PathNetwork, broadcast
 from ..sharing import CLEAN, ReceivedWord, correct_errors, detect_errors, reconstruct
 from .common import (
-    _rngs,
+    _rng,
     as_field,
     as_field_vec,
     as_indices,
@@ -254,7 +254,7 @@ def perfect_oneway(message: FieldElement, k: int,
                    adversary: AdversarySpec | None = None,
                    seed=0, rng=None) -> Outcome:
     """3k+1 forward channels, no feedback, single round."""
-    rng_a, _ = _rngs(rng, seed)
+    rng_a = _rng(rng, seed, "A")
     net = PathNetwork(3 * k + 1, 0, adversary)
     result = _oneway_perfect(message, k, net, list(range(3 * k + 1)), rng_a)
     return finish(message, net, result)
@@ -264,7 +264,7 @@ def perfect_3k(message: FieldElement, k: int,
                adversary: AdversarySpec | None = None,
                seed=0, rng=None) -> Outcome:
     """3k forward channels plus one feedback channel, any k >= 1."""
-    rng_a, rng_b = _rngs(rng, seed)
+    rng_a, rng_b = _rng(rng, seed, "A"), _rng(rng, seed, "B")
     net = PathNetwork(3 * k, 1, adversary)
     result = _threek_one_feedback(message, k, net, list(range(3 * k)), 0,
                                   rng_a, rng_b)
@@ -277,7 +277,7 @@ def perfect_u1(message: FieldElement, k: int,
     """3k-1 forward channels plus one feedback channel, k >= 2."""
     if k < 2:
         raise PreconditionError("this construction needs k >= 2")
-    rng_a, rng_b = _rngs(rng, seed)
+    rng_a, rng_b = _rng(rng, seed, "A"), _rng(rng, seed, "B")
     net = PathNetwork(3 * k - 1, 1, adversary)
     result = _u1_protocol(message, k, net, list(range(3 * k - 1)), 0,
                           rng_a, rng_b)
@@ -291,7 +291,7 @@ def perfect_general(message: FieldElement, k: int, u: int,
     if k < 2 or u < 1:
         raise PreconditionError("this construction needs k >= 2 and u >= 1")
     n = max(3 * k + 1 - 2 * u, 2 * k + 1)
-    rng_a, rng_b = _rngs(rng, seed)
+    rng_a, rng_b = _rng(rng, seed, "A"), _rng(rng, seed, "B")
     net = PathNetwork(n, u, adversary)
     result = _general_protocol(message, k, net, list(range(n)),
                                list(range(u)), rng_a, rng_b)
@@ -305,7 +305,7 @@ def perfect_efficient(message: FieldElement, k: int, u: int,
     if not 0 <= u <= k:
         raise PreconditionError("need 0 <= u <= k")
     n = 3 * k + 1 - u
-    rng_a, rng_b = _rngs(rng, seed)
+    rng_a, rng_b = _rng(rng, seed, "A"), _rng(rng, seed, "B")
     net = PathNetwork(n, u, adversary)
     result = _efficient_protocol(message, k, net, list(range(n)),
                                  list(range(u)), rng_a, rng_b)
@@ -446,7 +446,7 @@ def perfect_shared_feedback(message: FieldElement, k: int, u: int,
     """
     if not 1 <= u <= k:
         raise PreconditionError("need 1 <= u <= k")
-    rng_a, rng_b = _rngs(rng, seed)
+    rng_a, rng_b = _rng(rng, seed, "A"), _rng(rng, seed, "B")
     net = PathNetwork(3 * k + 1 - u, u, adversary)
     result = _shared_protocol(message, k, u, net, rng_a, rng_b)
     return finish(message, net, result)

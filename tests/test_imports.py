@@ -1,5 +1,5 @@
 """Every psmt module uses each name it imports, and every function each
-local it assigns."""
+local it assigns; only ``netsim`` advances rounds and writes transcripts."""
 
 import ast
 import pathlib
@@ -92,4 +92,38 @@ def test_no_function_assigns_a_local_it_never_reads():
     found = [(str(path.relative_to(ROOT)), line, func, name)
              for path in sorted(ROOT.rglob("*.py"))
              for line, func, name in unused_locals(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def round_and_transcript_writes(source: str) -> list:
+    """(line, attribute) for each store to a ``.round`` or ``.transcript``
+    attribute and each append, extend or insert on a ``.transcript``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in ("round", "transcript")
+                and isinstance(node.ctx, ast.Store)):
+            found.append((node.lineno, node.attr))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("append", "extend", "insert")
+              and isinstance(node.func.value, ast.Attribute)
+              and node.func.value.attr == "transcript"):
+            found.append((node.lineno, "transcript"))
+    return sorted(found)
+
+
+def test_round_and_transcript_writes_are_detected():
+    source = ("net.round += 1\n"
+              "net.round = 0\n"
+              "net.transcript.append(entry)\n"
+              "print(net.round, ctx.round)\n"
+              "log.append(net.transcript)\n"
+              "self.transcript = []\n")
+    assert round_and_transcript_writes(source) == [
+        (1, "round"), (2, "round"), (3, "transcript"), (6, "transcript")]
+
+
+def test_only_netsim_advances_rounds_and_writes_transcripts():
+    found = [(str(path.relative_to(ROOT)), line, attr)
+             for path in sorted(ROOT.rglob("*.py")) if path.name != "netsim.py"
+             for line, attr in round_and_transcript_writes(path.read_text(encoding="utf-8"))]
     assert found == []

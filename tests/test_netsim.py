@@ -9,12 +9,12 @@ from psmt.netsim import (
     AdversarySpec,
     AdversaryView,
     HyperNet,
-    IdealizedReliableChannel,
     PathNetwork,
     TamperContext,
     broadcast,
     majority_of,
     recv_broadcast,
+    reliable_send,
 )
 from psmt.randomness import Randomness, TracingRandomness
 from psmt.strategies import constant_replacer, shift_tamperer
@@ -121,25 +121,44 @@ def test_broadcast_returns_the_receivers_vote_on_its_round(n, corrupted):
     assert winners == ({"x"} if 2 * len(corrupted) < n else {"x", "y"})
 
 
-def test_multicast_and_one_hop_transmit_are_the_same_hop():
-    graph = fixtures.get("fig5")
-    seen = []
-
+def _forging_recorder(seen):
     def recorder(ctx: TamperContext):
         seen.append((ctx.round, ctx.where, ctx.payload))
         return ("forged", ctx.payload)
+    return recorder
 
+
+def test_one_round_send_and_one_hop_transmit_are_the_same_hop():
+    seen = []
     hops = []
-    for send in (lambda net: net.multicast("u1", "m")["B"],
+    for send in (lambda net: net.end_round({"r": ("u1", "B", "m")})["r"],
                  lambda net: net.transmit({"r": (("u1", "B"), "m")})["r"]):
-        net = HyperNet(graph, AdversarySpec(frozenset({"u1"}), recorder))
+        net = HyperNet(fixtures.get("fig5"),
+                       AdversarySpec(frozenset({"u1"}), _forging_recorder(seen)))
         got = send(net)
-        (rnd, _, origin, payload), = net.transcript
-        hops.append((got, net.view.events, (rnd, origin, payload)))
+        hops.append((got, net.view.events, net.transcript, net.round))
     assert hops[0] == hops[1]
-    assert hops[0] == (("forged", "m"), [(0, ("u1", ("B", "v")), ("forged", "m"))],
-                       (0, "u1", ("forged", "m")))
+    assert hops[0][:2] == (("forged", "m"), [(0, ("u1", ("B", "v")), ("forged", "m"))])
     assert seen == [(0, "u1", "m")] * 2
+
+
+def test_hypernet_transcript_keeps_what_a_corrupted_origin_replaced():
+    net = HyperNet(fixtures.get("fig5"),
+                   AdversarySpec(frozenset({"u1"}), _forging_recorder([])))
+    net.transmit({"r": (("u1", "B"), "m")})
+    assert net.transcript == [(0, ("r", "u1"), "m", ("forged", "m"))]
+
+
+def test_unknown_hop_rejected():
+    seen = []
+    net = HyperNet(fixtures.get("fig5"),
+                   AdversarySpec(frozenset({"u1"}), lambda ctx: seen.append(ctx.payload)))
+    with pytest.raises(ParamError):
+        net.end_round({"a": ("u1", "B", "x"), "b": ("B", "A", "x")})
+    with pytest.raises(ParamError):
+        net.end_round({"a": ("u1", "B", "x"), "b": ("A", "B", "x")})
+    # every hyperedge is looked up before any send is tampered, recorded or logged
+    assert (seen, net.view.events, net.transcript, net.round) == ([], [], [], 0)
 
 
 def test_both_simulators_tamper_through_one_step():
@@ -156,8 +175,7 @@ def test_both_simulators_tamper_through_one_step():
     hyper = HyperNet(fixtures.get("fig5"), AdversarySpec(frozenset({"u1"}), counter))
     for rnd in range(2):
         assert path.end_round({("AB", 0): "m"}) == {("AB", 0): ("forged", rnd + 1)}
-        assert hyper.multicast("u1", "m")["B"] == ("forged", rnd + 1)
-        hyper.advance_round()
+        assert hyper.end_round({"m": ("u1", "B", "m")}) == {"m": ("forged", rnd + 1)}
     for net, where in ((path, ("AB", 0)), (hyper, "u1")):
         mine = [c for c in contexts if c.view is net.view]
         assert [(c.round, c.where, c.payload) for c in mine] == [
@@ -179,18 +197,16 @@ def test_majority_of_clear_and_tie():
     assert 850 <= counts["a"] <= 1150
 
 
-def test_idealized_reliable_channel_failure_rate():
-    view = AdversaryView()
-    ch = IdealizedReliableChannel(0.1, view, Randomness("reliable"))
-    failures = sum(1 for i in range(10**4)
-                   if ch.send(0, "t", i) is IdealizedReliableChannel.FAILED)
-    assert 800 <= failures <= 1200
-    # contents are public: every payload lands in the view
-    assert len(view.public) == 10**4
-    delivered = [p for _, _, p in view.public]
-    assert delivered == list(range(10**4))  # bit-exact, never modified
-    with pytest.raises(ParamError):
-        IdealizedReliableChannel(1.0, view, Randomness(0))
+def test_reliable_send_failure_rate():
+    net = HyperNet(fixtures.get("fig5"))
+    rng = Randomness("reliable")
+    got = [reliable_send(net, "t", i, 0.1, rng) for i in range(10**4)]
+    assert 800 <= got.count(None) <= 1200
+    assert all(g in (None, i) for i, g in enumerate(got))  # bit-exact, never modified
+    # contents are public: every payload lands in the view, one round each
+    assert net.view.public == [(i, ("reliable", "t"), i) for i in range(10**4)]
+    assert net.transcript == [(i, ("reliable", "t"), i, g) for i, g in enumerate(got)]
+    assert (net.round, net.view.events) == (10**4, [])
 
 
 def test_hypernet_corruption_validation():
@@ -206,17 +222,19 @@ def test_hypernet_corruption_validation():
 def test_hypernet_multicast_overhearing():
     graph = fixtures.get("fig5")
     net = HyperNet(graph, AdversarySpec(frozenset({"v"})))
-    heard = net.multicast("u1", "hello")
-    assert heard == {"B": "hello", "v": "hello"}
+    heard = net.end_round({"m": ("u1", "B", "hello")})
+    assert heard == {"m": "hello"}
     assert net.view.events == [(0, ("u1", ("B", "v")), "hello")]
     # a multicast no corrupted node can hear leaves no trace
     net2 = HyperNet(graph, AdversarySpec(frozenset({"v1"})))
-    net2.multicast("u1", "hello")
+    net2.end_round({"m": ("u1", "B", "hello")})
     assert net2.view.events == []
+    # A has two hyperedges in fig5: the named node picks the one used
+    net3 = HyperNet(graph, AdversarySpec(frozenset({"u1"})))
+    net3.end_round({"m": ("A", "u2", "x")})
+    assert net3.view.events == [(0, ("A", ("u1", "u2")), "x")]
     with pytest.raises(ParamError):
-        net.multicast("B", "x")  # B has no outgoing hyperedge in fig5
-    with pytest.raises(ParamError):
-        net.multicast("A", "x")  # A has two hyperedges in fig5
+        net.end_round({"m": ("B", "A", "x")})  # B has no hyperedge to send on in fig5
 
 
 def test_hypernet_transmit_routing_and_tampering():

@@ -7,7 +7,7 @@ import pytest
 from psmt import fixtures
 from psmt.errors import ParamError, PreconditionError
 from psmt.field import GF, FieldElement
-from psmt.netsim import AdversarySpec, HyperNet
+from psmt.netsim import AdversarySpec
 from psmt.protocols.hypernet import (
     hypergraph_private,
     hypergraph_reliable,
@@ -87,7 +87,7 @@ def test_hypergraph_private_transcript_covers_both_directions():
     rounds = [entry[0] for entry in out.transcript]
     assert rounds == sorted(rounds)
     # the receiver's authenticated nonces travel on the reverse network
-    bundles = [payload for _, _, origin, payload in out.transcript
+    bundles = [sent for _, (_, origin), sent, _ in out.transcript
                if origin == "B"]
     assert bundles
     assert all(isinstance(b, tuple) and len(b) == 2  # one per suspect x, y
@@ -109,14 +109,6 @@ def test_hypergraph_private_adversary_keeps_one_state_and_stream():
                              AdversarySpec(frozenset({"x"}), watch), seed=2)
     assert out.succeeded
     assert len(seen) >= 2 and len(set(seen)) == 1
-
-
-def test_multicast_needs_a_single_hyperedge():
-    # A has three hyperedges in the duo graph: which one to use is ambiguous
-    net = HyperNet(duo_graph())
-    with pytest.raises(ParamError):
-        net.multicast("A", 1)
-    assert net.transcript == []
 
 
 def test_hypergraph_private_preconditions():
@@ -170,3 +162,23 @@ def test_neighbor_exchange_reliable_channel_failures():
     assert aborted > 0 and delivered > 0
     # two reliable uses per run: abort rate ~ 1 - 0.8^2 = 0.36
     assert 60 <= aborted <= 160
+    for delta_r in (1.0, -0.1):
+        with pytest.raises(ParamError):
+            neighbor_exchange(m, delta_r=delta_r)
+
+
+def test_neighbor_exchange_transcript_covers_the_reliable_channel():
+    m = BIG.element(2718)
+    out = neighbor_exchange(m, seed=2)
+    assert [(rnd, where) for rnd, where, _, _ in out.transcript] == [
+        (0, ("A", "A")), (0, ("B", "B")), (1, ("C", "C")), (1, ("D", "D")),
+        (2, ("reliable", "BA")), (3, ("reliable", "AB"))]
+    # the reliable payloads are public and arrive unmodified
+    assert [(rnd, where, sent) for rnd, where, sent, got in out.transcript[4:]
+            if got == sent] == out.view.public
+    # a lost payload is logged as sent and delivered as None
+    lost = next(run for run in (neighbor_exchange(m, seed=t, delta_r=0.5)
+                                for t in range(20)) if run.failed)
+    rnd, where, sent, got = lost.transcript[-1]
+    assert (where[0], got, rnd + 1) == ("reliable", None, lost.rounds)
+    assert sent is not None
