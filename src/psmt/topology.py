@@ -3,16 +3,21 @@
 Three network models: directed graphs, multicast hypergraphs, and
 neighbor networks (undirected multicast).  Disjoint paths and minimum
 vertex separators come from one node-split max flow (Menger's theorem)
-and have no size limit.  The hypergraph and neighbor-network
-connectivity predicates enumerate node subsets and refuse graphs with
-more than 20 nodes.
+and have no size limit.  Its network is built once per call on integer
+ids: node v of rank r in ``str(("in", v))`` order becomes the in-node r
+and the out-node n + r, and each id's successors are sorted once.  The
+augmenting-path search takes the smallest successor first, so ties
+between maximum path sets break in ``str`` order of the split names
+("in", v) and ("out", v).
+The hypergraph and neighbor-network connectivity predicates enumerate
+node subsets and refuse graphs with more than 20 nodes.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ParamError, SizeLimit
 
@@ -85,6 +90,7 @@ class NeighborNet:
     edges: frozenset  # of frozenset({a, b}) pairs
     sender: str
     receiver: str
+    _adjacent: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sender == self.receiver:
@@ -92,6 +98,12 @@ class NeighborNet:
         for e in self.edges:
             if len(e) != 2 or not e <= self.nodes:
                 raise ParamError("edges must be 2-subsets of the node set")
+        adjacent = {v: set() for v in self.nodes}
+        for a, b in self.edges:
+            adjacent[a].add(b)
+            adjacent[b].add(a)
+        object.__setattr__(self, "_adjacent",
+                           {v: frozenset(near) for v, near in adjacent.items()})
 
     @classmethod
     def build(cls, nodes, edges, sender, receiver) -> "NeighborNet":
@@ -99,7 +111,7 @@ class NeighborNet:
                    sender, receiver)
 
     def neighbors(self, v) -> frozenset:
-        return frozenset(next(iter(e - {v})) for e in self.edges if v in e)
+        return self._adjacent.get(v, frozenset())
 
 
 @dataclass(frozen=True)
@@ -132,76 +144,65 @@ class PathSet:
 def _max_flow(g: Digraph):
     """Unit-capacity max flow in the node-split network of ``g``.
 
-    Every node v becomes an arc ("in", v) -> ("out", v) of capacity 1
-    (the endpoints get an unbounded count) and every link (a, b) an arc
-    ("out", a) -> ("in", b) of capacity 1.  Returns the residual
-    capacities, the original capacities and the flow value.
+    Each node's in-node -> out-node arc has capacity 1 (the endpoints
+    get an unbounded count), and so has each link (a, b), an arc from
+    a's out-node to b's in-node.  Returns the nodes by rank, the
+    original arcs ``cap[u] = {v: capacity}`` and the residual
+    capacities ``res[u]`` of arcs and reverse arcs.
     """
-    src, dst = g.sender, g.receiver
-    big = len(g.nodes) + 1
-    caps: dict = {}
-    for v in sorted(g.nodes):
-        caps[(("in", v), ("out", v))] = big if v in (src, dst) else 1
-    for a, b in sorted(g.edges):
-        caps[(("out", a), ("in", b))] = 1
-    arcs: dict = {}
-    for (u, v), cap in caps.items():
-        arcs.setdefault(u, {})[v] = arcs.get(u, {}).get(v, 0) + cap
-        arcs.setdefault(v, {}).setdefault(u, 0)
-
-    s, t = ("out", src), ("in", dst)
-    flow = 0
+    order = sorted(g.nodes, key=lambda v: str(("in", v)))
+    n = len(order)
+    rank = {v: r for r, v in enumerate(order)}
+    cap = [{n + r: n + 1 if v in (g.sender, g.receiver) else 1}
+           for r, v in enumerate(order)] + [{} for _ in order]
+    for a, b in g.edges:
+        cap[n + rank[a]][rank[b]] = 1
+    res = [dict(arcs) for arcs in cap]
+    for u, arcs in enumerate(cap):
+        for v in arcs:
+            res[v].setdefault(u, 0)
+    succ = [sorted(arcs) for arcs in res]   # sorted once for every search
+    s, t = n + rank[g.sender], rank[g.receiver]
     while True:
-        # BFS over residual arcs, smallest-successor first for determinism
-        prev = {s: None}
+        # BFS over residual arcs, smallest successor first for determinism
+        prev = [-1] * (2 * n)
+        prev[s] = s
         queue = deque([s])
-        while queue and t not in prev:
+        while queue and prev[t] < 0:
             u = queue.popleft()
-            for v in sorted(arcs.get(u, {}), key=str):
-                if v not in prev and arcs[u][v] > 0:
+            for v in succ[u]:
+                if prev[v] < 0 and res[u][v] > 0:
                     prev[v] = u
                     queue.append(v)
-        if t not in prev:
-            return arcs, caps, flow
+        if prev[t] < 0:
+            return order, cap, res
         v = t
-        while prev[v] is not None:
+        while v != s:
             u = prev[v]
-            arcs[u][v] -= 1
-            arcs[v][u] += 1
+            res[u][v] -= 1
+            res[v][u] += 1
             v = u
-        flow += 1
 
 
 def max_disjoint_paths(g) -> PathSet:
     """Maximum set of internally node-disjoint directed sender->receiver paths."""
     if isinstance(g, Hypergraph):
         g = g.induced_digraph()
-    src, dst = g.sender, g.receiver
-    arcs, caps, flow = _max_flow(g)
-    t = ("in", dst)
-    # decompose the flow into node sequences, smallest successor first;
-    # per-arc flow = original capacity minus remaining residual capacity
+    order, cap, res = _max_flow(g)
+    n = len(order)
+    # an arc carries flow when its residual capacity is below its original
+    # one; every internal node passes one unit, so each of the sender's
+    # links that carries flow starts a path with one successor at each step
+    flows = [{v for v, c in arcs.items() if c > res[u][v]} for u, arcs in enumerate(cap)]
+    t = order.index(g.receiver)
     paths = []
-    fwd = {}
-    for (u, v), cap in caps.items():
-        f = cap - arcs[u][v]
-        if f > 0:
-            fwd[(u, v)] = f
-    for _ in range(flow):
-        path = [src]
-        node = ("out", src)
-        while node != t:
-            nxt = min((v for v in arcs.get(node, {}) if fwd.get((node, v), 0) > 0),
-                      key=str)
-            fwd[(node, nxt)] -= 1
-            node = nxt
-            if node[0] == "in" and node[1] != dst:
-                node2 = ("out", node[1])
-                fwd[(node, node2)] -= 1
-                path.append(node[1])
-                node = node2
-        path.append(dst)
-        paths.append(tuple(path))
+    for v in flows[n + order.index(g.sender)]:
+        path = [g.sender]
+        while v != t:
+            if v >= n:   # through a node arc
+                path.append(order[v - n])
+            (v,) = flows[v]
+        paths.append((*path, g.receiver))
     return PathSet(tuple(sorted(paths)))
 
 
@@ -210,33 +211,28 @@ def min_vertex_separator(g) -> frozenset | None:
 
     Read off the max flow's residual graph: every original arc from the
     residual-reachable set to the rest is saturated, so there are exactly
-    flow-many.  Each maps to one internal node on it: a node arc to its
-    node, a link (a, b) to b, or to a when b is the receiver.  Returns
-    None when no such set exists (a direct sender->receiver edge).
+    flow-many, and each maps to its head's node: a node arc to its node,
+    a link (a, b) to b.  Here b is never the receiver: a saturated link
+    into it from an internal node leaves an unreachable out-node.
+    Returns None when no such set exists (a direct sender->receiver link).
     """
     if isinstance(g, Hypergraph):
         g = g.induced_digraph()
-    arcs, caps, _ = _max_flow(g)
-    s = ("out", g.sender)
+    if (g.sender, g.receiver) in g.edges:
+        return None
+    order, cap, res = _max_flow(g)
+    n = len(order)
+    s = n + order.index(g.sender)
     reach = {s}
     queue = deque([s])
     while queue:
         u = queue.popleft()
-        for v, cap in arcs[u].items():
-            if cap > 0 and v not in reach:
+        for v, c in res[u].items():
+            if c > 0 and v not in reach:
                 reach.add(v)
                 queue.append(v)
-    cut = set()
-    for u, v in caps:
-        if u not in reach or v in reach:
-            continue
-        if u[0] == "in" or v[1] != g.receiver:
-            cut.add(v[1])
-        elif u[1] != g.sender:
-            cut.add(u[1])
-        else:
-            return None
-    return frozenset(cut)
+    # original arcs only: a residual reverse arc leaving the set is no cut
+    return frozenset(order[v % n] for u in reach for v in cap[u] if v not in reach)
 
 
 def _bfs_path(succ: dict, src, dst) -> tuple | None:

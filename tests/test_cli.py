@@ -2,7 +2,10 @@
 
 import inspect
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -55,6 +58,21 @@ def test_analyze_hypergraph_fixture(capsys):
     assert report["2k_separable"] is False
     assert report["max_disjoint_paths"] >= 3
     assert report["weakly_k_connected"] is True
+
+
+def test_analyze_does_not_depend_on_the_hash_seed(tmp_path):
+    path = tmp_path / "braided.json"
+    path.write_text(fixtures.dumps(fixtures.braided_eight()))
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    for source in (["--fixture", "fig3"], ["--topology-file", str(path)]):
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-m", "psmt.cli", "analyze", "--k", "2", *source],
+                env=env, capture_output=True, check=True)
+            outs.append(done.stdout)
+        assert outs[0] == outs[1] and json.loads(outs[0])["max_disjoint_paths"] == 2
 
 
 def test_analyze_requires_topology(capsys):

@@ -1,5 +1,10 @@
-"""Golden ``psmt simulate`` and ``psmt privacy`` reports: the JSON stays
-byte-identical.
+"""Golden ``psmt analyze``, ``psmt simulate`` and ``psmt privacy``
+reports: the JSON stays byte-identical.
+
+Analyze: the six fixtures, and the four directed fixture variants
+written with ``fixtures.dumps`` to ``golden/digraph__<name>.json`` and
+read back through ``--topology-file``, each at k=1 and k=2.  Only the
+digraph reports list the disjoint paths themselves.
 
 Simulate: fifteen configurations (every registry entry,
 feedback-efficient at two sizes, hyper-reliable on two graphs) times
@@ -23,6 +28,7 @@ import sys
 
 import pytest
 
+from psmt import fixtures
 from psmt.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -55,6 +61,17 @@ CASES = {   # name: (protocol, options)
     "neighbor-exchange": ("neighbor-exchange", ["--corrupt", "C"]),
 }
 ADVERSARIES = ["passive", "random", "shift", "junk", "stop"]
+
+DIGRAPHS = {   # topology file name: directed fixture variant
+    "two_path_feedback": fixtures.two_path_feedback,
+    "feedback_detour": fixtures.feedback_detour,
+    "braided_eight": fixtures.braided_eight,
+    "chains_with_crosslink": fixtures.chains_with_crosslink,
+}
+ANALYZE = ([(name, ["--fixture", name]) for name in fixtures.names()]
+           + [(f"digraph-{name}",
+               ["--topology-file", str(GOLDEN / f"digraph__{name}.json")])
+              for name in DIGRAPHS])
 
 PRIVACY = {   # name: (protocol, field order, options)
     "oneway": ("oneway", 5, ["--k", "1", "--corrupt", "AB0"]),
@@ -98,6 +115,14 @@ def _name(case: str, adversary: str) -> str:
     return f"{case}__{adversary}.json"
 
 
+def _analyze_argv(case: str, k: int, out) -> list[str]:
+    return ["analyze", "--k", str(k), "--out", str(out)] + dict(ANALYZE)[case]
+
+
+def _analyze_name(case: str, k: int) -> str:
+    return f"analyze__{case}__k{k}.json"
+
+
 def _privacy_argv(case: str, out) -> list[str]:
     protocol, order, options = PRIVACY[case]
     return ["privacy", "--protocol", protocol, "--field", str(order),
@@ -107,6 +132,14 @@ def _privacy_argv(case: str, out) -> list[str]:
 
 def _privacy_name(case: str) -> str:
     return f"privacy__{case}.json"
+
+
+@pytest.mark.parametrize("case", sorted(dict(ANALYZE)))
+def test_analyze_report_is_byte_identical(case, tmp_path, capsys):
+    for k in (1, 2):
+        out = tmp_path / _analyze_name(case, k)
+        assert main(_analyze_argv(case, k, out)) == 0, capsys.readouterr().err
+        assert out.read_bytes() == (GOLDEN / _analyze_name(case, k)).read_bytes(), (case, k)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -126,6 +159,12 @@ def test_privacy_report_is_byte_identical(case, tmp_path, capsys):
 
 
 if __name__ == "__main__":
+    for name, build in DIGRAPHS.items():
+        (GOLDEN / f"digraph__{name}.json").write_text(fixtures.dumps(build()) + "\n")
+    for case, _ in ANALYZE:
+        for k in (1, 2):
+            if main(_analyze_argv(case, k, GOLDEN / _analyze_name(case, k))):
+                sys.exit(f"analyze {case} k={k} failed")
     for case in CASES:
         for adversary in ADVERSARIES:
             if main(_argv(case, adversary, GOLDEN / _name(case, adversary))):

@@ -92,6 +92,57 @@ def test_separator_above_the_enumeration_limit():
         assert reaches(g.edges, "A", "B", sep - {v})
 
 
+def test_ties_break_in_str_order_of_the_split_nodes():
+    # quoted, "a!" sorts before "a" and "it's" (written with double quotes)
+    # before both; ints sort by their digits.  Each graph has several
+    # maximum path sets, and the smallest-successor search picks these.
+    firsts, seconds = ["a", "a!", "it's"], ["b", "b!"]
+    assert sorted(firsts) != sorted(firsts, key=repr)
+    edges = ([("A", x) for x in firsts] + [(x, y) for x in firsts for y in seconds]
+             + [(y, "B") for y in seconds])
+    g = Digraph.build(["A", "B"] + firsts + seconds, edges, "A", "B")
+    assert max_disjoint_paths(g).paths == (("A", "a!", "b", "B"),
+                                           ("A", "it's", "b!", "B"))
+    assert min_vertex_separator(g) == {"b", "b!"}
+
+    g = Digraph.build([0, 1, 2, 10, 3, 4],
+                      [(0, 2), (0, 10), (2, 3), (2, 4), (10, 3), (10, 4),
+                       (3, 1), (4, 1)], 0, 1)
+    assert max_disjoint_paths(g).paths == ((0, 2, 4, 1), (0, 10, 3, 1))
+    assert min_vertex_separator(g) == {2, 10}
+
+
+def test_link_and_reverse_arcs_are_told_apart():
+    # the cut falls on the sender's links, whose heads are the receiver's
+    # predecessors; links back into A and out of B change nothing
+    plain = [("A", "x"), ("A", "y"), ("x", "B"), ("y", "B")]
+    back = [("x", "A"), ("z", "A"), ("B", "z"), ("B", "A"), ("z", "x"), ("y", "x")]
+    for edges in (plain, plain + back):
+        g = Digraph.build("ABxyz", edges, "A", "B")
+        assert max_disjoint_paths(g).paths == (("A", "x", "B"), ("A", "y", "B"))
+        assert min_vertex_separator(g) == {"x", "y"}
+    # a node arc next to the receiver is the cut
+    g = Digraph.build("ABpqm", [("A", "p"), ("A", "q"), ("p", "m"), ("q", "m"),
+                                ("m", "B"), ("m", "A"), ("B", "p"), ("B", "q")], "A", "B")
+    assert max_disjoint_paths(g).paths == (("A", "p", "m", "B"),)
+    assert min_vertex_separator(g) == {"m"}
+    # the second augmenting path undoes the first one's c1 -> c2 link
+    g = Digraph.build(["A", "B", "c1", "c2", "c3", "c4"],
+                      [("A", "c1"), ("A", "c3"), ("c1", "c2"), ("c1", "c4"),
+                       ("c3", "c2"), ("c2", "B"), ("c4", "B")], "A", "B")
+    assert max_disjoint_paths(g).paths == (("A", "c1", "c4", "B"), ("A", "c3", "c2", "B"))
+    assert min_vertex_separator(g) == {"c1", "c3"}
+    # a hypergraph answers as its induced digraph, hyperedges into A and
+    # out of B included
+    h = Hypergraph.build("ABuvw", [("A", {"u", "v"}), ("u", {"w", "B"}), ("v", {"w"}),
+                                   ("w", {"B", "A"}), ("B", {"u", "v", "A"})], "A", "B")
+    for graph in (h, h.induced_digraph()):
+        assert max_disjoint_paths(graph).paths == (("A", "u", "B"), ("A", "v", "w", "B"))
+        assert min_vertex_separator(graph) == {"u", "v"}
+    assert is_k_separable(h, 1) == (False, None)
+    assert is_k_separable(h, 2) == (True, {"u", "v"})
+
+
 def test_direct_edge_has_no_separator():
     g = Digraph.build("AB", [("A", "B")], "A", "B")
     assert min_vertex_separator(g) is None
