@@ -523,6 +523,14 @@ def _poly_scale(spec: FieldSpec, p: dict, c: int) -> dict:
 
 
 def _mono_mul(a: tuple, b: tuple, q: int) -> tuple:
+    # exponents are already reduced: monomials over disjoint, ordered
+    # variable ranges multiply by concatenation
+    if not a or not b:
+        return a or b
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
     exps = dict(a)
     for v, e in b:
         exps[v] = exps.get(v, 0) + e
@@ -548,19 +556,39 @@ def _poly_mul(spec: FieldSpec, p: dict, r: dict) -> dict:
     return out
 
 
+def union_taint(a: frozenset | None, b: frozenset | None) -> frozenset | None:
+    """The union of two taints, either of them None (untainted)."""
+    if a is None or b is None:
+        return b if a is None else a
+    return a | b
+
+
+def operand_parts(x: FieldElement) -> tuple[int, dict, frozenset | None]:
+    """Raw value, polynomial and taint of an operand of a traced
+    operator: a plain element is a constant with no taint."""
+    value = _get_raw(x)
+    if type(x) is TracedElement:
+        return value, x.poly, x.taint
+    return value, ({(): value} if value else {}), None
+
+
 class TracedElement(FieldElement):
     """A field element that also carries its value as an exact polynomial
     over the draws of a tracing randomness source (``tracer``).
 
     Ring operators (``+ - * neg`` and non-negative ``pow``, reflected ones
-    included, so ``spec.zero() + traced`` lands here) stay polynomial.
+    included, so ``spec.zero() + traced`` lands here) stay polynomial, and
+    so does ``sharing``'s linear-combination kernel, which builds the
+    polynomial of a whole row-times-vector product in one pass.  Each
+    reads an operand's raw value, polynomial and taint once
+    (``operand_parts``); a plain operand is a constant with no taint.
     Inverting a non-constant gives an opaque atom: a fresh variable whose
     support the tracer keeps; the divisor is observed, since its zero test
-    decides whether the division raises.  A plain operand is a constant.
+    decides whether the division raises.
     ``taint`` is the union of the operands' taints (a draw's is its own
     index): a syntactic record, kept when the polynomial cancels a draw.
 
-    Every read of the value outside these operators is an observation the
+    Every read of the value outside these operations is an observation the
     tracer records (the support of the polynomial read): ``value``,
     ``hash``, ``bool``, ``repr``, and an ``==`` whose difference is not a
     constant.  An ``==`` whose difference is a constant is decided without
@@ -587,19 +615,12 @@ class TracedElement(FieldElement):
     def _make(self, value: int, taint, poly: dict) -> "TracedElement":
         return TracedElement(self.spec, value, taint, poly, self.tracer)
 
-    @staticmethod
-    def _merge(a: FieldElement, b: FieldElement) -> frozenset | None:
-        """The union of two operands' taints."""
-        ta, tb = getattr(a, "taint", None), getattr(b, "taint", None)
-        if ta is None or tb is None:
-            return tb if ta is None else ta
-        return ta | tb
-
     def _binary(self, a: FieldElement, b: FieldElement, raw, poly) -> "TracedElement":
         """``a op b`` from the raw kernel and the polynomial operation."""
-        poly_of = self.tracer.poly_of
-        return self._make(raw(_get_raw(a), _get_raw(b)), self._merge(a, b),
-                          poly(self.spec, poly_of(a), poly_of(b)))
+        va, pa, ta = operand_parts(a)
+        vb, pb, tb = operand_parts(b)
+        return TracedElement(self.spec, raw(va, vb), union_taint(ta, tb),
+                             poly(self.spec, pa, pb), self.tracer)
 
     def __add__(self, other):
         self._check(other)
@@ -623,17 +644,17 @@ class TracedElement(FieldElement):
 
     def _quotient(self, num: FieldElement, den: FieldElement) -> "TracedElement":
         spec = self.spec
-        top, bottom = self.tracer.poly_of(num), self.tracer.poly_of(den)
+        vn, top, tn = operand_parts(num)
+        vd, bottom, td = operand_parts(den)
         if _is_constant(bottom):
             inv = spec.inv_raw(bottom.get((), 0))
             poly = _poly_scale(spec, top, inv)
         else:
             self.tracer.observe(bottom)
-            inv = spec.inv_raw(_get_raw(den))
+            inv = spec.inv_raw(vd)
             poly = self.tracer.atom(self.tracer.support(top)
                                     | self.tracer.support(bottom))
-        return self._make(spec.mul_raw(_get_raw(num), inv),
-                          self._merge(num, den), poly)
+        return self._make(spec.mul_raw(vn, inv), union_taint(tn, td), poly)
 
     def __truediv__(self, other):
         self._check(other)
@@ -673,7 +694,7 @@ class TracedElement(FieldElement):
         if isinstance(other, TracedElement) and other.tracer is not self.tracer:
             # elements of two runs, compared by the analyzer: by value
             return _get_raw(self) == _get_raw(other)
-        diff = _poly_sub(self.spec, self.poly, self.tracer.poly_of(other))
+        diff = _poly_sub(self.spec, self.poly, operand_parts(other)[1])
         if _is_constant(diff):
             return not diff
         self.tracer.observe(diff)

@@ -10,7 +10,7 @@ traced element in the adversary's view (``field.TracedElement``) carries
 its taint, the set of draw indices it can depend on, and its value as an
 exact polynomial over the draws.  The tracer's ledger records every
 *observed* draw, one whose value may have steered the run: the support
-of any traced value read outside the element operators (``value``,
+of any traced value read outside the traced operations (``value``,
 ``hash``, ``bool``, ``repr``, an ``==`` whose difference is not a
 constant), any draw handed back as a raw int, and the taint of any
 tainted element nested inside a plain leaf (a list, a dict, a
@@ -133,9 +133,9 @@ def _nested_taint(value) -> set:
 
 class _Trace:
     """One traced run: untainted leaves as (path, key), tainted ones as
-    (path, value, taint), each tainted leaf's polynomial and key by path,
-    and the draws no eliminated leaf may hinge on (observed or in an
-    atom)."""
+    (path, value, taint), each tainted leaf's polynomial, key and
+    ``_linear_draws`` by path, and the draws no eliminated leaf may hinge
+    on (observed or in an atom)."""
 
     def __init__(self, view: AdversaryView, rng: TracingRandomness):
         self.rng = rng
@@ -155,7 +155,8 @@ class _Trace:
         self.paths = [path for path, _, _ in self.tainted]
         self.fields = {path: value.spec for path, value, _ in self.tainted}
         self.keys = {path: leaf_key(value) for path, value, _ in self.tainted}
-        self.polys = {path: rng.poly_of(value) for path, value, _ in self.tainted}
+        self.polys = {path: value.poly for path, value, _ in self.tainted}
+        self.linear = {path: _linear_draws(poly) for path, poly in self.polys.items()}
         self.blocked = set(rng.observed).union(*rng.atoms.values())
 
 
@@ -199,7 +200,7 @@ def _qualifies(trace: _Trace, occ: dict, path, r: int, order: int) -> bool:
     """The leaf at ``path`` is c*r + e with r a uniform field draw that
     nothing else left in the view, observed or atom depends on: the leaf
     is uniform and independent of the rest."""
-    return (r in _linear_draws(trace.polys[path]) and r not in trace.blocked
+    return (r in trace.linear[path] and r not in trace.blocked
             and trace.rng.moduli.get(r) == order and occ.get(r) == {path})
 
 
@@ -219,7 +220,7 @@ def _eliminate(traces, order: int) -> list:
         for path in paths:
             if path in gone:
                 continue
-            for r in sorted(_linear_draws(traces[0].polys[path])):
+            for r in sorted(traces[0].linear[path]):
                 if all(_qualifies(t, occ, path, r, order)
                        for t, occ in zip(traces, occs)):
                     dropped.append((path, r))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .field import FieldElement, FieldSpec, TracedElement
+from .field import FieldSpec, TracedElement
 
 
 def _canon(seed):
@@ -34,9 +34,13 @@ class Randomness:
     honest party of the run."""
 
     def __init__(self, seed):
-        self._rng = random.Random(_canon(seed))
+        # seeded on the first draw: many streams are never drawn from
+        self._seed = _canon(seed)
+        self._rng = None
 
     def draw(self, n: int) -> tuple[int, None]:
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
         return self._rng.randrange(n), None
 
 
@@ -63,7 +67,7 @@ class TracingRandomness:
     ``FieldSpec.sample`` turns a draw into a ``TracedElement`` whose
     polynomial is the draw's variable.  The ledger ``observed`` holds
     every draw whose value may have steered the run: the support of each
-    traced value read outside the element operators, and every draw
+    traced value read outside the traced operations, and every draw
     handed back as a raw int (a tie coin, say).  ``atoms`` maps each
     opaque atom variable (< 0), a quotient by a non-constant or a value
     ``sharing`` computed on raw ints, to the draws it depends on.
@@ -118,13 +122,6 @@ class TracingRandomness:
         var = -1 - len(self.atoms)
         self.atoms[var] = frozenset(support)
         return {((var, 1),): 1}
-
-    def poly_of(self, element: FieldElement) -> dict:
-        """Polynomial of any field element: a plain one is a constant."""
-        if isinstance(element, TracedElement):
-            return element.poly
-        v = element.value
-        return {(): v} if v else {}
 
 
 def derive_trial_seed(master_seed, trial: int):

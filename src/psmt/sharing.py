@@ -9,9 +9,10 @@ wrong secret inside the n-k-e-1 detection range).
 The linear algebra runs on one of two representations.  Plain elements
 are turned into packed ints and computed on with the field's raw
 kernels; the results are plain.  When an operand is a ``TracedElement``
-(a draw of the privacy analyzer's tracing source) the same rows are
-applied with the element operators instead, so every result stays an
-exact polynomial over the draws.  On that path ``share``,
+(a draw of the privacy analyzer's tracing source) each row is applied
+by ``_dot_elements`` instead, which builds the result's value, taint
+and exact polynomial over the draws in one pass over the operands, as
+the element operators would term by term.  On that path ``share``,
 ``reconstruct``, ``detect_errors`` and a ``correct_errors`` call on a
 word that lies on the code observe nothing: an honest word's parity
 differences are the zero polynomial.  A parity check that fails
@@ -33,7 +34,7 @@ from .errors import (
     ParamError,
     SpecMismatch,
 )
-from .field import FieldElement, FieldSpec, TracedElement
+from .field import FieldElement, FieldSpec, TracedElement, operand_parts, union_taint
 
 # Lagrange row sets kept, keyed by (field, interpolation points, targets)
 _ROW_CACHE = 4096
@@ -108,18 +109,36 @@ def _taint(elements) -> frozenset[int] | None:
     """Union of the traced elements' taints; None when none is traced."""
     out = None
     for e in elements:
-        taint = getattr(e, "taint", None)
-        if taint is not None:
-            out = taint if out is None else out | taint
+        out = union_taint(out, getattr(e, "taint", None))
     return out
 
 
 def _dot_elements(spec: FieldSpec, row: Sequence[int], ys) -> FieldElement:
-    """``dot_raw`` over field elements, with the row as constants."""
-    acc = spec.zero()
+    """``dot_raw`` over field elements, with the row as constants.
+
+    One pass: the value is ``dot_raw`` of the raw values, the polynomial
+    sums c * y over every nonzero c into one dict, and the taint is the
+    union of every operand's.  Plain when no operand is traced.
+    """
+    add, mul = spec.add_raw, spec.mul_raw
+    values, poly, taint, tracer = [], {}, None, None
     for c, y in zip(row, ys):
-        acc = acc + FieldElement(spec, c) * y
-    return acc
+        value, terms, t = operand_parts(y)
+        values.append(value)
+        taint = union_taint(taint, t)
+        if tracer is None and type(y) is TracedElement:
+            tracer = y.tracer
+        if c:
+            for mono, x in terms.items():
+                s = add(poly.get(mono, 0), mul(c, x))
+                if s:
+                    poly[mono] = s
+                else:
+                    del poly[mono]
+    value = spec.dot_raw(row, values)
+    if tracer is None:
+        return FieldElement(spec, value)
+    return TracedElement(spec, value, taint, poly, tracer)
 
 
 def _from_raw(tracer, spec: FieldSpec, value: int, operands) -> FieldElement:

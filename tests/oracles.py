@@ -1,7 +1,8 @@
 """Brute-force references that the fast paths in psmt are checked against.
 
-They use nothing from psmt, so a test comparing against them does not
-compare the library with itself.
+They import nothing from psmt, so a test comparing against them does not
+compare the library with itself.  ``term_by_term_dot`` computes with the
+field elements it is given, through their own operators only.
 """
 
 import itertools
@@ -38,3 +39,22 @@ def brute_force_separator(g):
             if not reaches(g.edges, g.sender, g.receiver, frozenset(w)):
                 return frozenset(w)
     return None
+
+
+def term_by_term_dot(spec, row, ys):
+    """``sum c * y`` over a row of raw constants, folded one term at a
+    time with the element operators: each term builds a constant, a
+    product and a running sum."""
+    acc = spec.zero()
+    for c, y in zip(row, ys):
+        acc = acc + spec.element(c) * y
+    return acc
+
+
+def mono_mul(a, b, q):
+    """Product of two monomials, tuples of (variable, exponent) sorted by
+    variable, with every exponent reduced into 1 .. q-1 by x^q = x."""
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted((v, (e - 1) % (q - 1) + 1) for v, e in exps.items()))

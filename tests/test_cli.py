@@ -75,6 +75,23 @@ def test_analyze_does_not_depend_on_the_hash_seed(tmp_path):
         assert outs[0] == outs[1] and json.loads(outs[0])["max_disjoint_paths"] == 2
 
 
+def test_privacy_does_not_depend_on_the_hash_seed():
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    cases = (["--protocol", "perfect-u1", "--field", "7", "--k", "2",
+              "--corrupt", "AB0,BA0", "--m1", "6"],
+             ["--protocol", "neighbor-exchange", "--field", "2",
+              "--corrupt", "C", "--m1", "1"])
+    for case in cases:
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-m", "psmt.cli", "privacy", "--m0", "0", *case],
+                env=env, capture_output=True, check=True)
+            outs.append(done.stdout)
+        assert outs[0] == outs[1] and json.loads(outs[0])["perfectly_private"]
+
+
 def test_analyze_requires_topology(capsys):
     code, _, _ = run(capsys, "analyze")
     assert code == 2

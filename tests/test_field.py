@@ -115,6 +115,28 @@ def test_sampling_deterministic_and_in_range():
     assert draws1 == []
 
 
+@pytest.mark.parametrize("seed", [42, "s", b"b", ("acc3", "oneway")])
+def test_stream_is_seeded_on_its_first_draw(seed, monkeypatch):
+    from psmt import randomness
+
+    sizes = (2, 7, 1 << 16, 3, 1000)
+    reference = random.Random(randomness._canon(seed))
+    want = [reference.randrange(n) for n in sizes]
+    built = []
+
+    class Counting(random.Random):
+        def __init__(self, x):
+            built.append(x)
+            super().__init__(x)
+
+    monkeypatch.setattr(randomness.random, "Random", Counting)
+    Randomness(seed)
+    assert built == []
+    rng = Randomness(seed)
+    assert [rng.draw(n)[0] for n in sizes] == want
+    assert built == [randomness._canon(seed)]
+
+
 def test_sampling_uniform_chi_square_gf7():
     # 7000 draws: every residue frequency within 5 sigma of 1000
     spec = GF(7)
@@ -209,3 +231,34 @@ def test_traced_polynomial_is_the_value_at_every_point(order):
         assert _evaluate(spec, acc.poly, point) == peek(acc)
         assert all(e <= order - 1 for mono in acc.poly for _, e in mono)
         assert not tracer.observed
+
+
+@pytest.mark.parametrize("q", [2, 5, 16, 81])
+def test_monomial_product_matches_the_reference(q):
+    """Disjoint monomials in order concatenate; the result is the general
+    product's, on atoms (negative variables) and exponents at q-1 too."""
+    from oracles import mono_mul
+
+    from psmt.field import _mono_mul
+
+    rng = random.Random(q)
+    kinds = {"below": 0, "interleaved": 0, "shared": 0, "constant": 0}
+    for _ in range(600):
+        variables = sorted(rng.sample(range(-5, 9), rng.randrange(1, 8)))
+        exps = {v: rng.choice([1, q - 1, rng.randrange(1, q)]) for v in variables}
+        kind = rng.choice(list(kinds))
+        if kind == "below":
+            cut = rng.randrange(len(variables) + 1)
+            va, vb = variables[:cut], variables[cut:]
+        elif kind == "constant":
+            va, vb = [], variables
+        else:
+            va = [v for v in variables if rng.random() < 0.5]
+            vb = [v for v in variables if v not in va or kind == "shared" and rng.random() < 0.5]
+        a = tuple((v, exps[v]) for v in va)
+        b = tuple((v, rng.choice([1, q - 1, exps[v]])) for v in vb)
+        kinds[kind] += 1
+        want = mono_mul(a, b, q)
+        assert _mono_mul(a, b, q) == want
+        assert _mono_mul(b, a, q) == want
+    assert all(kinds.values())

@@ -671,3 +671,47 @@ def test_decoded_secret_is_plain_only_when_read_from_plain_entries():
     assert peek(decoded.secret) == 4 and decoded.secret.taint == frozenset({0, 1})
     ((var, _),), = decoded.secret.poly
     assert rng.atoms[var] == frozenset({0, 1})
+
+
+@pytest.mark.parametrize("order", [5, 16, 81])
+def test_linear_kernel_matches_the_term_by_term_fold(order):
+    """One-pass ``_dot_elements`` against the element operators folded
+    term by term: same type, value, taint and polynomial, and no entry
+    added to the tracer's ledger, on rows with zero coefficients, plain,
+    mixed and traced operands, terms that cancel and opaque atoms."""
+    from oracles import term_by_term_dot
+
+    from psmt.sharing import _dot_elements
+
+    spec = GF(order)
+    rng = random.Random(order)
+    seen = {"plain": 0, "mixed": 0, "traced": 0, "cancelled": 0, "atom": 0}
+    for trial in range(150):
+        tracer = TracingRandomness(trial, pinned={i: rng.randrange(1, order)
+                                                  for i in range(3)})
+        a, b, c = (spec.sample(tracer) for _ in range(3))
+        plain = [spec.element(rng.randrange(order)) for _ in range(3)]
+        traced = [a, b, a + b, a * b + c, -c, a * a * c, a / b, (a + c) / (b * c)]
+        mode = rng.choice(["plain", "mixed", "traced"])
+        pool = {"plain": plain, "mixed": plain + traced, "traced": traced}[mode]
+        ys = [rng.choice(pool) for _ in range(rng.randrange(1, 7))]
+        row = [rng.randrange(order) if rng.random() < 0.7 else 0 for _ in ys]
+        if rng.random() < 0.3:
+            # the last term cancels the first
+            ys.append(ys[0])
+            row.append(spec.neg_raw(row[0]))
+        ledger = (set(tracer.observed), dict(tracer.atoms))
+        got = _dot_elements(spec, row, ys)
+        assert (tracer.observed, tracer.atoms) == ledger
+        want = term_by_term_dot(spec, row, ys)
+        assert (tracer.observed, tracer.atoms) == ledger
+        assert type(got) is type(want)
+        assert peek(got) == peek(want)
+        assert getattr(got, "taint", None) == getattr(want, "taint", None)
+        assert getattr(got, "poly", None) == getattr(want, "poly", None)
+        seen[mode] += 1
+        if type(got) is TracedElement:
+            assert got.tracer is want.tracer
+            seen["cancelled"] += not got.poly
+            seen["atom"] += any(v < 0 for mono in got.poly for v, _ in mono)
+    assert all(seen.values()), seen
