@@ -173,25 +173,25 @@ def _cmd_analyze(args) -> dict:
     k = args.k
     report: dict = {"topology": fixtures.to_dict(g), "k": k}
     if isinstance(g, Digraph):
-        ps = topology.max_disjoint_paths(g)
-        sep = topology.min_vertex_separator(g)
+        ps, sep = topology.menger(g)
         report["disjoint_paths"] = [list(p) for p in ps.paths]
         report["max_disjoint_paths"] = len(ps.paths)
         report["min_vertex_separator"] = sorted(sep) if sep is not None else None
     elif isinstance(g, Hypergraph):
-        sep, witness = topology.is_k_separable(g, 2 * k)
+        ps, cut = topology.menger(g)
+        sep = topology.separable_by(cut, 2 * k)
         report["strongly_k_connected"] = topology.strongly_k_connected(g, k)
         report["weakly_k_connected"] = topology.weakly_k_connected(g, k)
         report["2k_separable"] = sep
-        report["separator_witness"] = sorted(witness) if sep else None
-        report["max_disjoint_paths"] = len(topology.max_disjoint_paths(g).paths)
+        report["separator_witness"] = sorted(cut) if sep else None
+        report["max_disjoint_paths"] = len(ps.paths)
     elif isinstance(g, NeighborNet):
         report["hierarchy"] = topology.connectivity_hierarchy(g, k)
-        h = topology.to_hypergraph(g)
-        sep, witness = topology.is_k_separable(h, k)
+        ps, cut = topology.menger(topology.to_hypergraph(g))
+        sep = topology.separable_by(cut, k)
         report["k_separable_as_hypergraph"] = sep
-        report["separator_witness"] = sorted(witness) if sep else None
-        report["max_disjoint_paths"] = len(topology.max_disjoint_paths(h).paths)
+        report["separator_witness"] = sorted(cut) if sep else None
+        report["max_disjoint_paths"] = len(ps.paths)
     else:  # pragma: no cover - fixtures only yield the three kinds
         raise ParamError(f"cannot analyze {type(g).__name__}")
     return report

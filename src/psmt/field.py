@@ -694,10 +694,12 @@ class TracedElement(FieldElement):
         if isinstance(other, TracedElement) and other.tracer is not self.tracer:
             # elements of two runs, compared by the analyzer: by value
             return _get_raw(self) == _get_raw(other)
-        diff = _poly_sub(self.spec, self.poly, operand_parts(other)[1])
-        if _is_constant(diff):
-            return not diff
-        self.tracer.observe(diff)
+        mine, theirs = self.poly, operand_parts(other)[1]
+        # the difference is a constant when the non-constant terms agree
+        if (len(mine) - (() in mine) == len(theirs) - (() in theirs)
+                and all(not mono or theirs.get(mono) == c for mono, c in mine.items())):
+            return mine.get((), 0) == theirs.get((), 0)
+        self.tracer.observe(_poly_sub(self.spec, mine, theirs))
         return _get_raw(self) == _get_raw(other)
 
     def __hash__(self) -> int:

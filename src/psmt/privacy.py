@@ -27,7 +27,15 @@ a branch on it may explain such a difference, and the analyzer falls
 back to sampling.  So it does when a path is untainted in one run and
 traced in the other: the structure of the view depends on the message.
 
-``view_distance`` traces m0 and m1 once each and then:
+``view_distance`` runs the protocol once with the message as the variable
+``randomness.MESSAGE``: a traced element with m0's raw value that is never
+drawn, pinned or enumerated.  When that run observes nothing about it (it
+is in no observed set, no atom's support and no leaf nested in a plain
+leaf), the run follows one control flow for every message, by the rule
+above, and binding it to m0 and to m1 in every leaf gives both reference
+traces; a leaf left without draws is plain, keyed by its constant.
+Otherwise m0 and m1 are traced once each, as ``_enumerated_distance``
+always does.  Then:
 
 1. Optimistic sampling (Barthe et al., EUROCRYPT 2015), to a fixpoint on
    both traces at once: a leaf ``c*r + e``, with ``c`` a nonzero constant,
@@ -50,7 +58,8 @@ traced in the other: the structure of the view depends on the message.
    every assignment and re-running; each observed draw outside them is
    enumerated on its own axis, for stability.  Every such replay must
    reproduce the untainted leaves, keep each leaf outside the component
-   at its reference value and each dropped leaf eliminable.
+   at its reference value and each dropped leaf eliminable.  A bound m1
+   reference holds m0's leaf values, so a run of m1 replaces it first.
 
 When the reference runs observe no draw, no branch depended on a draw,
 so every run follows them and each leaf is its polynomial: steps 1 and
@@ -77,9 +86,9 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .field import TracedElement
+from .field import FieldElement, TracedElement, peek
 from .netsim import AdversaryView, leaf_key, unfold
-from .randomness import Randomness, TracingRandomness, derive_trial_seed
+from .randomness import MESSAGE, Randomness, TracingRandomness, derive_trial_seed
 from .sharing import solve_raw
 
 
@@ -132,19 +141,22 @@ def _nested_taint(value) -> set:
 
 
 class _Trace:
-    """One traced run: untainted leaves as (path, key), tainted ones as
-    (path, value, taint), each tainted leaf's polynomial, key and
-    ``_linear_draws`` by path, and the draws no eliminated leaf may hinge
-    on (observed or in an atom)."""
+    """One traced run, from its view's leaves: untainted leaves as (path,
+    key), tainted ones as (path, taint), each tainted leaf's field, key,
+    polynomial and ``_linear_draws`` by path, and the draws no eliminated
+    leaf may hinge on (observed or in an atom)."""
 
-    def __init__(self, view: AdversaryView, rng: TracingRandomness):
+    def __init__(self, leaves, rng: TracingRandomness):
         self.rng = rng
-        self.plain = []
-        self.tainted = []
-        for path, value in view.leaves():
+        self.plain, self.tainted = [], []
+        self.fields, self.keys, self.polys = {}, {}, {}
+        for path, value in leaves:
             taint = value.taint if isinstance(value, TracedElement) else None
             if taint:
-                self.tainted.append((path, value, taint))
+                self.tainted.append((path, taint))
+                self.fields[path] = value.spec
+                self.keys[path] = leaf_key(value)
+                self.polys[path] = value.poly
             else:
                 # a tainted element inside a plain leaf (a list, a dict, a
                 # dataclass) is shown to the adversary without a polynomial
@@ -152,17 +164,68 @@ class _Trace:
                 # eliminated through them and pinning them is enumerated
                 rng.observed |= _nested_taint(value)
                 self.plain.append((path, leaf_key(value)))
-        self.paths = [path for path, _, _ in self.tainted]
-        self.fields = {path: value.spec for path, value, _ in self.tainted}
-        self.keys = {path: leaf_key(value) for path, value, _ in self.tainted}
-        self.polys = {path: value.poly for path, value, _ in self.tainted}
+        self.paths = [path for path, _ in self.tainted]
         self.linear = {path: _linear_draws(poly) for path, poly in self.polys.items()}
         self.blocked = set(rng.observed).union(*rng.atoms.values())
 
 
 def _trace(run, message, seed, pinned=None) -> _Trace:
     rng = TracingRandomness(seed, pinned=dict(pinned or {}))
-    return _Trace(run(message, rng), rng)
+    return _Trace(run(message, rng).leaves(), rng)
+
+
+def _bind_poly(spec, poly: dict, c: int) -> dict:
+    """``poly`` with MESSAGE := c (the last variable of any monomial)."""
+    out: dict = {}
+    for mono, x in poly.items():
+        if mono and mono[-1][0] == MESSAGE:
+            x = spec.mul_raw(x, spec.pow_raw(c, mono[-1][1]))
+            mono = mono[:-1]
+        s = spec.add_raw(out.get(mono, 0), x)
+        if s:
+            out[mono] = s
+        else:
+            out.pop(mono, None)
+    return out
+
+
+def _bind(leaves, m) -> list:
+    """The leaves of a run of the message variable, with MESSAGE := ``m``
+    in every polynomial and out of every taint; a leaf left without draws
+    is plain, a field element of its constant.  Traced leaves keep the
+    run's raw values, which are its message's."""
+    c, out = peek(m), []
+    for path, value in leaves:
+        if isinstance(value, TracedElement) and value.taint and MESSAGE in value.taint:
+            spec, taint = value.spec, value.taint - {MESSAGE}
+            poly = _bind_poly(spec, value.poly, c)
+            value = (TracedElement(spec, peek(value), taint, poly, value.tracer) if taint
+                     else FieldElement(spec, poly.get((), 0)))
+        out.append((path, value))
+    return out
+
+
+def _references(run, m0, m1, seed, symbolic) -> tuple:
+    """The reference traces of ``m0`` and ``m1``: a run of each message,
+    or, on the symbolic path, both from one run with the message as the
+    variable MESSAGE and ``m0``'s raw value.
+
+    A run that observes nothing about MESSAGE (no observed set, no atom
+    and no leaf nested in a plain leaf holds it) follows one control flow
+    for every message, so binding MESSAGE gives each message's trace.  The
+    traced leaves' keys are ``m0``'s, so ``m1``'s trace has none: a run of
+    ``m1`` must stand in before one is read.  A run that observes MESSAGE
+    gives way to a run of each message.
+    """
+    if symbolic:
+        rng = TracingRandomness(seed)
+        leaves = run(rng.message(m0), rng).leaves()
+        ref0 = _Trace(_bind(leaves, m0), rng)
+        if MESSAGE not in ref0.blocked:
+            ref1 = _Trace(_bind(leaves, m1), rng)
+            ref1.keys = None
+            return ref0, ref1
+    return _trace(run, m0, seed), _trace(run, m1, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +400,7 @@ def _replay_key(trace: _Trace, ref: _Trace, comp: frozenset, res: _Residual) -> 
     if trace.paths != ref.paths:
         raise _Unstable("view leaves changed under pinning")
     key = []
-    for path, _, taint in trace.tainted:
+    for path, taint in trace.tainted:
         if path in res.gone:
             continue
         if taint & comp:
@@ -382,7 +445,7 @@ def _probe(run, messages, seed, refs, comps, moduli, res) -> None:
             raise _Unstable("deterministic part changed at probe point")
         if trace.paths != ref.paths:
             raise _Unstable("view leaves changed at probe point")
-        for path, _, taint in trace.tainted:
+        for path, taint in trace.tainted:
             if path not in res.gone and not any(taint <= comp for comp in comps):
                 raise _Unstable("new taint pattern at probe point")
         res.check_dropped(trace)
@@ -457,7 +520,7 @@ def _counted(run, m0, m1, seed, limit, samples, symbolic) -> PrivacyReport:
 
 
 def _view_distance(run, m0, m1, seed, limit, samples, symbolic) -> PrivacyReport:
-    refs = (_trace(run, m0, seed), _trace(run, m1, seed))
+    refs = _references(run, m0, m1, seed, symbolic)
     observed = refs[0].rng.observed | refs[1].rng.observed
     if refs[0].plain != refs[1].plain:
         if observed:
@@ -467,8 +530,7 @@ def _view_distance(run, m0, m1, seed, limit, samples, symbolic) -> PrivacyReport
         if any(path in other and other[path] != key for path, key in refs[0].plain):
             return PrivacyReport("exact", 2.0, 2.0,
                                  note="deterministic view parts differ")
-    shapes = [[(path, taint) for path, _, taint in ref.tainted] for ref in refs]
-    if refs[0].plain != refs[1].plain or shapes[0] != shapes[1]:
+    if refs[0].plain != refs[1].plain or refs[0].tainted != refs[1].tainted:
         leaf_paths = [{path for path, _ in ref.plain} | set(ref.paths) for ref in refs]
         if not observed and leaf_paths[0] != leaf_paths[1]:
             # every run has its reference's leaf paths: the views are disjoint
@@ -479,7 +541,7 @@ def _view_distance(run, m0, m1, seed, limit, samples, symbolic) -> PrivacyReport
 
     dropped = _eliminate(refs, m0.spec.order) if symbolic else []
     gone = {path for path, _ in dropped}
-    kept = [(path, taint) for path, taint in shapes[0] if path not in gone]
+    kept = [(path, taint) for path, taint in refs[0].tainted if path not in gone]
     res = _Residual([path for path, _ in kept], dropped, m0.spec.order)
     comps = _components([taint for _, taint in kept])
     moduli = {**refs[0].rng.moduli, **refs[1].rng.moduli}
@@ -508,6 +570,8 @@ def _view_distance(run, m0, m1, seed, limit, samples, symbolic) -> PrivacyReport
 
     tv = dict(certified)
     if enumerated or axes:
+        if refs[1].keys is None:   # replays compare the leaves with m1's keys
+            refs = (refs[0], _trace(run, m1, seed))
         try:
             _probe(run, (m0, m1), seed, refs, comps, moduli, res)
             for comp in enumerated + axes:

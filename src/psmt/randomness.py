@@ -6,13 +6,18 @@ tracing source is used by the privacy analyzer: it gives every draw a
 sequential index, taints the result with that index (a sampled draw is a
 ``TracedElement``), can pin selected indices to enumerated values, and
 keeps the ledger of what the run observed (see ``TracingRandomness``).
+It also hands out the message as the variable ``MESSAGE``, so the
+privacy analyzer can trace one run for every message.
 """
 
 from __future__ import annotations
 
 import random
 
-from .field import FieldSpec, TracedElement
+from .field import FieldElement, FieldSpec, TracedElement, peek
+
+# the message variable: above every draw index, and never a draw
+MESSAGE = 1 << 62
 
 
 def _canon(seed):
@@ -70,7 +75,9 @@ class TracingRandomness:
     traced value read outside the traced operations, and every draw
     handed back as a raw int (a tie coin, say).  ``atoms`` maps each
     opaque atom variable (< 0), a quotient by a non-constant or a value
-    ``sharing`` computed on raw ints, to the draws it depends on.
+    ``sharing`` computed on raw ints, to the draws it depends on.  The
+    message variable ``MESSAGE`` (see ``message``) counts as a draw in
+    these sets but is never in ``moduli``: nothing pins or enumerates it.
     """
 
     def __init__(self, seed, pinned: dict[int, int] | None = None):
@@ -100,6 +107,12 @@ class TracingRandomness:
         (idx,) = taint
         self.observed.discard(idx)
         return TracedElement(spec, value, taint, {((idx, 1),): 1}, self)
+
+    def message(self, m: FieldElement) -> TracedElement:
+        """``m`` as the message variable: its raw value, the polynomial
+        ``MESSAGE`` and the taint {MESSAGE}."""
+        return TracedElement(m.spec, peek(m), frozenset((MESSAGE,)),
+                             {((MESSAGE, 1),): 1}, self)
 
     # -- the ledger ----------------------------------------------------------
 

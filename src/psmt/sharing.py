@@ -149,7 +149,11 @@ def _from_raw(tracer, spec: FieldSpec, value: int, operands) -> FieldElement:
     return TracedElement(spec, value, taint, tracer.atom(taint), tracer)
 
 
-def _from_elements(tracer, spec: FieldSpec, y: FieldElement, operands) -> FieldElement:
+def _from_elements(tracer, spec: FieldSpec, y: FieldElement, operands=None) -> FieldElement:
+    """The kernel's element as it is, or answering for ``operands`` beyond
+    its own: carrying all their taints."""
+    if operands is None:
+        return y
     if type(y) is TracedElement:   # else it met no traced operand: a raw result
         return y.with_taint(_taint(operands))
     return _from_raw(tracer, spec, y.value, operands)
@@ -161,11 +165,12 @@ def _linear(spec: FieldSpec, elements, raw: bool = False):
 
     Returns the coordinates of ``elements``, the dot product of a
     constant raw row with coordinates, and the map from (result,
-    operands) to a field element.
+    operands) to a field element; the operands may be left out when they
+    are the dot's own (never on the raw path).
     """
     if TracedElement not in map(type, elements):
         return ([e.value for e in elements], spec.dot_raw,
-                lambda value, _: FieldElement(spec, value))
+                lambda value, _=None: FieldElement(spec, value))
     tracer = next(e.tracer for e in elements if type(e) is TracedElement)
     if raw:
         return [e.value for e in elements], spec.dot_raw, partial(_from_raw, tracer, spec)
@@ -238,7 +243,7 @@ def share(secret: FieldElement, params: SharingParams, rng) -> Codeword:
     coeffs = [secret] + [spec.sample(rng) for _ in range(params.k)]
     ys, dot, element = _linear(spec, coeffs)
     return Codeword(
-        tuple(element(dot(row, ys), coeffs)
+        tuple(element(dot(row, ys))
               for row in _power_rows(spec, params.xs, params.k + 1)),
         params)
 
@@ -255,7 +260,7 @@ def reconstruct(word: ReceivedWord) -> FieldElement:
     row = _lagrange_rows(spec, tuple(params.xs[i] for i, _ in used), (0,))[0]
     entries = _checked(spec, [e for _, e in used])
     ys, dot, element = _linear(spec, entries)
-    return element(dot(row, ys), entries)
+    return element(dot(row, ys))
 
 
 CLEAN = "clean"
@@ -321,8 +326,7 @@ def correct_errors(word: ReceivedWord, e: int) -> Decoded | None:
             i for i, (got, want) in enumerate(zip(ys, codeword)) if got != want)
         ys = codeword
     row = _lagrange_rows(spec, params.xs[:k1], (0,))[0]
-    return Decoded(element(dot(row, ys[:k1]), entries[:k1] if e == 0 else entries),
-                   errs)
+    return Decoded(element(dot(row, ys[:k1]), entries if e else None), errs)
 
 
 def _syndrome_decode(params: SharingParams, ys: list[int], e: int) -> list[int] | None:

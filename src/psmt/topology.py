@@ -147,8 +147,10 @@ def _max_flow(g: Digraph):
     Each node's in-node -> out-node arc has capacity 1 (the endpoints
     get an unbounded count), and so has each link (a, b), an arc from
     a's out-node to b's in-node.  Returns the nodes by rank, the
-    original arcs ``cap[u] = {v: capacity}`` and the residual
-    capacities ``res[u]`` of arcs and reverse arcs.
+    original arcs ``cap[u] = {v: capacity}``, the residual capacities
+    ``res[u]`` of arcs and reverse arcs, and the last, failed augmenting
+    search's ``prev``: ``prev[u] >= 0`` exactly for the nodes u of the
+    residual-reachable set of the maximum flow.
     """
     order = sorted(g.nodes, key=lambda v: str(("in", v)))
     n = len(order)
@@ -175,7 +177,7 @@ def _max_flow(g: Digraph):
                     prev[v] = u
                     queue.append(v)
         if prev[t] < 0:
-            return order, cap, res
+            return order, cap, res, prev
         v = t
         while v != s:
             u = prev[v]
@@ -184,11 +186,11 @@ def _max_flow(g: Digraph):
             v = u
 
 
-def max_disjoint_paths(g) -> PathSet:
-    """Maximum set of internally node-disjoint directed sender->receiver paths."""
-    if isinstance(g, Hypergraph):
-        g = g.induced_digraph()
-    order, cap, res = _max_flow(g)
+def _digraph(g) -> Digraph:
+    return g.induced_digraph() if isinstance(g, Hypergraph) else g
+
+
+def _paths(g: Digraph, order, cap, res, prev) -> PathSet:
     n = len(order)
     # an arc carries flow when its residual capacity is below its original
     # one; every internal node passes one unit, so each of the sender's
@@ -206,33 +208,42 @@ def max_disjoint_paths(g) -> PathSet:
     return PathSet(tuple(sorted(paths)))
 
 
-def min_vertex_separator(g) -> frozenset | None:
-    """Smallest W in V-{A,B} meeting every directed A->B path (Menger).
-
-    Read off the max flow's residual graph: every original arc from the
-    residual-reachable set to the rest is saturated, so there are exactly
-    flow-many, and each maps to its head's node: a node arc to its node,
-    a link (a, b) to b.  Here b is never the receiver: a saturated link
-    into it from an internal node leaves an unreachable out-node.
-    Returns None when no such set exists (a direct sender->receiver link).
-    """
-    if isinstance(g, Hypergraph):
-        g = g.induced_digraph()
+def _separator(g: Digraph, order, cap, res, prev) -> frozenset | None:
+    """Every original arc from the residual-reachable set to the rest is
+    saturated, so there are exactly flow-many, and each maps to its head's
+    node: a node arc to its node, a link (a, b) to b.  Here b is never the
+    receiver: a saturated link into it from an internal node leaves an
+    unreachable out-node."""
     if (g.sender, g.receiver) in g.edges:
         return None
-    order, cap, res = _max_flow(g)
     n = len(order)
-    s = n + order.index(g.sender)
-    reach = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for v, c in res[u].items():
-            if c > 0 and v not in reach:
-                reach.add(v)
-                queue.append(v)
     # original arcs only: a residual reverse arc leaving the set is no cut
-    return frozenset(order[v % n] for u in reach for v in cap[u] if v not in reach)
+    return frozenset(order[v % n] for u, p in enumerate(prev) if p >= 0
+                     for v in cap[u] if prev[v] < 0)
+
+
+def max_disjoint_paths(g) -> PathSet:
+    """Maximum set of internally node-disjoint directed sender->receiver paths."""
+    g = _digraph(g)
+    return _paths(g, *_max_flow(g))
+
+
+def min_vertex_separator(g) -> frozenset | None:
+    """Smallest W in V-{A,B} meeting every directed A->B path (Menger),
+    read off the max flow's residual graph.  Returns None when no such set
+    exists (a direct sender->receiver link)."""
+    g = _digraph(g)
+    if (g.sender, g.receiver) in g.edges:
+        return None
+    return _separator(g, *_max_flow(g))
+
+
+def menger(g) -> tuple[PathSet, frozenset | None]:
+    """``max_disjoint_paths`` and ``min_vertex_separator`` of ``g`` from
+    one max flow."""
+    g = _digraph(g)
+    flow = _max_flow(g)
+    return _paths(g, *flow), _separator(g, *flow)
 
 
 def _bfs_path(succ: dict, src, dst) -> tuple | None:
@@ -267,12 +278,16 @@ def _survive_all(g, k: int, survives) -> bool:
 # hypergraph predicates
 
 
+def separable_by(cut: frozenset | None, k: int) -> bool:
+    """Whether a minimum separator ``cut`` shows some W (|W| <= k) meeting
+    every directed path."""
+    return cut is not None and len(cut) <= k
+
+
 def is_k_separable(h: Hypergraph, k: int):
     """(True, witness W) if some W (|W| <= k) meets every directed path."""
     cut = min_vertex_separator(h)
-    if cut is not None and len(cut) <= k:
-        return True, cut
-    return False, None
+    return (True, cut) if separable_by(cut, k) else (False, None)
 
 
 def _surviving_links(h: Hypergraph, removed: frozenset, directed: bool = True) -> dict:

@@ -305,8 +305,9 @@ def test_criterion_4_perfect_privacy():
             hypergraph_private, graph=duo, k=1,
             adversary=AdversarySpec(frozenset({"x"}))), g5),
         # every mask, tag and pad leaf is eliminated by optimistic
-        # sampling, so these certify symbolically with two replays at any
-        # field size (tests/test_privacy.py checks GF(3), GF(5), GF(2^16))
+        # sampling, so these certify symbolically with one replay, of the
+        # message variable, at any field size (tests/test_privacy.py
+        # checks GF(3), GF(5), GF(2^16))
         ("neighbor-exchange C", shared_rng_runner(
             neighbor_exchange, adversary=AdversarySpec(frozenset({"C"}))), g2),
         ("neighbor-exchange F", shared_rng_runner(

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from psmt import fixtures, protocols
+from psmt import fixtures, protocols, topology
 from psmt.cli import _HARNESS, main
 
 
@@ -58,6 +58,20 @@ def test_analyze_hypergraph_fixture(capsys):
     assert report["2k_separable"] is False
     assert report["max_disjoint_paths"] >= 3
     assert report["weakly_k_connected"] is True
+
+
+@pytest.mark.parametrize("graph", [fixtures.get("fig5"), fixtures.braided_eight()],
+                         ids=["hypergraph", "digraph"])
+def test_analyze_computes_one_max_flow(capsys, monkeypatch, tmp_path, graph):
+    # the disjoint paths and the separator come from the same flow
+    path = tmp_path / "graph.json"
+    path.write_text(fixtures.dumps(graph))
+    flows = []
+    real = topology._max_flow
+    monkeypatch.setattr(topology, "_max_flow", lambda g: flows.append(g) or real(g))
+    code, report, _ = run(capsys, "analyze", "--k", "1", "--topology-file", str(path))
+    assert code == 0 and report["max_disjoint_paths"] >= 2
+    assert len(flows) == 1
 
 
 def test_analyze_does_not_depend_on_the_hash_seed(tmp_path):

@@ -262,3 +262,31 @@ def test_monomial_product_matches_the_reference(q):
         assert _mono_mul(a, b, q) == want
         assert _mono_mul(b, a, q) == want
     assert all(kinds.values())
+
+
+@pytest.mark.parametrize("order", [5, 16])
+def test_equality_by_constant_difference_observes_nothing(order):
+    """``==`` compares the non-constant terms in place: a constant
+    difference decides it with nothing observed, zero or not, against a
+    plain or a traced element; otherwise it observes the support of the
+    difference and compares values."""
+    from psmt.field import _poly_sub, peek
+
+    spec = GF(order)
+    one, three = spec.element(1), spec.element(3)
+    rng = TracingRandomness(order)
+    a, b, c = (spec.sample(rng) for _ in range(3))
+    tag = a * three + b
+    for left, right, equal in ((tag, a * three + b, True),
+                               (tag + one, tag, False),
+                               (tag - tag + three, three, True),
+                               (tag - tag + three, one, False),
+                               (a - a, spec.zero(), True),
+                               (a * b + one, b * a + three, False)):
+        assert (left == right) is equal and (left != right) is not equal
+        assert peek(left) == peek(right) or not equal
+    assert rng.observed == set()
+    # c enters the difference in one term: only a and c are observed
+    left, right = a * b + c, b * a + a
+    assert (left == right) == (peek(left) == peek(right))
+    assert rng.observed == rng.support(_poly_sub(spec, left.poly, right.poly)) == {0, 2}

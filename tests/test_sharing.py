@@ -658,6 +658,25 @@ def test_corrupted_word_observes():
     assert var < 0 and exponent == 1 and rng.atoms[var] == frozenset({0, 1, 2})
 
 
+def test_decoded_secret_answers_for_every_entry_beyond_radius_zero():
+    # an honest word whose last entry also carries a draw it cancels: the
+    # kernel reads the secret off the first k+1 entries, with their taint;
+    # beyond radius 0 the secret answers for all n entries, so it carries
+    # all n taints, with the same polynomial and nothing observed
+    spec = GF(11)
+    params = SharingParams(5, 1, spec)
+    rng = TracingRandomness("tail taint")
+    shares = share(spec.element(3), params, rng).shares   # draw 0
+    extra = spec.sample(rng)                              # draw 1
+    word = ReceivedWord(shares[:-1] + (shares[-1] + extra - extra,), params)
+    secret = reconstruct(word)
+    assert secret.taint == frozenset({0}) and secret.poly == {(): 3}
+    assert correct_errors(word, 0).secret.taint == frozenset({0})
+    decoded = correct_errors(word, 1)
+    assert decoded.secret.taint == frozenset({0, 1}) and decoded.secret.poly == {(): 3}
+    assert decoded.error_positions == frozenset() and rng.observed == set()
+
+
 def test_decoded_secret_is_plain_only_when_read_from_plain_entries():
     # a word on the code whose first k+1 entries are plain: at radius 0
     # the secret is read from them alone and stays plain; at radius 1 it
