@@ -230,6 +230,16 @@ def _field(args):
     return GF(int(args.field))
 
 
+def _wilson_interval(bad: int, trials: int) -> list[float]:
+    """95% Wilson score interval of a failure rate: exactly 0 at no
+    failures, 1 at all failures, and [0, 1] at no trials."""
+    rate, z2 = bad / max(trials, 1), 1.96 ** 2 / max(trials, 1)
+    centre = (rate + z2 / 2) / (1 + z2)
+    half = math.sqrt(z2 * rate * (1 - rate) + z2 * z2 / 4) / (1 + z2)
+    return [max(0.0, centre - half) if bad else 0.0,
+            min(1.0, centre + half) if bad < trials else 1.0]
+
+
 def _cmd_simulate(args) -> dict:
     desc = protocols.get(args.protocol or "")
     spec = _field(args)
@@ -259,8 +269,6 @@ def _cmd_simulate(args) -> dict:
             wrong += 1
     bad = failures + wrong
     rate = bad / trials if trials else 0.0
-    # normal-approximation 95% interval, clamped to [0, 1]
-    half = 1.96 * math.sqrt(rate * (1 - rate) / trials) if trials else 0.0
     report = {
         "protocol": desc.name,
         "field": spec.order,
@@ -272,7 +280,7 @@ def _cmd_simulate(args) -> dict:
         "wrong_deliveries": wrong,
         "failures": bad,
         "failure_rate": rate,
-        "failure_rate_ci95": [max(0.0, rate - half), min(1.0, rate + half)],
+        "failure_rate_ci95": _wilson_interval(bad, trials),
         "rounds_histogram": {str(r): c for r, c in sorted(rounds_hist.items())},
         "rounds_max": max(rounds_hist, default=0),
         "seed": args.seed,

@@ -3,8 +3,10 @@
 Each fixture is a small network with well-understood connectivity
 properties, exercising a different rung of the connectivity hierarchy:
 plain k-connectivity, weak k-hyper-connectivity, k-neighbor-
-connectivity, and weak (n,k)-connectivity, plus a multicast hypergraph
-that supports reliable but not private transmission.
+connectivity, and weak (n,k)-connectivity, plus two multicast
+hypergraphs: ``fig5`` supports reliable but not private transmission,
+and ``duo`` is the one fixture that meets ``hyper-private``'s
+precondition.
 """
 
 from __future__ import annotations
@@ -78,6 +80,18 @@ def fig009() -> NeighborNet:
         "A", "B")
 
 
+def duo() -> Hypergraph:
+    """Two relays x and y between A and B, with a direct link, all both
+    ways: strongly 1-connected and not 2-separable in either direction."""
+    return Hypergraph.build(
+        "ABxy",
+        [("A", {"B"}), ("A", {"x"}), ("A", {"y"}),
+         ("x", {"B"}), ("y", {"B"}),
+         ("B", {"A"}), ("B", {"x"}), ("B", {"y"}),
+         ("x", {"A"}), ("y", {"A"})],
+        "A", "B")
+
+
 FIXTURES = {
     "fig1": fig1,
     "fig2": fig2,
@@ -85,6 +99,7 @@ FIXTURES = {
     "fig5": fig5,
     "fig80": fig80,
     "fig009": fig009,
+    "duo": duo,
 }
 
 

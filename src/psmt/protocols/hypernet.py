@@ -22,8 +22,8 @@ from ..netsim import AdversarySpec, HyperNet, Outcome, majority_of, reliable_sen
 from ..randomness import Randomness
 from ..topology import (
     Hypergraph,
-    is_k_separable,
-    max_disjoint_paths,
+    menger,
+    separable_by,
     strong_witness_path,
     strongly_k_connected,
     to_hypergraph,
@@ -37,13 +37,14 @@ def _reverse(h: Hypergraph) -> Hypergraph:
 
 @lru_cache(maxsize=64)
 def _majority_paths(graph: Hypergraph, k: int) -> tuple:
-    """2k+1 node-disjoint paths, computed once per (graph, k); refused
+    """2k+1 node-disjoint paths, from one max flow per (graph, k); refused
     when 2k nodes separate the endpoints."""
-    ok, witness = is_k_separable(graph, 2 * k)
-    if ok:
+    paths, cut = menger(graph)
+    if separable_by(cut, 2 * k):
         raise PreconditionError(
-            f"endpoints are {2 * k}-separable (witness {sorted(witness)})")
-    return max_disjoint_paths(graph).paths[: 2 * k + 1]
+            f"{graph.sender}->{graph.receiver} is {2 * k}-separable"
+            f" (witness {sorted(cut)})")
+    return paths.paths[: 2 * k + 1]
 
 
 def reliable_transmit(net: HyperNet, graph: Hypergraph, payload, k: int,
@@ -76,12 +77,8 @@ def _private_plan(graph: Hypergraph, k: int):
     if not strongly_k_connected(graph, k):
         raise PreconditionError("endpoints are not strongly k-connected")
     back = _reverse(graph)
-    for g in (graph, back):
-        sep, witness = is_k_separable(g, 2 * k)
-        if sep:
-            raise PreconditionError(
-                f"{g.sender}->{g.receiver} is {2 * k}-separable"
-                f" (witness {sorted(witness)})")
+    for g in (graph, back):   # refused when 2k nodes separate either way
+        _majority_paths(g, k)
     internal = sorted(graph.nodes - {graph.sender, graph.receiver})
     witness_paths = []
     for s in itertools.combinations(internal, k):

@@ -4,11 +4,11 @@ Each test prints ``criterion N (<label>): PASS/FAIL`` with its elapsed
 time so the gate can be read off a plain test log.
 """
 
-import itertools
 import random
 import time
 
 import conftest
+import sweep
 from oracles import brute_force_separator, reaches
 
 from psmt.field import GF
@@ -25,7 +25,6 @@ from psmt.protocols.perfect import (
     perfect_3k,
     perfect_efficient,
     perfect_general,
-    perfect_oneway,
     perfect_shared_feedback,
     perfect_u1,
 )
@@ -40,16 +39,9 @@ from psmt.sharing import (
     oracle_decode,
     share,
 )
-from psmt.strategies import (
-    constant_replacer,
-    format_corruptor,
-    random_tamperer,
-    shift_tamperer,
-    stop_forger,
-)
+from psmt.strategies import constant_replacer, random_tamperer, stop_forger
 from psmt.topology import (
     Digraph,
-    Hypergraph,
     is_k_separable,
     k_connected,
     max_disjoint_paths,
@@ -60,7 +52,7 @@ from psmt.topology import (
     weakly_k_hyper_connected,
     weakly_nk_connected,
 )
-from psmt import fixtures
+from psmt import fixtures, protocols
 
 
 def _verdict(n: int, label: str, violations: list, started: float,
@@ -73,21 +65,6 @@ def _verdict(n: int, label: str, violations: list, started: float,
     conftest.VERDICTS.append(line)
     assert elapsed < budget, f"criterion {n} exceeded budget: {elapsed:.1f}s"
     assert not violations, violations[:5]
-
-
-def _strategies(spec):
-    return [shift_tamperer(), random_tamperer(spec), format_corruptor(),
-            stop_forger(), constant_replacer(spec.element(0))]
-
-
-def duo_graph() -> Hypergraph:
-    return Hypergraph.build(
-        "ABxy",
-        [("A", {"B"}), ("A", {"x"}), ("A", {"y"}),
-         ("x", {"B"}), ("y", {"B"}),
-         ("B", {"A"}), ("B", {"x"}), ("B", {"y"}),
-         ("x", {"A"}), ("y", {"A"})],
-        "A", "B")
 
 
 # ---------------------------------------------------------------------------
@@ -138,24 +115,6 @@ def test_criterion_1_mds_bounds():
              started, 30.0)
 
 
-# channel units for the perfect-protocol sweeps; a "unit" is the set of
-# channels one corruption takes down (a pair for shared relay nodes)
-def _units(n_forward, n_backward, shared=0):
-    units = [frozenset({("AB", i)}) for i in range(n_forward - shared)]
-    if shared:
-        units += [frozenset({("AB", n_forward - shared + j), ("BA", j)})
-                  for j in range(shared)]
-    else:
-        units += [frozenset({("BA", j)}) for j in range(n_backward)]
-    return units
-
-
-def _placements(units, k):
-    for size in range(1, k + 1):
-        for combo in itertools.combinations(units, size):
-            yield frozenset().union(*combo)
-
-
 EFFICIENT_ROUNDS: list[tuple[int, int, int]] = []  # (k, u, rounds) from crit. 2
 
 
@@ -163,20 +122,20 @@ def _perfect_configs():
     for k, u in ((2, 1), (2, 2), (3, 1), (3, 2)):
         n = max(3 * k + 1 - 2 * u, 2 * k + 1)
         yield ("general", lambda m, a, k=k, u=u: perfect_general(m, k, u, a),
-               k, u, _units(n, u), n)
+               k, u, sweep.units(n, u), n)
         n = 3 * k + 1 - u
         yield ("efficient", lambda m, a, k=k, u=u: perfect_efficient(m, k, u, a),
-               k, u, _units(n, u), n)
+               k, u, sweep.units(n, u), n)
         yield ("shared", lambda m, a, k=k, u=u: perfect_shared_feedback(m, k, u, a),
-               k, u, _units(n, u, shared=u), n)
+               k, u, sweep.units(n, u, shared=u), n)
     for k in (2, 3):
         n = 3 * k - 1
         yield ("u1", lambda m, a, k=k: perfect_u1(m, k, a), k, 1,
-               _units(n, 1), n)
+               sweep.units(n, 1), n)
     for k in (1, 2, 3):
         n = 3 * k
         yield ("3k", lambda m, a, k=k: perfect_3k(m, k, a), k, 1,
-               _units(n, 1), n)
+               sweep.units(n, 1), n)
 
 
 def test_criterion_2_perfect_protocols():
@@ -185,8 +144,8 @@ def test_criterion_2_perfect_protocols():
     for name, run, k, u, units, n_forward in _perfect_configs():
         spec = GF(7) if n_forward <= 6 else GF(11)
         rng = Randomness(("acc2", name, k, u))
-        for corrupted in _placements(units, k):
-            for s, strategy in enumerate(_strategies(spec)):
+        for corrupted in sweep.placements(units, range(1, k + 1)):
+            for s, strategy in enumerate(sweep.fixed_strategies(spec)):
                 m = spec.sample(rng)
                 out = run(m, AdversarySpec(corrupted, strategy, seed=s))
                 if not (out.succeeded and out.delivered == m):
@@ -201,7 +160,7 @@ def test_criterion_3_statistical_protocols():
     started = time.time()
     violations = []
     big = GF(2**16)
-    duo = duo_graph()
+    duo = fixtures.get("duo")
     runs = [
         ("oneway", lambda m, a, s: oneway(m, 1, a, seed=s),
          frozenset({("AB", 0)})),
@@ -261,59 +220,10 @@ def test_criterion_3_statistical_protocols():
 def test_criterion_4_perfect_privacy():
     started = time.time()
     violations = []
-    g2, g5, g7 = GF(2), GF(5), GF(7)
-    duo = duo_graph()
-    cases = [
-        ("oneway", shared_rng_runner(
-            oneway, k=1, adversary=AdversarySpec(frozenset({("AB", 0)}))), g5),
-        ("single-feedback fwd", shared_rng_runner(
-            single_feedback, adversary=AdversarySpec(frozenset({("AB", 0)}))), g5),
-        ("single-feedback back", shared_rng_runner(
-            single_feedback, adversary=AdversarySpec(frozenset({("BA", 0)}))), g5),
-        ("subset-exchange fwd", shared_rng_runner(
-            subset_exchange, k=1, n_forward=2, n_backward=1,
-            adversary=AdversarySpec(frozenset({("AB", 0)}))), g5),
-        ("subset-exchange back", shared_rng_runner(
-            subset_exchange, k=1, n_forward=2, n_backward=1,
-            adversary=AdversarySpec(frozenset({("BA", 0)}))), g5),
-        ("feedback-efficient fwd", shared_rng_runner(
-            feedback_efficient, k=1, u=1,
-            adversary=AdversarySpec(frozenset({("AB", 0)}))), g5),
-        ("feedback-efficient back", shared_rng_runner(
-            feedback_efficient, k=1, u=1,
-            adversary=AdversarySpec(frozenset({("BA", 0)}))), g5),
-        ("perfect-oneway", shared_rng_runner(
-            perfect_oneway, k=1,
-            adversary=AdversarySpec(frozenset({("AB", 0)}))), g5),
-        ("perfect-3k fwd", shared_rng_runner(
-            perfect_3k, k=1, adversary=AdversarySpec(frozenset({("AB", 0)}))), g5),
-        ("perfect-3k back", shared_rng_runner(
-            perfect_3k, k=1, adversary=AdversarySpec(frozenset({("BA", 0)}))), g5),
-        ("perfect-u1", shared_rng_runner(
-            perfect_u1, k=2,
-            adversary=AdversarySpec(frozenset({("AB", 0), ("BA", 0)}))), g7),
-        ("perfect-general", shared_rng_runner(
-            perfect_general, k=2, u=1,
-            adversary=AdversarySpec(frozenset({("AB", 0), ("BA", 0)}))), g7),
-        ("perfect-efficient", shared_rng_runner(
-            perfect_efficient, k=1, u=1,
-            adversary=AdversarySpec(frozenset({("AB", 0)}))), g5),
-        ("perfect-shared", shared_rng_runner(
-            perfect_shared_feedback, k=1, u=1,
-            adversary=AdversarySpec(frozenset({("AB", 2), ("BA", 0)}))), g5),
-        ("hyper-private", shared_rng_runner(
-            hypergraph_private, graph=duo, k=1,
-            adversary=AdversarySpec(frozenset({"x"}))), g5),
-        # every mask, tag and pad leaf is eliminated by optimistic
-        # sampling, so these certify symbolically with one replay, of the
-        # message variable, at any field size (tests/test_privacy.py
-        # checks GF(3), GF(5), GF(2^16))
-        ("neighbor-exchange C", shared_rng_runner(
-            neighbor_exchange, adversary=AdversarySpec(frozenset({"C"}))), g2),
-        ("neighbor-exchange F", shared_rng_runner(
-            neighbor_exchange, adversary=AdversarySpec(frozenset({"F"}))), g2),
-    ]
-    for label, run, spec in cases:
+    for label, name, kw, corrupted, q in sweep.PRIVATE_CASES:
+        run = shared_rng_runner(protocols.get(name).run,
+                                adversary=AdversarySpec(corrupted), **kw)
+        spec = GF(q)
         m0, m1 = spec.element(0), spec.element(spec.order - 1)
         report = view_distance(run, m0, m1, limit=2_000_000)
         if not report.perfectly_private:
@@ -412,25 +322,27 @@ def test_criterion_8_round_bounds():
     # recorded during the criterion-2 sweeps
     if not EFFICIENT_ROUNDS:
         violations.append(("no recorded rounds from criterion 2",))
+    bound = {name: protocols.get(name).round_bound
+             for name in ("perfect-efficient", "oneway", "feedback-efficient")}
     for k, u, rounds in EFFICIENT_ROUNDS:
-        if rounds > 11 * max(u, 1):
+        if rounds > bound["perfect-efficient"](k, u):
             violations.append(("perfect-efficient", k, u, rounds))
     big = GF(2**16)
     rng = Randomness("acc8")
     for k in (1, 2, 3):
         for t in range(10):
             out = oneway(big.sample(rng), k, seed=t)
-            if out.rounds > 2 * k + 1:
+            if out.rounds > bound["oneway"](k, 0):
                 violations.append(("oneway", k, out.rounds))
     for k, u in ((1, 1), (2, 1), (2, 2), (3, 2)):
         for t in range(5):
             out = feedback_efficient(big.sample(rng), k, u, seed=t)
-            if out.rounds > 2 * k + 2 + u:
+            if out.rounds > bound["feedback-efficient"](k, u):
                 violations.append(("feedback-efficient", k, u, out.rounds))
             out = feedback_efficient(
                 big.sample(rng), k, u,
                 AdversarySpec(frozenset({("AB", 0)}), stop_forger(), seed=t),
                 seed=t)
-            if out.rounds > 2 * k + 2 + u:
+            if out.rounds > bound["feedback-efficient"](k, u):
                 violations.append(("feedback-efficient-adv", k, u, out.rounds))
     _verdict(8, "round bounds: 11u / 2k+1 / 2k+2+u", violations, started, 60.0)

@@ -24,7 +24,7 @@ def test_fixtures_list(capsys):
     code, report, err = run(capsys, "fixtures")
     assert code == 0
     assert report == {"fixtures": sorted(
-        ["fig1", "fig2", "fig3", "fig5", "fig80", "fig009"])}
+        ["fig1", "fig2", "fig3", "fig5", "fig80", "fig009", "duo"])}
     assert "fixtures" in err
 
 
@@ -137,6 +137,25 @@ def test_simulate_adversarial_failure_accounting(capsys):
     assert lo <= report["failure_rate"] <= hi
 
 
+def test_simulate_interval_without_failures_or_trials(capsys):
+    argv = ["simulate", "--protocol", "oneway", "--field", "7", "--k", "1"]
+    _, report, _ = run(capsys, *argv, "--trials", "30")
+    assert report["failures"] == 0
+    assert report["failure_rate_ci95"] == [0.0, pytest.approx(0.1135, abs=1e-4)]
+    _, report, _ = run(capsys, *argv, "--trials", "0")
+    assert report["trials"] == 0 and report["failure_rate_ci95"] == [0.0, 1.0]
+
+
+def test_simulate_reads_a_topology_file_as_the_fixture(capsys, tmp_path):
+    path = tmp_path / "duo.json"
+    path.write_text(fixtures.dumps(fixtures.get("duo")))
+    argv = ["simulate", "--protocol", "hyper-private", "--field", "11", "--k", "1",
+            "--trials", "20", "--seed", "4", "--corrupt", "x", "--adversary", "random"]
+    code, from_file, _ = run(capsys, *argv, "--topology-file", str(path))
+    assert code == 0 and from_file["successes"] > 0
+    assert run(capsys, *argv, "--fixture", "duo")[1] == from_file
+
+
 def test_simulate_deterministic_byte_identical(capsys, tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["simulate", "--protocol", "perfect-3k", "--field", "11",
@@ -238,7 +257,6 @@ def test_privacy_rejects_non_private_protocol(capsys):
     assert code == 2 and "privacy claim" in err
 
 
-_DUO = str(pathlib.Path(__file__).parent / "golden" / "duo.json")
 # every registry entry with the options its entry point requires, each
 # option a (flag, value) pair under the entry point's parameter name
 _REQUIRED = {
@@ -254,7 +272,7 @@ _REQUIRED = {
     "perfect-efficient": {"k": ("--k", "1"), "u": ("--u", "1")},
     "perfect-shared": {"k": ("--k", "1"), "u": ("--u", "1")},
     "hyper-reliable": {"graph": ("--fixture", "fig5"), "k": ("--k", "1")},
-    "hyper-private": {"graph": ("--topology-file", _DUO), "k": ("--k", "1")},
+    "hyper-private": {"graph": ("--fixture", "duo"), "k": ("--k", "1")},
     "neighbor-exchange": {},
 }
 

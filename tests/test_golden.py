@@ -1,17 +1,18 @@
 """Golden ``psmt analyze``, ``psmt simulate`` and ``psmt privacy``
-reports: the JSON stays byte-identical.
+reports: the JSON stays byte-identical.  And one digest of what runs do
+within and beyond the corruption bound.
 
-Analyze: the six fixtures, and the four directed fixture variants
+Analyze: the seven fixtures, and the four directed fixture variants
 written with ``fixtures.dumps`` to ``golden/digraph__<name>.json`` and
 read back through ``--topology-file``, each at k=1 and k=2.  Only the
 digraph reports list the disjoint paths themselves.
 
 Simulate: fifteen configurations (every registry entry,
-feedback-efficient at two sizes, hyper-reliable on two graphs) times
-five fixed adversaries, at GF(2^16) with 30 trials and seed 3.
-``duo.json`` is a multicast network A -> B directly and through relays x
-and y, both ways; it is the one topology here that meets hyper-private's
-precondition.
+feedback-efficient at two sizes, hyper-reliable on fig5 and on duo)
+times five fixed adversaries, at GF(2^16) with 30 trials and seed 3.
+Two more reports contain failures: ``oneway`` over GF(7), where a
+random adversary forges tags, and ``perfect-efficient`` with k+1
+corrupted channels, where every trial delivers a wrong message.
 
 Privacy: the benchmark's fifteen private cases, plus ``oneway`` and
 feedback-efficient's forward channel (the two that enumerate), each for
@@ -19,20 +20,34 @@ the messages 0 and q-1 at seed 3, and one Monte Carlo estimate.
 hyper-private is left out for its run time; the acceptance tests cover
 it.
 
+Outcomes: ``golden/outcomes.txt`` has one line per run of every
+registry entry in its ``sweep.ENTRIES`` configuration, at every
+placement of k units and of k+1 units, passive and under each fixed
+strategy, with seeds 0-2 over GF(11).  A line gives the delivered
+value, the flags, the rounds, a digest of the adversary's view and of
+the transcript, and the detail.  A change in what failing runs do shows
+up as a diff of these lines.
+
 Regenerate after an intended change of behaviour with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
+import hashlib
+import json
 import pathlib
 import sys
 
 import pytest
 
-from psmt import fixtures
+from psmt import fixtures, protocols, strategies
 from psmt.cli import main
+from psmt.field import GF
+from psmt.netsim import AdversarySpec
+
+import sweep
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-DUO = str(GOLDEN / "duo.json")
+OUTCOMES = GOLDEN / "outcomes.txt"
 
 CASES = {   # name: (protocol, options)
     "oneway": ("oneway", ["--k", "1", "--corrupt", "AB0"]),
@@ -55,12 +70,22 @@ CASES = {   # name: (protocol, options)
     "hyper-reliable-fig5": ("hyper-reliable",
                             ["--fixture", "fig5", "--k", "1", "--corrupt", "v1"]),
     "hyper-reliable-duo": ("hyper-reliable",
-                           ["--topology-file", DUO, "--k", "1", "--corrupt", "x"]),
+                           ["--fixture", "duo", "--k", "1", "--corrupt", "x"]),
     "hyper-private": ("hyper-private",
-                      ["--topology-file", DUO, "--k", "1", "--corrupt", "x"]),
+                      ["--fixture", "duo", "--k", "1", "--corrupt", "x"]),
     "neighbor-exchange": ("neighbor-exchange", ["--corrupt", "C"]),
 }
 ADVERSARIES = ["passive", "random", "shift", "junk", "stop"]
+
+FAILING = {   # name: options of a report with failures
+    "oneway-gf7-random": ["--protocol", "oneway", "--field", "7", "--k", "1",
+                          "--trials", "200", "--seed", "1", "--corrupt", "AB0",
+                          "--adversary", "random"],
+    "perfect-efficient-k-plus-one-shift": ["--protocol", "perfect-efficient",
+                                           "--field", "65536", "--k", "1", "--u", "1",
+                                           "--trials", "30", "--seed", "3",
+                                           "--corrupt", "AB0,AB1", "--adversary", "shift"],
+}
 
 DIGRAPHS = {   # topology file name: directed fixture variant
     "two_path_feedback": fixtures.two_path_feedback,
@@ -115,6 +140,46 @@ def _name(case: str, adversary: str) -> str:
     return f"{case}__{adversary}.json"
 
 
+def _failing_argv(case: str, out) -> list[str]:
+    return ["simulate", "--out", str(out)] + FAILING[case]
+
+
+def _failing_name(case: str) -> str:
+    return f"failing__{case}.json"
+
+
+def _digest(value) -> str:
+    return hashlib.blake2b(repr(value).encode(), digest_size=6).hexdigest()
+
+
+def _location(where) -> str:
+    return "".join(map(str, where)) if isinstance(where, tuple) else where
+
+
+def _outcomes() -> str:
+    lines = ["# entry corrupted adversary seed: delivered succeeded failed rounds"
+             " view-digest transcript-digest detail"]
+    spec = GF(11)
+    for name, (kw, units) in sweep.ENTRIES.items():
+        # single-feedback and neighbor-exchange take no k: they tolerate one
+        run, k = protocols.get(name).run, kw.get("k", 1)
+        for corrupted in sweep.placements(units, (k, k + 1)):
+            where = ",".join(sorted(map(_location, corrupted)))
+            for adversary in ("passive",) + sweep.STRATEGIES:
+                strategy = strategies.build(adversary, spec)
+                for seed in range(3):
+                    out = run(spec.element(seed + 4),
+                              adversary=AdversarySpec(corrupted, strategy, seed=seed),
+                              seed=seed, **kw)
+                    delivered = "-" if out.delivered is None else out.delivered.value
+                    lines.append(
+                        f"{name} {where} {adversary} {seed}: {delivered}"
+                        f" {out.succeeded} {out.failed} {out.rounds}"
+                        f" {_digest(out.view.canonical())} {_digest(out.transcript)}"
+                        f" {json.dumps(out.detail)}")
+    return "".join(line + "\n" for line in lines)
+
+
 def _analyze_argv(case: str, k: int, out) -> list[str]:
     return ["analyze", "--k", str(k), "--out", str(out)] + dict(ANALYZE)[case]
 
@@ -151,6 +216,20 @@ def test_simulate_report_is_byte_identical(case, tmp_path, capsys):
         assert out.read_bytes() == want, (case, adversary)
 
 
+@pytest.mark.parametrize("case", sorted(FAILING))
+def test_failing_simulate_report_is_byte_identical(case, tmp_path, capsys):
+    out = tmp_path / _failing_name(case)
+    assert main(_failing_argv(case, out)) == 0, capsys.readouterr().err
+    assert json.loads(out.read_text())["failures"] > 0
+    assert out.read_bytes() == (GOLDEN / _failing_name(case)).read_bytes(), case
+
+
+def test_outcomes_within_and_beyond_the_bound_are_byte_identical():
+    got, want = _outcomes(), OUTCOMES.read_text()
+    assert got == want, [pair for pair in zip(want.splitlines(), got.splitlines())
+                         if pair[0] != pair[1]][:5]
+
+
 @pytest.mark.parametrize("case", sorted(PRIVACY))
 def test_privacy_report_is_byte_identical(case, tmp_path, capsys):
     out = tmp_path / _privacy_name(case)
@@ -169,6 +248,10 @@ if __name__ == "__main__":
         for adversary in ADVERSARIES:
             if main(_argv(case, adversary, GOLDEN / _name(case, adversary))):
                 sys.exit(f"{case} {adversary} failed")
+    for case in FAILING:
+        if main(_failing_argv(case, GOLDEN / _failing_name(case))):
+            sys.exit(f"failing {case} failed")
     for case in PRIVACY:
         if main(_privacy_argv(case, GOLDEN / _privacy_name(case))):
             sys.exit(f"privacy {case} failed")
+    OUTCOMES.write_text(_outcomes())

@@ -1,6 +1,5 @@
 """Exact and estimated statistical distance between adversary views."""
 
-import pathlib
 from dataclasses import dataclass
 
 import pytest
@@ -9,28 +8,23 @@ from psmt import fixtures, privacy, protocols
 from psmt.field import GF
 from psmt.netsim import AdversarySpec, AdversaryView
 from psmt.privacy import (
-    PrivacyReport,
     _enumerated_distance,
     monte_carlo_distance,
     shared_rng_runner,
     view_distance,
 )
-from psmt.protocols.directed import (
-    feedback_efficient,
-    oneway,
-    single_feedback,
-    subset_exchange,
-)
+from psmt.protocols.directed import oneway, single_feedback
 from psmt.protocols.hypernet import neighbor_exchange
 from psmt.protocols.perfect import (
     perfect_3k,
     perfect_efficient,
-    perfect_general,
     perfect_oneway,
     perfect_shared_feedback,
     perfect_u1,
 )
 from psmt.randomness import MESSAGE, Randomness, TracingRandomness
+
+import sweep
 
 
 def _pad_runner(spec, leak=False):
@@ -270,21 +264,9 @@ def test_path_traced_under_one_message_and_plain_under_the_other_is_not_exact():
 def _every_entry():
     """(name, parameters, corrupted set) for each registry entry: every
     channel, or one relay node, is eavesdropped."""
-    duo = fixtures.loads((pathlib.Path(__file__).parent / "golden" / "duo.json").read_text())
-    channels = {"oneway": ({"k": 1}, 3, 0), "single-feedback": ({}, 2, 1),
-                "subset-exchange": ({"k": 1, "n_forward": 2, "n_backward": 1}, 2, 1),
-                "feedback-efficient": ({"k": 1, "u": 1}, 2, 1),
-                "perfect-oneway": ({"k": 1}, 4, 0), "perfect-3k": ({"k": 1}, 3, 1),
-                "perfect-u1": ({"k": 2}, 5, 1), "perfect-general": ({"k": 2, "u": 1}, 5, 1),
-                "perfect-efficient": ({"k": 1, "u": 1}, 3, 1),
-                "perfect-shared": ({"k": 1, "u": 1}, 3, 1)}
-    out = {name: (kw, {("AB", i) for i in range(nf)} | {("BA", j) for j in range(nb)})
-           for name, (kw, nf, nb) in channels.items()}
-    out["hyper-reliable"] = ({"graph": fixtures.get("fig5"), "k": 1}, {"v"})
-    out["hyper-private"] = ({"graph": duo, "k": 1}, {"x"})
-    out["neighbor-exchange"] = ({}, {"C"})
-    assert sorted(out) == protocols.names()
-    return [pytest.param(name, *case, id=name) for name, case in sorted(out.items())]
+    relay = {"hyper-reliable": {"v"}, "hyper-private": {"x"}, "neighbor-exchange": {"C"}}
+    return [pytest.param(name, kw, relay.get(name) or frozenset().union(*units), id=name)
+            for name, (kw, units) in sorted(sweep.ENTRIES.items())]
 
 
 @pytest.mark.parametrize("name, kw, corrupted", _every_entry())
@@ -591,33 +573,18 @@ def test_tracing_reference_draws_are_counter_based():
     assert values != [TracingRandomness(("case", 8)).draw(1000)[0] for _ in range(4)]
 
 
-# criterion 4's cases that the enumerator finishes in seconds
-_CROSS_CHECK = [
-    ("single-feedback fwd", single_feedback, {}, {("AB", 0)}, 5),
-    ("single-feedback back", single_feedback, {}, {("BA", 0)}, 5),
-    ("subset-exchange fwd", subset_exchange,
-     {"k": 1, "n_forward": 2, "n_backward": 1}, {("AB", 0)}, 5),
-    ("subset-exchange back", subset_exchange,
-     {"k": 1, "n_forward": 2, "n_backward": 1}, {("BA", 0)}, 5),
-    ("feedback-efficient back", feedback_efficient, {"k": 1, "u": 1}, {("BA", 0)}, 5),
-    ("perfect-oneway", perfect_oneway, {"k": 1}, {("AB", 0)}, 5),
-    ("perfect-3k fwd", perfect_3k, {"k": 1}, {("AB", 0)}, 5),
-    ("perfect-3k back", perfect_3k, {"k": 1}, {("BA", 0)}, 5),
-    ("perfect-u1", perfect_u1, {"k": 2}, {("AB", 0), ("BA", 0)}, 7),
-    ("perfect-general", perfect_general, {"k": 2, "u": 1}, {("AB", 0), ("BA", 0)}, 7),
-    ("perfect-efficient", perfect_efficient, {"k": 1, "u": 1}, {("AB", 0)}, 5),
-    ("perfect-shared", perfect_shared_feedback, {"k": 1, "u": 1},
-     {("AB", 2), ("BA", 0)}, 5),
-    ("neighbor-exchange C", neighbor_exchange, {}, {"C"}, 2),
-    ("neighbor-exchange F", neighbor_exchange, {}, {"F"}, 2),
-]
+# criterion 4's cases that the enumerator finishes in seconds, and the
+# three that enumerate for longer
+_ENUMERATING = {"oneway", "feedback-efficient fwd", "hyper-private"}
+_CROSS_CHECK = [case for case in sweep.PRIVATE_CASES if case[0] not in _ENUMERATING]
 
 
-@pytest.mark.parametrize("label, func, kw, corrupted, q", _CROSS_CHECK,
+@pytest.mark.parametrize("label, name, kw, corrupted, q", _CROSS_CHECK,
                          ids=[case[0] for case in _CROSS_CHECK])
-def test_symbolic_matches_enumerator_on_criterion_4(label, func, kw, corrupted, q):
+def test_symbolic_matches_enumerator_on_criterion_4(label, name, kw, corrupted, q):
     spec = GF(q)
-    run = shared_rng_runner(func, adversary=AdversarySpec(frozenset(corrupted)), **kw)
+    run = shared_rng_runner(protocols.get(name).run, adversary=AdversarySpec(corrupted),
+                            **kw)
     m0, m1 = spec.element(0), spec.element(q - 1)
     symbolic = view_distance(run, m0, m1, limit=2_000_000)
     enumerated = _enumerated_distance(run, m0, m1, limit=2_000_000)
@@ -831,18 +798,12 @@ def test_observed_message_variable_gives_way_to_two_runs(name, monkeypatch):
 def _reference_cases():
     """Criterion 4's 17 cases and the benchmark's two others: the
     cleartext control and neighbor-exchange over GF(3)."""
-    duo = fixtures.loads((pathlib.Path(__file__).parent / "golden" / "duo.json").read_text())
-    cases = [(label, func, kw, corrupted, q) for label, func, kw, corrupted, q in _CROSS_CHECK]
-    cases += [
-        ("oneway", oneway, {"k": 1}, {("AB", 0)}, 5),
-        ("feedback-efficient fwd", feedback_efficient, {"k": 1, "u": 1}, {("AB", 0)}, 5),
-        ("hyper-private", protocols.get("hyper-private").run, {"graph": duo, "k": 1},
-         {"x"}, 5),
-        ("neighbor-exchange C GF(3)", neighbor_exchange, {}, {"C"}, 3),
-        ("hyper-reliable x", protocols.get("hyper-reliable").run, {"graph": duo, "k": 1},
-         {"x"}, 5),
+    slow = [case for case in sweep.PRIVATE_CASES if case[0] in _ENUMERATING]
+    return _CROSS_CHECK + slow + [
+        ("neighbor-exchange C GF(3)", "neighbor-exchange", {}, frozenset({"C"}), 3),
+        ("hyper-reliable x", "hyper-reliable", {"graph": fixtures.get("duo"), "k": 1},
+         frozenset({"x"}), 5),
     ]
-    return cases
 
 
 def _substituted(run, m0, m1, seed) -> bool:
@@ -861,11 +822,11 @@ def _substituted(run, m0, m1, seed) -> bool:
 
 def test_bound_references_are_the_runs_of_each_message():
     observing = set()
-    for label, func, kw, corrupted, q in _reference_cases():
+    for label, name, kw, corrupted, q in _reference_cases():
         spec = GF(q)
         for seed in (0, 1):
-            run = shared_rng_runner(func, adversary=AdversarySpec(frozenset(corrupted)),
-                                    seed=seed, **kw)
+            run = shared_rng_runner(protocols.get(name).run,
+                                    adversary=AdversarySpec(corrupted), seed=seed, **kw)
             if not _substituted(run, spec.element(0), spec.element(q - 1), seed):
                 observing.add(label)
     # majority_of hashes every vote, and these carry the message in one

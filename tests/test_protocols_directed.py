@@ -1,7 +1,5 @@
 """Channel-model protocols with statistical reliability and perfect privacy."""
 
-import itertools
-
 import pytest
 
 from psmt.errors import PreconditionError
@@ -14,27 +12,11 @@ from psmt.protocols.directed import (
     subset_exchange,
 )
 from psmt.randomness import Randomness
-from psmt.strategies import (
-    constant_replacer,
-    format_corruptor,
-    random_tamperer,
-    scripted,
-    shift_tamperer,
-    stop_forger,
-)
+from psmt.strategies import random_tamperer, scripted, shift_tamperer
+
+import sweep
 
 BIG = GF(2**16)
-
-
-def _strategies(spec):
-    return [shift_tamperer(), random_tamperer(spec), format_corruptor(),
-            stop_forger(), constant_replacer(spec.element(0))]
-
-
-def _placements(channels, k):
-    for size in range(1, k + 1):
-        for subset in itertools.combinations(channels, size):
-            yield frozenset(subset)
 
 
 def _assert_safe(outcome, message):
@@ -58,9 +40,9 @@ def test_oneway_honest_runs():
 def test_oneway_adversarial_sweep():
     m = BIG.element(1234)
     for k in (1, 2):
-        channels = [("AB", i) for i in range(2 * k + 1)]
-        for corrupted in _placements(channels, k):
-            for s, strategy in enumerate(_strategies(BIG)):
+        units = sweep.units(2 * k + 1, 0)
+        for corrupted in sweep.placements(units, range(1, k + 1)):
+            for s, strategy in enumerate(sweep.fixed_strategies(BIG)):
                 out = oneway(m, k, AdversarySpec(corrupted, strategy, seed=s),
                              seed=7)
                 # at most k shares can be destroyed: delivery always succeeds
@@ -83,7 +65,7 @@ def test_single_feedback_honest_and_adversarial():
         assert out.succeeded and out.rounds <= 3
     m = BIG.element(77)
     for ch in (("AB", 0), ("AB", 1), ("BA", 0)):
-        for s, strategy in enumerate(_strategies(BIG)):
+        for s, strategy in enumerate(sweep.fixed_strategies(BIG)):
             out = single_feedback(
                 m, AdversarySpec(frozenset({ch}), strategy, seed=s), seed=9)
             _assert_safe(out, m)
@@ -124,9 +106,8 @@ def test_subset_exchange_honest_and_adversarial():
         out = subset_exchange(m, 1, 2, 1, seed=m.value)
         assert out.succeeded
     m = BIG.element(31337)
-    channels = [("AB", 0), ("AB", 1), ("BA", 0)]
-    for corrupted in _placements(channels, 1):
-        for s, strategy in enumerate(_strategies(BIG)):
+    for corrupted in sweep.placements(sweep.units(2, 1), [1]):
+        for s, strategy in enumerate(sweep.fixed_strategies(BIG)):
             out = subset_exchange(
                 m, 1, 2, 1, AdversarySpec(corrupted, strategy, seed=s), seed=5)
             _assert_safe(out, m)
@@ -144,10 +125,9 @@ def test_feedback_efficient_honest_and_adversarial():
             assert out.rounds <= 2 * k + 2 + u
     m = BIG.element(2024)
     for k, u in ((1, 1), (2, 1), (2, 2)):
-        channels = ([("AB", i) for i in range(2 * k + 1 - u)] +
-                    [("BA", j) for j in range(u)])
-        for corrupted in _placements(channels, k):
-            for s, strategy in enumerate(_strategies(BIG)):
+        units = sweep.units(2 * k + 1 - u, u)
+        for corrupted in sweep.placements(units, range(1, k + 1)):
+            for s, strategy in enumerate(sweep.fixed_strategies(BIG)):
                 out = feedback_efficient(
                     m, k, u, AdversarySpec(corrupted, strategy, seed=s), seed=2)
                 _assert_safe(out, m)

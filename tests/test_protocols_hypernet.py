@@ -1,46 +1,23 @@
 """Hypergraph and neighbor-network protocols."""
 
-import itertools
-
 import pytest
 
-from psmt import fixtures
+from psmt import fixtures, topology
 from psmt.errors import ParamError, PreconditionError
 from psmt.field import GF, FieldElement
 from psmt.netsim import AdversarySpec
+from psmt.protocols import hypernet
 from psmt.protocols.hypernet import (
     hypergraph_private,
     hypergraph_reliable,
     neighbor_exchange,
 )
 from psmt.randomness import Randomness
-from psmt.strategies import (
-    constant_replacer,
-    format_corruptor,
-    random_tamperer,
-    shift_tamperer,
-    stop_forger,
-)
-from psmt.topology import Hypergraph, to_hypergraph
+from psmt.topology import to_hypergraph
+
+import sweep
 
 BIG = GF(2**16)
-
-
-def _strategies(spec):
-    return [shift_tamperer(), random_tamperer(spec), format_corruptor(),
-            stop_forger(), constant_replacer(spec.element(0))]
-
-
-def duo_graph() -> Hypergraph:
-    """Two independent relays x and y between A and B, fully two-way:
-    strongly 1-connected and not 2-separable in either direction."""
-    return Hypergraph.build(
-        "ABxy",
-        [("A", {"B"}), ("A", {"x"}), ("A", {"y"}),
-         ("x", {"B"}), ("y", {"B"}),
-         ("B", {"A"}), ("B", {"x"}), ("B", {"y"}),
-         ("x", {"A"}), ("y", {"A"})],
-        "A", "B")
 
 
 def test_hypergraph_reliable_honest_and_adversarial():
@@ -50,7 +27,7 @@ def test_hypergraph_reliable_honest_and_adversarial():
     assert out.succeeded and out.delivered == m
     internal = sorted(graph.nodes - {"A", "B"})
     for node in internal:
-        for s, strategy in enumerate(_strategies(BIG)):
+        for s, strategy in enumerate(sweep.fixed_strategies(BIG)):
             out = hypergraph_reliable(
                 m, graph, 1,
                 AdversarySpec(frozenset({node}), strategy, seed=s), seed=3)
@@ -66,7 +43,7 @@ def test_hypergraph_reliable_precondition():
 
 
 def test_hypergraph_private_honest_and_adversarial():
-    graph = duo_graph()
+    graph = fixtures.get("duo")
     rng = Randomness("hp-honest")
     for _ in range(10):
         m = BIG.sample(rng)
@@ -74,7 +51,7 @@ def test_hypergraph_private_honest_and_adversarial():
         assert out.succeeded and out.delivered == m
     m = BIG.element(555)
     for node in ("x", "y"):
-        for s, strategy in enumerate(_strategies(BIG)):
+        for s, strategy in enumerate(sweep.fixed_strategies(BIG)):
             out = hypergraph_private(
                 m, graph, 1,
                 AdversarySpec(frozenset({node}), strategy, seed=s), seed=4)
@@ -82,7 +59,7 @@ def test_hypergraph_private_honest_and_adversarial():
 
 
 def test_hypergraph_private_transcript_covers_both_directions():
-    graph = duo_graph()
+    graph = fixtures.get("duo")
     out = hypergraph_private(BIG.element(7), graph, 1, seed=2)
     rounds = [entry[0] for entry in out.transcript]
     assert rounds == sorted(rounds)
@@ -105,7 +82,7 @@ def test_hypergraph_private_adversary_keeps_one_state_and_stream():
         ctx.state["calls"] = ctx.state.get("calls", 0) + 1
         return ctx.payload
 
-    out = hypergraph_private(BIG.element(7), duo_graph(), 1,
+    out = hypergraph_private(BIG.element(7), fixtures.get("duo"), 1,
                              AdversarySpec(frozenset({"x"}), watch), seed=2)
     assert out.succeeded
     assert len(seen) >= 2 and len(set(seen)) == 1
@@ -117,6 +94,18 @@ def test_hypergraph_private_preconditions():
         hypergraph_private(BIG.element(1), fixtures.get("fig5"), 1)
     with pytest.raises(PreconditionError):
         hypergraph_private(BIG.element(1), to_hypergraph(fixtures.get("fig3")), 1)
+
+
+def test_hypergraph_private_plans_from_one_flow_per_direction(monkeypatch):
+    flows = []
+    real = topology._max_flow
+    monkeypatch.setattr(topology, "_max_flow", lambda g: flows.append(g) or real(g))
+    hypernet._majority_paths.cache_clear()
+    hypernet._private_plan.cache_clear()
+    out = hypergraph_private(BIG.element(7), fixtures.get("duo"), 1, seed=2)
+    assert out.succeeded and len(flows) == 2
+    with pytest.raises(PreconditionError, match="A->B is 2-separable"):
+        hypergraph_reliable(BIG.element(1), to_hypergraph(fixtures.get("fig3")), 1)
 
 
 def test_neighbor_exchange_honest():
@@ -131,7 +120,7 @@ def test_neighbor_exchange_single_corruption():
     # the design tolerates one corrupted node among {C, D, F}
     m = BIG.element(31415)
     for node in ("C", "D", "F"):
-        for s, strategy in enumerate(_strategies(BIG)):
+        for s, strategy in enumerate(sweep.fixed_strategies(BIG)):
             out = neighbor_exchange(
                 m, AdversarySpec(frozenset({node}), strategy, seed=s), seed=8)
             if out.succeeded:

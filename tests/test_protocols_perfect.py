@@ -1,7 +1,5 @@
 """Perfectly reliable protocols: zero failures under any placement/strategy."""
 
-import itertools
-
 import pytest
 
 from psmt.errors import PreconditionError
@@ -16,42 +14,15 @@ from psmt.protocols.perfect import (
     perfect_u1,
 )
 from psmt.randomness import Randomness
-from psmt.strategies import (
-    constant_replacer,
-    format_corruptor,
-    random_tamperer,
-    shift_tamperer,
-    stop_forger,
-)
+from psmt.strategies import stop_forger
 
-
-def _strategies(spec):
-    return [shift_tamperer(), random_tamperer(spec), format_corruptor(),
-            stop_forger(), constant_replacer(spec.element(0))]
-
-
-def _units(n_forward, n_backward, shared=0):
-    """Corruptible units: single channels, plus joint pairs for shared
-    relay nodes (a forward path carrying a feedback channel)."""
-    units = [frozenset({("AB", i)}) for i in range(n_forward - shared)]
-    if shared:
-        units += [frozenset({("AB", n_forward - shared + j), ("BA", j)})
-                  for j in range(shared)]
-    else:
-        units += [frozenset({("BA", j)}) for j in range(n_backward)]
-    return units
-
-
-def _placements(units, k):
-    for size in range(1, k + 1):
-        for combo in itertools.combinations(units, size):
-            yield frozenset().union(*combo)
+import sweep
 
 
 def _sweep(run, spec, k, units, trials_per=1):
     rng = Randomness(("perfect-sweep", run.__name__, k))
-    for corrupted in _placements(units, k):
-        for s, strategy in enumerate(_strategies(spec)):
+    for corrupted in sweep.placements(units, range(1, k + 1)):
+        for s, strategy in enumerate(sweep.fixed_strategies(spec)):
             m = spec.sample(rng)
             out = run(m, AdversarySpec(corrupted, strategy, seed=s))
             assert out.succeeded and out.delivered == m, (
@@ -65,7 +36,7 @@ def test_perfect_oneway():
         out = perfect_oneway(spec.element(6), k, seed=1)
         assert out.succeeded and out.rounds == 1
         _sweep(lambda m, a, k=k: perfect_oneway(m, k, a), spec, k,
-               _units(3 * k + 1, 0))
+               sweep.units(3 * k + 1, 0))
 
 
 def test_perfect_3k():
@@ -74,7 +45,7 @@ def test_perfect_3k():
         out = perfect_3k(spec.element(3), k, seed=1)
         assert out.succeeded and out.rounds <= 3
         _sweep(lambda m, a, k=k: perfect_3k(m, k, a), spec, k,
-               _units(3 * k, 1))
+               sweep.units(3 * k, 1))
 
 
 def test_perfect_u1():
@@ -82,7 +53,7 @@ def test_perfect_u1():
     k = 2
     out = perfect_u1(spec.element(9), k, seed=1)
     assert out.succeeded
-    _sweep(lambda m, a: perfect_u1(m, k, a), spec, k, _units(3 * k - 1, 1))
+    _sweep(lambda m, a: perfect_u1(m, k, a), spec, k, sweep.units(3 * k - 1, 1))
     with pytest.raises(PreconditionError):
         perfect_u1(spec.element(1), 1)
 
@@ -93,7 +64,7 @@ def test_perfect_general():
     out = perfect_general(spec.element(2), k, u, seed=1)
     assert out.succeeded
     n = max(3 * k + 1 - 2 * u, 2 * k + 1)
-    _sweep(lambda m, a: perfect_general(m, k, u, a), spec, k, _units(n, u))
+    _sweep(lambda m, a: perfect_general(m, k, u, a), spec, k, sweep.units(n, u))
     with pytest.raises(PreconditionError):
         perfect_general(spec.element(1), 1, 1)
     with pytest.raises(PreconditionError):
@@ -107,7 +78,7 @@ def test_perfect_efficient():
         assert out.succeeded
         assert out.rounds <= 11 * max(u, 1)
         _sweep(lambda m, a, k=k, u=u: perfect_efficient(m, k, u, a), spec, k,
-               _units(3 * k + 1 - u, u))
+               sweep.units(3 * k + 1 - u, u))
     # u = 0 degenerates to the single-round protocol
     out = perfect_efficient(spec.element(8), 1, 0, seed=1)
     assert out.succeeded
@@ -123,7 +94,7 @@ def test_perfect_shared_feedback():
         # node-level corruption: the last u forward channels each share a
         # relay with one feedback channel and fall jointly
         _sweep(lambda m, a, k=k, u=u: perfect_shared_feedback(m, k, u, a),
-               spec, k, _units(3 * k + 1 - u, u, shared=u))
+               spec, k, sweep.units(3 * k + 1 - u, u, shared=u))
     with pytest.raises(PreconditionError):
         perfect_shared_feedback(spec.element(1), 2, 0)
 
@@ -152,7 +123,7 @@ def test_perfect_protocols_never_report_failure_under_bound():
     # perfectly reliable protocol is not allowed to give up
     spec = GF(11)
     k = 1
-    for corrupted in _placements(_units(3 * k, 1), k):
+    for corrupted in sweep.placements(sweep.units(3 * k, 1), range(1, k + 1)):
         out = perfect_3k(spec.element(7), k,
                          AdversarySpec(corrupted, stop_forger()))
         assert not out.failed

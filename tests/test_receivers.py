@@ -1,8 +1,5 @@
 """Receivers never crash on a payload an adversary can send."""
 
-import itertools
-import pathlib
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +9,8 @@ from psmt.netsim import AdversarySpec, Outcome, recv_broadcast
 from psmt.protocols.common import as_field, as_field_vec
 from psmt.randomness import Randomness
 from psmt.strategies import scripted
+
+import sweep
 
 SPEC = GF(7)
 OTHER = GF(5)
@@ -146,53 +145,30 @@ def junk_per_round(ctx):
     return junk
 
 
-def _channels(n_forward, n_backward):
-    return [("AB", i) for i in range(n_forward)] + [("BA", j) for j in range(n_backward)]
-
-
-# (protocol, keyword arguments, every corruptible location)
-FUZZ_CASES = [
-    ("oneway", {"k": 1}, _channels(3, 0)),
-    ("single-feedback", {}, _channels(2, 1)),
-    ("subset-exchange", {"k": 1, "n_forward": 2, "n_backward": 1}, _channels(2, 1)),
-    ("feedback-efficient", {"k": 1, "u": 1}, _channels(2, 1)),
-    ("perfect-oneway", {"k": 1}, _channels(4, 0)),
-    ("perfect-3k", {"k": 1}, _channels(3, 1)),
-    ("perfect-u1", {"k": 2}, _channels(5, 1)),
-    ("perfect-general", {"k": 3, "u": 2}, _channels(7, 2)),
-    ("perfect-efficient", {"k": 2, "u": 2}, _channels(5, 2)),
-    ("perfect-shared", {"k": 1, "u": 1}, _channels(3, 1)),
-    ("hyper-reliable", {"k": 1, "graph": fixtures.get("fig5")},
-     ["v1", "v2", "v", "u1", "u2"]),
-    ("hyper-private", {"k": 1, "graph": fixtures.loads(
-        (pathlib.Path(__file__).parent / "golden" / "duo.json").read_text())},
-     ["x", "y"]),
-    ("neighbor-exchange", {}, ["C", "D", "F"]),
-]
+# (protocol, keyword arguments, every corruptible unit): each entry's
+# sweep configuration, two of them larger
+LARGER = {"perfect-general": ({"k": 3, "u": 2}, sweep.units(7, 2)),
+          "perfect-efficient": ({"k": 2, "u": 2}, sweep.units(5, 2))}
+FUZZ_CASES = [(name, *LARGER.get(name, case)) for name, case in sweep.ENTRIES.items()]
 
 
 RUNS = 600   # runs per protocol, at least three per corruption set
-
-
-def _corruption_sets(locations):
-    for size in range(1, len(locations) + 1):
-        yield from itertools.combinations(locations, size)
 
 
 def test_fuzz_cases_cover_the_registry():
     assert sorted(c[0] for c in FUZZ_CASES) == protocols.names()
 
 
-@pytest.mark.parametrize("name,kw,locations", FUZZ_CASES,
+@pytest.mark.parametrize("name,kw,units", FUZZ_CASES,
                          ids=[c[0] for c in FUZZ_CASES])
-def test_every_run_ends_in_an_outcome_under_junk(name, kw, locations):
-    """Up to every location corrupted, so far beyond the bound that only
-    the receivers' coercions stand between junk and an exception."""
+def test_every_run_ends_in_an_outcome_under_junk(name, kw, units):
+    """Up to every unit corrupted, so far beyond the bound that only the
+    receivers' coercions stand between junk and an exception."""
     desc = protocols.get(name)
-    sets = list(_corruption_sets(locations))
+    sets = list(sweep.placements(units, range(1, len(units) + 1)))
     for n_set, corrupted in enumerate(sets):
         for seed in range(max(3, RUNS // len(sets))):
-            adversary = AdversarySpec(frozenset(corrupted), junk_per_round,
+            adversary = AdversarySpec(corrupted, junk_per_round,
                                       seed=(n_set, seed))
             out = desc.run(FUZZ_SPEC.element(seed + 4), adversary=adversary,
                            seed=seed, **kw)
