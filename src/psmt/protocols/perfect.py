@@ -11,6 +11,12 @@ Every round is one ``PathNetwork.end_round(sends)`` call with all of its
 sends.  ``_share_round`` sends fresh shares and returns the word the
 receiver reads, and ``netsim.broadcast`` sends the sender's verdict and
 returns the receiver's majority reading of it.
+
+The receiver decodes a word only once it knows it will read the result.
+The echo protocols keep each round's word and decode the guesses after
+every echo has matched, stopping at the first guess that differs; once
+a fault is pinned, only the reshare is decoded.  The pad phase
+reconstructs its two pads only when it returns their sum.
 """
 
 from __future__ import annotations
@@ -56,6 +62,15 @@ def _decode(word, e):
     """The secret decoded at radius e, or ``None``."""
     decoded = correct_errors(word, e)
     return decoded.secret if decoded else None
+
+
+def _agreed(words, e):
+    """The secret every word decodes to at radius e, else ``None``.  The
+    words are decoded in turn, up to the first that differs."""
+    guess = _decode(words[0], e)
+    if guess is None or not all(_decode(w, e) == guess for w in words[1:]):
+        return None
+    return guess
 
 
 def _echoed(spec, feedback, n):
@@ -116,10 +131,11 @@ def _u1_protocol(message, k, net, fwd, q, rng_a, rng_b):
     n = 3 * k - 1
     fwd = first(fwd, n)
     spec = message.spec
-    guesses = []
+    # the receiver decodes its guesses only once every echo has matched
+    words = []
     for big_i in range(n):
         shares, word = _share_round(net, fwd, message, k, rng_a)
-        guesses.append(_decode(word, k - 1))
+        words.append(word)
         delivered = net.end_round({("BA", q): word.entries[big_i]})
         echo = as_field(spec, delivered.get(("BA", q)))
         if echo == shares[big_i]:
@@ -135,10 +151,11 @@ def _u1_protocol(message, k, net, fwd, q, rng_a, rng_b):
         return _decode(ReceivedWord(entries, sharing_params(n - 1, k - 1, spec)),
                        k - 1)
     # every echo matched: decide from the guesses, else echo the last word
-    if guesses[0] is not None and all(g == guesses[0] for g in guesses):
+    guess = _agreed(words, k - 1)
+    if guess is not None:
         net.end_round({("BA", q): "stop"})
         broadcast(net, fwd, ("done",), rng_b)
-        return guesses[0]
+        return guess
     return _echo_tail(net, fwd, q, word, shares, rng_b)
 
 
@@ -161,12 +178,11 @@ def _pad_phase(message, k, net, fwd, back, rng_a, rng_b, recurse, b_prior):
     spec = message.spec
     n = len(fwd)
     r1_a = spec.sample(rng_a)
-    recovered_b = []
+    pads = []
     for value in (r1_a, message - r1_a):
         shares, word = _share_round(net, fwd, value, k, rng_a)
+        pads.append(word)
         clean = detect_errors(word) == CLEAN
-        if clean:
-            recovered_b.append(reconstruct(word))
         delivered = net.end_round(
             {("BA", q): "OK" if clean else ("vec", word.entries) for q in back})
         fault = None
@@ -193,7 +209,8 @@ def _pad_phase(message, k, net, fwd, back, rng_a, rng_b, recurse, b_prior):
             return b_prior
     if b_prior is not None:
         return b_prior
-    return recovered_b[0] + recovered_b[1]
+    # both pads arrived clean
+    return reconstruct(pads[0]) + reconstruct(pads[1])
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +224,11 @@ def _general_protocol(message, k, net, fwd, back, rng_a, rng_b):
     n = max(3 * k + 1 - 2 * u, 2 * k + 1)
     fwd = first(fwd, n)
     spec = message.spec
-    guesses = []
+    # the receiver decodes its guesses only once every echo has matched
+    words = []
     for h in permutations(range(n), u):
         shares, word = _share_round(net, fwd, message, k, rng_a)
-        guesses.append(_decode(word, k - u))
+        words.append(word)
         delivered = net.end_round(
             {("BA", q): word.entries[h[i]] for i, q in enumerate(back)})
         mismatch = None
@@ -227,9 +245,8 @@ def _general_protocol(message, k, net, fwd, back, rng_a, rng_b):
         sub_back = [q for pos, q in enumerate(back) if pos != mismatch[1]]
         return _general_protocol(message, k - 1, net, sub_fwd, sub_back,
                                  rng_a, rng_b)
-    agreed = guesses[0] is not None and all(g == guesses[0] for g in guesses)
     return _pad_phase(message, k, net, fwd, back, rng_a, rng_b,
-                      _general_protocol, guesses[0] if agreed else None)
+                      _general_protocol, _agreed(words, k - u))
 
 
 # ---------------------------------------------------------------------------

@@ -39,12 +39,13 @@ import sys
 
 import pytest
 
-from psmt import fixtures, protocols, strategies
+from psmt import cli, fixtures, protocols, strategies
 from psmt.cli import main
 from psmt.field import GF
 from psmt.netsim import AdversarySpec
 
 import sweep
+from test_cli import _REQUIRED
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 OUTCOMES = GOLDEN / "outcomes.txt"
@@ -197,6 +198,32 @@ def _privacy_argv(case: str, out) -> list[str]:
 
 def _privacy_name(case: str) -> str:
     return f"privacy__{case}.json"
+
+
+def _command(argv: list[str]):
+    """The entry point, field order, corrupted set and parameters that
+    the CLI reads off a command line."""
+    args = cli._build_parser().parse_args(argv)
+    desc = protocols.get(args.protocol)
+    return (desc.name, args.field, cli._parse_corrupt(args.corrupt, desc.kind),
+            cli._protocol_kwargs(desc, args, cli._load_graph(args)))
+
+
+def test_command_lines_agree_with_the_sweep():
+    # each privacy golden runs criterion 4's case its name starts with,
+    # at that case's field order unless the name ends in -gf<order>
+    rows = {label.replace(" ", "-"): row for label, *row in sweep.PRIVATE_CASES}
+    for case in PRIVACY:
+        label = max((label for label in rows if case.startswith(label)), key=len)
+        name, kw, corrupted, q = rows[label]
+        order = int(case.rsplit("-gf", 1)[1]) if "-gf" in case else q
+        assert _command(_privacy_argv(case, "-")) == (name, order, corrupted, kw), case
+    # the flags test_cli passes for each required parameter
+    for name, options in _REQUIRED.items():
+        argv = ["simulate", "--protocol", name] + [x for pair in options.values()
+                                                   for x in pair]
+        kw = _command(argv)[3]
+        assert {p: kw[p] for p in options} == sweep.ENTRIES[name][0], name
 
 
 @pytest.mark.parametrize("case", sorted(dict(ANALYZE)))

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from psmt import fixtures, privacy, protocols
+from psmt import fixtures, privacy, protocols, strategies
 from psmt.field import GF
 from psmt.netsim import AdversarySpec, AdversaryView
 from psmt.privacy import (
@@ -604,6 +604,26 @@ def test_neighbor_exchange_certified_symbolically(q):
         assert report.method == "symbolic", (node, report)
         assert report.lower == report.upper == 0.0
         assert report.replays == 1 and report.perfectly_private
+
+
+@pytest.mark.parametrize("name, kw, channel", [
+    ("perfect-u1", {"k": 2}, ("AB", 0)),
+    ("perfect-general", {"k": 2, "u": 1}, ("AB", 3)),
+])
+def test_tampered_words_left_undecoded_observe_nothing(name, kw, channel):
+    # a shifted share breaks an echo, so the receiver decodes only the
+    # reshare: no decode of a tampered word observes a draw, and the view
+    # certifies symbolically
+    spec = GF(7)
+    adversary = AdversarySpec(frozenset({channel}), strategies.build("shift", spec),
+                              seed=1)
+    run = shared_rng_runner(protocols.get(name).run, adversary=adversary, **kw)
+    m0, m1 = spec.element(0), spec.element(6)
+    report = view_distance(run, m0, m1, seed=0)
+    assert (report.method, report.upper, report.replays) == ("symbolic", 0.0, 1)
+    enumerated = _enumerated_distance(run, m0, m1, seed=0)
+    assert enumerated.method == "exact"
+    assert enumerated.lower == enumerated.upper == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 import pytest
 
+from psmt import strategies
 from psmt.errors import PreconditionError
 from psmt.field import GF, FieldElement
 from psmt.netsim import AdversarySpec
+from psmt.protocols import perfect
 from psmt.protocols.perfect import (
     perfect_3k,
     perfect_efficient,
@@ -135,3 +137,25 @@ def test_determinism():
     b = perfect_efficient(spec.element(4), 2, 1, seed=42)
     assert a.view.canonical() == b.view.canonical()
     assert a.rounds == b.rounds and a.delivered == b.delivered
+
+
+@pytest.mark.parametrize("run, corrupted, decodes", [
+    (lambda m, adv: perfect_u1(m, 2, adv), None, 5),
+    # a mismatched echo: only the reshare is decoded
+    (lambda m, adv: perfect_u1(m, 2, adv), {("AB", 4)}, 1),
+    (lambda m, adv: perfect_u1(m, 2, adv), {("AB", 0)}, 1),
+    # a mismatch in the first permutation: the recursion into k=2, u=1
+    # decodes its five guesses
+    (lambda m, adv: perfect_general(m, 3, 2, adv), {("BA", 0)}, 5),
+], ids=["u1-passive", "u1-AB4-shift", "u1-AB0-shift", "general-BA0-shift"])
+def test_receiver_decodes_only_the_words_it_reads(monkeypatch, run, corrupted, decodes):
+    spec = GF(11)
+    calls = []
+    real = perfect.correct_errors
+    monkeypatch.setattr(perfect, "correct_errors",
+                        lambda word, e: calls.append(e) or real(word, e))
+    adversary = None if corrupted is None else AdversarySpec(
+        frozenset(corrupted), strategies.build("shift", spec))
+    out = run(spec.element(3), adversary)
+    assert out.succeeded
+    assert len(calls) == decodes
