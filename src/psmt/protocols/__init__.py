@@ -7,7 +7,8 @@ the one randomness source of every honest party; without it each party
 draws from its own stream of ``seed``.  The entry point's signature is
 the one declaration of the parameters a protocol takes beyond the
 uniform ones (``k``, ``u``, ``graph``, ``n_forward``, ...): the command
-line requires each that has no default.
+line requires each that has no default.  A channel entry's channels are
+its ``channels(k, u)``, the one declaration in ``common.CHANNELS``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Callable
 
 from ..errors import ParamError
 from . import directed, hypernet, perfect
+from .common import CHANNELS
 
 
 @dataclass(frozen=True)
@@ -27,6 +29,10 @@ class ProtocolDescriptor:
     perfectly_reliable: bool  # delta == 0
     private: bool             # epsilon == 0 claimed
     round_bound: Callable | None = None   # (k, u) -> max simulator rounds
+
+    @property
+    def channels(self) -> Callable | None:   # common.CHANNELS; None for graphs
+        return CHANNELS.get(self.name)
 
 
 REGISTRY: dict[str, ProtocolDescriptor] = {}

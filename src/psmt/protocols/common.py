@@ -14,8 +14,11 @@ have sent in the expected shape, so acting on the coercion gives it
 nothing it could not get anyway.  The images of these helpers are also
 the finite alphabet of payloads a receiver can tell apart.
 
-``_rng`` gives each party its randomness, ``first`` takes a
-sub-protocol's channels and ``finish`` closes a run.
+Each channel construction declares its channels once, in ``CHANNELS``.
+``network`` builds every channel entry's ``PathNetwork`` from it,
+``first`` cuts a recursion's channels to a sub-protocol's count, and
+``run_on_channels`` runs a perfect body with each party's ``_rng`` and
+closes the run with ``finish``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import lru_cache
 from ..authcodes import LinearKey, QuadKey
 from ..errors import PreconditionError
 from ..field import FieldElement, FieldSpec
-from ..netsim import Outcome
+from ..netsim import Outcome, PathNetwork
 from ..randomness import Randomness
 from ..sharing import ReceivedWord, SharingParams, share
 
@@ -76,11 +79,52 @@ def as_quad_key(spec: FieldSpec, value) -> QuadKey:
     return QuadKey(a, b, c)
 
 
-def first(fwd, n: int) -> list:
-    """The first n of the channels ``fwd``; refused when fewer are left."""
-    if len(fwd) < n:
-        raise PreconditionError(f"need {n} forward channels, have {len(fwd)}")
-    return fwd[:n]
+# (k, u) -> (n_forward, n_backward) of each channel construction, None where
+# it does not apply; oneway and subset-exchange take more forward channels
+CHANNELS = {
+    "oneway": lambda k, u: (2 * k + 1, 0),
+    "single-feedback": lambda k, u: (2, 1),
+    "subset-exchange": lambda k, u: (max(k + 1, 2 * k + 1 - u), u),
+    "feedback-efficient": lambda k, u: (2 * k + 1 - u, u) if 1 <= u <= k else None,
+    "perfect-oneway": lambda k, u: (3 * k + 1, 0),
+    "perfect-3k": lambda k, u: (3 * k, 1),
+    "perfect-u1": lambda k, u: (3 * k - 1, 1) if k >= 2 else None,
+    "perfect-general": lambda k, u: ((max(3 * k + 1 - 2 * u, 2 * k + 1), u)
+                                     if k >= 2 and u >= 1 else None),
+    "perfect-efficient": lambda k, u: (3 * k + 1 - u, u) if 0 <= u <= k else None,
+    "perfect-shared": lambda k, u: (3 * k + 1 - u, u) if 1 <= u <= k else None,
+}
+
+
+def network(name: str, adversary, k: int, u: int | None = None,
+            n_forward: int | None = None) -> PathNetwork:
+    """The network of ``name`` at (k, u), with ``n_forward`` forward
+    channels if given: refused where ``name`` does not apply or below
+    its declared forward count."""
+    counts = CHANNELS[name](k, u)
+    if counts is None:
+        raise PreconditionError(f"{name} does not apply at k={k}, u={u}")
+    least, n_backward = counts
+    if n_forward is not None and n_forward < least:
+        raise PreconditionError(f"{name} needs {least} forward channels, have {n_forward}")
+    return PathNetwork(least if n_forward is None else n_forward, n_backward, adversary)
+
+
+def first(fwd, name: str, k: int, u: int | None = None) -> list:
+    """The first of ``fwd`` that ``name`` declares at (k, u); a recursion
+    never hands a sub-protocol fewer."""
+    return fwd[:CHANNELS[name](k, u)[0]]
+
+
+def run_on_channels(name: str, body, message, k: int, adversary, seed, rng,
+                    u: int | None = None) -> Outcome:
+    """The outcome of ``body(message, k, net, fwd, back, rng_a, rng_b)``
+    on every channel of ``name``'s network; B draws only on feedback."""
+    net = network(name, adversary, k, u)
+    rng_b = _rng(rng, seed, "B") if net.n_backward else None
+    result = body(message, k, net, list(range(net.n_forward)),
+                  list(range(net.n_backward)), _rng(rng, seed, "A"), rng_b)
+    return finish(message, net, result)
 
 
 def finish(message, net, result,

@@ -10,9 +10,8 @@ from __future__ import annotations
 import itertools
 
 from ..authcodes import LinearKey, QuadKey, auth_linear, auth_quad, verify
-from ..errors import PreconditionError
 from ..field import FieldElement
-from ..netsim import AdversarySpec, Outcome, PathNetwork
+from ..netsim import AdversarySpec, Outcome
 from ..sharing import reconstruct
 from .common import (
     _rng,
@@ -23,6 +22,7 @@ from .common import (
     as_quad_key,
     fields,
     finish,
+    network,
     share_vector,
     subset_word,
 )
@@ -63,7 +63,8 @@ def _authenticated_shares(net, message, n, k, rng_a) -> dict:
 
 def oneway(message: FieldElement, k: int, adversary: AdversarySpec | None = None,
            seed=0, rng=None, n_forward: int | None = None) -> Outcome:
-    """Forward-only transmission over 2k+1 channels.
+    """Forward-only transmission, over more channels than declared when
+    ``n_forward`` asks for them.
 
     The message is shared (k+1)-out-of-n once; round i delivers share i
     together with n authentication tags, while every channel j carries
@@ -71,10 +72,8 @@ def oneway(message: FieldElement, k: int, adversary: AdversarySpec | None = None
     """
     spec = message.spec
     rng_a = _rng(rng, seed, "A")
-    n = n_forward if n_forward is not None else 2 * k + 1
-    if n < 2 * k + 1:
-        raise PreconditionError(f"need {2 * k + 1} forward channels, have {n}")
-    net = PathNetwork(n, 0, adversary)
+    net = network("oneway", adversary, k, n_forward=n_forward)
+    n = net.n_forward
     valid = _authenticated_shares(net, message, n, k, rng_a)
     recovered = None
     if len(valid) > k:
@@ -84,7 +83,7 @@ def oneway(message: FieldElement, k: int, adversary: AdversarySpec | None = None
 
 def single_feedback(message: FieldElement, adversary: AdversarySpec | None = None,
                     seed=0, rng=None) -> Outcome:
-    """Two forward channels plus one feedback channel, one corruption.
+    """Two forward channels and a feedback channel against one corruption.
 
     The message is split into two additive shares, each authenticated
     under the other channel's key.  On a verification failure the
@@ -93,7 +92,7 @@ def single_feedback(message: FieldElement, adversary: AdversarySpec | None = Non
     """
     spec = message.spec
     rng_a, rng_b = _rng(rng, seed, "A"), _rng(rng, seed, "B")
-    net = PathNetwork(2, 1, adversary)
+    net = network("single-feedback", adversary, 1)
 
     s = [spec.sample(rng_a), None]
     s[1] = message - s[0]
@@ -148,10 +147,7 @@ def subset_exchange(message: FieldElement, k: int, n_forward: int, n_backward: i
     """
     spec = message.spec
     rng_a, rng_b = _rng(rng, seed, "A"), _rng(rng, seed, "B")
-    if n_forward < k + 1 or n_forward + n_backward < 2 * k + 1:
-        raise PreconditionError(
-            "need k+1 forward channels and 2k+1 channels in total")
-    net = PathNetwork(n_forward, n_backward, adversary)
+    net = network("subset-exchange", adversary, k, n_backward, n_forward)
     lines = ([("p", i) for i in range(n_forward)] +
              [("q", j) for j in range(n_backward)])
     result = None
@@ -190,7 +186,7 @@ def subset_exchange(message: FieldElement, k: int, n_forward: int, n_backward: i
 def feedback_efficient(message: FieldElement, k: int, u: int,
                        adversary: AdversarySpec | None = None,
                        seed=0, rng=None) -> Outcome:
-    """Efficient transmission over 2k+1-u forward and u backward channels.
+    """Efficient transmission with u feedback channels.
 
     Phase one runs the forward-only protocol over the reduced channel
     set.  If too few shares validate, the receiver raises random nonces
@@ -200,10 +196,8 @@ def feedback_efficient(message: FieldElement, k: int, u: int,
     """
     spec = message.spec
     rng_a, rng_b = _rng(rng, seed, "A"), _rng(rng, seed, "B")
-    if not 1 <= u <= k:
-        raise PreconditionError("need 1 <= u <= k")
-    n = 2 * k + 1 - u
-    net = PathNetwork(n, u, adversary)
+    net = network("feedback-efficient", adversary, k, u)
+    n = net.n_forward
 
     # phase one: n rounds of authenticated share delivery
     valid = _authenticated_shares(net, message, n, k, rng_a)

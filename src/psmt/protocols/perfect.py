@@ -7,6 +7,11 @@ feedback-channel echoes; when the sender can pin a fault down to one
 forward/backward channel pair, both ends drop the pair and fall back to
 a protocol tolerating one corruption fewer.
 
+Each entry point is one ``common.run_on_channels`` call on the channels
+``common.CHANNELS`` declares.  Every body takes ``(message, k, net, fwd,
+back, rng_a, rng_b)``; where a recursion hands over more channels than a
+sub-protocol declares, ``first`` cuts them by the sub-protocol's name.
+
 Every round is one ``PathNetwork.end_round(sends)`` call with all of its
 sends.  ``_share_round`` sends fresh shares and returns the word the
 receiver reads, and ``netsim.broadcast`` sends the sender's verdict and
@@ -23,17 +28,15 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from ..errors import PreconditionError
 from ..field import FieldElement
-from ..netsim import AdversarySpec, Outcome, PathNetwork, broadcast
+from ..netsim import AdversarySpec, Outcome, broadcast
 from ..sharing import CLEAN, ReceivedWord, correct_errors, detect_errors, reconstruct
 from .common import (
-    _rng,
     as_field,
     as_field_vec,
     as_indices,
-    finish,
     first,
+    run_on_channels,
     share_vector,
     sharing_params,
     tagged,
@@ -105,47 +108,57 @@ def _echo_tail(net, fwd, q, word, shares, rng_b, b_result=None):
 
 
 # ---------------------------------------------------------------------------
-# forward-only base case: 3k+1 channels, single round
+# forward-only base case: a single round
 
 
-def _oneway_perfect(message, k, net, fwd, rng_a):
-    _, word = _share_round(net, first(fwd, 3 * k + 1), message, k, rng_a)
+def _oneway_perfect(message, k, net, fwd, back, rng_a, rng_b):
+    _, word = _share_round(net, first(fwd, "perfect-oneway", k), message, k, rng_a)
     return _decode(word, k)
 
 
 # ---------------------------------------------------------------------------
-# single feedback channel, 3k forward channels, any k >= 1
+# single feedback channel, any k >= 1
 
 
-def _threek_one_feedback(message, k, net, fwd, q, rng_a, rng_b):
-    fwd = first(fwd, 3 * k)
+def _threek_one_feedback(message, k, net, fwd, back, rng_a, rng_b):
     shares, word = _share_round(net, fwd, message, k, rng_a)
-    return _echo_tail(net, fwd, q, word, shares, rng_b, _decode(word, k - 1))
+    return _echo_tail(net, fwd, back[0], word, shares, rng_b, _decode(word, k - 1))
 
 
 # ---------------------------------------------------------------------------
-# 3k-1 forward channels plus one feedback channel, k >= 2
+# one feedback channel, k >= 2
 
 
-def _u1_protocol(message, k, net, fwd, q, rng_a, rng_b):
-    n = 3 * k - 1
-    fwd = first(fwd, n)
+def _echo_rounds(message, k, net, fwd, back, tuples, rng_a, rng_b):
+    """Per tuple h, fresh shares, and feedback channel back[i] echoes
+    entry h[i] of the receiver's word; ``("ok",) + h`` is broadcast while
+    every echo matches.  Returns the words, the last shares and the first
+    mismatch (position in ``fwd``, position in ``back``), else ``None``.
+    The receiver decodes the words only once every echo has matched."""
     spec = message.spec
-    # the receiver decodes its guesses only once every echo has matched
     words = []
-    for big_i in range(n):
+    for h in tuples:
         shares, word = _share_round(net, fwd, message, k, rng_a)
         words.append(word)
-        delivered = net.end_round({("BA", q): word.entries[big_i]})
-        echo = as_field(spec, delivered.get(("BA", q)))
-        if echo == shares[big_i]:
-            broadcast(net, fwd, ("ok", big_i), rng_b)
-            continue
+        delivered = net.end_round(
+            {("BA", q): word.entries[h[i]] for i, q in enumerate(back)})
+        for i, q in enumerate(back):
+            if as_field(spec, delivered.get(("BA", q))) != shares[h[i]]:
+                return words, shares, (h[i], i)
+        broadcast(net, fwd, ("ok",) + h, rng_b)
+    return words, shares, None
+
+
+def _u1_protocol(message, k, net, fwd, back, rng_a, rng_b):
+    n, q, spec = len(fwd), back[0], message.spec
+    words, shares, mismatch = _echo_rounds(
+        message, k, net, fwd, [q], [(i,) for i in range(n)], rng_a, rng_b)
+    if mismatch is not None:
         # the sender pins the fault to this forward channel or the
         # feedback channel; reshare with threshold k over the others
-        others = [ch for pos, ch in enumerate(fwd) if pos != big_i]
+        others = [ch for pos, ch in enumerate(fwd) if pos != mismatch[0]]
         reshares = share_vector(message, n - 1, k - 1, rng_a)
-        _, got = broadcast(net, fwd, ("faulty", big_i), rng_b,
+        _, got = broadcast(net, fwd, ("faulty", mismatch[0]), rng_b,
                            {ch: reshares[pos] for pos, ch in enumerate(others)})
         entries = tuple(as_field(spec, got.get(ch)) for ch in others)
         return _decode(ReceivedWord(entries, sharing_params(n - 1, k - 1, spec)),
@@ -156,7 +169,7 @@ def _u1_protocol(message, k, net, fwd, q, rng_a, rng_b):
         net.end_round({("BA", q): "stop"})
         broadcast(net, fwd, ("done",), rng_b)
         return guess
-    return _echo_tail(net, fwd, q, word, shares, rng_b)
+    return _echo_tail(net, fwd, q, words[-1], shares, rng_b)
 
 
 # ---------------------------------------------------------------------------
@@ -214,50 +227,35 @@ def _pad_phase(message, k, net, fwd, back, rng_a, rng_b, recurse, b_prior):
 
 
 # ---------------------------------------------------------------------------
-# general protocol: max(3k+1-2u, 2k+1) forward, u backward, exponential
+# general protocol: u backward channels, exponential
 
 
 def _general_protocol(message, k, net, fwd, back, rng_a, rng_b):
     u = len(back)
+    fwd = first(fwd, "perfect-general", k, u)
     if u == 1 or k == 2:
-        return _u1_protocol(message, k, net, fwd, back[0], rng_a, rng_b)
-    n = max(3 * k + 1 - 2 * u, 2 * k + 1)
-    fwd = first(fwd, n)
-    spec = message.spec
-    # the receiver decodes its guesses only once every echo has matched
-    words = []
-    for h in permutations(range(n), u):
-        shares, word = _share_round(net, fwd, message, k, rng_a)
-        words.append(word)
-        delivered = net.end_round(
-            {("BA", q): word.entries[h[i]] for i, q in enumerate(back)})
-        mismatch = None
-        for i, q in enumerate(back):
-            echo = as_field(spec, delivered.get(("BA", q)))
-            if echo != shares[h[i]]:
-                mismatch = (h[i], i)
-                break
-        if mismatch is None:
-            broadcast(net, fwd, ("ok",) + h, rng_b)
-            continue
-        broadcast(net, fwd, ("faulty", mismatch[0], mismatch[1]), rng_b)
-        sub_fwd = [ch for pos, ch in enumerate(fwd) if pos != mismatch[0]]
-        sub_back = [q for pos, q in enumerate(back) if pos != mismatch[1]]
-        return _general_protocol(message, k - 1, net, sub_fwd, sub_back,
-                                 rng_a, rng_b)
-    return _pad_phase(message, k, net, fwd, back, rng_a, rng_b,
-                      _general_protocol, _agreed(words, k - u))
+        return _u1_protocol(message, k, net, fwd, back, rng_a, rng_b)
+    n = len(fwd)
+    words, _, mismatch = _echo_rounds(
+        message, k, net, fwd, back, permutations(range(n), u), rng_a, rng_b)
+    if mismatch is None:
+        return _pad_phase(message, k, net, fwd, back, rng_a, rng_b,
+                          _general_protocol, _agreed(words, k - u))
+    broadcast(net, fwd, ("faulty",) + mismatch, rng_b)
+    sub_fwd = [ch for pos, ch in enumerate(fwd) if pos != mismatch[0]]
+    sub_back = [q for pos, q in enumerate(back) if pos != mismatch[1]]
+    return _general_protocol(message, k - 1, net, sub_fwd, sub_back, rng_a, rng_b)
 
 
 # ---------------------------------------------------------------------------
-# efficient protocol: 3k+1-u forward, u backward, linear in u
+# efficient protocol: u backward channels, rounds linear in u
 
 
 def _efficient_protocol(message, k, net, fwd, back, rng_a, rng_b):
     u = len(back)
     if u == 0:
-        return _oneway_perfect(message, k, net, fwd, rng_a)
-    fwd = first(fwd, 3 * k + 1 - u)
+        return _oneway_perfect(message, k, net, fwd, back, rng_a, rng_b)
+    fwd = first(fwd, "perfect-efficient", k, u)
     _, word = _share_round(net, fwd, message, k, rng_a)
     return _pad_phase(message, k, net, fwd, back, rng_a, rng_b,
                       _efficient_protocol, _decode(word, k - u))
@@ -270,67 +268,47 @@ def _efficient_protocol(message, k, net, fwd, back, rng_a, rng_b):
 def perfect_oneway(message: FieldElement, k: int,
                    adversary: AdversarySpec | None = None,
                    seed=0, rng=None) -> Outcome:
-    """3k+1 forward channels, no feedback, single round."""
-    rng_a = _rng(rng, seed, "A")
-    net = PathNetwork(3 * k + 1, 0, adversary)
-    result = _oneway_perfect(message, k, net, list(range(3 * k + 1)), rng_a)
-    return finish(message, net, result)
+    """Shares over the forward channels alone, one round."""
+    return run_on_channels("perfect-oneway", _oneway_perfect, message, k,
+                           adversary, seed, rng)
 
 
 def perfect_3k(message: FieldElement, k: int,
                adversary: AdversarySpec | None = None,
                seed=0, rng=None) -> Outcome:
-    """3k forward channels plus one feedback channel, any k >= 1."""
-    rng_a, rng_b = _rng(rng, seed, "A"), _rng(rng, seed, "B")
-    net = PathNetwork(3 * k, 1, adversary)
-    result = _threek_one_feedback(message, k, net, list(range(3 * k)), 0,
-                                  rng_a, rng_b)
-    return finish(message, net, result)
+    """Shares, then the receiver's word echoed unless it decoded, at
+    most three rounds."""
+    return run_on_channels("perfect-3k", _threek_one_feedback, message, k,
+                           adversary, seed, rng)
 
 
 def perfect_u1(message: FieldElement, k: int,
                adversary: AdversarySpec | None = None,
                seed=0, rng=None) -> Outcome:
-    """3k-1 forward channels plus one feedback channel, k >= 2."""
-    if k < 2:
-        raise PreconditionError("this construction needs k >= 2")
-    rng_a, rng_b = _rng(rng, seed, "A"), _rng(rng, seed, "B")
-    net = PathNetwork(3 * k - 1, 1, adversary)
-    result = _u1_protocol(message, k, net, list(range(3 * k - 1)), 0,
-                          rng_a, rng_b)
-    return finish(message, net, result)
+    """One echoed share per round, and a reshare once a fault is pinned."""
+    return run_on_channels("perfect-u1", _u1_protocol, message, k,
+                           adversary, seed, rng)
 
 
 def perfect_general(message: FieldElement, k: int, u: int,
                     adversary: AdversarySpec | None = None,
                     seed=0, rng=None) -> Outcome:
-    """max(3k+1-2u, 2k+1) forward and u backward channels, k >= 2."""
-    if k < 2 or u < 1:
-        raise PreconditionError("this construction needs k >= 2 and u >= 1")
-    n = max(3 * k + 1 - 2 * u, 2 * k + 1)
-    rng_a, rng_b = _rng(rng, seed, "A"), _rng(rng, seed, "B")
-    net = PathNetwork(n, u, adversary)
-    result = _general_protocol(message, k, net, list(range(n)),
-                               list(range(u)), rng_a, rng_b)
-    return finish(message, net, result)
+    """Every u-permutation of shares echoed, and one corruption fewer
+    once a fault is pinned."""
+    return run_on_channels("perfect-general", _general_protocol, message, k,
+                           adversary, seed, rng, u)
 
 
 def perfect_efficient(message: FieldElement, k: int, u: int,
                       adversary: AdversarySpec | None = None,
                       seed=0, rng=None) -> Outcome:
-    """3k+1-u forward and u backward channels, rounds linear in u."""
-    if not 0 <= u <= k:
-        raise PreconditionError("need 0 <= u <= k")
-    n = 3 * k + 1 - u
-    rng_a, rng_b = _rng(rng, seed, "A"), _rng(rng, seed, "B")
-    net = PathNetwork(n, u, adversary)
-    result = _efficient_protocol(message, k, net, list(range(n)),
-                                 list(range(u)), rng_a, rng_b)
-    return finish(message, net, result)
+    """One share round and the pad phase, rounds linear in u."""
+    return run_on_channels("perfect-efficient", _efficient_protocol, message, k,
+                           adversary, seed, rng, u)
 
 
 # ---------------------------------------------------------------------------
-# shared-feedback protocol: 3k+1-u forward channels of which 3k+1-2u are
+# shared-feedback protocol: the first n_forward - u forward channels are
 # disjoint from the u backward channels
 
 
@@ -432,14 +410,13 @@ def _shared_sub(message, k, u, net, fwd_all, q, rng_a, rng_b):
     return None, True
 
 
-def _shared_protocol(message, k, u, net, rng_a, rng_b):
-    n = 3 * k + 1 - u
-    disjoint = list(range(3 * k + 1 - 2 * u))
-    fwd_all = list(range(n))
+def _shared_protocol(message, k, net, fwd, back, rng_a, rng_b):
+    u = len(back)
+    disjoint = fwd[:len(fwd) - u]
     result = None
     bad_count = 0
-    for q in range(u):
-        got, bad = _shared_sub(message, k, u, net, fwd_all, q, rng_a, rng_b)
+    for q in back:
+        got, bad = _shared_sub(message, k, u, net, fwd, q, rng_a, rng_b)
         if got is not None and result is None:
             result = got
         if bad:
@@ -454,16 +431,11 @@ def _shared_protocol(message, k, u, net, rng_a, rng_b):
 def perfect_shared_feedback(message: FieldElement, k: int, u: int,
                             adversary: AdversarySpec | None = None,
                             seed=0, rng=None) -> Outcome:
-    """3k+1-u forward channels, u feedback channels that may intersect
-    the last u forward paths.
+    """Feedback channels that may intersect the last u forward paths.
 
     A feedback channel sharing nodes with a forward path means one
     corruption can take out both; callers model that by corrupting the
-    channel pair ("AB", 3k+1-2u+j) together with ("BA", j).
+    channel pair ("AB", n_forward - u + j) together with ("BA", j).
     """
-    if not 1 <= u <= k:
-        raise PreconditionError("need 1 <= u <= k")
-    rng_a, rng_b = _rng(rng, seed, "A"), _rng(rng, seed, "B")
-    net = PathNetwork(3 * k + 1 - u, u, adversary)
-    result = _shared_protocol(message, k, u, net, rng_a, rng_b)
-    return finish(message, net, result)
+    return run_on_channels("perfect-shared", _shared_protocol, message, k,
+                           adversary, seed, rng, u)

@@ -10,11 +10,14 @@ placements times strategies over the registry.  The pieces:
 * ``units`` and ``nodes``: the corruptible units of a configuration (a
   unit is what one corruption takes down), and ``placements``: the
   corrupted sets made of them.
+* ``on_channels``: a channel entry's parameters at (k, u) and the units
+  of the channels it declares there.
 * ``ENTRIES``: per registry entry, the parameters and corruptible units
   of one configuration.
 * ``PRIVATE_CASES``: acceptance criterion 4's passive privacy cases.
 """
 
+import inspect
 import itertools
 
 from psmt import fixtures, protocols, strategies
@@ -50,18 +53,31 @@ def placements(units, sizes):
             yield frozenset().union(*combo)
 
 
+def on_channels(name, k=1, u=None, shared=False):
+    """(parameters, units) of channel entry ``name`` at (k, u): each
+    parameter its entry point requires, channel counts from the entry's
+    declaration, and one unit per declared channel (the last u forward
+    ones joint with a feedback channel when ``shared``)."""
+    desc = protocols.get(name)
+    n_forward, n_backward = desc.channels(k, u)
+    given = {"k": k, "u": u, "n_forward": n_forward, "n_backward": n_backward}
+    params = {p: given[p] for p, v in inspect.signature(desc.run).parameters.items()
+              if p in given and v.default is v.empty}
+    return params, units(n_forward, n_backward, n_backward if shared else 0)
+
+
 # registry entry: (parameters, corruptible units)
 ENTRIES = {
-    "oneway": ({"k": 1}, units(3, 0)),
-    "single-feedback": ({}, units(2, 1)),
-    "subset-exchange": ({"k": 1, "n_forward": 2, "n_backward": 1}, units(2, 1)),
-    "feedback-efficient": ({"k": 1, "u": 1}, units(2, 1)),
-    "perfect-oneway": ({"k": 1}, units(4, 0)),
-    "perfect-3k": ({"k": 1}, units(3, 1)),
-    "perfect-u1": ({"k": 2}, units(5, 1)),
-    "perfect-general": ({"k": 2, "u": 1}, units(5, 1)),
-    "perfect-efficient": ({"k": 1, "u": 1}, units(3, 1)),
-    "perfect-shared": ({"k": 1, "u": 1}, units(3, 1)),
+    "oneway": on_channels("oneway"),
+    "single-feedback": on_channels("single-feedback"),
+    "subset-exchange": on_channels("subset-exchange", 1, 1),
+    "feedback-efficient": on_channels("feedback-efficient", 1, 1),
+    "perfect-oneway": on_channels("perfect-oneway"),
+    "perfect-3k": on_channels("perfect-3k"),
+    "perfect-u1": on_channels("perfect-u1", 2),
+    "perfect-general": on_channels("perfect-general", 2, 1),
+    "perfect-efficient": on_channels("perfect-efficient", 1, 1),
+    "perfect-shared": on_channels("perfect-shared", 1, 1),
     "hyper-reliable": ({"k": 1, "graph": fixtures.get("fig5")},
                        nodes("v1", "v2", "v", "u1", "u2")),
     "hyper-private": ({"k": 1, "graph": fixtures.get("duo")}, nodes("x", "y")),

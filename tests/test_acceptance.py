@@ -21,13 +21,6 @@ from psmt.protocols.directed import (
     subset_exchange,
 )
 from psmt.protocols.hypernet import hypergraph_private, neighbor_exchange
-from psmt.protocols.perfect import (
-    perfect_3k,
-    perfect_efficient,
-    perfect_general,
-    perfect_shared_feedback,
-    perfect_u1,
-)
 from psmt.randomness import Randomness, derive_trial_seed
 from psmt.sharing import (
     CLEAN,
@@ -119,35 +112,31 @@ EFFICIENT_ROUNDS: list[tuple[int, int, int]] = []  # (k, u, rounds) from crit. 2
 
 
 def _perfect_configs():
+    """(label, registry entry, k, u, shared relay nodes); the one-feedback
+    entries are labelled with u=1."""
     for k, u in ((2, 1), (2, 2), (3, 1), (3, 2)):
-        n = max(3 * k + 1 - 2 * u, 2 * k + 1)
-        yield ("general", lambda m, a, k=k, u=u: perfect_general(m, k, u, a),
-               k, u, sweep.units(n, u), n)
-        n = 3 * k + 1 - u
-        yield ("efficient", lambda m, a, k=k, u=u: perfect_efficient(m, k, u, a),
-               k, u, sweep.units(n, u), n)
-        yield ("shared", lambda m, a, k=k, u=u: perfect_shared_feedback(m, k, u, a),
-               k, u, sweep.units(n, u, shared=u), n)
+        yield "general", "perfect-general", k, u, False
+        yield "efficient", "perfect-efficient", k, u, False
+        yield "shared", "perfect-shared", k, u, True
     for k in (2, 3):
-        n = 3 * k - 1
-        yield ("u1", lambda m, a, k=k: perfect_u1(m, k, a), k, 1,
-               sweep.units(n, 1), n)
+        yield "u1", "perfect-u1", k, 1, False
     for k in (1, 2, 3):
-        n = 3 * k
-        yield ("3k", lambda m, a, k=k: perfect_3k(m, k, a), k, 1,
-               sweep.units(n, 1), n)
+        yield "3k", "perfect-3k", k, 1, False
 
 
 def test_criterion_2_perfect_protocols():
     started = time.time()
     violations = []
-    for name, run, k, u, units, n_forward in _perfect_configs():
-        spec = GF(7) if n_forward <= 6 else GF(11)
+    for name, entry, k, u, shared in _perfect_configs():
+        desc = protocols.get(entry)
+        kw, units = sweep.on_channels(entry, k, u, shared)
+        spec = GF(7) if desc.channels(k, u)[0] <= 6 else GF(11)
         rng = Randomness(("acc2", name, k, u))
         for corrupted in sweep.placements(units, range(1, k + 1)):
             for s, strategy in enumerate(sweep.fixed_strategies(spec)):
                 m = spec.sample(rng)
-                out = run(m, AdversarySpec(corrupted, strategy, seed=s))
+                out = desc.run(m, adversary=AdversarySpec(corrupted, strategy, seed=s),
+                               **kw)
                 if not (out.succeeded and out.delivered == m):
                     violations.append((name, k, u, sorted(map(str, corrupted)), s))
                 if name == "efficient":
@@ -319,30 +308,37 @@ def test_criterion_7_figure_fixtures():
 def test_criterion_8_round_bounds():
     started = time.time()
     violations = []
-    # recorded during the criterion-2 sweeps
+    # perfect-efficient over every placement, recorded in criterion 2
     if not EFFICIENT_ROUNDS:
         violations.append(("no recorded rounds from criterion 2",))
-    bound = {name: protocols.get(name).round_bound
-             for name in ("perfect-efficient", "oneway", "feedback-efficient")}
     for k, u, rounds in EFFICIENT_ROUNDS:
-        if rounds > bound["perfect-efficient"](k, u):
+        if rounds > protocols.get("perfect-efficient").round_bound(k, u):
             violations.append(("perfect-efficient", k, u, rounds))
+    # every entry that declares a bound, at its declared channels for each
+    # k <= 3, u <= k where it applies: passive, and with its first forward
+    # channel forging stop verdicts
     big = GF(2**16)
     rng = Randomness("acc8")
-    for k in (1, 2, 3):
-        for t in range(10):
-            out = oneway(big.sample(rng), k, seed=t)
-            if out.rounds > bound["oneway"](k, 0):
-                violations.append(("oneway", k, out.rounds))
-    for k, u in ((1, 1), (2, 1), (2, 2), (3, 2)):
-        for t in range(5):
-            out = feedback_efficient(big.sample(rng), k, u, seed=t)
-            if out.rounds > bound["feedback-efficient"](k, u):
-                violations.append(("feedback-efficient", k, u, out.rounds))
-            out = feedback_efficient(
-                big.sample(rng), k, u,
-                AdversarySpec(frozenset({("AB", 0)}), stop_forger(), seed=t),
-                seed=t)
-            if out.rounds > bound["feedback-efficient"](k, u):
-                violations.append(("feedback-efficient-adv", k, u, out.rounds))
-    _verdict(8, "round bounds: 11u / 2k+1 / 2k+2+u", violations, started, 60.0)
+    for name in protocols.names():
+        desc = protocols.get(name)
+        if desc.round_bound is None:
+            continue
+        seen = []
+        for k in (1, 2, 3):
+            for u in range(k + 1):
+                if desc.channels(k, u) is None:
+                    continue
+                kw, _ = sweep.on_channels(name, k, u)
+                if kw in seen:
+                    continue
+                seen.append(kw)
+                for t in range(10):
+                    for adversary in (None, AdversarySpec(frozenset({("AB", 0)}),
+                                                          stop_forger(), seed=t)):
+                        out = desc.run(big.sample(rng), adversary=adversary,
+                                       seed=t, **kw)
+                        if out.rounds > desc.round_bound(k, u):
+                            violations.append((name, kw, adversary is None,
+                                               out.rounds))
+    _verdict(8, "round bounds of every entry that declares one", violations,
+             started, 60.0)

@@ -1,5 +1,6 @@
 """Every psmt module uses each name it imports, and every function each
-local it assigns; only ``netsim`` advances rounds and writes transcripts."""
+local it assigns; only ``netsim`` advances rounds and writes transcripts,
+and only ``protocols.common`` builds a channel network."""
 
 import ast
 import pathlib
@@ -126,4 +127,30 @@ def test_only_netsim_advances_rounds_and_writes_transcripts():
     found = [(str(path.relative_to(ROOT)), line, attr)
              for path in sorted(ROOT.rglob("*.py")) if path.name != "netsim.py"
              for line, attr in round_and_transcript_writes(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def network_builds(source: str) -> list:
+    """Lines that call ``PathNetwork(...)``, by name or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  == "PathNetwork")
+
+
+def test_network_builds_are_detected():
+    source = ("from ..netsim import PathNetwork\n"
+              "net = PathNetwork(3 * k - 1, 1, adversary)\n"
+              "other = netsim.PathNetwork(2, 1)\n"
+              "kind = PathNetwork\n")
+    assert network_builds(source) == [2, 3]
+
+
+def test_only_common_builds_a_channel_network():
+    # every channel entry's counts come from its one declaration in
+    # common.CHANNELS, through common.network
+    found = [(path.name, line)
+             for path in sorted((ROOT / "protocols").glob("*.py"))
+             if path.name != "common.py"
+             for line in network_builds(path.read_text(encoding="utf-8"))]
     assert found == []

@@ -40,7 +40,7 @@ def test_oneway_honest_runs():
 def test_oneway_adversarial_sweep():
     m = BIG.element(1234)
     for k in (1, 2):
-        units = sweep.units(2 * k + 1, 0)
+        units = sweep.on_channels("oneway", k)[1]
         for corrupted in sweep.placements(units, range(1, k + 1)):
             for s, strategy in enumerate(sweep.fixed_strategies(BIG)):
                 out = oneway(m, k, AdversarySpec(corrupted, strategy, seed=s),
@@ -106,7 +106,7 @@ def test_subset_exchange_honest_and_adversarial():
         out = subset_exchange(m, 1, 2, 1, seed=m.value)
         assert out.succeeded
     m = BIG.element(31337)
-    for corrupted in sweep.placements(sweep.units(2, 1), [1]):
+    for corrupted in sweep.placements(sweep.on_channels("subset-exchange", 1, 1)[1], [1]):
         for s, strategy in enumerate(sweep.fixed_strategies(BIG)):
             out = subset_exchange(
                 m, 1, 2, 1, AdversarySpec(corrupted, strategy, seed=s), seed=5)
@@ -125,7 +125,7 @@ def test_feedback_efficient_honest_and_adversarial():
             assert out.rounds <= 2 * k + 2 + u
     m = BIG.element(2024)
     for k, u in ((1, 1), (2, 1), (2, 2)):
-        units = sweep.units(2 * k + 1 - u, u)
+        units = sweep.on_channels("feedback-efficient", k, u)[1]
         for corrupted in sweep.placements(units, range(1, k + 1)):
             for s, strategy in enumerate(sweep.fixed_strategies(BIG)):
                 out = feedback_efficient(

@@ -38,7 +38,7 @@ def test_perfect_oneway():
         out = perfect_oneway(spec.element(6), k, seed=1)
         assert out.succeeded and out.rounds == 1
         _sweep(lambda m, a, k=k: perfect_oneway(m, k, a), spec, k,
-               sweep.units(3 * k + 1, 0))
+               sweep.on_channels("perfect-oneway", k)[1])
 
 
 def test_perfect_3k():
@@ -47,7 +47,7 @@ def test_perfect_3k():
         out = perfect_3k(spec.element(3), k, seed=1)
         assert out.succeeded and out.rounds <= 3
         _sweep(lambda m, a, k=k: perfect_3k(m, k, a), spec, k,
-               sweep.units(3 * k, 1))
+               sweep.on_channels("perfect-3k", k)[1])
 
 
 def test_perfect_u1():
@@ -55,7 +55,8 @@ def test_perfect_u1():
     k = 2
     out = perfect_u1(spec.element(9), k, seed=1)
     assert out.succeeded
-    _sweep(lambda m, a: perfect_u1(m, k, a), spec, k, sweep.units(3 * k - 1, 1))
+    _sweep(lambda m, a: perfect_u1(m, k, a), spec, k,
+           sweep.on_channels("perfect-u1", k)[1])
     with pytest.raises(PreconditionError):
         perfect_u1(spec.element(1), 1)
 
@@ -65,8 +66,8 @@ def test_perfect_general():
     k, u = 2, 1
     out = perfect_general(spec.element(2), k, u, seed=1)
     assert out.succeeded
-    n = max(3 * k + 1 - 2 * u, 2 * k + 1)
-    _sweep(lambda m, a: perfect_general(m, k, u, a), spec, k, sweep.units(n, u))
+    _sweep(lambda m, a: perfect_general(m, k, u, a), spec, k,
+           sweep.on_channels("perfect-general", k, u)[1])
     with pytest.raises(PreconditionError):
         perfect_general(spec.element(1), 1, 1)
     with pytest.raises(PreconditionError):
@@ -80,7 +81,7 @@ def test_perfect_efficient():
         assert out.succeeded
         assert out.rounds <= 11 * max(u, 1)
         _sweep(lambda m, a, k=k, u=u: perfect_efficient(m, k, u, a), spec, k,
-               sweep.units(3 * k + 1 - u, u))
+               sweep.on_channels("perfect-efficient", k, u)[1])
     # u = 0 degenerates to the single-round protocol
     out = perfect_efficient(spec.element(8), 1, 0, seed=1)
     assert out.succeeded
@@ -96,7 +97,7 @@ def test_perfect_shared_feedback():
         # node-level corruption: the last u forward channels each share a
         # relay with one feedback channel and fall jointly
         _sweep(lambda m, a, k=k, u=u: perfect_shared_feedback(m, k, u, a),
-               spec, k, sweep.units(3 * k + 1 - u, u, shared=u))
+               spec, k, sweep.on_channels("perfect-shared", k, u, shared=True)[1])
     with pytest.raises(PreconditionError):
         perfect_shared_feedback(spec.element(1), 2, 0)
 
@@ -125,7 +126,8 @@ def test_perfect_protocols_never_report_failure_under_bound():
     # perfectly reliable protocol is not allowed to give up
     spec = GF(11)
     k = 1
-    for corrupted in sweep.placements(sweep.units(3 * k, 1), range(1, k + 1)):
+    for corrupted in sweep.placements(sweep.on_channels("perfect-3k", k)[1],
+                                      range(1, k + 1)):
         out = perfect_3k(spec.element(7), k,
                          AdversarySpec(corrupted, stop_forger()))
         assert not out.failed

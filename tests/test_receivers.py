@@ -147,8 +147,8 @@ def junk_per_round(ctx):
 
 # (protocol, keyword arguments, every corruptible unit): each entry's
 # sweep configuration, two of them larger
-LARGER = {"perfect-general": ({"k": 3, "u": 2}, sweep.units(7, 2)),
-          "perfect-efficient": ({"k": 2, "u": 2}, sweep.units(5, 2))}
+LARGER = {"perfect-general": sweep.on_channels("perfect-general", 3, 2),
+          "perfect-efficient": sweep.on_channels("perfect-efficient", 2, 2)}
 FUZZ_CASES = [(name, *LARGER.get(name, case)) for name, case in sweep.ENTRIES.items()]
 
 
