@@ -224,10 +224,20 @@ def _protocol_kwargs(desc, args, graph):
     return kw
 
 
-def _field(args):
-    if getattr(args, "field", None) is None:
+def _protocol_run(args):
+    """The entry, field, parameters and corrupted set that ``simulate``
+    and ``privacy`` read off a command line."""
+    desc = protocols.get(args.protocol or "")
+    if args.field is None:
         raise ParamError("missing --field")
-    return GF(int(args.field))
+    spec = GF(int(args.field))
+    kw = _protocol_kwargs(desc, args, _load_graph(args))
+    return desc, spec, kw, _parse_corrupt(args.corrupt, desc.kind)
+
+
+def _corrupt_names(corrupted) -> list[str]:
+    """The corrupted set as ``--corrupt`` takes it: AB0, BA1 or node names."""
+    return sorted(c if isinstance(c, str) else "".join(map(str, c)) for c in corrupted)
 
 
 def _wilson_interval(bad: int, trials: int) -> list[float]:
@@ -241,11 +251,7 @@ def _wilson_interval(bad: int, trials: int) -> list[float]:
 
 
 def _cmd_simulate(args) -> dict:
-    desc = protocols.get(args.protocol or "")
-    spec = _field(args)
-    graph = _load_graph(args)
-    kw = _protocol_kwargs(desc, args, graph)
-    corrupted = _parse_corrupt(args.corrupt, desc.kind)
+    desc, spec, kw, corrupted = _protocol_run(args)
     strategy = strategies.build(args.adversary, spec)
 
     trials = int(args.trials)
@@ -273,7 +279,7 @@ def _cmd_simulate(args) -> dict:
         "protocol": desc.name,
         "field": spec.order,
         "adversary": args.adversary,
-        "corrupted": sorted(map(str, corrupted)),
+        "corrupted": _corrupt_names(corrupted),
         "trials": trials,
         "successes": successes,
         "detected_failures": failures,
@@ -292,13 +298,9 @@ def _cmd_simulate(args) -> dict:
 
 
 def _cmd_privacy(args) -> dict:
-    desc = protocols.get(args.protocol or "")
+    desc, spec, kw, corrupted = _protocol_run(args)
     if not desc.private:
         raise ParamError(f"protocol {desc.name} makes no privacy claim")
-    spec = _field(args)
-    graph = _load_graph(args)
-    kw = _protocol_kwargs(desc, args, graph)
-    corrupted = _parse_corrupt(args.corrupt, desc.kind)
     if args.m0 is None or args.m1 is None:
         raise ParamError("privacy needs --m0 and --m1")
     m0 = spec.element(int(args.m0) % spec.order)
@@ -314,7 +316,7 @@ def _cmd_privacy(args) -> dict:
     report = {
         "protocol": desc.name,
         "field": spec.order,
-        "corrupted": sorted(map(str, corrupted)),
+        "corrupted": _corrupt_names(corrupted),
         "m0": m0.value,
         "m1": m1.value,
         "method": rep.method,

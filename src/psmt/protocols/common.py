@@ -98,9 +98,8 @@ CHANNELS = {
 
 def network(name: str, adversary, k: int, u: int | None = None,
             n_forward: int | None = None) -> PathNetwork:
-    """The network of ``name`` at (k, u), with ``n_forward`` forward
-    channels if given: refused where ``name`` does not apply or below
-    its declared forward count."""
+    """The network ``name`` declares at (k, u), or with ``n_forward`` forward
+    channels: refused where the declaration is ``None`` or exceeds them."""
     counts = CHANNELS[name](k, u)
     if counts is None:
         raise PreconditionError(f"{name} does not apply at k={k}, u={u}")

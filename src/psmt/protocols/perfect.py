@@ -265,43 +265,35 @@ def _efficient_protocol(message, k, net, fwd, back, rng_a, rng_b):
 # public entry points
 
 
-def perfect_oneway(message: FieldElement, k: int,
-                   adversary: AdversarySpec | None = None,
+def perfect_oneway(message: FieldElement, k: int, adversary: AdversarySpec | None = None,
                    seed=0, rng=None) -> Outcome:
     """Shares over the forward channels alone, one round."""
     return run_on_channels("perfect-oneway", _oneway_perfect, message, k,
                            adversary, seed, rng)
 
 
-def perfect_3k(message: FieldElement, k: int,
-               adversary: AdversarySpec | None = None,
+def perfect_3k(message: FieldElement, k: int, adversary: AdversarySpec | None = None,
                seed=0, rng=None) -> Outcome:
-    """Shares, then the receiver's word echoed unless it decoded, at
-    most three rounds."""
+    """Shares, then the receiver's word echoed unless it decoded: 3 rounds."""
     return run_on_channels("perfect-3k", _threek_one_feedback, message, k,
                            adversary, seed, rng)
 
 
-def perfect_u1(message: FieldElement, k: int,
-               adversary: AdversarySpec | None = None,
+def perfect_u1(message: FieldElement, k: int, adversary: AdversarySpec | None = None,
                seed=0, rng=None) -> Outcome:
     """One echoed share per round, and a reshare once a fault is pinned."""
-    return run_on_channels("perfect-u1", _u1_protocol, message, k,
-                           adversary, seed, rng)
+    return run_on_channels("perfect-u1", _u1_protocol, message, k, adversary, seed, rng)
 
 
 def perfect_general(message: FieldElement, k: int, u: int,
-                    adversary: AdversarySpec | None = None,
-                    seed=0, rng=None) -> Outcome:
-    """Every u-permutation of shares echoed, and one corruption fewer
-    once a fault is pinned."""
+                    adversary: AdversarySpec | None = None, seed=0, rng=None) -> Outcome:
+    """Every u-permutation of shares echoed; a pinned fault drops a pair."""
     return run_on_channels("perfect-general", _general_protocol, message, k,
                            adversary, seed, rng, u)
 
 
 def perfect_efficient(message: FieldElement, k: int, u: int,
-                      adversary: AdversarySpec | None = None,
-                      seed=0, rng=None) -> Outcome:
+                      adversary: AdversarySpec | None = None, seed=0, rng=None) -> Outcome:
     """One share round and the pad phase, rounds linear in u."""
     return run_on_channels("perfect-efficient", _efficient_protocol, message, k,
                            adversary, seed, rng, u)

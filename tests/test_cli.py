@@ -318,3 +318,19 @@ def test_optional_parameters_reach_their_entry_points(capsys):
     assert report["rounds_max"] == 4 and report["successes"] == 10
     code, _, err = run(capsys, *oneway, "--n-forward", "2")
     assert code == 1 and "precondition" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--protocol", "perfect-general", "--field", "11", "--k", "2",
+     "--u", "1", "--trials", "5", "--adversary", "shift", "--corrupt", "BA0,AB3"],
+    ["simulate", "--protocol", "hyper-reliable", "--field", "11", "--k", "1",
+     "--fixture", "fig5", "--trials", "5", "--corrupt", "v1"],
+    ["privacy", "--protocol", "perfect-3k", "--field", "5", "--k", "1",
+     "--m0", "0", "--m1", "4", "--corrupt", "BA0"],
+], ids=["simulate-channels", "simulate-nodes", "privacy"])
+def test_a_report_replays_from_its_corrupted_field(capsys, argv):
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    corrupted = json.loads(first)["corrupted"]
+    assert main(argv[:-1] + [",".join(corrupted)]) == 0
+    assert capsys.readouterr().out == first
