@@ -117,7 +117,7 @@ def _oneway_perfect(message, k, net, fwd, back, rng_a, rng_b):
 
 
 # ---------------------------------------------------------------------------
-# single feedback channel, any k >= 1
+# one feedback channel: shares, then an echo of the word
 
 
 def _threek_one_feedback(message, k, net, fwd, back, rng_a, rng_b):
@@ -126,7 +126,7 @@ def _threek_one_feedback(message, k, net, fwd, back, rng_a, rng_b):
 
 
 # ---------------------------------------------------------------------------
-# one feedback channel, k >= 2
+# one feedback channel: one echoed share per round
 
 
 def _echo_rounds(message, k, net, fwd, back, tuples, rng_a, rng_b):
