@@ -118,7 +118,7 @@ def first(fwd, name: str, k: int, u: int | None = None) -> list:
 def run_on_channels(name: str, body, message, k: int, adversary, seed, rng,
                     u: int | None = None) -> Outcome:
     """The outcome of ``body(message, k, net, fwd, back, rng_a, rng_b)``
-    on every channel of ``name``'s network; B draws only on feedback."""
+    on every channel of ``name``'s network; without feedback B draws nothing."""
     net = network(name, adversary, k, u)
     rng_b = _rng(rng, seed, "B") if net.n_backward else None
     result = body(message, k, net, list(range(net.n_forward)),
