@@ -556,6 +556,21 @@ def _poly_mul(spec: FieldSpec, p: dict, r: dict) -> dict:
     return out
 
 
+def shift_poly(spec: FieldSpec, poly: dict, delta: dict) -> dict:
+    """``poly`` with every variable v of ``delta`` replaced by v + delta[v]."""
+    if not delta:
+        return poly
+    out: dict = {}
+    for mono, c in poly.items():
+        term = {tuple((v, e) for v, e in mono if v not in delta): c}
+        for v, e in mono:
+            if v in delta:
+                for _ in range(e):
+                    term = _poly_mul(spec, term, {((v, 1),): 1, (): delta[v]})
+        out = _poly_add(spec, out, term)
+    return out
+
+
 def union_taint(a: frozenset | None, b: frozenset | None) -> frozenset | None:
     """The union of two taints, either of them None (untainted)."""
     if a is None or b is None:

@@ -185,8 +185,10 @@ class PathNetwork(_Simulator):
 
     def __init__(self, n_forward: int, n_backward: int,
                  adversary: AdversarySpec | None = None):
-        if n_forward < 1 or n_backward < 0:
+        if n_forward < 1:
             raise ParamError("need at least one forward channel")
+        if n_backward < 0:
+            raise ParamError(f"backward channel count {n_backward} is negative")
         self.n_forward = n_forward
         self.n_backward = n_backward
         super().__init__(adversary)
@@ -222,23 +224,55 @@ class PathNetwork(_Simulator):
         return delivered
 
 
-def majority_of(values, tie_rng: Randomness):
-    """Most frequent value; ties broken by a uniform coin of the receiver.
+_PLAIN = {str, int, bool, float, type(None)}   # hashable leaves of most votes
 
-    An unhashable value counts as ``None``: it cannot be compared with
-    the honest copies, so it votes for "nothing received".
+
+def _hashable(value) -> bool:
+    """Whether ``value`` can be hashed, decided without hashing a field
+    element: a traced one would record the read as an observation."""
+    if isinstance(value, tuple):
+        for v in value:
+            if not (type(v) in _PLAIN or isinstance(v, FieldElement) or _hashable(v)):
+                return False
+        return True
+    if isinstance(value, FieldElement):
+        return True
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def majority_of(values, tie_rng: Randomness):
+    """Most frequent value; ties broken by a uniform coin of the receiver
+    over the tied values in ``str`` order.
+
+    Votes are grouped by identity, and only the first copy of each object
+    is tested.  An unhashable one counts as ``None``: it cannot be
+    compared with the honest copies, so it votes for "nothing received".
+    The few distinct values left merge by ``==``, each group keeping its
+    first vote, as a dict of the votes would.  No field element is
+    hashed, so a vote over copies of a traced value observes nothing.
     """
-    counts: dict = {}
+    groups: list = []   # [value, count, first object], in order of appearance
     for v in values:
-        try:
-            hash(v)
-        except TypeError:
-            v = None
-        counts[v] = counts.get(v, 0) + 1
-    if not counts:
+        for group in groups:
+            if group[2] is v:
+                group[1] += 1
+                break
+        else:
+            rep = v if _hashable(v) else None
+            for group in groups:
+                if group[0] is rep or group[0] == rep:
+                    group[1] += 1
+                    break
+            else:
+                groups.append([rep, 1, v])
+    if not groups:
         return None
-    top = max(counts.values())
-    tied = [v for v, c in counts.items() if c == top]
+    top = max(count for _, count, _ in groups)
+    tied = [rep for rep, count, _ in groups if count == top]
     if len(tied) == 1:
         return tied[0]
     tied.sort(key=str)

@@ -37,29 +37,40 @@ traces; a leaf left without draws is plain, keyed by its constant.
 Otherwise m0 and m1 are traced once each, as ``_enumerated_distance``
 always does.  Then:
 
-1. Optimistic sampling (Barthe et al., EUROCRYPT 2015), to a fixpoint on
-   both traces at once: a leaf ``c*r + e``, with ``c`` a nonzero constant,
-   ``r`` a uniform field draw that is not observed, in no opaque atom and
-   in no other remaining leaf, and ``e`` free of ``r``, is uniform and
-   independent of the rest of the view; it is dropped.  A leaf drops only
-   when the same draw eliminates it in both traces.
+1. Twin leaves merge: a leaf with the field, taint and polynomial of an
+   earlier leaf in both traces, such as a bundle relayed on several
+   paths, always equals it and is dropped.  Then optimistic sampling
+   (Barthe et al., EUROCRYPT 2015), to a fixpoint on both traces at once:
+   a leaf ``c*r + e`` in a field of the analyzed order, with ``c`` a
+   nonzero constant, ``r`` a uniform draw over that order that is not
+   observed, in no opaque atom and in no other remaining leaf, and ``e``
+   free of ``r``, is uniform and independent of the rest of the view; it
+   is dropped.  A leaf drops only when the same draw eliminates it in
+   both traces.
 2. The remaining leaves split into independent components by taint.  A
    component whose leaves are the same polynomials in both traces, with
    no atom and no observed draw, has the same distribution under both
-   messages: it certifies at 0 without a replay.  So does, at exactly 0
-   or 2, a component whose leaves are affine in its draws (monomials of
-   degree <= 1, no atom), every draw a field draw of the analyzed order
-   that is not observed, with the same linear part M in both traces: its
-   view is uniform on the coset ``c_m + col(M)``, and the two cosets
-   coincide when ``c_0 - c_1`` lies in col(M) and are disjoint
-   otherwise.  A rank test over GF(q) decides which; it covers leaves
-   that repeat one polynomial, such as an echoed share.
+   messages: it certifies at 0 without a replay.  Any other component
+   with no atom, whose draws are all unobserved field draws of the
+   analyzed order and whose leaves are elements of that field, is
+   decided without a replay by a shift ``delta`` of its draws that
+   solves its affine leaves, ``L_1 delta = c_0 - c_1`` over GF(q).  When
+   every leaf is affine, ``c_m + M r`` with the same linear part M in
+   both traces, its view is uniform on the coset ``c_m + col(M)``: the
+   two cosets coincide when delta exists (distance 0) and are disjoint
+   otherwise (distance 2); this covers leaves that repeat one
+   polynomial, such as an echoed share.  Otherwise the distance is 0
+   when every leaf of the second trace at ``r + delta`` is its
+   polynomial in the first, as substitution checks: a translation is a
+   bijection of the uniform draws (Barthe, Gregoire & Zanella-Beguelin,
+   POPL 2009).  A component without such a shift is enumerated.
 3. Every other component is enumerated exactly by pinning its draws to
    every assignment and re-running; each observed draw outside them is
    enumerated on its own axis, for stability.  Every such replay must
    reproduce the untainted leaves, keep each leaf outside the component
-   at its reference value and each dropped leaf eliminable.  A bound m1
-   reference holds m0's leaf values, so a run of m1 replaces it first.
+   at its reference value, each twin equal to its earlier leaf and each
+   dropped leaf eliminable.  A bound m1 reference holds m0's leaf
+   values, so a run of m1 replaces it first.
 
 When the reference runs observe no draw, no branch depended on a draw,
 so every run follows them and each leaf is its polynomial: steps 1 and
@@ -86,7 +97,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .field import FieldElement, TracedElement, peek
+from .field import FieldElement, TracedElement, peek, shift_poly
 from .netsim import AdversaryView, leaf_key, unfold
 from .randomness import MESSAGE, Randomness, TracingRandomness, derive_trial_seed
 from .sharing import solve_raw
@@ -260,20 +271,43 @@ def _remove(occ: dict, polys: dict, path) -> None:
 
 
 def _qualifies(trace: _Trace, occ: dict, path, r: int, order: int) -> bool:
-    """The leaf at ``path`` is c*r + e with r a uniform field draw that
-    nothing else left in the view, observed or atom depends on: the leaf
-    is uniform and independent of the rest."""
+    """The leaf at ``path`` is c*r + e, in a field of the analyzed order,
+    with r a uniform draw over that order that nothing else left in the
+    view, observed or atom depends on: the leaf is uniform and
+    independent of the rest."""
     return (r in trace.linear[path] and r not in trace.blocked
-            and trace.rng.moduli.get(r) == order and occ.get(r) == {path})
+            and trace.rng.moduli.get(r) == order == trace.fields[path].order
+            and occ.get(r) == {path})
 
 
-def _eliminate(traces, order: int) -> list:
-    """Optimistic sampling to a fixpoint on both traces at once.
+def _twins(traces) -> list:
+    """Leaves that repeat an earlier leaf: the same taint, field and
+    polynomial in both traces.  Returns (path, earlier path) pairs."""
+    first: dict = {}   # taint -> the leaves kept so far
+    twins: list = []
+    for path, taint in traces[0].tainted:
+        kept = first.setdefault(taint, [])
+        for earlier in kept:
+            if _repeats(traces, path, earlier):
+                twins.append((path, earlier))
+                break
+        else:
+            kept.append(path)
+    return twins
+
+
+def _repeats(traces, path, earlier) -> bool:
+    return all(t.polys[path] == t.polys[earlier] and t.fields[path] == t.fields[earlier]
+               for t in traces)
+
+
+def _eliminate(traces, order: int, paths: list) -> list:
+    """Optimistic sampling to a fixpoint on both traces at once, over the
+    leaves at ``paths``.
 
     Returns the dropped (path, r) pairs in the order they were dropped;
     each qualified in both traces given the leaves still left then.
     """
-    paths = traces[0].paths
     occs = [_occurrences(t.polys, paths) for t in traces]
     dropped: list = []
     gone: set = set()
@@ -296,17 +330,23 @@ def _eliminate(traces, order: int) -> list:
 
 
 class _Residual:
-    """What elimination leaves: the kept leaf paths, the dropped (path, r)
-    pairs in drop order, and the field order the draws must range over."""
+    """What step 1 leaves: the kept leaf paths, the twins as (path,
+    earlier path) pairs, the dropped (path, r) pairs in drop order, and
+    the field order the draws must range over."""
 
-    def __init__(self, kept: list, dropped: list, order: int):
-        self.kept = kept
+    def __init__(self, paths: list, twins: list, dropped: list, order: int):
+        self.twins = twins
         self.dropped = dropped
-        self.gone = {path for path, _ in dropped}
+        self.gone = {path for path, _ in twins + dropped}
+        self.kept = [path for path in paths if path not in self.gone]
         self.order = order
 
     def check_dropped(self, trace: _Trace) -> None:
-        """On a replay, every dropped leaf must still qualify, in order."""
+        """On a replay, every twin must still repeat its earlier leaf and
+        every dropped leaf must still qualify, in order."""
+        for path, earlier in self.twins:
+            if not _repeats((trace,), path, earlier):
+                raise _Unstable(f"leaf {path} no longer repeats leaf {earlier}")
         occ = _occurrences(trace.polys, self.kept + [path for path, _ in self.dropped])
         for path, r in self.dropped:
             if not _qualifies(trace, occ, path, r, self.order):
@@ -327,35 +367,37 @@ def _certifies(refs, paths, comp: frozenset, observed: set) -> bool:
     return True
 
 
-def _coset_distance(refs, paths, comp: frozenset, observed: set, moduli: dict,
+def _shift_distance(refs, paths, comp: frozenset, observed: set, moduli: dict,
                     spec) -> float | None:
-    """Exact distance of a component whose leaves are affine in its draws.
-
-    Applies when every leaf is an element of the analyzed field, equal to
-    ``c + sum_r M_r * r`` over unobserved field draws r of its order with
-    no atom, and the linear part M is the same in both traces; None
-    otherwise.  Such a view is uniform on the coset ``c_m + col(M)``: the
-    two cosets coincide when ``c_0 - c_1`` lies in col(M) (distance 0) and
-    are disjoint otherwise (distance 2).  Gaussian elimination over the
-    field decides which.
-    """
-    if comp & observed:
+    """Exact distance of a component decided by a shift of its draws, as
+    step 2 states: 0 or 2 for a coset, 0 for a translation; None when a
+    condition fails or no shift carries one trace onto the other."""
+    if comp & observed or any(moduli.get(r) != spec.order for r in comp):
         return None
-    rows = []
+    draws = sorted(comp)
+    system, coset = [], True
     for path in paths:
-        if refs[0].fields[path] != spec:
+        if any(t.fields[path] != spec for t in refs):
             return None
         p0, p1 = refs[0].polys[path], refs[1].polys[path]
-        linear = {mono: c for mono, c in p0.items() if mono}
-        if linear != {mono: c for mono, c in p1.items() if mono}:
+        if any(v < 0 for poly in (p0, p1) for mono in poly for v, _ in mono):
             return None
-        if any(len(mono) != 1 or mono[0][1] != 1 or mono[0][0] < 0
-               or moduli.get(mono[0][0]) != spec.order for mono in linear):
-            return None
-        rows.append((linear, spec.sub_raw(p0.get((), 0), p1.get((), 0))))
-    draws = sorted({mono for linear, _ in rows for mono in linear})
-    system = [[linear.get(mono, 0) for mono in draws] + [diff] for linear, diff in rows]
-    return 2.0 if solve_raw(spec, system, len(draws)) is None else 0.0
+        linear = {mono: c for mono, c in p1.items() if mono}
+        if all(len(mono) == 1 and mono[0][1] == 1 for mono in linear):
+            system.append([linear.get(((r, 1),), 0) for r in draws]
+                          + [spec.sub_raw(p0.get((), 0), p1.get((), 0))])
+            coset = coset and linear == {mono: c for mono, c in p0.items() if mono}
+        else:
+            coset = False
+    shift = solve_raw(spec, system, len(draws))
+    if shift is None:
+        return 2.0 if coset else None
+    delta = {r: d for r, d in zip(draws, shift) if d}
+    # a coset's leaves are all affine: the shift that solves them maps them
+    if coset or all(shift_poly(spec, refs[1].polys[path], delta) == refs[0].polys[path]
+                    for path in paths):
+        return 0.0
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +451,7 @@ def _replay_key(trace: _Trace, ref: _Trace, comp: frozenset, res: _Residual) -> 
             key.append((path, trace.keys[path]))
         elif trace.keys[path] != ref.keys[path]:
             raise _Unstable("a leaf outside the component changed under pinning")
-    if res.dropped:
+    if res.gone:
         res.check_dropped(trace)
     return tuple(sorted(key, key=str))
 
@@ -500,9 +542,9 @@ def view_distance(run, m0, m1, *, seed=0, limit: int = 200_000,
 
 def _enumerated_distance(run, m0, m1, *, seed=0, limit: int = 200_000,
                          samples: int = 4000) -> PrivacyReport:
-    """``view_distance`` without the elimination and the symbolic
-    certification: every component is enumerated.  The reference the
-    symbolic path is tested against."""
+    """``view_distance`` without step 1 (twins, elimination) and the
+    shift test of step 2: every component is enumerated.  The reference
+    the symbolic path is tested against."""
     return _counted(run, m0, m1, seed, limit, samples, symbolic=False)
 
 
@@ -539,10 +581,13 @@ def _view_distance(run, m0, m1, seed, limit, samples, symbolic) -> PrivacyReport
         # the random scaffolding itself depends on the message
         return _fallback(run, m0, m1, seed, samples, "message-dependent-structure")
 
-    dropped = _eliminate(refs, m0.spec.order) if symbolic else []
-    gone = {path for path, _ in dropped}
-    kept = [(path, taint) for path, taint in refs[0].tainted if path not in gone]
-    res = _Residual([path for path, _ in kept], dropped, m0.spec.order)
+    order = m0.spec.order
+    twins = _twins(refs) if symbolic else []
+    twinned = {path for path, _ in twins}
+    dropped = (_eliminate(refs, order, [p for p in refs[0].paths if p not in twinned])
+               if symbolic else [])
+    res = _Residual(refs[0].paths, twins, dropped, order)
+    kept = [(path, taint) for path, taint in refs[0].tainted if path not in res.gone]
     comps = _components([taint for _, taint in kept])
     moduli = {**refs[0].rng.moduli, **refs[1].rng.moduli}
 
@@ -552,11 +597,10 @@ def _view_distance(run, m0, m1, seed, limit, samples, symbolic) -> PrivacyReport
             paths = [path for path, taint in kept if taint <= comp]
             if _certifies(refs, paths, comp, observed):
                 certified[comp] = 0.0
-            else:
-                distance = _coset_distance(refs, paths, comp, observed, moduli,
-                                           m0.spec)
-                if distance is not None:
-                    certified[comp] = distance
+                continue
+            distance = _shift_distance(refs, paths, comp, observed, moduli, m0.spec)
+            if distance is not None:
+                certified[comp] = distance
     enumerated = [comp for comp in comps if comp not in certified]
     # observed draws outside every enumerated component: one axis each,
     # enumerated only to show that they leave the view alone

@@ -80,14 +80,15 @@ def as_quad_key(spec: FieldSpec, value) -> QuadKey:
 
 
 # (k, u) -> (n_forward, n_backward) of each channel construction, None where
-# it does not apply; oneway and subset-exchange take more forward channels
+# it does not apply (no construction tolerates k < 0, perfect-3k needs k >= 1
+# for a forward channel); oneway and subset-exchange take more forward channels
 CHANNELS = {
-    "oneway": lambda k, u: (2 * k + 1, 0),
+    "oneway": lambda k, u: (2 * k + 1, 0) if k >= 0 else None,
     "single-feedback": lambda k, u: (2, 1),
-    "subset-exchange": lambda k, u: (max(k + 1, 2 * k + 1 - u), u),
+    "subset-exchange": lambda k, u: (max(k + 1, 2 * k + 1 - u), u) if k >= 0 else None,
     "feedback-efficient": lambda k, u: (2 * k + 1 - u, u) if 1 <= u <= k else None,
-    "perfect-oneway": lambda k, u: (3 * k + 1, 0),
-    "perfect-3k": lambda k, u: (3 * k, 1),
+    "perfect-oneway": lambda k, u: (3 * k + 1, 0) if k >= 0 else None,
+    "perfect-3k": lambda k, u: (3 * k, 1) if k >= 1 else None,
     "perfect-u1": lambda k, u: (3 * k - 1, 1) if k >= 2 else None,
     "perfect-general": lambda k, u: ((max(3 * k + 1 - 2 * u, 2 * k + 1), u)
                                      if k >= 2 and u >= 1 else None),

@@ -51,6 +51,28 @@ def term_by_term_dot(spec, row, ys):
     return acc
 
 
+def hashed_majority(values, tie_rng):
+    """Most frequent value by a dict of the votes, an unhashable one
+    counting as ``None``; a tie takes the coin over the tied values in
+    ``str`` order.  Hashes every vote."""
+    counts: dict = {}
+    for v in values:
+        try:
+            hash(v)
+        except TypeError:
+            v = None
+        counts[v] = counts.get(v, 0) + 1
+    if not counts:
+        return None
+    top = max(counts.values())
+    tied = [v for v, c in counts.items() if c == top]
+    if len(tied) == 1:
+        return tied[0]
+    tied.sort(key=str)
+    idx, _ = tie_rng.draw(len(tied))
+    return tied[idx]
+
+
 def mono_mul(a, b, q):
     """Product of two monomials, tuples of (variable, exponent) sorted by
     variable, with every exponent reduced into 1 .. q-1 by x^q = x."""

@@ -76,6 +76,7 @@ def test_one_forward_channel_below_the_minimum_is_refused():
 
 NOT_APPLICABLE = [("perfect-u1", 1, None), ("perfect-general", 2, 0),
                   ("perfect-efficient", 1, 2), ("feedback-efficient", 1, 0),
+                  ("perfect-3k", 0, None),
                   ("perfect-shared", 1, 0)]
 
 
@@ -93,6 +94,28 @@ def test_an_entry_refuses_where_its_declaration_is_none(name):
                 desc.run(SPEC.element(1), **kw)
             refused.append((k, u if "u" in params else None))
     assert all((k, u) in refused for n, k, u in NOT_APPLICABLE if n == name)
+
+
+@pytest.mark.parametrize("name", CHANNEL_ENTRIES)
+def test_every_entry_runs_or_refuses_below_one_corruption(name):
+    # k = 0 and k = -1 either run or are refused as inapplicable, never
+    # as a network without forward channels
+    desc = protocols.get(name)
+    params = inspect.signature(desc.run).parameters
+    for k in (0, -1):
+        for u in (0, 1):
+            kw = {p: v for p, v in (("k", k), ("u", u)) if p in params}
+            if "n_forward" in kw or "n_backward" in params:
+                counts = desc.channels(k, u)
+                kw["n_forward"], kw["n_backward"] = counts if counts else (3, u)
+            try:
+                out = desc.run(SPEC.element(4), seed=0, **kw)
+            except PreconditionError:
+                assert desc.channels(k, u) is None, (name, k, u)
+            else:
+                assert out.succeeded, (name, k, u)
+    # single-feedback takes no k: it always tolerates one corruption
+    assert (desc.channels(-1, 0) is None) == ("k" in params)
 
 
 @pytest.mark.parametrize("name,k,u", NOT_APPLICABLE)

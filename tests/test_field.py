@@ -290,3 +290,21 @@ def test_equality_by_constant_difference_observes_nothing(order):
     left, right = a * b + c, b * a + a
     assert (left == right) == (peek(left) == peek(right))
     assert rng.observed == rng.support(_poly_sub(spec, left.poly, right.poly)) == {0, 2}
+
+
+@pytest.mark.parametrize("order", [4, 5, 9])
+def test_shift_poly_is_the_polynomial_of_the_shifted_draws(order):
+    from psmt.field import shift_poly
+
+    spec = GF(order)
+    rng = TracingRandomness(order)
+    r, s = spec.sample(rng), spec.sample(rng)
+    d = spec.element(order - 1)
+
+    def shape(r, s):
+        return r * s + spec.element(2) * r * r * r + s * s + spec.one()
+
+    poly = shape(r, s).poly
+    assert shift_poly(spec, poly, {0: order - 1}) == shape(r + d, s).poly
+    assert shift_poly(spec, poly, {0: order - 1, 1: 1}) == shape(r + d, s + spec.one()).poly
+    assert shift_poly(spec, poly, {1: 0}) == poly

@@ -14,11 +14,8 @@ Two more reports contain failures: ``oneway`` over GF(7), where a
 random adversary forges tags, and ``perfect-efficient`` with k+1
 corrupted channels, where every trial delivers a wrong message.
 
-Privacy: the benchmark's fifteen private cases, plus ``oneway`` and
-feedback-efficient's forward channel (the two that enumerate), each for
-the messages 0 and q-1 at seed 3, and one Monte Carlo estimate.
-hyper-private is left out for its run time; the acceptance tests cover
-it.
+Privacy: criterion 4's seventeen cases and neighbor-exchange over GF(3),
+each for the messages 0 and q-1 at seed 3, and one Monte Carlo estimate.
 
 Outcomes: ``golden/outcomes.txt`` has one line per run of every
 registry entry in its ``sweep.ENTRIES`` configuration, at every
@@ -121,6 +118,8 @@ PRIVACY = {   # name: (protocol, field order, options)
                           ["--k", "1", "--u", "1", "--corrupt", "AB0"]),
     "perfect-shared": ("perfect-shared", 5,
                        ["--k", "1", "--u", "1", "--corrupt", "AB2,BA0"]),
+    "hyper-private": ("hyper-private", 5, ["--fixture", "duo", "--k", "1",
+                                           "--corrupt", "x"]),
     "neighbor-exchange-C": ("neighbor-exchange", 2, ["--corrupt", "C"]),
     "neighbor-exchange-F": ("neighbor-exchange", 2, ["--corrupt", "F"]),
     "neighbor-exchange-C-gf3": ("neighbor-exchange", 3, ["--corrupt", "C"]),

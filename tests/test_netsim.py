@@ -32,9 +32,14 @@ def test_unknown_channel_rejected():
     # every channel is checked before any is tampered, recorded or delivered
     assert (seen, net.view.events, net.transcript, net.round) == ([], [], [], 0)
     with pytest.raises(ParamError):
-        PathNetwork(0, 1)
-    with pytest.raises(ParamError):
         PathNetwork(2, 0, AdversarySpec(frozenset({("BA", 0)})))
+
+
+def test_each_channel_count_is_refused_with_its_own_message():
+    with pytest.raises(ParamError, match="forward channel"):
+        PathNetwork(0, 1)
+    with pytest.raises(ParamError, match="backward channel count -1"):
+        PathNetwork(5, -1)
 
 
 def test_delivery_and_round_counter():
@@ -195,6 +200,74 @@ def test_majority_of_clear_and_tie():
     for s in range(2000):
         counts[majority_of(["a", "b"], Randomness(("tie", s)))] += 1
     assert 850 <= counts["a"] <= 1150
+
+
+class _Equal:
+    """Hashable and equal to every other instance, yet not the same object."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def __eq__(self, other):
+        return isinstance(other, _Equal)
+
+    def __hash__(self):
+        return 0
+
+    def __repr__(self):
+        return f"_Equal({self.tag})"
+
+
+def _adversarial_votes(coin, spec):
+    """One vote list: repeated objects, equal copies that are not the same
+    object, values equal across types, unhashable and nested values."""
+    pool = [
+        lambda: None, lambda: 1, lambda: 1.0, lambda: True, lambda: 0, lambda: False,
+        lambda: "a", lambda: "b", lambda: ("a", 1), lambda: ("a", 1.0),
+        lambda: ("a", ("b", (1,))), lambda: ("a", ("b", [1])), lambda: ["a"],
+        lambda: {"a": 1}, lambda: {1, 2}, lambda: frozenset({1, 2}), lambda: (),
+        lambda: spec.element(coin.randrange(3)),
+        lambda: (spec.element(coin.randrange(3)), "tag"),
+        lambda: _Equal(coin.randrange(3)),
+        lambda: float("nan"),
+    ]
+    made = [pool[coin.randrange(len(pool))]() for _ in range(coin.randrange(1, 5))]
+    votes = []
+    for _ in range(coin.randrange(0, 9)):
+        # the same object again, or a fresh copy
+        votes.append(coin.choice(made) if coin.random() < 0.5
+                     else pool[coin.randrange(len(pool))]())
+    return votes
+
+
+def test_majority_of_matches_the_hashing_vote_on_plain_values():
+    import random
+
+    from oracles import hashed_majority
+
+    spec = GF(5)
+    coin = random.Random("votes")
+    for trial in range(3000):
+        votes = _adversarial_votes(coin, spec)
+        for tie_seed in range(3):
+            got = majority_of(votes, Randomness(("tie", trial, tie_seed)))
+            want = hashed_majority(votes, Randomness(("tie", trial, tie_seed)))
+            assert got is want, votes
+
+
+def test_a_vote_over_equal_traced_copies_observes_nothing():
+    spec = GF(7)
+    rng = TracingRandomness(0)
+    x, y = spec.sample(rng), spec.sample(rng)
+    bundle = (x, x * y + spec.one())
+    tie = Randomness(0)
+    assert majority_of([x, x, x + spec.zero(), None], tie) is x
+    assert majority_of([bundle, bundle, None, (x, "tag")], tie) is bundle
+    assert majority_of([(x, bundle), [y], (x, bundle)], tie) == (x, bundle)
+    assert rng.observed == set()
+    # an unhashable vote counts as None without hashing what it holds
+    assert majority_of([[x], [x], bundle], tie) is None
+    assert rng.observed == set()
 
 
 def test_reliable_send_failure_rate():
