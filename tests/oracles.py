@@ -41,6 +41,70 @@ def brute_force_separator(g):
     return None
 
 
+def surviving_links(hyperedges, removed, directed=True) -> dict:
+    """Successor sets of the links left after removing ``removed`` and
+    every hyperedge (origin, recipients) it touches; each link both ways
+    unless ``directed``."""
+    succ: dict = {}
+    for origin, recipients in hyperedges:
+        if removed & (recipients | {origin}):
+            continue
+        for r in recipients - {origin}:
+            succ.setdefault(origin, set()).add(r)
+            if not directed:
+                succ.setdefault(r, set()).add(origin)
+    return succ
+
+
+def bfs_path(succ: dict, src, dst) -> tuple | None:
+    """A shortest src -> dst path over the successor sets ``succ``, the
+    smallest successor first."""
+    prev = {src: None}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        if u == dst:
+            path = []
+            while u is not None:
+                path.append(u)
+                u = prev[u]
+            return tuple(reversed(path))
+        for v in sorted(succ.get(u, ())):
+            if v not in prev:
+                prev[v] = u
+                queue.append(v)
+    return None
+
+
+def removed_sets(nodes, sender, receiver, k):
+    """Every set of fewer than k nodes other than the endpoints."""
+    internal = sorted(set(nodes) - {sender, receiver})
+    return [frozenset(s) for size in range(min(k - 1, len(internal)) + 1)
+            for s in itertools.combinations(internal, size)]
+
+
+def hyper_survives(h, k, directed) -> bool:
+    """Whether a sender -> receiver path over the surviving links of the
+    hypergraph ``h`` outlives every removed set of fewer than k nodes."""
+    return all(bfs_path(surviving_links(h.hyperedges, r, directed), h.sender, h.receiver)
+               is not None for r in removed_sets(h.nodes, h.sender, h.receiver, k))
+
+
+def neighbor_survives(g, k) -> bool:
+    """Whether the neighbor network ``g`` keeps a sender -> receiver path
+    after removing any set v1 of fewer than k nodes together with the
+    neighbors of v1, the endpoints excepted."""
+    for v1 in removed_sets(g.nodes, g.sender, g.receiver, k):
+        removed = set(v1)
+        for v in v1:
+            removed |= g.neighbors(v)
+        removed -= {g.sender, g.receiver}
+        succ = {v: g.neighbors(v) - removed for v in g.nodes - removed}
+        if bfs_path(succ, g.sender, g.receiver) is None:
+            return False
+    return True
+
+
 def term_by_term_dot(spec, row, ys):
     """``sum c * y`` over a row of raw constants, folded one term at a
     time with the element operators: each term builds a constant, a

@@ -74,6 +74,18 @@ def test_analyze_computes_one_max_flow(capsys, monkeypatch, tmp_path, graph):
     assert len(flows) == 1
 
 
+def test_analyze_refuses_adjacent_endpoints(capsys, tmp_path):
+    # an A-B edge breaks the neighbor hierarchy's implication chain
+    fig1 = fixtures.get("fig1")
+    g = topology.NeighborNet.build(fig1.nodes, list(fig1.edges) + [("A", "B")], "A", "B")
+    path = tmp_path / "fig1_ab.json"
+    path.write_text(fixtures.dumps(g))
+    for k in ("1", "2", "3"):
+        code, report, err = run(capsys, "analyze", "--k", k, "--topology-file", str(path))
+        assert code == 2 and report is None
+        assert "error" in err and "neighbors" in err and "Traceback" not in err
+
+
 def test_analyze_does_not_depend_on_the_hash_seed(tmp_path):
     path = tmp_path / "braided.json"
     path.write_text(fixtures.dumps(fixtures.braided_eight()))

@@ -57,6 +57,36 @@ def test_axioms_random_large(a, b, c):
         assert x * x.inv() == spec.one()
 
 
+def test_axioms_random_beyond_the_table_limit_odd_characteristic():
+    # GF(3^11) has no tables: add, neg and sub work digit by digit
+    spec = GF(3 ** 11)
+    assert spec._exp is None
+    rng = random.Random(311)
+    xs, ys, zs = ([spec.element(rng.randrange(spec.order)) for _ in range(40)]
+                  for _ in range(3))
+    _axioms(spec, xs, ys, zs)
+
+    def digits(v):
+        return [v // 3 ** i % 3 for i in range(11)]
+
+    def packed(ds):
+        return sum(d * 3 ** i for i, d in enumerate(ds))
+
+    for x, y in zip(xs, ys):
+        dx, dy = digits(x.value), digits(y.value)
+        assert spec._add_digits(x.value, y.value) == packed([(a + b) % 3 for a, b in zip(dx, dy)])
+        assert spec._sub_digits(x.value, y.value) == packed([(a - b) % 3 for a, b in zip(dx, dy)])
+        assert spec._neg_digits(x.value) == packed([-a % 3 for a in dx])
+        assert (x - y) + y == x and -(-x) == x and x + (-x) == spec.zero()
+
+
+def test_zero_is_falsy():
+    for order in (2, 7, 3 ** 4, 2 ** 16, 3 ** 11):
+        spec = GF(order)
+        assert not spec.zero()
+        assert spec.one() and spec.element(order - 1)
+
+
 def test_known_values_gf7():
     spec = GF(7)
     assert (spec.element(3) + spec.element(5)).value == 1

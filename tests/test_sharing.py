@@ -94,6 +94,23 @@ def test_correct_hand_example():
     assert got.error_positions == frozenset({2})
 
 
+def test_correct_two_errors_beyond_the_table_limit():
+    # GF(3^11) decodes with polynomial arithmetic and digit-wise addition
+    spec = GF(3 ** 11)
+    params = SharingParams(7, 2, spec)
+    assert params.max_correct == 2
+    rng, pick = Randomness("gf3^11"), random.Random(311)
+    for _ in range(3):
+        secret = spec.sample(rng)
+        entries = list(share(secret, params, rng).shares)
+        bad = pick.sample(range(7), 2)
+        for i in bad:
+            entries[i] = entries[i] + spec.element(pick.randrange(1, spec.order))
+        got = correct_errors(ReceivedWord(tuple(entries), params), 2)
+        assert got is not None and got.secret == secret
+        assert got.error_positions == frozenset(bad)
+
+
 def test_correct_beyond_radius_detected():
     # two corrupted entries at radius 1 must return None, never a wrong secret
     spec = GF(7)

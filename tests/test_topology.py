@@ -1,10 +1,20 @@
 """Disjoint paths, minimum separators, and the connectivity hierarchy."""
 
+import contextlib
 import itertools
 import random
+import signal
 
 import pytest
-from oracles import brute_force_separator, reaches
+from oracles import (
+    bfs_path,
+    brute_force_separator,
+    hyper_survives,
+    neighbor_survives,
+    reaches,
+    removed_sets,
+    surviving_links,
+)
 
 from psmt import fixtures
 from psmt.errors import ParamError, SizeLimit
@@ -17,6 +27,7 @@ from psmt.topology import (
     is_k_separable,
     k_connected,
     max_disjoint_paths,
+    menger,
     min_vertex_separator,
     neighbor_k_connected,
     strong_witness_path,
@@ -29,15 +40,36 @@ from psmt.topology import (
 )
 
 
-def _random_digraph(rng: random.Random) -> Digraph:
+def _random_digraph(rng: random.Random, awkward: bool = False) -> Digraph:
+    """Random links without A -> B; with ``awkward``, also self-loops
+    (each endpoint's among them), antiparallel pairs, links into A and
+    links out of B."""
     n = rng.randrange(3, 9)
     nodes = ["A", "B"] + [f"v{i}" for i in range(n - 2)]
     edges = set()
     for a in nodes:
         for b in nodes:
-            if a != b and not (a == "A" and b == "B") and rng.random() < 0.35:
+            if (a != b or awkward) and (a, b) != ("A", "B") and rng.random() < 0.35:
                 edges.add((a, b))
+    if awkward:
+        x, y = rng.sample(nodes[2:] + ["A"], 2)
+        edges |= {(x, x), (x, y), (y, x), (x, "A"), ("B", y), ("B", "B"), ("A", "A")}
     return Digraph.build(nodes, edges, "A", "B")
+
+
+@contextlib.contextmanager
+def _time_guard(seconds: float):
+    """Fail, instead of hanging, when the body runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_menger_max_paths_equals_min_separator_random():
@@ -55,6 +87,23 @@ def test_menger_max_paths_equals_min_separator_random():
         # the separator really disconnects: every path hits it
         for p in paths.paths:
             assert set(p[1:-1]) & sep
+
+
+def test_menger_with_self_loops_and_back_links_random():
+    # a self-loop's arc is the reverse of its node's arc in the split
+    # network; a search that lets one stand for the other breaks the flow
+    # and may never finish, hence the guard
+    rng = random.Random(2601)
+    for _ in range(300):
+        g = _random_digraph(rng, awkward=True)
+        with _time_guard(2.0):
+            paths, sep = menger(g)
+        paths.validate(g.edges, "A", "B")
+        want = brute_force_separator(g)
+        assert want is not None and sep is not None
+        assert len(paths) == len(sep) == len(want)
+        assert not reaches(g.edges, "A", "B", sep)
+        assert min_vertex_separator(g) == sep
 
 
 def test_separator_cut_on_an_edge_arc():
@@ -201,19 +250,64 @@ def test_fixture_fig009_weakly_two_hyper():
     assert weakly_k_hyper_connected(g, 2)
 
 
+def _random_neighbor_net(rng: random.Random, most: int, p: float) -> NeighborNet:
+    """3 to ``most`` nodes, each pair but A-B an edge with probability p."""
+    nodes = ["A", "B"] + [f"v{i}" for i in range(rng.randrange(1, most - 1))]
+    edges = [e for e in itertools.combinations(nodes, 2)
+             if rng.random() < p and set(e) != {"A", "B"}]
+    return NeighborNet.build(nodes, edges, "A", "B")
+
+
+def _random_hypergraph(rng: random.Random, most: int) -> Hypergraph:
+    """3 to ``most`` nodes; some hyperedges list their own origin."""
+    nodes = ["A", "B"] + [f"v{i}" for i in range(rng.randrange(1, most - 1))]
+    hyperedges = []
+    for _ in range(rng.randrange(1, 2 * len(nodes))):
+        recipients = {v for v in nodes if rng.random() < 0.35}
+        if recipients:
+            hyperedges.append((rng.choice(nodes), recipients))
+    return Hypergraph.build(nodes, hyperedges, "A", "B")
+
+
+def test_mask_predicates_match_the_set_based_search_random():
+    rng = random.Random(2602)
+    verdicts = set()
+    for _ in range(150):
+        h = _random_hypergraph(rng, 8)
+        for k in (1, 2, 3):
+            for directed, predicate in ((True, strongly_k_connected),
+                                        (False, weakly_k_connected)):
+                got = predicate(h, k)
+                assert got == hyper_survives(h, k, directed)
+                verdicts.add((directed, got))
+        for removed in removed_sets(h.nodes, "A", "B", 4):
+            want = bfs_path(surviving_links(h.hyperedges, removed), "A", "B")
+            assert strong_witness_path(h, removed) == want
+    for _ in range(150):
+        g = _random_neighbor_net(rng, 8, rng.choice((0.3, 0.5, 0.7)))
+        for k in (1, 2, 3):
+            got = neighbor_k_connected(g, k)
+            assert got == neighbor_survives(g, k)
+            verdicts.add(("neighbor", got))
+    assert len(verdicts) == 6   # each predicate answered both ways
+
+
+def test_hierarchy_refuses_adjacent_endpoints():
+    fig1 = fixtures.get("fig1")
+    g = NeighborNet.build(fig1.nodes, list(fig1.edges) + [("A", "B")], "A", "B")
+    for k in (1, 2, 3):
+        with pytest.raises(ParamError, match="neighbors"):
+            connectivity_hierarchy(g, k)
+
+
 def test_hierarchy_implications_on_fixtures_and_random():
     nets = [fixtures.get(n) for n in fixtures.names()
             if isinstance(fixtures.get(n), NeighborNet)]
     rng = random.Random(77)
     for _ in range(25):
-        n = rng.randrange(3, 7)
-        nodes = ["A", "B"] + [f"v{i}" for i in range(n - 2)]
-        edges = {tuple(sorted(e))
-                 for e in itertools.combinations(nodes, 2)
-                 if rng.random() < 0.5 and set(e) != {"A", "B"}}
-        if not edges:
-            continue
-        nets.append(NeighborNet.build(nodes, edges, "A", "B"))
+        g = _random_neighbor_net(rng, 6, 0.5)
+        if g.edges:
+            nets.append(g)
     for g in nets:
         for k in (1, 2):
             # connectivity_hierarchy raises if any implication fails
