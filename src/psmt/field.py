@@ -604,10 +604,10 @@ class TracedElement(FieldElement):
     index): a syntactic record, kept when the polynomial cancels a draw.
 
     Every read of the value outside these operations is an observation the
-    tracer records (the support of the polynomial read): ``value``,
-    ``hash``, ``bool``, ``repr``, and an ``==`` whose difference is not a
-    constant.  An ``==`` whose difference is a constant is decided without
-    observing anything.
+    tracer records (the support of the polynomial read): the ``value``
+    property, which ``FieldElement``'s ``hash``, ``bool`` and ``repr``
+    read, and an ``==`` whose difference is not a constant.  An ``==``
+    whose difference is a constant is decided without observing anything.
     Elements of two different tracers (two runs side by side in the
     analyzer) compare by value, as plain elements do.
     """
@@ -717,14 +717,4 @@ class TracedElement(FieldElement):
         self.tracer.observe(_poly_sub(self.spec, mine, theirs))
         return _get_raw(self) == _get_raw(other)
 
-    def __hash__(self) -> int:
-        self.tracer.observe(self.poly)
-        return hash((self.spec.order, _get_raw(self)))
-
-    def __repr__(self) -> str:
-        self.tracer.observe(self.poly)
-        return f"{_get_raw(self)}:{self.spec!r}"
-
-    def __bool__(self) -> bool:
-        self.tracer.observe(self.poly)
-        return _get_raw(self) != 0
+    __hash__ = FieldElement.__hash__   # defining __eq__ clears the inherited one

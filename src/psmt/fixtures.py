@@ -17,22 +17,31 @@ from .errors import ParamError
 from .topology import Digraph, Hypergraph, NeighborNet
 
 
+# (nodes, edges) of the neighbor fixtures that also have a directed
+# variant, which reads each edge as a (tail, head) link
+_FIG1 = ("ABCD", [("A", "C"), ("C", "B"), ("A", "D"), ("D", "B"), ("C", "D")])
+_FIG2 = ("ABCDF",
+         [("A", "C"), ("A", "D"), ("C", "B"), ("D", "B"), ("C", "F"), ("F", "D")])
+_FIG80 = ("ABCDEFGH",
+          [("A", "C"), ("C", "D"), ("D", "E"), ("E", "B"),
+           ("A", "F"), ("F", "G"), ("G", "H"), ("H", "B"),
+           ("C", "H"), ("E", "F")])
+_FIG009 = ("ABCDEFGH",
+           [("A", "C"), ("C", "D"), ("D", "E"), ("E", "B"),
+            ("A", "F"), ("F", "G"), ("G", "H"), ("H", "B"),
+            ("D", "G")])
+
+
 def fig1() -> NeighborNet:
     """Four nodes, two relay paths joined by a C-D link: 2-connected but
     not weakly 2-hyper-connected."""
-    return NeighborNet.build(
-        "ABCD",
-        [("A", "C"), ("C", "B"), ("A", "D"), ("D", "B"), ("C", "D")],
-        "A", "B")
+    return NeighborNet.build(*_FIG1, "A", "B")
 
 
 def fig2() -> NeighborNet:
     """Five nodes with a bystander F bridging the two relays: weakly
     2-hyper-connected but not 2-neighbor-connected."""
-    return NeighborNet.build(
-        "ABCDF",
-        [("A", "C"), ("A", "D"), ("C", "B"), ("D", "B"), ("C", "F"), ("F", "D")],
-        "A", "B")
+    return NeighborNet.build(*_FIG2, "A", "B")
 
 
 def fig3() -> NeighborNet:
@@ -61,23 +70,13 @@ def fig5() -> Hypergraph:
 def fig80() -> NeighborNet:
     """Eight nodes, two chains braided by C-H and E-F cross links:
     2-neighbor-connected but not weakly (2,1)-connected."""
-    return NeighborNet.build(
-        "ABCDEFGH",
-        [("A", "C"), ("C", "D"), ("D", "E"), ("E", "B"),
-         ("A", "F"), ("F", "G"), ("G", "H"), ("H", "B"),
-         ("C", "H"), ("E", "F")],
-        "A", "B")
+    return NeighborNet.build(*_FIG80, "A", "B")
 
 
 def fig009() -> NeighborNet:
     """Eight nodes, two chains joined by a single D-G cross link; weakly
     2-hyper-connected, transmission feasibility open."""
-    return NeighborNet.build(
-        "ABCDEFGH",
-        [("A", "C"), ("C", "D"), ("D", "E"), ("E", "B"),
-         ("A", "F"), ("F", "G"), ("G", "H"), ("H", "B"),
-         ("D", "G")],
-        "A", "B")
+    return NeighborNet.build(*_FIG009, "A", "B")
 
 
 def duo() -> Hypergraph:
@@ -120,38 +119,22 @@ def names() -> list[str]:
 def two_path_feedback() -> Digraph:
     """fig1's edge set read as a digraph: two forward paths plus a C->D
     link that yields one feedback route."""
-    return Digraph.build(
-        "ABCD",
-        [("A", "C"), ("C", "B"), ("A", "D"), ("D", "B"), ("C", "D")],
-        "A", "B")
+    return Digraph.build(*_FIG1, "A", "B")
 
 
 def feedback_detour() -> Digraph:
     """fig2's edge set read as a digraph: the only feedback runs C->F->D."""
-    return Digraph.build(
-        "ABCDF",
-        [("A", "C"), ("A", "D"), ("C", "B"), ("D", "B"), ("C", "F"), ("F", "D")],
-        "A", "B")
+    return Digraph.build(*_FIG2, "A", "B")
 
 
 def braided_eight() -> Digraph:
     """fig80's edge set read as a digraph."""
-    return Digraph.build(
-        "ABCDEFGH",
-        [("A", "C"), ("C", "D"), ("D", "E"), ("E", "B"),
-         ("A", "F"), ("F", "G"), ("G", "H"), ("H", "B"),
-         ("C", "H"), ("E", "F")],
-        "A", "B")
+    return Digraph.build(*_FIG80, "A", "B")
 
 
 def chains_with_crosslink() -> Digraph:
     """fig009's edge set read as a digraph."""
-    return Digraph.build(
-        "ABCDEFGH",
-        [("A", "C"), ("C", "D"), ("D", "E"), ("E", "B"),
-         ("A", "F"), ("F", "G"), ("G", "H"), ("H", "B"),
-         ("D", "G")],
-        "A", "B")
+    return Digraph.build(*_FIG009, "A", "B")
 
 
 # ---------------------------------------------------------------------------

@@ -48,22 +48,22 @@ always does.  Then:
    is dropped.  A leaf drops only when the same draw eliminates it in
    both traces.
 2. The remaining leaves split into independent components by taint.  A
-   component whose leaves are the same polynomials in both traces, with
-   no atom and no observed draw, has the same distribution under both
-   messages: it certifies at 0 without a replay.  Any other component
-   with no atom, whose draws are all unobserved field draws of the
-   analyzed order and whose leaves are elements of that field, is
-   decided without a replay by a shift ``delta`` of its draws that
-   solves its affine leaves, ``L_1 delta = c_0 - c_1`` over GF(q).  When
-   every leaf is affine, ``c_m + M r`` with the same linear part M in
-   both traces, its view is uniform on the coset ``c_m + col(M)``: the
-   two cosets coincide when delta exists (distance 0) and are disjoint
-   otherwise (distance 2); this covers leaves that repeat one
-   polynomial, such as an echoed share.  Otherwise the distance is 0
-   when every leaf of the second trace at ``r + delta`` is its
-   polynomial in the first, as substitution checks: a translation is a
-   bijection of the uniform draws (Barthe, Gregoire & Zanella-Beguelin,
-   POPL 2009).  A component without such a shift is enumerated.
+   component with no atom and no observed draw is decided without a
+   replay by a shift ``delta`` of its draws that carries the second
+   trace onto the first: a translation is a bijection of the uniform
+   draws (Barthe, Gregoire & Zanella-Beguelin, POPL 2009).  ``delta = 0``
+   decides a component whose leaves are the same polynomials in both
+   traces: distance 0.  A nonzero shift needs every draw of the
+   component to be a field draw of the analyzed order and every leaf an
+   element of that field; it solves the affine leaves,
+   ``L_1 delta = c_0 - c_1`` over GF(q).  When every leaf is affine,
+   ``c_m + M r`` with the same linear part M in both traces, its view is
+   uniform on the coset ``c_m + col(M)``: the two cosets coincide when
+   delta exists (distance 0) and are disjoint otherwise (distance 2);
+   this covers leaves that repeat one polynomial, such as an echoed
+   share.  Otherwise the distance is 0 when every leaf of the second
+   trace at ``r + delta`` is its polynomial in the first, as substitution
+   checks.  A component without such a shift is enumerated.
 3. Every other component is enumerated exactly by pinning its draws to
    every assignment and re-running; each observed draw outside them is
    enumerated on its own axis, for stability.  Every such replay must
@@ -354,34 +354,24 @@ class _Residual:
             _remove(occ, trace.polys, path)
 
 
-def _certifies(refs, paths, comp: frozenset, observed: set) -> bool:
-    """Same polynomials in both traces, no atom, no observed draw."""
-    if comp & observed:
-        return False
-    for path in paths:
-        poly = refs[0].polys[path]
-        if poly != refs[1].polys[path]:
-            return False
-        if any(v < 0 for mono in poly for v, _ in mono):
-            return False
-    return True
-
-
 def _shift_distance(refs, paths, comp: frozenset, observed: set, moduli: dict,
                     spec) -> float | None:
     """Exact distance of a component decided by a shift of its draws, as
-    step 2 states: 0 or 2 for a coset, 0 for a translation; None when a
-    condition fails or no shift carries one trace onto the other."""
-    if comp & observed or any(moduli.get(r) != spec.order for r in comp):
+    step 2 states: 0 for the zero shift, 0 or 2 for a coset, 0 for a
+    translation; None when a condition fails or no shift carries one
+    trace onto the other."""
+    polys = [[t.polys[path] for path in paths] for t in refs]
+    if comp & observed or any(v < 0 for ps in polys for poly in ps
+                              for mono in poly for v, _ in mono):
+        return None
+    if polys[0] == polys[1]:
+        return 0.0
+    if (any(moduli.get(r) != spec.order for r in comp)
+            or any(t.fields[path] != spec for t in refs for path in paths)):
         return None
     draws = sorted(comp)
     system, coset = [], True
-    for path in paths:
-        if any(t.fields[path] != spec for t in refs):
-            return None
-        p0, p1 = refs[0].polys[path], refs[1].polys[path]
-        if any(v < 0 for poly in (p0, p1) for mono in poly for v, _ in mono):
-            return None
+    for p0, p1 in zip(*polys):
         linear = {mono: c for mono, c in p1.items() if mono}
         if all(len(mono) == 1 and mono[0][1] == 1 for mono in linear):
             system.append([linear.get(((r, 1),), 0) for r in draws]
@@ -394,8 +384,7 @@ def _shift_distance(refs, paths, comp: frozenset, observed: set, moduli: dict,
         return 2.0 if coset else None
     delta = {r: d for r, d in zip(draws, shift) if d}
     # a coset's leaves are all affine: the shift that solves them maps them
-    if coset or all(shift_poly(spec, refs[1].polys[path], delta) == refs[0].polys[path]
-                    for path in paths):
+    if coset or all(shift_poly(spec, p1, delta) == p0 for p0, p1 in zip(*polys)):
         return 0.0
     return None
 
@@ -493,7 +482,13 @@ def _probe(run, messages, seed, refs, comps, moduli, res) -> None:
         res.check_dropped(trace)
 
 
-def _monte_carlo(run, m0, m1, seed, samples) -> PrivacyReport:
+def monte_carlo_distance(run, m0, m1, *, seed=0,
+                         samples: int = 4000) -> PrivacyReport:
+    """Plug-in total variation estimate over full canonical views.
+
+    No certification: the result is an empirical estimate only, biased
+    upward when views rarely repeat across samples.
+    """
     def histogram(message, tag):
         counts: dict = {}
         for t in range(samples):
@@ -510,20 +505,10 @@ def _monte_carlo(run, m0, m1, seed, samples) -> PrivacyReport:
 
 
 def _fallback(run, m0, m1, seed, samples, reason: str, detail: str = "") -> PrivacyReport:
-    report = _monte_carlo(run, m0, m1, seed, samples)
+    report = monte_carlo_distance(run, m0, m1, seed=seed, samples=samples)
     report.fallback = reason
     report.note += detail
     return report
-
-
-def monte_carlo_distance(run, m0, m1, *, seed=0,
-                         samples: int = 4000) -> PrivacyReport:
-    """Plug-in total variation estimate over full canonical views.
-
-    No certification: the result is an empirical estimate only, biased
-    upward when views rarely repeat across samples.
-    """
-    return _monte_carlo(run, m0, m1, seed, samples)
 
 
 def view_distance(run, m0, m1, *, seed=0, limit: int = 200_000,
@@ -595,9 +580,6 @@ def _view_distance(run, m0, m1, seed, limit, samples, symbolic) -> PrivacyReport
     if symbolic:
         for comp in comps:
             paths = [path for path, taint in kept if taint <= comp]
-            if _certifies(refs, paths, comp, observed):
-                certified[comp] = 0.0
-                continue
             distance = _shift_distance(refs, paths, comp, observed, moduli, m0.spec)
             if distance is not None:
                 certified[comp] = distance

@@ -84,7 +84,7 @@ def as_quad_key(spec: FieldSpec, value) -> QuadKey:
 # for a forward channel); oneway and subset-exchange take more forward channels
 CHANNELS = {
     "oneway": lambda k, u: (2 * k + 1, 0) if k >= 0 else None,
-    "single-feedback": lambda k, u: (2, 1),
+    "single-feedback": lambda k, u: (2, 1) if k == 1 else None,
     "subset-exchange": lambda k, u: (max(k + 1, 2 * k + 1 - u), u) if k >= 0 else None,
     "feedback-efficient": lambda k, u: (2 * k + 1 - u, u) if 1 <= u <= k else None,
     "perfect-oneway": lambda k, u: (3 * k + 1, 0) if k >= 0 else None,

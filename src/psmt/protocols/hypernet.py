@@ -25,7 +25,6 @@ from ..topology import (
     menger,
     separable_by,
     strong_witness_path,
-    strongly_k_connected,
     to_hypergraph,
 )
 from .common import _rng, as_field, as_field_vec, as_indices, fields, finish, tagged
@@ -38,13 +37,17 @@ def _reverse(h: Hypergraph) -> Hypergraph:
 @lru_cache(maxsize=64)
 def _majority_paths(graph: Hypergraph, k: int) -> tuple:
     """2k+1 node-disjoint paths, from one max flow per (graph, k); refused
-    when 2k nodes separate the endpoints."""
+    when 2k nodes separate the endpoints.  A direct hyperedge has no inner
+    node, so it carries every copy the other paths leave missing."""
     paths, cut = menger(graph)
     if separable_by(cut, 2 * k):
         raise PreconditionError(
             f"{graph.sender}->{graph.receiver} is {2 * k}-separable"
             f" (witness {sorted(cut)})")
-    return paths.paths[: 2 * k + 1]
+    paths = paths.paths[: 2 * k + 1]
+    if cut is None:   # a direct hyperedge: the max flow holds its path
+        paths += ((graph.sender, graph.receiver),) * (2 * k + 1 - len(paths))
+    return paths
 
 
 def reliable_transmit(net: HyperNet, graph: Hypergraph, payload, k: int,
@@ -71,17 +74,17 @@ def hypergraph_reliable(message: FieldElement, graph: Hypergraph, k: int,
 
 @lru_cache(maxsize=64)
 def _private_plan(graph: Hypergraph, k: int):
-    """The reverse graph and the (suspect set, path) pairs: per set of k
-    internal nodes, a path it can neither read nor touch.  Checked and
-    computed once per (graph, k)."""
-    if not strongly_k_connected(graph, k):
-        raise PreconditionError("endpoints are not strongly k-connected")
+    """The reverse graph and the (suspect set, path) pairs: per set of
+    min(k, |internal|) internal nodes, a path it can neither read nor
+    touch.  Every smaller set lies inside one of these, so the paths also
+    show the endpoints strongly k-connected.  Checked and computed once
+    per (graph, k)."""
     back = _reverse(graph)
     for g in (graph, back):   # refused when 2k nodes separate either way
         _majority_paths(g, k)
     internal = sorted(graph.nodes - {graph.sender, graph.receiver})
     witness_paths = []
-    for s in itertools.combinations(internal, k):
+    for s in itertools.combinations(internal, min(k, len(internal))):
         path = strong_witness_path(graph, frozenset(s))
         if path is None:
             raise PreconditionError(f"no path avoiding the closure of {s}")

@@ -351,18 +351,10 @@ def to_hypergraph(g: NeighborNet) -> Hypergraph:
         g.sender, g.receiver)
 
 
-def _undirected_digraph(g: NeighborNet) -> Digraph:
-    edges = set()
-    for e in g.edges:
-        a, b = sorted(e)
-        edges.add((a, b))
-        edges.add((b, a))
-    return Digraph(g.nodes, frozenset(edges), g.sender, g.receiver)
-
-
 def k_connected(g: NeighborNet, k: int) -> bool:
-    """At least k internally node-disjoint undirected paths."""
-    return len(max_disjoint_paths(_undirected_digraph(g))) >= k
+    """At least k internally node-disjoint undirected paths: the
+    hypergraph's induced digraph holds every edge both ways."""
+    return len(max_disjoint_paths(to_hypergraph(g))) >= k
 
 
 def weakly_k_hyper_connected(g: NeighborNet, k: int) -> bool:
@@ -414,9 +406,11 @@ def weakly_nk_connected(g: NeighborNet, n: int, k: int):
     tsets = [sum(t)
              for size in range(min(k, len(internal)) + 1)
              for t in itertools.combinations(internal, size)]
-    inner = [sum(1 << index[v] for v in p[1:-1]) for p in paths]
     # a path is clear of t when no node on it neighbors t
     around = [functools.reduce(operator.or_, (near[index[v]] for v in p)) for p in paths]
+    if any(all(a & t for a in around) for t in tsets):
+        return False, None   # some t is clear of no path, so of no family
+    inner = [sum(1 << index[v] for v in p[1:-1]) for p in paths]
     for family in itertools.combinations(range(len(paths)), n):
         if any(inner[i] & inner[j] for i, j in itertools.combinations(family, 2)):
             continue
@@ -430,9 +424,10 @@ def connectivity_hierarchy(g: NeighborNet, k: int) -> dict:
     refused for neighboring endpoints, where the chain does not hold."""
     if g.receiver in g.neighbors(g.sender):
         raise ParamError("the hierarchy needs a sender and receiver that are not neighbors")
-    max_n = len(max_disjoint_paths(_undirected_digraph(g)))
+    h = to_hypergraph(g)
+    max_n = len(max_disjoint_paths(h))
     kc = max_n >= k   # k_connected, from the one max flow
-    wh = weakly_k_hyper_connected(g, k)
+    wh = weakly_k_connected(h, k)   # weakly_k_hyper_connected
     nc = neighbor_k_connected(g, k)
     wnk = any(weakly_nk_connected(g, n, k - 1)[0]
               for n in range(k, max_n + 1))

@@ -105,6 +105,38 @@ def neighbor_survives(g, k) -> bool:
     return True
 
 
+def weak_family(g, n, k):
+    """(True, family) for the first family of n simple sender -> receiver
+    paths, with pairwise disjoint inner nodes, such that every set t of at
+    most k inner nodes leaves some path of the family clear (no node on
+    it neighbors t); else (False, None).  Paths in depth-first order over
+    sorted neighbors; every family is tried."""
+    paths = []
+
+    def extend(path):
+        if path[-1] == g.receiver:
+            paths.append(tuple(path))
+            return
+        for v in sorted(g.neighbors(path[-1])):
+            if v not in path:
+                extend(path + [v])
+
+    extend([g.sender])
+    internal = sorted(g.nodes - {g.sender, g.receiver})
+    tsets = [set(t) for size in range(min(k, len(internal)) + 1)
+             for t in itertools.combinations(internal, size)]
+
+    def clear(path, t):
+        return not any(g.neighbors(v) & t for v in path)
+
+    for family in itertools.combinations(paths, n):
+        if any(set(a[1:-1]) & set(b[1:-1]) for a, b in itertools.combinations(family, 2)):
+            continue
+        if all(any(clear(path, t) for path in family) for t in tsets):
+            return True, family
+    return False, None
+
+
 def term_by_term_dot(spec, row, ys):
     """``sum c * y`` over a row of raw constants, folded one term at a
     time with the element operators: each term builds a constant, a

@@ -75,6 +75,7 @@ def test_one_forward_channel_below_the_minimum_is_refused():
 
 
 NOT_APPLICABLE = [("perfect-u1", 1, None), ("perfect-general", 2, 0),
+                  ("single-feedback", 3, 2),
                   ("perfect-efficient", 1, 2), ("feedback-efficient", 1, 0),
                   ("perfect-3k", 0, None),
                   ("perfect-shared", 1, 0)]
@@ -84,6 +85,10 @@ NOT_APPLICABLE = [("perfect-u1", 1, None), ("perfect-general", 2, 0),
 def test_an_entry_refuses_where_its_declaration_is_none(name):
     desc = protocols.get(name)
     params = inspect.signature(desc.run).parameters
+    if "k" not in params:
+        # single-feedback takes no k: it runs at k = 1, declared there only
+        assert [k for k in range(-1, 4) for u in range(5) if desc.channels(k, u)] == [1] * 5
+        return
     refused = []
     for k in range(4):
         for u in range(5):
@@ -114,8 +119,8 @@ def test_every_entry_runs_or_refuses_below_one_corruption(name):
                 assert desc.channels(k, u) is None, (name, k, u)
             else:
                 assert out.succeeded, (name, k, u)
-    # single-feedback takes no k: it always tolerates one corruption
-    assert (desc.channels(-1, 0) is None) == ("k" in params)
+    # single-feedback takes no k: it runs, but is declared at k = 1 only
+    assert desc.channels(-1, 0) is None
 
 
 @pytest.mark.parametrize("name,k,u", NOT_APPLICABLE)
@@ -147,7 +152,8 @@ def test_a_recursion_never_hands_a_sub_protocol_fewer_channels(monkeypatch, name
 
 
 def _python(text: str) -> str:
-    text = text.replace("−", "-").replace("≤", "<=").replace("≥", ">=")
+    for sign, python in (("−", "-"), ("≤", "<="), ("≥", ">="), (" = ", " == ")):
+        text = text.replace(sign, python)
     return re.sub(r"(\d)([ku])", r"\1*\2", text)
 
 

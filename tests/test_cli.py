@@ -262,6 +262,16 @@ def test_privacy_estimate_mode_is_labelled(capsys):
     assert report["perfectly_private"] is False  # estimates never certify
 
 
+@pytest.mark.parametrize("k", ["1", "2", "3"])
+def test_privacy_hyper_private_keys_the_message_at_every_k(capsys, k):
+    # at k = 3 the two inner nodes of duo form the one suspect set
+    code, report, _ = run(
+        capsys, "privacy", "--protocol", "hyper-private", "--fixture", "duo",
+        "--k", k, "--field", "5", "--corrupt", "x", "--m0", "0", "--m1", "4")
+    assert code == 0
+    assert report["perfectly_private"] is True and report["method"] == "symbolic"
+
+
 def test_privacy_rejects_non_private_protocol(capsys):
     code, _, err = run(
         capsys, "privacy", "--protocol", "hyper-reliable", "--field", "7",

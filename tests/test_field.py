@@ -338,3 +338,20 @@ def test_shift_poly_is_the_polynomial_of_the_shifted_draws(order):
     assert shift_poly(spec, poly, {0: order - 1}) == shape(r + d, s).poly
     assert shift_poly(spec, poly, {0: order - 1, 1: 1}) == shape(r + d, s + spec.one()).poly
     assert shift_poly(spec, poly, {1: 0}) == poly
+
+
+@pytest.mark.parametrize("order", [5, 16])
+def test_traced_repr_bool_and_hash_read_the_plain_value_and_observe(order):
+    """A traced element's ``repr``, ``bool`` and ``hash`` are a plain
+    element's of the same value, and each observes exactly the support of
+    the element's polynomial."""
+    from psmt.field import FieldElement, peek
+
+    spec = GF(order)
+    for read in (repr, bool, hash):
+        rng = TracingRandomness(order, pinned={0: 0, 1: 3})
+        a, b, c = (spec.sample(rng) for _ in range(3))
+        for x, support in ((a * b + spec.one(), {0, 1}), (a - a, set()), (a * c, {0, 2})):
+            rng.observed.clear()
+            assert read(x) == read(FieldElement(spec, peek(x))), (read, x.poly)
+            assert rng.observed == support, read

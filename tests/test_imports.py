@@ -1,13 +1,16 @@
 """Every psmt module uses each name it imports, and every function each
 local it assigns; only ``netsim`` advances rounds and writes transcripts,
-and only ``protocols.common`` builds a channel network."""
+and only ``protocols.common`` builds a channel network.  Every psmt name
+the benchmark harness takes exists."""
 
 import ast
+import importlib
 import pathlib
 
 import psmt.field
 
 ROOT = pathlib.Path(psmt.field.__file__).parent
+PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 
 
 def unused_imports(source: str) -> list:
@@ -153,4 +156,74 @@ def test_only_common_builds_a_channel_network():
              for path in sorted((ROOT / "protocols").glob("*.py"))
              if path.name != "common.py"
              for line in network_builds(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def psmt_reads(source: str) -> list:
+    """(line, module, name) for each name taken from psmt: every name a
+    ``from psmt... import`` statement lists, and every attribute read on a
+    name that an import binds to psmt or to one of its members (``name``
+    is None for a plain ``import psmt...``)."""
+    tree = ast.parse(source)
+    bound, found = {}, []   # local name -> (module, member or None)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "psmt":
+            for alias in node.names:
+                found.append((node.lineno, node.module, alias.name))
+                bound[alias.asname or alias.name] = (node.module, alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "psmt":
+                    found.append((node.lineno, alias.name, None))
+                    bound[alias.asname or "psmt"] = (alias.name if alias.asname else "psmt",
+                                                     None)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            module, member = bound[node.value.id]
+            found.append((node.lineno, module if member is None else f"{module}.{member}",
+                          node.attr))
+    return sorted(found, key=lambda read: (read[0], read[1], read[2] or ""))
+
+
+_MISSING = object()
+
+
+def _resolve(dotted: str):
+    """The module or member a dotted psmt name denotes, or ``_MISSING``."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for part in parts[cut:]:
+            obj = getattr(obj, part, _MISSING)
+        return obj
+    return _MISSING
+
+
+def unresolved(source: str) -> list:
+    """The ``psmt_reads`` of ``source`` that name nothing."""
+    return [(line, module, name) for line, module, name in psmt_reads(source)
+            if _resolve(module if name is None else f"{module}.{name}") is _MISSING]
+
+
+def test_unresolved_psmt_names_are_detected():
+    source = ("import psmt.cli\n"
+              "import psmt.nope as nope\n"
+              "from psmt import topology\n"
+              "from psmt.field import GF, Gone\n"
+              "def op(topology):\n"
+              "    return topology.menger, topology.gone, GF, psmt.cli\n")
+    assert unresolved(source) == [(2, "psmt.nope", None), (4, "psmt.field", "Gone"),
+                                  (6, "psmt.topology", "gone")]
+
+
+def test_every_psmt_name_the_benchmark_takes_exists():
+    # parsed, not imported: nothing under perfbench runs or is written
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PERFBENCH.glob("*.py"))}
+    assert sum(len(psmt_reads(source)) for source in sources.values()) > 20
+    found = [(name, *miss) for name, source in sources.items() for miss in unresolved(source)]
     assert found == []

@@ -1037,3 +1037,108 @@ def test_enumeration_replays_the_second_message_for_real():
     m0, m1 = spec.element(0), spec.element(4)
     assert view_distance(run, m0, m1).replays == 1 + 1 + 2 + 2 * 5
     assert _enumerated_distance(run, m0, m1).replays == 2 + 2 + 2 * 5
+
+
+# Each replay guard of the factorization, reached by a toy whose first
+# draw (index 0, probe value 3 % modulus) is a raw coin, observed and so
+# enumerated on its own axis, or an observed field draw.  Each toy departs
+# from its reference only at coin values the reference does not hold, so
+# the guard named is the first to fire.
+
+def _coin_toy(at, leaves):
+    """A coin of modulus 3 and a pad over the message, then
+    ``leaves(view, rng, hit)``, where ``hit`` tells whether the coin came
+    up ``at``."""
+    spec = GF(5)
+
+    def run(message, rng):
+        view = AdversaryView()
+        coin, _ = rng.draw(3)
+        view.record(0, ("AB", 0), message + spec.sample(rng))
+        leaves(view, rng, coin == at)
+        return view
+
+    return run
+
+
+def _aborts(run, reason, avoid, modulus=3):
+    """Every seed whose reference coin is not in ``avoid`` aborts the
+    exact analysis with ``reason``; at least one seed is checked."""
+    spec = GF(5)
+    seeds = [s for s in range(12) if TracingRandomness(s).draw(modulus)[0] not in avoid]
+    assert seeds
+    for seed in seeds:
+        report = view_distance(run, spec.element(1), spec.element(4), seed=seed,
+                               samples=50)
+        assert report.fallback == "unstable", (seed, report)
+        assert report.note.endswith("exact analysis aborted: " + reason), (seed, report)
+
+
+def test_replay_guard_plain_part_changed_under_pinning():
+    def leaves(view, rng, hit):
+        view.record(0, "flag", hit)
+
+    # the coin's probe value 0 keeps the flag down, as the reference does
+    _aborts(_coin_toy(2, leaves), "deterministic view part changed under pinning",
+            avoid={2})
+
+
+def _second_pad_on_a_hit(view, rng, hit):
+    pad = GF(5).sample(rng)
+    if hit:
+        view.record(0, ("AB", 1), pad)
+
+
+def test_replay_guard_leaf_paths_changed_under_pinning():
+    _aborts(_coin_toy(2, _second_pad_on_a_hit), "view leaves changed under pinning",
+            avoid={2})
+
+
+def test_replay_guard_leaf_paths_changed_at_the_probe_point():
+    # the coin's probe value is 0: the extra leaf shows there first
+    _aborts(_coin_toy(0, _second_pad_on_a_hit), "view leaves changed at probe point",
+            avoid={0})
+
+
+def test_replay_guard_new_taint_pattern_at_the_probe_point():
+    spec = GF(5)
+
+    def leaves(view, rng, hit):
+        a, b = spec.sample(rng), spec.sample(rng)
+        view.record(0, ("AB", 1), a * a + (b if hit else spec.zero()))
+        view.record(0, ("AB", 2), b * b)
+
+    # both squares certify at shift 0; at the probe the first joins both
+    _aborts(_coin_toy(0, leaves), "new taint pattern at probe point", avoid={0})
+
+
+def test_replay_guard_taint_straddles_a_component():
+    spec = GF(5)
+
+    def run(message, rng):
+        view = AdversaryView()
+        c, b = spec.sample(rng), spec.sample(rng)
+        view.record(0, ("AB", 0), c * (message + c) + (b * b if c.value == 2 else spec.zero()))
+        view.record(0, ("AB", 1), b * b)
+        return view
+
+    # c's component is enumerated; pinned to 2 its leaf reaches b's.  The
+    # probe gives c the value 3
+    _aborts(run, "leaf taint straddles a component boundary", avoid={2}, modulus=5)
+
+
+def test_replay_guard_observed_draw_outside_every_component_moves_the_view():
+    spec = GF(5)
+
+    def run(message, rng):
+        view = AdversaryView()
+        c, s = spec.sample(rng), spec.sample(rng)
+        # only m1's run reads c, and shows it when it is 1
+        shown = c if message == spec.element(4) and c.value == 1 else s * s
+        view.record(0, ("AB", 0), shown)
+        return view
+
+    # at the reference c is not 1, so c lies in no leaf and its axis is
+    # enumerated; the probe gives it the value 3
+    _aborts(run, "an observed draw outside every component moves the view",
+            avoid={1}, modulus=5)

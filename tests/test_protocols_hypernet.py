@@ -96,6 +96,72 @@ def test_hypergraph_private_preconditions():
         hypergraph_private(BIG.element(1), to_hypergraph(fixtures.get("fig3")), 1)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_duo_beyond_its_inner_nodes_delivers_over_every_placement(k):
+    # duo has three disjoint paths, one of them the direct hyperedge,
+    # which carries the copies of the 2k+1 the other two lack
+    graph, spec = fixtures.get("duo"), GF(7)
+    rng = Randomness(("duo", k))
+    for run in (hypergraph_reliable, hypergraph_private):
+        for corrupted in sweep.placements(sweep.nodes("x", "y"), range(3)):
+            for s, strategy in enumerate(sweep.fixed_strategies(spec)):
+                for seed in range(5):
+                    m = spec.sample(rng)
+                    out = run(m, graph, k, AdversarySpec(corrupted, strategy, seed=s),
+                              seed=seed)
+                    assert out.succeeded and out.delivered == m, (run, corrupted, s)
+
+
+def test_majority_paths_fill_with_the_direct_hyperedge():
+    duo = fixtures.get("duo")
+    three = (("A", "B"), ("A", "x", "B"), ("A", "y", "B"))
+    assert hypernet._majority_paths(duo, 1) == three
+    assert hypernet._majority_paths(duo, 3) == three + (("A", "B"),) * 4
+
+
+def test_hypergraph_private_suspects_at_most_the_inner_nodes():
+    duo = fixtures.get("duo")
+    for k, suspects in ((1, [("x",), ("y",)]), (2, [("x", "y")]), (3, [("x", "y")])):
+        _, plan = hypernet._private_plan(duo, k)
+        assert [s for s, _ in plan] == suspects
+        assert all(path == ("A", "B") for s, path in plan if len(s) == 2)
+
+
+def test_hypergraph_private_refuses_a_suspect_set_that_cuts_every_path():
+    # strongly 1-connected and not 2-separable either way, but v0 touches
+    # both of A's hyperedges
+    graph = topology.Hypergraph.build(
+        ["A", "B", "v0", "v1", "v2", "v3"],
+        [("A", {"B", "v0"}), ("A", {"v0", "v2"}), ("B", {"A", "v1"}), ("B", {"v3"}),
+         ("v0", {"B"}), ("v1", {"v2"}), ("v2", {"v1"}), ("v3", {"v2"})],
+        "A", "B")
+    assert topology.strongly_k_connected(graph, 1)
+    with pytest.raises(PreconditionError, match=r"no path avoiding the closure of \('v0',\)"):
+        hypergraph_private(BIG.element(1), graph, 1)
+
+
+def test_a_private_plan_shows_strong_k_connectivity():
+    # the witness paths stand in for the strongly_k_connected check: on
+    # every hypergraph the plan accepts, the endpoints are strongly
+    # k-connected
+    rng = Randomness("plans")
+    planned = 0
+    for _ in range(300):
+        nodes = ["A", "B"] + [f"v{i}" for i in range(rng.draw(4)[0] + 1)]
+        edges = [(nodes[rng.draw(len(nodes))[0]],
+                  {nodes[rng.draw(len(nodes))[0]] for _ in range(2)})
+                 for _ in range(rng.draw(6)[0] + 4)]
+        graph = topology.Hypergraph.build(nodes, edges, "A", "B")
+        for k in (1, 2, 3):
+            try:
+                hypernet._private_plan(graph, k)
+            except PreconditionError:
+                continue
+            planned += 1
+            assert topology.strongly_k_connected(graph, k), (graph, k)
+    assert planned > 0
+
+
 def test_hypergraph_private_plans_from_one_flow_per_direction(monkeypatch):
     flows = []
     real = topology._max_flow

@@ -14,6 +14,7 @@ from oracles import (
     reaches,
     removed_sets,
     surviving_links,
+    weak_family,
 )
 
 from psmt import fixtures
@@ -211,6 +212,18 @@ def test_pathset_validation():
         PathSet((("C", "B"),)).validate(g.edges, "A", "B")  # wrong endpoint
 
 
+@pytest.mark.parametrize("directed,undirected", [
+    ("two_path_feedback", "fig1"), ("feedback_detour", "fig2"),
+    ("braided_eight", "fig80"), ("chains_with_crosslink", "fig009")])
+def test_directed_fixture_reads_its_neighbor_fixture_edges(directed, undirected):
+    d, g = getattr(fixtures, directed)(), fixtures.get(undirected)
+    assert (d.nodes, d.sender, d.receiver) == (g.nodes, g.sender, g.receiver)
+    assert len(d.edges) == len(g.edges)
+    assert {frozenset(e) for e in d.edges} == g.edges
+    # a neighbor net's paths run both ways: at least those of its links
+    assert len(max_disjoint_paths(d)) <= len(max_disjoint_paths(to_hypergraph(g)))
+
+
 def test_fixture_fig1_two_connected_not_weakly_two_hyper():
     g = fixtures.get("fig1")
     assert k_connected(g, 2)
@@ -292,6 +305,31 @@ def test_mask_predicates_match_the_set_based_search_random():
     assert len(verdicts) == 6   # each predicate answered both ways
 
 
+def test_weakly_nk_connected_matches_every_family_random():
+    # the search refutes at once when some t is clear of no path; the
+    # answers and witnesses are those of trying every family
+    rng = random.Random(2710)
+    verdicts = set()
+    for _ in range(120):
+        g = _random_neighbor_net(rng, 6, rng.choice((0.3, 0.5, 0.7)))
+        for n in (1, 2, 3):
+            for k in (0, 1, 2):
+                got = weakly_nk_connected(g, n, k)
+                assert got == weak_family(g, n, k), (g, n, k)
+                verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+def test_hierarchy_on_a_dense_net_finishes_in_a_second():
+    # 8 nodes, every edge but A-B: 1,956 simple paths
+    nodes = "ABCDEFGH"
+    g = NeighborNet.build(nodes, [e for e in itertools.combinations(nodes, 2)
+                                  if set(e) != {"A", "B"}], "A", "B")
+    with _time_guard(1.0):
+        report = connectivity_hierarchy(g, 2)
+    assert report["k_connected"] and not report["weakly_nk_connected"]
+
+
 def test_hierarchy_refuses_adjacent_endpoints():
     fig1 = fixtures.get("fig1")
     g = NeighborNet.build(fig1.nodes, list(fig1.edges) + [("A", "B")], "A", "B")
@@ -325,6 +363,10 @@ def test_to_hypergraph_handshake_identity():
         # recipient count equals twice the edge count
         assert len(h.hyperedges) == len(g.nodes)
         assert sum(len(rs) for _, rs in h.hyperedges) == 2 * len(g.edges)
+        # its induced digraph holds every edge both ways, and k_connected
+        # counts that digraph's disjoint paths
+        both_ways = {(a, b) for e in g.edges for a, b in itertools.permutations(e)}
+        assert h.induced_digraph() == Digraph(g.nodes, frozenset(both_ways), "A", "B")
 
 
 def test_strong_witness_path():
