@@ -7,6 +7,8 @@ placements times strategies over the registry.  The pieces:
 * ``STRATEGIES``: the five fixed strategies by their command line
   names; ``fixed_strategies(spec)`` builds them.  A sweep seeds each
   strategy's runs with its index, so the order is part of the sweep.
+* ``FORGER``: a test-only strategy that forges well-formed echoes,
+  which none of the five does; ``build`` builds it and the five by name.
 * ``units`` and ``nodes``: the corruptible units of a configuration (a
   unit is what one corruption takes down), and ``placements``: the
   corrupted sets made of them.
@@ -27,6 +29,25 @@ STRATEGIES = ("shift", "random", "junk", "stop", "constant:0")
 
 def fixed_strategies(spec) -> list:
     return [strategies.build(name, spec) for name in STRATEGIES]
+
+
+# "junk" sends ("garbage", round) and the others leave "stop" and "OK" as
+# they are, so only this strategy reaches the sender's echo comparisons
+# with a tagged echo that differs from the receiver's
+FORGER = "forge-echo"
+
+
+def forge_echo(ctx):
+    """Every payload on a feedback channel ``("BA", j)`` becomes the empty
+    echo ``("vec", ())``; everything else passes through."""
+    if isinstance(ctx.where, tuple) and ctx.where[0] == "BA":
+        return ("vec", ())
+    return ctx.payload
+
+
+def build(name, spec):
+    """The strategy a sweep runs under ``name``: ``FORGER`` or a CLI name."""
+    return forge_echo if name == FORGER else strategies.build(name, spec)
 
 
 def units(n_forward, n_backward, shared=0) -> list:

@@ -133,7 +133,8 @@ def test_criterion_2_perfect_protocols():
         spec = GF(7) if desc.channels(k, u)[0] <= 6 else GF(11)
         rng = Randomness(("acc2", name, k, u))
         for corrupted in sweep.placements(units, range(1, k + 1)):
-            for s, strategy in enumerate(sweep.fixed_strategies(spec)):
+            for s, strategy in enumerate(sweep.fixed_strategies(spec)
+                                         + [sweep.forge_echo]):
                 m = spec.sample(rng)
                 out = desc.run(m, adversary=AdversarySpec(corrupted, strategy, seed=s),
                                **kw)

@@ -19,8 +19,8 @@ each for the messages 0 and q-1 at seed 3, and one Monte Carlo estimate.
 
 Outcomes: ``golden/outcomes.txt`` has one line per run of every
 registry entry in its ``sweep.ENTRIES`` configuration, at every
-placement of k units and of k+1 units, passive and under each fixed
-strategy, with seeds 0-2 over GF(11).  A line gives the delivered
+placement of k units and of k+1 units, passive, under each fixed
+strategy and under the echo forger, with seeds 0-2 over GF(11).  A line gives the delivered
 value, the flags, the rounds, a digest of the adversary's view and of
 the transcript, and the detail.  A change in what failing runs do shows
 up as a diff of these lines.
@@ -36,7 +36,7 @@ import sys
 
 import pytest
 
-from psmt import cli, fixtures, protocols, strategies
+from psmt import cli, fixtures, protocols
 from psmt.cli import main
 from psmt.field import GF
 from psmt.netsim import AdversarySpec
@@ -165,8 +165,8 @@ def _outcomes() -> str:
         run, k = protocols.get(name).run, kw.get("k", 1)
         for corrupted in sweep.placements(units, (k, k + 1)):
             where = ",".join(sorted(map(_location, corrupted)))
-            for adversary in ("passive",) + sweep.STRATEGIES:
-                strategy = strategies.build(adversary, spec)
+            for adversary in ("passive",) + sweep.STRATEGIES + (sweep.FORGER,):
+                strategy = sweep.build(adversary, spec)
                 for seed in range(3):
                     out = run(spec.element(seed + 4),
                               adversary=AdversarySpec(corrupted, strategy, seed=seed),
