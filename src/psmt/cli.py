@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--trials", type=int, default=100)
             p.add_argument("--message", type=int,
                            help="fixed message value (default: per-trial uniform)")
-            p.add_argument("--delta-r", type=float, default=0.0, dest="delta_r",
+            p.add_argument("--delta-r", type=float, dest="delta_r",
                            help="idealized reliable channel failure probability")
         else:
             p.add_argument("--m0", type=int, required=False)
@@ -200,13 +200,23 @@ def _cmd_analyze(args) -> dict:
 # the uniform entry-point parameters, which the harness itself supplies
 _HARNESS = {"message", "adversary", "seed", "rng"}
 
+# each protocol option and the entry-point parameter it sets
+_OPTIONS = {"k": "k", "u": "u", "n_forward": "n_forward", "n_backward": "n_backward",
+            "delta_r": "delta_r", "fixture": "graph", "topology_file": "graph"}
+
 
 def _protocol_kwargs(desc, args, graph):
     """The entry point's other parameters, read off its signature: one
     without a default is required, an optional one is passed only when
-    its flag has a value."""
+    its flag has a value, and an option whose parameter it lacks is
+    refused."""
+    params = inspect.signature(desc.run).parameters
+    for option, name in _OPTIONS.items():
+        if getattr(args, option, None) is not None and name not in params:
+            raise ParamError(f"protocol {desc.name} does not take "
+                             f"--{option.replace('_', '-')}")
     kw: dict = {}
-    for name, param in inspect.signature(desc.run).parameters.items():
+    for name, param in params.items():
         if name in _HARNESS:
             continue
         value = graph if name == "graph" else getattr(args, name, None)
@@ -251,10 +261,12 @@ def _wilson_interval(bad: int, trials: int) -> list[float]:
 
 
 def _cmd_simulate(args) -> dict:
+    trials = int(args.trials)
+    if trials < 0:
+        raise ParamError(f"--trials must be at least 0, got {trials}")
     desc, spec, kw, corrupted = _protocol_run(args)
     strategy = strategies.build(args.adversary, spec)
 
-    trials = int(args.trials)
     successes = failures = wrong = 0
     rounds_hist: dict[int, int] = {}
     for t in range(trials):
@@ -298,6 +310,8 @@ def _cmd_simulate(args) -> dict:
 
 
 def _cmd_privacy(args) -> dict:
+    if int(args.samples) < 1:
+        raise ParamError(f"--samples must be at least 1, got {args.samples}")
     desc, spec, kw, corrupted = _protocol_run(args)
     if not desc.private:
         raise ParamError(f"protocol {desc.name} makes no privacy claim")

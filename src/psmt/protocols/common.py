@@ -30,7 +30,7 @@ from ..errors import PreconditionError
 from ..field import FieldElement, FieldSpec
 from ..netsim import Outcome, PathNetwork
 from ..randomness import Randomness
-from ..sharing import ReceivedWord, SharingParams, share
+from ..sharing import SharingParams, share
 
 
 def _rng(rng, seed, party: str):
@@ -146,15 +146,3 @@ def sharing_params(n: int, k: int, spec: FieldSpec) -> SharingParams:
 def share_vector(secret: FieldElement, n: int, k: int, rng) -> tuple:
     """Fresh (k+1)-out-of-n sharing; returns the n shares in point order."""
     return share(secret, sharing_params(n, k, secret.spec), rng).shares
-
-
-def subset_word(spec: FieldSpec, pairs, n_points: int, k: int) -> ReceivedWord:
-    """Word over the standard points 1..n_points with only ``pairs`` present.
-
-    ``pairs`` is an iterable of (point_index, element); other slots are
-    marked missing rather than zero-filled.
-    """
-    entries = [None] * n_points
-    for i, e in pairs:
-        entries[i] = as_field(spec, e)
-    return ReceivedWord(tuple(entries), sharing_params(n_points, k, spec))

@@ -12,7 +12,7 @@ import itertools
 from ..authcodes import LinearKey, QuadKey, auth_linear, auth_quad, verify
 from ..field import FieldElement
 from ..netsim import AdversarySpec, Outcome
-from ..sharing import reconstruct
+from ..sharing import ReceivedWord, reconstruct
 from .common import (
     _rng,
     as_field,
@@ -24,7 +24,7 @@ from .common import (
     finish,
     network,
     share_vector,
-    subset_word,
+    sharing_params,
 )
 
 
@@ -36,14 +36,14 @@ def _pad(spec, first, second) -> tuple:
     return tuple(total(first, slot) + total(second, slot) for slot in range(2))
 
 
-def _authenticated_shares(net, message, n, k, rng_a) -> dict:
+def _authenticated_shares(net, message, n, k, rng_a) -> FieldElement | None:
     """n rounds, one per share: round i carries share i with n tags on
     channel i while every channel j carries the matching key.  Returns
-    {i: share} for the shares the receiver sees with at least k+1 valid
-    tags."""
+    the secret the receiver reconstructs from the shares it sees with at
+    least k+1 valid tags, else ``None`` when k or fewer are valid."""
     spec = message.spec
     shares = share_vector(message, n, k, rng_a)
-    valid: dict[int, FieldElement] = {}
+    valid: list = [None] * n
     for i in range(n):
         keys = [LinearKey.random(spec, rng_a) for _ in range(n)]
         tags = tuple(auth_linear(shares[i], keys[j]) for j in range(n))
@@ -58,7 +58,8 @@ def _authenticated_shares(net, message, n, k, rng_a) -> dict:
         rtags = as_field_vec(spec, rtags, n)
         if sum(1 for j in range(n) if verify(s_i, rtags[j], rkeys[j])) >= k + 1:
             valid[i] = s_i
-    return valid
+    word = ReceivedWord(tuple(valid), sharing_params(n, k, spec))
+    return reconstruct(word) if len(word.present()) > k else None
 
 
 def oneway(message: FieldElement, k: int, adversary: AdversarySpec | None = None,
@@ -70,14 +71,9 @@ def oneway(message: FieldElement, k: int, adversary: AdversarySpec | None = None
     together with n authentication tags, while every channel j carries
     the matching key.  A share is accepted with at least k+1 valid tags.
     """
-    spec = message.spec
-    rng_a = _rng(rng, seed, "A")
     net = network("oneway", adversary, k, n_forward=n_forward)
-    n = net.n_forward
-    valid = _authenticated_shares(net, message, n, k, rng_a)
-    recovered = None
-    if len(valid) > k:
-        recovered = reconstruct(subset_word(spec, sorted(valid.items()), n, k))
+    recovered = _authenticated_shares(net, message, net.n_forward, k,
+                                      _rng(rng, seed, "A"))
     return finish(message, net, recovered, "fewer than k+1 valid shares")
 
 
@@ -199,13 +195,10 @@ def feedback_efficient(message: FieldElement, k: int, u: int,
     net = network("feedback-efficient", adversary, k, u)
     n = net.n_forward
 
-    # phase one: n rounds of authenticated share delivery
-    valid = _authenticated_shares(net, message, n, k, rng_a)
-    b_result = None
-    if len(valid) >= k + 1:
-        b_result = reconstruct(subset_word(spec, sorted(valid.items()), n, k))
-        # the receiver is done but keeps responding honestly below so
-        # that both ends stay in lock-step
+    # phase one: n rounds of authenticated share delivery; a receiver
+    # that reconstructs is done but keeps responding honestly below so
+    # that both ends stay in lock-step
+    b_result = _authenticated_shares(net, message, n, k, rng_a)
 
     # fallback round: fresh two-time keys forward
     quads_a = [QuadKey.random(spec, rng_a) for _ in range(n)]
@@ -258,15 +251,12 @@ def feedback_efficient(message: FieldElement, k: int, u: int,
     # greedy partition of feedback channels into consistent classes
     classes: list[list[int]] = []
     for j in range(u):
-        placed = False
         for cls in classes:
-            m = cls[0]
-            if (beta_a[j] == beta_a[m] and
+            if (beta_a[j] == beta_a[cls[0]] and
                     all(cross_ok(j, l) and cross_ok(l, j) for l in cls)):
                 cls.append(j)
-                placed = True
                 break
-        if not placed:
+        else:
             classes.append([j])
 
     # u delivery rounds, one candidate class per round

@@ -82,6 +82,30 @@ def _echoed(spec, feedback, n):
     return None if vec is None else as_field_vec(spec, vec[0], n)
 
 
+def _differing(echoed, shares):
+    """The positions where an echo differs from the shares sent, in order
+    and only as far as they are read."""
+    return (pos for pos, (e, s) in enumerate(zip(echoed, shares)) if e != s)
+
+
+def _without(word, drop):
+    """The secret read from the slots of ``word`` that ``drop`` does not
+    flag, else ``None`` when k or fewer are left."""
+    word = ReceivedWord(tuple(None if flagged else e
+                              for e, flagged in zip(word.entries, drop)), word.params)
+    return reconstruct(word) if len(word.present()) > word.params.k else None
+
+
+def _drop_pair(recurse, pair, message, k, net, fwd, back, rng_a, rng_b):
+    """The sender names the faulty (forward, feedback) position ``pair``,
+    and both ends run ``recurse`` without it, tolerating one corruption
+    fewer."""
+    broadcast(net, fwd, ("faulty",) + pair, rng_b)
+    sub_fwd = [ch for pos, ch in enumerate(fwd) if pos != pair[0]]
+    sub_back = [q for pos, q in enumerate(back) if pos != pair[1]]
+    return recurse(message, k - 1, net, sub_fwd, sub_back, rng_a, rng_b)
+
+
 def _echo_tail(net, fwd, q, word, shares, rng_b, b_result=None):
     """Feedback channel q carries the receiver's word back unless it has
     already decoded (``b_result``); the sender broadcasts the positions
@@ -91,10 +115,7 @@ def _echo_tail(net, fwd, q, word, shares, rng_b, b_result=None):
     reply = "stop" if b_result is not None else ("vec", word.entries)
     delivered = net.end_round({("BA", q): reply})
     echoed = _echoed(word.params.field, delivered.get(("BA", q)), n)
-    if echoed is not None:
-        verdict = ("drop", tuple(i for i in range(n) if echoed[i] != shares[i]))
-    else:
-        verdict = ("done",)
+    verdict = ("done",) if echoed is None else ("drop", tuple(_differing(echoed, shares)))
     verdict, _ = broadcast(net, fwd, verdict, rng_b)
     if b_result is not None:
         return b_result
@@ -102,9 +123,7 @@ def _echo_tail(net, fwd, q, word, shares, rng_b, b_result=None):
     if drop is None:
         return None
     bad = as_indices(drop[0], n)
-    word = ReceivedWord(tuple(None if i in bad else e
-                              for i, e in enumerate(word.entries)), word.params)
-    return reconstruct(word) if len(word.present()) > word.params.k else None
+    return _without(word, [pos in bad for pos in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -198,22 +217,13 @@ def _pad_phase(message, k, net, fwd, back, rng_a, rng_b, recurse, b_prior):
         clean = detect_errors(word) == CLEAN
         delivered = net.end_round(
             {("BA", q): "OK" if clean else ("vec", word.entries) for q in back})
-        fault = None
-        for pos_q, q in enumerate(back):
-            echoed = _echoed(spec, delivered.get(("BA", q)), n)
-            if echoed is not None:
-                for pos_p in range(n):
-                    if echoed[pos_p] != shares[pos_p]:
-                        fault = (pos_p, pos_q)
-                        break
-            if fault:
-                break
+        echoes = (_echoed(spec, delivered.get(("BA", q)), n) for q in back)
+        fault = next(((pos_p, pos_q) for pos_q, echoed in enumerate(echoes)
+                      if echoed is not None for pos_p in _differing(echoed, shares)),
+                     None)
         if fault is not None:
-            broadcast(net, fwd, ("faulty", fault[0], fault[1]), rng_b)
-            sub_fwd = [ch for pos, ch in enumerate(fwd) if pos != fault[0]]
-            sub_back = [q for pos, q in enumerate(back) if pos != fault[1]]
-            result = recurse(message, k - 1, net, sub_fwd, sub_back,
-                             rng_a, rng_b)
+            result = _drop_pair(recurse, fault, message, k, net, fwd, back,
+                                rng_a, rng_b)
             return b_prior if b_prior is not None else result
         broadcast(net, fwd, ("continue",), rng_b)
         if not clean:
@@ -241,10 +251,8 @@ def _general_protocol(message, k, net, fwd, back, rng_a, rng_b):
     if mismatch is None:
         return _pad_phase(message, k, net, fwd, back, rng_a, rng_b,
                           _general_protocol, _agreed(words, k - u))
-    broadcast(net, fwd, ("faulty",) + mismatch, rng_b)
-    sub_fwd = [ch for pos, ch in enumerate(fwd) if pos != mismatch[0]]
-    sub_back = [q for pos, q in enumerate(back) if pos != mismatch[1]]
-    return _general_protocol(message, k - 1, net, sub_fwd, sub_back, rng_a, rng_b)
+    return _drop_pair(_general_protocol, mismatch, message, k, net, fwd, back,
+                      rng_a, rng_b)
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +313,10 @@ def perfect_efficient(message: FieldElement, k: int, u: int,
 
 
 def _shared_sub(message, k, u, net, fwd_all, q, rng_a, rng_b):
-    """One feedback channel's sub-protocol.
-
-    Returns (recovered_message_or_None, channel_written_off).  The
-    receiver keeps tracking the sender's reliable broadcasts after
-    writing the channel off, so both ends stay in lock-step.
+    """One feedback channel's sub-protocol: the message it recovers, else
+    ``None``.  The receiver keeps tracking the sender's reliable
+    broadcasts after writing the channel off, so both ends stay in
+    lock-step.
     """
     spec = message.spec
     ab_a = list(fwd_all)
@@ -325,7 +332,7 @@ def _shared_sub(message, k, u, net, fwd_all, q, rng_a, rng_b):
             n_j = len(ab_a)
             if n_j < k + 1:
                 broadcast(net, fwd_all, ("bail",), rng_b)
-                return None, True
+                return None
             shares, delivered = _share_on(
                 net, ab_a, r0_a if stage == 0 else message - r0_a, k, rng_a)
 
@@ -357,8 +364,7 @@ def _shared_sub(message, k, u, net, fwd_all, q, rng_a, rng_b):
                 verdict = ("continue",)
             else:
                 echoed = _echoed(spec, fb, n_j) or (spec.zero(),) * n_j
-                bad = tuple(ch for pos, ch in enumerate(ab_a)
-                            if echoed[pos] != shares[pos])
+                bad = tuple(ab_a[pos] for pos in _differing(echoed, shares))
                 ab_a = [ch for ch in ab_a if ch not in bad]
                 verdict = ("help", echoed, bad)
             verdict, _ = broadcast(net, fwd_all, verdict, rng_b)
@@ -367,57 +373,37 @@ def _shared_sub(message, k, u, net, fwd_all, q, rng_a, rng_b):
             if not b_active:
                 continue
             # receiver-side handling of the verdict
+            if verdict == ("continue",) and b_sent == "continue":
+                j_cnt += 1
+                continue
             help_ = tagged(verdict, "help", 2)
-            if verdict == ("ok",):
-                if b_sent == "ok":
-                    if stage == 0:
-                        b_r0 = b_val
-                    else:
-                        b_result = b_r0 + b_val
-                else:
-                    b_active = False
-            elif verdict == ("continue",):
-                if b_sent == "continue":
-                    j_cnt += 1
-                else:
-                    b_active = False
+            got = None
+            if verdict == ("ok",) and b_sent == "ok":
+                got = b_val
             elif (help_ is not None and b_sent == "vec"
                     and as_field_vec(spec, help_[0], len(ab_b)) == word.entries):
                 bad_v = as_indices(help_[1], net.n_forward)
-                word = ReceivedWord(tuple(None if ch in bad_v else e
-                                          for ch, e in zip(ab_b, word.entries)),
-                                    word.params)
+                got = _without(word, [ch in bad_v for ch in ab_b])
                 ab_b = [ch for ch in ab_b if ch not in bad_v]
-                if len(ab_b) < k + 1:
-                    b_active = False
-                elif stage == 0:
-                    b_r0 = reconstruct(word)
-                else:
-                    b_result = b_r0 + reconstruct(word)
-            else:
+            if got is None:
                 b_active = False
+            elif stage == 0:
+                b_r0 = got
+            else:
+                b_result = b_r0 + got
         if sub_done:
-            return (b_result, False) if b_result is not None else (None, True)
+            return b_result
     broadcast(net, fwd_all, ("bail",), rng_b)
-    return None, True
+    return None
 
 
 def _shared_protocol(message, k, net, fwd, back, rng_a, rng_b):
     u = len(back)
-    disjoint = fwd[:len(fwd) - u]
-    result = None
-    bad_count = 0
-    for q in back:
-        got, bad = _shared_sub(message, k, u, net, fwd, q, rng_a, rng_b)
-        if got is not None and result is None:
-            result = got
-        if bad:
-            bad_count += 1
+    got = [m for m in (_shared_sub(message, k, u, net, fwd, q, rng_a, rng_b)
+                       for q in back) if m is not None]
     # final phase: message shares over the channels disjoint from feedback
-    _, word = _share_round(net, disjoint, message, k, rng_a)
-    if result is None and bad_count == u:
-        result = _decode(word, k - u)
-    return result
+    _, word = _share_round(net, fwd[:len(fwd) - u], message, k, rng_a)
+    return got[0] if got else _decode(word, k - u)
 
 
 def perfect_shared_feedback(message: FieldElement, k: int, u: int,

@@ -1,5 +1,7 @@
 """Command line interface: subcommands, exit codes, and determinism."""
 
+import dataclasses
+import functools
 import inspect
 import json
 import os
@@ -356,3 +358,116 @@ def test_a_report_replays_from_its_corrupted_field(capsys, argv):
     corrupted = json.loads(first)["corrupted"]
     assert main(argv[:-1] + [",".join(corrupted)]) == 0
     assert capsys.readouterr().out == first
+
+
+# a topology file that exists, so that the refusal alone decides the exit code
+TOPOLOGY_FILE = str(pathlib.Path(__file__).parent / "golden"
+                    / "digraph__braided_eight.json")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--protocol", "single-feedback", "--field", "7", "--k", "3"], "--k"),
+    (["--protocol", "perfect-u1", "--field", "7", "--k", "2", "--u", "3"], "--u"),
+    (["--protocol", "neighbor-exchange", "--field", "7", "--fixture", "fig5"],
+     "--fixture"),
+    (["--protocol", "perfect-3k", "--field", "7", "--k", "1",
+      "--topology-file", TOPOLOGY_FILE], "--topology-file"),
+    (["--protocol", "perfect-3k", "--field", "7", "--k", "1", "--n-forward", "4"],
+     "--n-forward"),
+    (["--protocol", "oneway", "--field", "7", "--k", "1", "--n-backward", "1"],
+     "--n-backward"),
+    (["--protocol", "oneway", "--field", "7", "--k", "1", "--delta-r", "0.5"],
+     "--delta-r"),
+], ids=["k", "u", "fixture", "topology-file", "n-forward", "n-backward", "delta-r"])
+def test_simulate_refuses_an_option_the_entry_point_does_not_take(capsys, argv, flag):
+    code, report, err = run(capsys, "simulate", "--trials", "3", *argv)
+    assert code == 2 and report is None
+    assert f"does not take {flag}" in err
+
+
+def test_a_config_entry_counts_as_its_option(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"protocol": "single-feedback", "field": 7, "k": 3}))
+    code, _, err = run(capsys, "simulate", "--config", str(cfg), "--trials", "3")
+    assert code == 2 and "does not take --k" in err
+
+
+def test_simulate_refuses_a_negative_trial_count(capsys):
+    code, report, err = run(capsys, "simulate", "--protocol", "oneway", "--field", "7",
+                            "--k", "1", "--trials", "-3")
+    assert code == 2 and report is None and "--trials" in err
+
+
+def test_privacy_refuses_fewer_than_one_sample(capsys):
+    code, report, err = run(capsys, "privacy", "--protocol", "single-feedback",
+                            "--field", "5", "--corrupt", "AB0", "--m0", "0", "--m1", "1",
+                            "--estimate", "--samples", "0")
+    assert code == 2 and report is None and "--samples" in err
+
+
+def test_unreadable_config_exit_3(capsys, tmp_path):
+    code, _, err = run(capsys, "simulate", "--config", str(tmp_path / "missing.json"))
+    assert code == 3 and "cannot read config" in err
+
+
+@pytest.mark.parametrize("text, message", [("{", "invalid config JSON"),
+                                           ("[1, 2]", "must be a JSON object")],
+                         ids=["invalid-json", "not-an-object"])
+def test_malformed_config_exit_2(capsys, tmp_path, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, _, err = run(capsys, "simulate", "--config", str(cfg))
+    assert code == 2 and message in err
+
+
+def test_out_into_a_missing_directory_exit_3(capsys, tmp_path):
+    code, _, err = run(capsys, "fixtures", "--out", str(tmp_path / "no" / "r.json"))
+    assert code == 3 and "cannot write" in err
+
+
+def test_unknown_flag_exit_2(capsys):
+    assert run(capsys, "simulate", "--bogus", "1")[0] == 2
+
+
+def test_privacy_requires_both_messages(capsys):
+    code, _, err = run(capsys, "privacy", "--protocol", "single-feedback",
+                       "--field", "5", "--corrupt", "AB0", "--m0", "0")
+    assert code == 2 and "--m0 and --m1" in err
+
+
+def test_hyper_reliable_refuses_a_separable_neighbor_net(capsys):
+    # fig1 is read as its hypergraph, which {C, D} separates at k = 1
+    code, report, err = run(capsys, "simulate", "--protocol", "hyper-reliable",
+                            "--field", "7", "--fixture", "fig1", "--k", "1",
+                            "--trials", "1")
+    assert code == 1 and report is None
+    assert "witness ['C', 'D']" in err
+
+
+def test_simulate_sends_a_fixed_message_in_every_trial(capsys, monkeypatch):
+    sent = []
+    desc = protocols.get("perfect-oneway")
+
+    @functools.wraps(desc.run)
+    def recording(message, *args, **kw):
+        sent.append(message.value)
+        return desc.run(message, *args, **kw)
+
+    monkeypatch.setattr(protocols, "get",
+                        lambda name: dataclasses.replace(desc, run=recording))
+    code, report, _ = run(capsys, "simulate", "--protocol", "perfect-oneway",
+                          "--field", "7", "--k", "1", "--trials", "4", "--message", "9")
+    assert code == 0 and report["successes"] == 4
+    assert sent == [2] * 4
+
+
+def test_graph_protocol_refuses_a_digraph(capsys):
+    code, _, err = run(capsys, "simulate", "--protocol", "hyper-reliable", "--field", "7",
+                       "--k", "1", "--topology-file", TOPOLOGY_FILE, "--trials", "1")
+    assert code == 2 and "needs a hypergraph" in err
+
+
+def test_empty_corrupt_tokens_are_skipped(capsys):
+    code, report, _ = run(capsys, "simulate", "--protocol", "oneway", "--field", "7",
+                          "--k", "1", "--trials", "2", "--corrupt", "AB0,,")
+    assert code == 0 and report["corrupted"] == ["AB0"]

@@ -1,9 +1,11 @@
 """Every psmt module uses each name it imports, and every function each
-local it assigns; only ``netsim`` advances rounds and writes transcripts,
-and only ``protocols.common`` builds a channel network.  Every psmt name
-the benchmark harness takes exists."""
+local it assigns; every helper is read somewhere else in psmt.  Only
+``netsim`` advances rounds and writes transcripts, and only
+``protocols.common`` builds a channel network.  Every psmt name the
+benchmark harness takes exists."""
 
 import ast
+import collections
 import importlib
 import pathlib
 
@@ -97,6 +99,54 @@ def test_no_function_assigns_a_local_it_never_reads():
              for path in sorted(ROOT.rglob("*.py"))
              for line, func, name in unused_locals(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def _reads(tree) -> collections.Counter:
+    """How often each name is read in ``tree``, as a name or an attribute."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        or isinstance(n, ast.Attribute))
+
+
+def unreferenced_helpers(sources: dict, helper_modules=()) -> list:
+    """(module, line, name) for each helper that no code in ``sources``
+    reads outside the helper's own definition.  A helper is a module-level
+    function or class with a private name, or any module-level function of
+    ``helper_modules``, which exist only to serve the others."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    total = sum((_reads(tree) for tree in trees.values()), collections.Counter())
+    return sorted(
+        (module, node.lineno, node.name) for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and ((node.name.startswith("_") and not node.name.startswith("__"))
+             or module in helper_modules and not isinstance(node, ast.ClassDef))
+        and total[node.name] == _reads(node)[node.name])
+
+
+def test_unreferenced_helpers_are_detected():
+    sources = {"a.py": ("def _used():\n    return 1\n"
+                        "def _alone(n):\n    return _alone(n - 1)\n"
+                        "class _Kind:\n    pass\n"
+                        "def public():\n    return _used()\n"),
+               "h.py": "def helper():\n    pass\ndef lonely():\n    pass\n",
+               "b.py": "import h\nx = h.helper\n"}
+    assert unreferenced_helpers(sources, {"h.py"}) == [
+        ("a.py", 3, "_alone"), ("a.py", 5, "_Kind"), ("h.py", 3, "lonely")]
+
+
+# helpers only the tests read: the enumerating analyzer that the symbolic
+# one is checked against
+TEST_ONLY = {("privacy.py", "_enumerated_distance")}
+
+
+def test_every_helper_is_read_elsewhere_in_psmt():
+    # protocols.common holds the helpers the protocols share
+    sources = {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+               for path in sorted(ROOT.rglob("*.py"))}
+    found = unreferenced_helpers(sources, {"protocols/common.py"})
+    assert {(module, name) for module, _, name in found} == TEST_ONLY
 
 
 def round_and_transcript_writes(source: str) -> list:

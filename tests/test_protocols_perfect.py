@@ -121,6 +121,22 @@ def test_shared_feedback_bails_after_u_plus_one_open_sub_rounds():
     assert out.rounds == 2 * 2 * 3 + 2  # u+1 rounds of two 3-round stages, bail, final shares
 
 
+def test_u1_answers_a_forged_stop_with_done():
+    # once every echo matched, the sender answers the receiver's stop with
+    # ("done",) whatever arrives: a stop forged into a well-formed echo
+    # draws no list of the positions that differ from the shares
+    spec = GF(11)
+
+    def forge_stop(ctx):
+        return ("vec", (spec.zero(),) * 5) if ctx.payload == "stop" else ctx.payload
+
+    out = perfect_u1(spec.element(4), 2, AdversarySpec(frozenset({("BA", 0)}), forge_stop))
+    stops = [rnd for rnd, _, payload in out.view.events if payload == "stop"]
+    assert len(stops) == 1
+    assert [v for rnd, _, v in out.view.public if rnd == stops[0] + 1] == [("done",)]
+    assert out.succeeded
+
+
 def test_perfect_protocols_never_report_failure_under_bound():
     # the failed flag must stay unset for every placement within k: a
     # perfectly reliable protocol is not allowed to give up
