@@ -205,16 +205,17 @@ _OPTIONS = {"k": "k", "u": "u", "n_forward": "n_forward", "n_backward": "n_backw
             "delta_r": "delta_r", "fixture": "graph", "topology_file": "graph"}
 
 
-def _protocol_kwargs(desc, args, graph):
+def _protocol_kwargs(desc, args):
     """The entry point's other parameters, read off its signature: one
     without a default is required, an optional one is passed only when
     its flag has a value, and an option whose parameter it lacks is
-    refused."""
+    refused before any file is read."""
     params = inspect.signature(desc.run).parameters
     for option, name in _OPTIONS.items():
         if getattr(args, option, None) is not None and name not in params:
             raise ParamError(f"protocol {desc.name} does not take "
                              f"--{option.replace('_', '-')}")
+    graph = _load_graph(args)
     kw: dict = {}
     for name, param in params.items():
         if name in _HARNESS:
@@ -241,7 +242,7 @@ def _protocol_run(args):
     if args.field is None:
         raise ParamError("missing --field")
     spec = GF(int(args.field))
-    kw = _protocol_kwargs(desc, args, _load_graph(args))
+    kw = _protocol_kwargs(desc, args)
     return desc, spec, kw, _parse_corrupt(args.corrupt, desc.kind)
 
 

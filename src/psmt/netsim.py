@@ -7,6 +7,9 @@ Two models:
   ("BA", j) backward.  A round is one call, ``end_round(sends)``, with
   at most one payload per channel: each is exposed to the adversary on a
   corrupted channel, possibly replaced (active mode), and delivered.
+  The channels of each shape (n_forward, n_backward) and their ``str``
+  order are fixed once, in one table: a round looks its channels up
+  there and handles them in that order.
 
 * ``HyperNet`` — node-level multicast.  A round is one call,
   ``end_round(sends)``: each send crosses one hyperedge of its origin,
@@ -35,6 +38,7 @@ one walk over an unhashable leaf's structure (``unfold``) serves both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from typing import Any, Callable
 
 from .errors import ParamError
@@ -180,6 +184,15 @@ class _Simulator:
             self.round, where, payload, self.view, self._adv_rng, self._adv_state))
 
 
+@lru_cache(maxsize=256)
+def _channel_ranks(n_forward: int, n_backward: int) -> dict:
+    """Each channel of a ``PathNetwork`` of this shape, ("AB", i) and
+    ("BA", j), mapped to its rank in ``str`` order: ('AB', 10) comes
+    before ('AB', 2).  Built once per shape."""
+    channels = [("AB", i) for i in range(n_forward)] + [("BA", j) for j in range(n_backward)]
+    return {ch: rank for rank, ch in enumerate(sorted(channels, key=str))}
+
+
 class PathNetwork(_Simulator):
     """Atomic-channel model with end-of-round adversarial tampering."""
 
@@ -191,31 +204,30 @@ class PathNetwork(_Simulator):
             raise ParamError(f"backward channel count {n_backward} is negative")
         self.n_forward = n_forward
         self.n_backward = n_backward
+        self._ranks = _channel_ranks(n_forward, n_backward)
         super().__init__(adversary)
         for ch in self.adversary.corrupted:
-            if not self._valid_channel(ch):
+            if ch not in self._ranks:
                 raise ParamError(f"corrupted channel {ch!r} does not exist")
-
-    def _valid_channel(self, ch) -> bool:
-        return (isinstance(ch, tuple) and len(ch) == 2 and
-                ((ch[0] == "AB" and 0 <= ch[1] < self.n_forward) or
-                 (ch[0] == "BA" and 0 <= ch[1] < self.n_backward)))
 
     def end_round(self, sends: dict) -> dict:
         """One round: ``sends`` maps each channel used, ("AB", i) or
         ("BA", j), to its payload.  Every channel is checked before any is
-        tampered; then each payload is recorded and possibly replaced on a
-        corrupted channel, delivered, and the round counter advances.
+        tampered; then, in ``str`` order of the channels, each payload is
+        recorded and possibly replaced on a corrupted channel, delivered,
+        and the round counter advances.
 
         Returns {channel: payload} for every channel that carried data.
         """
-        for ch in sends:
-            if not self._valid_channel(ch):
-                raise ParamError(f"no such channel {ch!r}")
+        ranks = self._ranks
+        if not sends.keys() <= ranks.keys():
+            bad = next(ch for ch in sends if ch not in ranks)
+            raise ParamError(f"no such channel {bad!r}")
+        corrupted = self.adversary.corrupted
         delivered = {}
-        for ch in sorted(sends, key=str):
+        for ch in sorted(sends, key=ranks.__getitem__):
             payload = sends[ch]
-            if ch in self.adversary.corrupted:
+            if ch in corrupted:
                 self.view.record(self.round, ch, payload)
                 payload = self._tamper(ch, payload)
             delivered[ch] = payload

@@ -14,7 +14,9 @@ have sent in the expected shape, so acting on the coercion gives it
 nothing it could not get anyway.  The images of these helpers are also
 the finite alphabet of payloads a receiver can tell apart.
 
-Each channel construction declares its channels once, in ``CHANNELS``.
+Each channel construction declares its channels once, in ``CHANNELS``;
+the perfect ones lie on or above ``least_forward``, the lower bound on
+forward channels, and ``perfect-oneway`` and ``perfect-general`` attain it.
 ``network`` builds every channel entry's ``PathNetwork`` from it,
 ``first`` cuts a recursion's channels to a sub-protocol's count, and
 ``run_on_channels`` runs a perfect body with each party's ``_rng`` and
@@ -60,7 +62,7 @@ def as_indices(value, bound: int) -> tuple:
 
 
 def as_field(spec: FieldSpec, value) -> FieldElement:
-    if isinstance(value, FieldElement) and value.spec == spec:
+    if isinstance(value, FieldElement) and (value.spec is spec or value.spec == spec):
         return value
     return spec.zero()
 
@@ -79,6 +81,15 @@ def as_quad_key(spec: FieldSpec, value) -> QuadKey:
     return QuadKey(a, b, c)
 
 
+def least_forward(k: int, u: int) -> int:
+    """The fewest forward channels on which a perfectly reliable and private
+    protocol exists against k corrupted channels, with u backward ones:
+    3k+1 without feedback (Dolev, Dwork, Waarts and Yung, JACM 1993), and
+    max(3k+1-2u, 2k+1) with u >= 1 ("Perfectly Secure Message Transmission
+    Revisited", on mixed one-way and two-way channels)."""
+    return 3 * k + 1 if u == 0 else max(3 * k + 1 - 2 * u, 2 * k + 1)
+
+
 # (k, u) -> (n_forward, n_backward) of each channel construction, None where
 # it does not apply (no construction tolerates k < 0, perfect-3k needs k >= 1
 # for a forward channel); oneway and subset-exchange take more forward channels
@@ -87,11 +98,10 @@ CHANNELS = {
     "single-feedback": lambda k, u: (2, 1) if k == 1 else None,
     "subset-exchange": lambda k, u: (max(k + 1, 2 * k + 1 - u), u) if k >= 0 else None,
     "feedback-efficient": lambda k, u: (2 * k + 1 - u, u) if 1 <= u <= k else None,
-    "perfect-oneway": lambda k, u: (3 * k + 1, 0) if k >= 0 else None,
+    "perfect-oneway": lambda k, u: (least_forward(k, 0), 0) if k >= 0 else None,
     "perfect-3k": lambda k, u: (3 * k, 1) if k >= 1 else None,
     "perfect-u1": lambda k, u: (3 * k - 1, 1) if k >= 2 else None,
-    "perfect-general": lambda k, u: ((max(3 * k + 1 - 2 * u, 2 * k + 1), u)
-                                     if k >= 2 and u >= 1 else None),
+    "perfect-general": lambda k, u: (least_forward(k, u), u) if k >= 2 and u >= 1 else None,
     "perfect-efficient": lambda k, u: (3 * k + 1 - u, u) if 0 <= u <= k else None,
     "perfect-shared": lambda k, u: (3 * k + 1 - u, u) if 1 <= u <= k else None,
 }

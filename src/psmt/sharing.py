@@ -6,6 +6,13 @@ plain reconstruction, error detection, and bounded-distance correction
 by syndrome decoding, with guaranteed simultaneous detection (never a
 wrong secret inside the n-k-e-1 detection range).
 
+The rows are fixed by (n, k, field) where they do not depend on the
+word: each ``SharingParams`` computes on first use, and keeps, the rows
+of ``share``, of the parity check and of the secret from the first k+1
+slots.  ``_power_rows`` and ``_lagrange_rows`` are the one place rows
+are computed; their caches serve the rows a word's own slots choose
+(a partial word's secret, the syndrome decoder, ``oracle_decode``).
+
 The linear algebra runs on one of two representations.  Plain elements
 are turned into packed ints and computed on with the field's raw
 kernels; the results are plain.  When an operand is a ``TracedElement``
@@ -65,6 +72,23 @@ class SharingParams:
     def points(self) -> tuple[FieldElement, ...]:
         return tuple(FieldElement(self.field, x) for x in self.xs)
 
+    @cached_property
+    def eval_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Row i evaluates a polynomial of degree <= k, by its
+        coefficients, at point i (``share``)."""
+        return _power_rows(self.field, self.xs, self.k + 1)
+
+    @cached_property
+    def parity_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Row j gives the value at point k+1+j from the values at the
+        first k+1 points (``_on_code``)."""
+        return _lagrange_rows(self.field, self.xs[:self.k + 1], self.xs[self.k + 1:])
+
+    @cached_property
+    def secret_row(self) -> tuple[int, ...]:
+        """The secret from the values at the first k+1 points."""
+        return _lagrange_rows(self.field, self.xs[:self.k + 1], (0,))[0]
+
     @property
     def max_detect(self) -> int:
         return self.n - self.k - 1
@@ -99,10 +123,14 @@ def _checked(spec: FieldSpec, elements):
 
 
 def _full(word: ReceivedWord) -> tuple:
-    """The entries of the sharing field; every slot filled."""
-    if any(e is None for e in word.entries):
-        raise MissingEntries("substitute defaults before decoding")
-    return _checked(word.params.field, word.entries)
+    """The entries of the sharing field; every slot filled.  One pass: an
+    empty slot fails the field check, and only then is it told apart."""
+    try:
+        return _checked(word.params.field, word.entries)
+    except SpecMismatch:
+        if any(e is None for e in word.entries):
+            raise MissingEntries("substitute defaults before decoding") from None
+        raise
 
 
 def _taint(elements) -> frozenset[int] | None:
@@ -238,14 +266,15 @@ def _syndrome_rows(spec: FieldSpec, xs: tuple[int, ...],
 
 def share(secret: FieldElement, params: SharingParams, rng) -> Codeword:
     spec = params.field
-    if secret.spec != spec:
+    if secret.spec is not spec and secret.spec != spec:
         raise ParamError("secret must belong to the sharing field")
     coeffs = [secret] + [spec.sample(rng) for _ in range(params.k)]
     ys, dot, element = _linear(spec, coeffs)
-    return Codeword(
-        tuple(element(dot(row, ys))
-              for row in _power_rows(spec, params.xs, params.k + 1)),
-        params)
+    if dot is spec.dot_raw:   # plain coefficients: plain shares, built directly
+        shares = tuple([FieldElement(spec, dot(row, ys)) for row in params.eval_rows])
+    else:
+        shares = tuple([element(dot(row, ys)) for row in params.eval_rows])
+    return Codeword(shares, params)
 
 
 def reconstruct(word: ReceivedWord) -> FieldElement:
@@ -257,7 +286,10 @@ def reconstruct(word: ReceivedWord) -> FieldElement:
             f"have {len(present)} entries, need {params.k + 1}")
     used = present[: params.k + 1]
     spec = params.field
-    row = _lagrange_rows(spec, tuple(params.xs[i] for i, _ in used), (0,))[0]
+    if used[-1][0] == params.k:   # the first k+1 slots
+        row = params.secret_row
+    else:
+        row = _lagrange_rows(spec, tuple(params.xs[i] for i, _ in used), (0,))[0]
     entries = _checked(spec, [e for _, e in used])
     ys, dot, element = _linear(spec, entries)
     return element(dot(row, ys))
@@ -273,9 +305,9 @@ def _on_code(params: SharingParams, ys: Sequence, dot) -> bool:
     The first k+1 values fix the polynomial; each remaining one must equal
     its Lagrange combination of them (a parity check of the GRS code).
     """
-    k1, xs = params.k + 1, params.xs
+    k1 = params.k + 1
     head = ys[:k1]
-    for row, y in zip(_lagrange_rows(params.field, xs[:k1], xs[k1:]), ys[k1:]):
+    for row, y in zip(params.parity_rows, ys[k1:]):
         if not dot(row, head) == y:
             return False
     return True
@@ -308,7 +340,7 @@ def correct_errors(word: ReceivedWord, e: int) -> Decoded | None:
     params = word.params
     if e > params.max_correct:
         raise ParamError(f"radius {e} exceeds MDS bound {params.max_correct}")
-    k1, spec = params.k + 1, params.field
+    spec = params.field
     entries = _full(word)
     ys, dot, element = _linear(spec, entries)
     errs = frozenset()
@@ -325,8 +357,8 @@ def correct_errors(word: ReceivedWord, e: int) -> Decoded | None:
         errs = frozenset(
             i for i, (got, want) in enumerate(zip(ys, codeword)) if got != want)
         ys = codeword
-    row = _lagrange_rows(spec, params.xs[:k1], (0,))[0]
-    return Decoded(element(dot(row, ys[:k1]), entries if e else None), errs)
+    secret = element(dot(params.secret_row, ys[:params.k + 1]), entries if e else None)
+    return Decoded(secret, errs)
 
 
 def _syndrome_decode(params: SharingParams, ys: list[int], e: int) -> list[int] | None:

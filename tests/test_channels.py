@@ -151,6 +151,35 @@ def test_a_recursion_never_hands_a_sub_protocol_fewer_channels(monkeypatch, name
                for sub, sub_k, sub_u, have in cuts)
 
 
+PERFECT = [name for name in CHANNEL_ENTRIES
+           if protocols.get(name).perfectly_reliable and protocols.get(name).private]
+BOUND_GRID = [(k, u) for k in range(5) for u in range(k + 1)]
+
+
+def test_the_channel_bound_reads_both_papers():
+    # 3k+1 without feedback; with u >= 1, 3k+1-2u until 2k+1 takes over
+    assert [common.least_forward(k, 0) for k in range(4)] == [1, 4, 7, 10]
+    assert [common.least_forward(4, u) for u in range(5)] == [13, 11, 9, 9, 9]
+    assert [common.least_forward(3, u) for u in range(4)] == [10, 8, 7, 7]
+
+
+@pytest.mark.parametrize("name", PERFECT)
+def test_no_perfect_entry_declares_fewer_channels_than_the_bound(name):
+    declared = [(k, u, CHANNELS[name](k, u)) for k, u in BOUND_GRID]
+    assert any(counts for _, _, counts in declared), name
+    for k, u, counts in declared:
+        if counts is not None:
+            n_forward, n_backward = counts
+            assert n_forward >= common.least_forward(k, n_backward), (name, k, u)
+
+
+def test_the_registry_attains_the_bound_everywhere():
+    for k, u in BOUND_GRID:
+        attaining = [name for name in PERFECT
+                     if CHANNELS[name](k, u) == (common.least_forward(k, u), u)]
+        assert attaining, (k, u)
+
+
 def _python(text: str) -> str:
     for sign, python in (("−", "-"), ("≤", "<="), ("≥", ">="), (" = ", " == ")):
         text = text.replace(sign, python)

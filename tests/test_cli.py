@@ -385,6 +385,19 @@ def test_simulate_refuses_an_option_the_entry_point_does_not_take(capsys, argv, 
     assert f"does not take {flag}" in err
 
 
+def test_an_option_is_refused_before_its_file_is_read(capsys, tmp_path):
+    # a missing file would exit 3; the refusal comes first and exits 2
+    missing = str(tmp_path / "no-such-topology.json")
+    code, report, err = run(capsys, "simulate", "--protocol", "perfect-3k", "--field", "7",
+                            "--k", "1", "--trials", "1", "--topology-file", missing)
+    assert code == 2 and report is None
+    assert "does not take --topology-file" in err
+    # a protocol that takes a graph still reports the missing file
+    code, _, err = run(capsys, "simulate", "--protocol", "hyper-reliable", "--field", "7",
+                       "--k", "1", "--trials", "1", "--topology-file", missing)
+    assert code == 3 and "cannot read" in err
+
+
 def test_a_config_entry_counts_as_its_option(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"protocol": "single-feedback", "field": 7, "k": 3}))

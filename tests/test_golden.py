@@ -205,7 +205,7 @@ def _command(argv: list[str]):
     args = cli._build_parser().parse_args(argv)
     desc = protocols.get(args.protocol)
     return (desc.name, args.field, cli._parse_corrupt(args.corrupt, desc.kind),
-            cli._protocol_kwargs(desc, args, cli._load_graph(args)))
+            cli._protocol_kwargs(desc, args))
 
 
 def test_command_lines_agree_with_the_sweep():

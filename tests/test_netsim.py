@@ -1,5 +1,7 @@
 """Round discipline, adversary views, and the simulators' determinism."""
 
+import re
+
 import pytest
 
 from psmt import fixtures
@@ -33,6 +35,32 @@ def test_unknown_channel_rejected():
     assert (seen, net.view.events, net.transcript, net.round) == ([], [], [], 0)
     with pytest.raises(ParamError):
         PathNetwork(2, 0, AdversarySpec(frozenset({("BA", 0)})))
+
+
+@pytest.mark.parametrize("bad", [("AB", 0.5), ("AB", -1), ("AB", "0"), ("CD", 0),
+                                 ("AB",), "AB0", 0])
+def test_a_channel_outside_the_network_is_refused_and_named(bad):
+    net = PathNetwork(2, 0)
+    with pytest.raises(ParamError, match=re.escape(f"no such channel {bad!r}")):
+        net.end_round({("AB", 0): "x", bad: "y"})
+    assert (net.transcript, net.round) == ([], 0)
+    with pytest.raises(ParamError, match=re.escape(f"corrupted channel {bad!r} does not exist")):
+        PathNetwork(2, 0, AdversarySpec(frozenset({("AB", 1), bad})))
+
+
+def test_a_round_lists_its_channels_in_str_order():
+    net = PathNetwork(12, 2, AdversarySpec(frozenset({("AB", 10)}),
+                                           lambda ctx: "forged"))
+    channels = [("BA", 1), ("BA", 0)] + [("AB", i) for i in range(11, -1, -1)]
+    delivered = net.end_round({ch: ch[0] + str(ch[1]) for ch in channels})
+    order = [("AB", 0), ("AB", 1), ("AB", 10), ("AB", 11)] + \
+        [("AB", i) for i in range(2, 10)] + [("BA", 0), ("BA", 1)]
+    assert order == sorted(channels, key=str)
+    assert list(delivered) == order
+    assert [ch for _, ch, _, _ in net.transcript] == order
+    assert net.transcript[2] == (0, ("AB", 10), "AB10", "forged")
+    assert net.view.events == [(0, ("AB", 10), "AB10")]
+    assert delivered[("AB", 10)] == "forged"
 
 
 def test_each_channel_count_is_refused_with_its_own_message():

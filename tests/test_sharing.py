@@ -751,3 +751,56 @@ def test_linear_kernel_matches_the_term_by_term_fold(order):
             seen["cancelled"] += not got.poly
             seen["atom"] += any(v < 0 for mono in got.poly for v, _ in mono)
     assert all(seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# each SharingParams computes the rows every call reads once, and keeps them
+
+
+def test_a_second_call_reads_the_rows_it_kept(monkeypatch):
+    import psmt.sharing as sharing
+
+    def calls_on(params):
+        word = ReceivedWord(share(spec.element(3), params, Randomness(1)).shares, params)
+        assert detect_errors(word) == CLEAN
+        assert correct_errors(word, params.max_correct).secret == spec.element(3)
+        assert reconstruct(word) == spec.element(3)
+
+    spec = GF(2**16)
+    params = SharingParams(7, 2, spec)
+    calls_on(params)
+    built = []
+    for name in ("_power_rows", "_lagrange_rows"):
+        original = getattr(sharing, name)
+        monkeypatch.setattr(sharing, name,
+                            lambda *a, _f=original, _n=name: built.append(_n) or _f(*a))
+    calls_on(params)
+    assert built == []
+    # a fresh configuration asks the row builders once for each of its rows
+    calls_on(SharingParams(7, 3, spec))
+    assert sorted(built) == ["_lagrange_rows", "_lagrange_rows", "_power_rows"]
+
+
+@pytest.mark.parametrize("order", [7, 16, 81, 2**16])
+def test_each_params_rows_match_the_element_references(order):
+    spec = GF(order)
+    rng = random.Random(order)
+    for n in range(2, min(order - 1, 8) + 1):
+        for k in range(n):
+            params = SharingParams(n, k, spec)
+            for _ in range(4):
+                seed = rng.random()
+                secret = spec.element(rng.randrange(order))
+                shares = share(secret, params, Randomness(seed)).shares
+                assert shares == _ref_share(secret, params, Randomness(seed))
+                word = ReceivedWord(shares, params)
+                assert detect_errors(word) == CLEAN and _ref_detect(word)
+                assert reconstruct(word) == _ref_reconstruct(word) == secret
+                assert correct_errors(word, 0).secret == secret
+                # one entry off the code, past or among the first k+1
+                pos = rng.randrange(n)
+                entries = list(shares)
+                entries[pos] = entries[pos] + spec.one()
+                off = ReceivedWord(tuple(entries), params)
+                assert (detect_errors(off) == CLEAN) == _ref_detect(off) == (n == k + 1)
+                assert reconstruct(off) == _ref_reconstruct(off)
