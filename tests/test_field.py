@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psmt.errors import DivisionByZero, ParamError, SpecMismatch
-from psmt.field import GF
+from psmt.field import GF, FieldSpec, _default_reduction, _is_irreducible
 from psmt.randomness import Randomness, TracingRandomness
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
@@ -114,9 +114,19 @@ def test_bad_orders_rejected():
 
 
 def test_extension_field_reduction_validated():
-    with pytest.raises(ParamError):
-        GF(4, [1, 0, 1])  # x^2 + 1 = (x+1)^2 over GF(2)
+    # x^2 + 1 = (x+1)^2 over GF(2); (x^2 + x + 1)^2 over GF(2) and
+    # (x^2 + 1)^2 over GF(3) have no root but do factor; then a non-monic
+    # polynomial and two of the wrong degree
+    for order, reduction in ((4, [1, 0, 1]), (16, [1, 0, 1, 0, 1]), (81, [1, 0, 2, 0, 1]),
+                             (9, [1, 0, 2]), (9, [2, 1]), (9, [1, 1, 0, 1])):
+        with pytest.raises(ParamError):
+            GF(order, reduction)
     GF(4, [1, 1, 1])  # x^2 + x + 1 is fine
+    spec = GF(16, [1, 0, 0, 1, 1])   # x^4 + x^3 + 1, not the default x^4 + x + 1
+    assert spec.reduction == (1, 0, 0, 1, 1) != GF(16).reduction
+    for a in range(16):
+        for b in range(16):
+            assert spec.mul_raw(a, b) == _clmul_reference(a, b, spec.reduction)
 
 
 def test_taint_propagates_through_arithmetic():
@@ -223,6 +233,115 @@ def test_binary_field_mul_matches_carryless_reference(order):
         assert spec.mul_raw(a, b) == _clmul_reference(a, b, spec.reduction)
         if a:
             assert spec.mul_raw(a, spec.inv_raw(a)) == 1
+
+
+def _prime_divisors(n):
+    out, d = [], 2
+    while n > 1:
+        if n % d:
+            d += 1
+        else:
+            out += [d] * (d not in out)
+            n //= d
+    return out
+
+
+def _smallest_primitive(spec):
+    q1 = spec.order - 1
+
+    def power_is_one(a, e):
+        result, base = 1, a
+        while e:
+            if e & 1:
+                result = spec._mul_poly(result, base)
+            base = spec._mul_poly(base, base)
+            e >>= 1
+        return result == 1
+
+    return next(a for a in range(2, spec.order)
+                if not any(power_is_one(a, q1 // f) for f in _prime_divisors(q1)))
+
+
+def _walked_tables(spec, gen):
+    """The tables as a walk that multiplies by the generator once per
+    element builds them; Zech logarithms add one to the lowest digit."""
+    p, m, q1 = spec.p, spec.m, spec.order - 1
+    exp, log = [0] * (2 * q1), [0] * spec.order
+    x = 1
+    for i in range(q1):
+        exp[i] = exp[i + q1] = x
+        log[x] = i
+        x = spec._mul_poly(x, gen)
+    if p == 2:
+        return exp, log, None
+    zech = []
+    for v in exp[:q1]:
+        digits = _digits(v, p, m)
+        digits[0] = (digits[0] + 1) % p
+        one_plus = _pack(digits, p)
+        zech.append(log[one_plus] if one_plus else None)
+    return exp, log, zech
+
+
+TABLE_ORDERS = [4, 8, 2**9, 256, 2**12, 2**16, 9, 25, 27, 49, 81, 125, 3**7, 3**8]
+
+
+@pytest.mark.parametrize("order", TABLE_ORDERS)
+def test_tables_are_the_walk_of_the_smallest_primitive_element(order):
+    spec = GF(order)
+    gen = _smallest_primitive(spec)
+    assert spec._exp[1] == gen
+    assert (spec._exp, spec._log, spec._zech) == _walked_tables(spec, gen)
+
+
+def _schoolbook_mul(spec, a, b):
+    """Digit-wise product of two packed values, then long division by the
+    monic reduction polynomial."""
+    p, m, f = spec.p, spec.m, spec.reduction
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(_digits(a, p, m)):
+        for j, y in enumerate(_digits(b, p, m)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for i in range(2 * m - 2, m - 1, -1):
+        c = prod[i]
+        for j, fj in enumerate(f):
+            prod[i - m + j] = (prod[i - m + j] - c * fj) % p
+    return _pack(prod[:m], p)
+
+
+@pytest.mark.parametrize("order", [9, 25, 27, 49, 81, 125, 3**7, 3**8, 5**6, 7**5, 3**10])
+def test_odd_characteristic_table_mul_matches_schoolbook(order):
+    spec = GF(order)
+    assert spec._zech is not None
+    rng = random.Random(order)
+    for _ in range(1000):
+        a, b = rng.randrange(order), rng.randrange(order)
+        assert spec.mul_raw(a, b) == _schoolbook_mul(spec, a, b)
+
+
+def test_gf_2_16_tables_take_few_polynomial_products(monkeypatch):
+    # a table per half of the digits: hundreds of products, not one per element
+    calls = []
+    mul_poly = FieldSpec._mul_poly
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return mul_poly(self, a, b)
+
+    monkeypatch.setattr(FieldSpec, "_mul_poly", counted)
+    FieldSpec(2**16)
+    assert 0 < len(calls) < 2000
+
+
+def test_default_reduction_is_the_smallest_irreducible():
+    shapes = [(p, m) for p in range(2, 65) if all(p % d for d in range(2, p))
+              for m in range(2, 13) if p**m <= 4096]
+    assert len(shapes) == 40
+    for p, m in shapes:
+        want = next(coeffs for coeffs in (tuple(_digits(low, p, m)) + (1,)
+                                          for low in range(p**m))
+                    if _is_irreducible(coeffs, p))
+        assert _default_reduction(p, m) == want, (p, m)
 
 
 def _evaluate(spec, poly, point):

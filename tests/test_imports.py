@@ -2,7 +2,8 @@
 local it assigns; every helper is read somewhere else in psmt.  Only
 ``netsim`` advances rounds and writes transcripts, and only
 ``protocols.common`` builds a channel network.  Every psmt name the
-benchmark harness takes exists."""
+benchmark harness takes exists, and so does every field member its
+tracer rebinds."""
 
 import ast
 import collections
@@ -277,3 +278,25 @@ def test_every_psmt_name_the_benchmark_takes_exists():
     assert sum(len(psmt_reads(source)) for source in sources.values()) > 20
     found = [(name, *miss) for name, source in sources.items() for miss in unresolved(source)]
     assert found == []
+
+
+def tracer_hooks() -> list:
+    """``perfbench/tracer.py``'s ``HOOKS``, read from its source."""
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text(encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "HOOKS" for t in node.targets))
+
+
+def test_every_field_hook_the_tracer_rebinds_exists():
+    # the tracer rebinds a member its owner defines itself, as
+    # FieldSpec._build_tables for the field.table_build span
+    hooks = [hook for hook in tracer_hooks() if hook[0] == "psmt.field"]
+    assert ("psmt.field", "FieldSpec._build_tables", "field.table_build", "span") in hooks
+    missing = []
+    for module, attr, _, _ in hooks:
+        owner_name, _, member = attr.rpartition(".")
+        owner = _resolve(f"{module}.{owner_name}" if owner_name else module)
+        if owner is _MISSING or member not in vars(owner):
+            missing.append(attr)
+    assert missing == []
