@@ -171,6 +171,8 @@ def _cmd_analyze(args) -> dict:
     if g is None:
         raise ParamError("analyze needs --fixture or --topology-file")
     k = args.k
+    if not isinstance(k, int) or k < 0:
+        raise ParamError(f"--k must be an integer of at least 0, got {k!r}")
     report: dict = {"topology": fixtures.to_dict(g), "k": k}
     if isinstance(g, Digraph):
         ps, sep = topology.menger(g)

@@ -88,6 +88,18 @@ def test_analyze_refuses_adjacent_endpoints(capsys, tmp_path):
         assert "error" in err and "neighbors" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fixture", ["fig1", "fig5"])
+def test_analyze_refuses_a_negative_k(capsys, tmp_path, fixture):
+    code, report, err = run(capsys, "analyze", "--fixture", fixture, "--k", "-1")
+    assert code == 2 and report is None and "--k" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": "2"}))
+    code, report, err = run(capsys, "analyze", "--fixture", fixture, "--config", str(cfg))
+    assert code == 2 and report is None and "--k" in err
+    code, report, _ = run(capsys, "analyze", "--fixture", fixture, "--k", "0")
+    assert code == 0 and report["k"] == 0
+
+
 def test_analyze_does_not_depend_on_the_hash_seed(tmp_path):
     path = tmp_path / "braided.json"
     path.write_text(fixtures.dumps(fixtures.braided_eight()))

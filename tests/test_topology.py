@@ -2,10 +2,14 @@
 
 import contextlib
 import itertools
+import json
+import pathlib
 import random
 import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     bfs_path,
     brute_force_separator,
@@ -17,7 +21,7 @@ from oracles import (
     weak_family,
 )
 
-from psmt import fixtures
+from psmt import fixtures, topology
 from psmt.errors import ParamError, SizeLimit
 from psmt.topology import (
     Digraph,
@@ -39,6 +43,8 @@ from psmt.topology import (
     weakly_nk_connected,
     _check_size,
 )
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def _random_digraph(rng: random.Random, awkward: bool = False) -> Digraph:
@@ -160,6 +166,54 @@ def test_ties_break_in_str_order_of_the_split_nodes():
                        (3, 1), (4, 1)], 0, 1)
     assert max_disjoint_paths(g).paths == ((0, 2, 4, 1), (0, 10, 3, 1))
     assert min_vertex_separator(g) == {2, 10}
+
+
+# node names whose reprs hold quotes, whitespace, backslashes and
+# non-ASCII characters; numbers; tuples of these
+_NAME_CHARS = st.one_of(st.sampled_from(list("'\" \t\\\né日")), st.characters())
+_NAMES = st.recursive(
+    st.one_of(st.text(_NAME_CHARS, max_size=5), st.integers(), st.floats()),
+    lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_NAMES, max_size=12))
+def test_repr_order_is_the_order_of_the_split_names(nodes):
+    # _max_flow ranks nodes by repr; str(("in", v)) is "('in', " + repr(v)
+    # + ")", so the two keys differ only where one repr is a proper prefix
+    # of another, and the longer one then goes on above ")"
+    assert sorted(nodes, key=repr) == sorted(nodes, key=lambda v: str(("in", v)))
+
+
+def _awkward_names(rng: random.Random, count: int) -> list:
+    """``count`` distinct names of one comparable kind: strings of quotes,
+    whitespace, backslashes and non-ASCII letters; ints and floats; or
+    (string, int) pairs."""
+    kind = rng.randrange(3)
+    names = set()
+    while len(names) < count:
+        if kind == 0:
+            names.add("".join(rng.choice("ab'\" \t\\é日") for _ in range(rng.randrange(1, 4))))
+        elif kind == 1:
+            names.add(rng.choice((rng.randrange(-20, 20), rng.randrange(-20, 20) / 4)))
+        else:
+            names.add((rng.choice("x'\" \\é"), rng.randrange(3)))
+    return rng.sample(sorted(names), count)
+
+
+def test_menger_over_awkward_node_names_random():
+    rng = random.Random(3101)
+    for _ in range(200):
+        g = _random_digraph(rng, awkward=rng.random() < 0.5)
+        name = dict(zip(sorted(g.nodes), _awkward_names(rng, len(g.nodes))))
+        g = Digraph.build(name.values(), [(name[a], name[b]) for a, b in g.edges],
+                          name["A"], name["B"])
+        paths, sep = menger(g)
+        paths.validate(g.edges, g.sender, g.receiver)
+        want = brute_force_separator(g)
+        assert want is not None and sep is not None
+        assert len(paths) == len(sep) == len(want)
+        assert not reaches(g.edges, g.sender, g.receiver, sep)
 
 
 def test_link_and_reverse_arcs_are_told_apart():
@@ -307,17 +361,48 @@ def test_mask_predicates_match_the_set_based_search_random():
 
 def test_weakly_nk_connected_matches_every_family_random():
     # the search refutes at once when some t is clear of no path; the
-    # answers and witnesses are those of trying every family
+    # answers and witnesses are those of trying every family.  Each net
+    # also runs with an A-B link, where (A, B) may be the only path: it is
+    # clear of every t away from the endpoints' neighbors, which a
+    # refutation on any node's neighbors would miss
     rng = random.Random(2710)
     verdicts = set()
     for _ in range(120):
         g = _random_neighbor_net(rng, 6, rng.choice((0.3, 0.5, 0.7)))
-        for n in (1, 2, 3):
-            for k in (0, 1, 2):
-                got = weakly_nk_connected(g, n, k)
-                assert got == weak_family(g, n, k), (g, n, k)
-                verdicts.add(got[0])
+        joined = NeighborNet.build(g.nodes, [*g.edges, ("A", "B")], "A", "B")
+        for net in (g, joined):
+            for n in (1, 2, 3):
+                for k in (0, 1, 2):
+                    got = weakly_nk_connected(net, n, k)
+                    assert got == weak_family(net, n, k), (net, n, k)
+                    verdicts.add(got[0])
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig80", "fig009"])
+def test_weak_rung_refutes_without_listing_paths(name, monkeypatch):
+    # at k = 2 the rung's t-sets hold a neighbor of the sender, and every
+    # path's clearance counts the sender's neighbors
+    listed = []
+    real = topology._all_simple_paths
+    monkeypatch.setattr(topology, "_all_simple_paths", lambda g: listed.append(g) or real(g))
+    report = connectivity_hierarchy(fixtures.get(name), 2)
+    golden = json.loads((GOLDEN / f"analyze__{name}__k2.json").read_text())
+    assert report == golden["hierarchy"] and listed == []
+
+
+def test_negative_bounds_are_refused():
+    g = fixtures.get("fig1")
+    for call in (lambda: connectivity_hierarchy(g, -1),
+                 lambda: weakly_nk_connected(g, 2, -1),
+                 lambda: weakly_nk_connected(g, -1, 1)):
+        with pytest.raises(ParamError, match="at least 0"):
+            call()
+    # at k = 0 there is nothing to remove and no t to clear
+    for name in ("fig1", "fig2", "fig3", "fig80", "fig009"):
+        assert connectivity_hierarchy(fixtures.get(name), 0) == {
+            "k_connected": True, "weakly_k_hyper_connected": True,
+            "k_neighbor_connected": True, "weakly_nk_connected": True, "k": 0}
 
 
 def test_hierarchy_on_a_dense_net_finishes_in_a_second():
