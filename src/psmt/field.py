@@ -5,6 +5,9 @@ Fields GF(p^m) are represented with elements packed into integers in
 residue polynomial (little-endian).  Each FieldSpec picks its raw integer
 kernels once: modular arithmetic for prime fields, log/exp tables (and
 Zech logarithms for odd p) for extension fields up to 2^16 elements.
+Besides the element operations they include the two loops the sharing
+code runs on: a row's dot product with a vector (``dot_raw``) and a
+polynomial's values at a list of points by Horner's rule (``eval_raw``).
 The tables walk the powers of the smallest primitive element, one table
 lookup per half of the digits a step (``FieldSpec._build_tables``):
 about 10 ms for GF(2^16) and 50 ms for GF(3^10) on a 2-core Xeon.
@@ -200,11 +203,15 @@ class FieldSpec:
     """A finite field GF(p^m) with a fixed reduction polynomial (m > 1).
 
     The raw kernels ``add_raw``, ``sub_raw``, ``neg_raw``, ``mul_raw``,
-    ``inv_raw`` and ``dot_raw`` work on packed integers and are chosen
-    once here, from the field's shape: ``%`` for prime fields, log/exp
-    tables with XOR addition for GF(2^m), log/exp tables with Zech
+    ``inv_raw``, ``dot_raw`` and ``eval_raw`` work on packed integers and
+    are chosen once here, from the field's shape: ``%`` for prime fields,
+    log/exp tables with XOR addition for GF(2^m), log/exp tables with Zech
     logarithms for GF(p^m) with odd p, and polynomial arithmetic above
-    ``_TABLE_LIMIT``.
+    ``_TABLE_LIMIT``.  ``dot_raw(row, ys)`` is a row's dot product with
+    ``ys``; ``eval_raw(coeffs, xs)`` lists the values at the points ``xs``
+    of the polynomial with coefficients ``coeffs`` (constant term first,
+    at least one), by Horner's rule, each step inline for prime fields and
+    GF(2^m) tables.
     """
 
     def __init__(self, order: int, reduction: Sequence[int] | None = None):
@@ -241,7 +248,7 @@ class FieldSpec:
 
     def _bind_kernels(self) -> None:
         p, q1 = self.p, self.order - 1
-        dot = None
+        dot = eval_ = None
         if self.m == 1:
             def add(a, b):
                 return (a + b) % p
@@ -260,6 +267,16 @@ class FieldSpec:
 
             def dot(row, ys):
                 return sum(map(operator.mul, row, ys)) % p
+
+            def eval_(coeffs, xs):
+                top, rest = coeffs[-1], coeffs[-2::-1]
+                out = []
+                for x in xs:
+                    acc = top
+                    for c in rest:
+                        acc = (acc * x + c) % p
+                    out.append(acc)
+                return out
         elif self._exp is None:
             # beyond the table limit: polynomial arithmetic on every call
             if p == 2:
@@ -290,6 +307,19 @@ class FieldSpec:
                         if c and y:
                             acc ^= exp[log[c] + log[y]]
                     return acc
+
+                def eval_(coeffs, xs):
+                    top, rest = coeffs[-1], coeffs[-2::-1]
+                    out = []
+                    for x in xs:
+                        if not x:   # log[0] is not a logarithm
+                            out.append(coeffs[0])
+                            continue
+                        lx, acc = log[x], top
+                        for c in rest:
+                            acc = exp[log[acc] + lx] ^ c if acc else c
+                        out.append(acc)
+                    return out
             else:
                 # a + b = g^i (1 + g^(j-i)) = g^(i + Z(j-i)), with Z the Zech
                 # logarithm; -1 = g^half.  A negative j-i indexes Z from its
@@ -318,6 +348,17 @@ class FieldSpec:
                     acc = add(acc, mul(c, y))
                 return acc
 
+        if eval_ is None:
+            def eval_(coeffs, xs):
+                top, rest = coeffs[-1], coeffs[-2::-1]
+                out = []
+                for x in xs:
+                    acc = top
+                    for c in rest:
+                        acc = add(mul(acc, x), c)
+                    out.append(acc)
+                return out
+
         def inv_raw(a: int) -> int:
             if a == 0:
                 raise DivisionByZero("inverse of zero")
@@ -325,6 +366,7 @@ class FieldSpec:
 
         self.add_raw, self.sub_raw, self.neg_raw = add, sub, neg
         self.mul_raw, self.inv_raw, self.dot_raw = mul, inv_raw, dot
+        self.eval_raw = eval_
 
     def _add_digits(self, a: int, b: int) -> int:
         p, m = self.p, self.m

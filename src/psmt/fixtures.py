@@ -163,6 +163,7 @@ def from_dict(data: dict):
         kind = data["kind"]
         nodes = data["nodes"]
         sender, receiver = data["sender"], data["receiver"]
+        sorted(nodes)   # reports and path lists order the names against each other
         if kind == "digraph":
             return Digraph.build(nodes, [tuple(e) for e in data["edges"]],
                                  sender, receiver)

@@ -22,9 +22,12 @@ the same way, and both tamper through one step, ``_tamper``.  The
 transcript logs every send as (round, where, sent, delivered).
 
 ``broadcast`` is one ``PathNetwork`` round of a public value; it returns
-the receiver's majority verdict (``recv_broadcast``).  ``reliable_send``
-is one round of an idealized reliable channel, which may lose a public
-payload but never modifies it.
+the receiver's majority verdict (``recv_broadcast``).  Without private
+extras it sends one bundle object, ``(value, None)``, on every channel,
+and when every channel delivers that same object the receiver reads it
+without a vote, as the vote would read it.  ``reliable_send`` is one
+round of an idealized reliable channel, which may lose a public payload
+but never modifies it; its loss coin is drawn only when it can lose.
 
 Payloads are arbitrary nested tuples of field elements, ints and
 strings.  Honest payloads stay hashable so that majority votes work; a
@@ -178,9 +181,10 @@ class _Simulator:
     def _tamper(self, where, payload):
         """What crosses the corrupted location ``where``: the active
         strategy's replacement, else the payload itself."""
-        if not self.adversary.active:
+        strategy = self.adversary.strategy
+        if strategy is None:
             return payload
-        return self.adversary.strategy(TamperContext(
+        return strategy(TamperContext(
             self.round, where, payload, self.view, self._adv_rng, self._adv_state))
 
 
@@ -224,15 +228,16 @@ class PathNetwork(_Simulator):
             bad = next(ch for ch in sends if ch not in ranks)
             raise ParamError(f"no such channel {bad!r}")
         corrupted = self.adversary.corrupted
+        rnd, log = self.round, self.transcript.append
         delivered = {}
         for ch in sorted(sends, key=ranks.__getitem__):
-            payload = sends[ch]
+            sent = payload = sends[ch]
             if ch in corrupted:
-                self.view.record(self.round, ch, payload)
+                self.view.record(rnd, ch, payload)
                 payload = self._tamper(ch, payload)
             delivered[ch] = payload
-            self.transcript.append((self.round, ch, sends[ch], payload))
-        self.round += 1
+            log((rnd, ch, sent, payload))
+        self.round = rnd + 1
         return delivered
 
 
@@ -294,21 +299,33 @@ def majority_of(values, tie_rng: Randomness):
 
 def broadcast(net: PathNetwork, fwd, value, tie_rng: Randomness, extras=None):
     """One round: the public value on the forward channels ``fwd``,
-    optionally with per-channel private extras bundled alongside.  Returns
-    the receiver's (verdict, extras), read by ``recv_broadcast`` from the
-    round's deliveries with ties broken by ``tie_rng``."""
+    optionally with per-channel private extras bundled alongside; without
+    extras every channel carries one bundle object, ``(value, None)``.
+    Returns the receiver's (verdict, extras), read by ``recv_broadcast``
+    from the round's deliveries with ties broken by ``tie_rng``."""
     net.view.announce(net.round, "AB", value)
-    sends = {("AB", ch): (value, extras.get(ch) if extras else None) for ch in fwd}
+    if extras:
+        sends = {("AB", ch): (value, extras.get(ch)) for ch in fwd}
+    else:
+        sends = dict.fromkeys([("AB", ch) for ch in fwd], (value, None))
     return recv_broadcast(net.end_round(sends), fwd, tie_rng)
 
 
 def recv_broadcast(delivered: dict, fwd, tie_rng: Randomness):
     """Receiver side of ``broadcast``: the majority value over ``fwd`` and
-    the extras of the channels that carried it."""
+    the extras of the channels that carried it.  When every channel
+    delivered the same object, as an untouched bundle is, the vote is
+    decided without ``majority_of``, as it would decide it: one group,
+    whose value is the bundle's, or ``None`` if that cannot be hashed."""
     values = [delivered.get(("AB", ch)) for ch in fwd]
-    firsts = [v[0] if isinstance(v, tuple) and len(v) == 2 else None
-              for v in values]
-    winner = majority_of(firsts, tie_rng)
+    first = values[0] if values else None
+    if (isinstance(first, tuple) and len(first) == 2
+            and all(v is first for v in values)):
+        winner = first[0] if _hashable(first[0]) else None
+    else:
+        firsts = [v[0] if isinstance(v, tuple) and len(v) == 2 else None
+                  for v in values]
+        winner = majority_of(firsts, tie_rng)
     extras = {ch: v[1] for ch, v in zip(fwd, values)
               if isinstance(v, tuple) and len(v) == 2 and v[0] == winner}
     return winner, extras
@@ -407,12 +424,16 @@ def reliable_send(net: _Simulator, label, payload, delta_r: float,
     """One round of an idealized reliable channel: the payload is public
     (announced to the adversary) and never modified, but it is lost, and
     ``None`` delivered, with probability ``delta_r`` by a coin from
-    ``rng``.  The transcript logs ``(round, ("reliable", label), payload,
+    ``rng``, drawn only when ``delta_r > 0``: no coin can lose it at 0.
+    The transcript logs ``(round, ("reliable", label), payload,
     delivered)``; the round carries no other send."""
     where = ("reliable", label)
     net.view.announce(net.round, where, payload)
-    coin, _ = rng.draw(_COIN_RESOLUTION)
-    delivered = None if coin < delta_r * _COIN_RESOLUTION else payload
+    delivered = payload
+    if delta_r > 0:
+        coin, _ = rng.draw(_COIN_RESOLUTION)
+        if coin < delta_r * _COIN_RESOLUTION:
+            delivered = None
     net.transcript.append((net.round, where, payload, delivered))
     net.end_round({})
     return delivered

@@ -57,7 +57,7 @@ def _share_round(net, fwd, secret, k, rng_a):
 
 
 def _recv_word(spec, delivered, fwd, k) -> ReceivedWord:
-    entries = tuple(as_field(spec, delivered.get(("AB", ch))) for ch in fwd)
+    entries = tuple([as_field(spec, delivered.get(("AB", ch))) for ch in fwd])
     return ReceivedWord(entries, sharing_params(len(fwd), k, spec))
 
 

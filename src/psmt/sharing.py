@@ -8,14 +8,18 @@ wrong secret inside the n-k-e-1 detection range).
 
 The rows are fixed by (n, k, field) where they do not depend on the
 word: each ``SharingParams`` computes on first use, and keeps, the rows
-of ``share``, of the parity check and of the secret from the first k+1
-slots.  ``_power_rows`` and ``_lagrange_rows`` are the one place rows
-are computed; their caches serve the rows a word's own slots choose
-(a partial word's secret, the syndrome decoder, ``oracle_decode``).
+of a traced ``share``, of the parity check and of the secret from the
+first k+1 slots.  ``_power_rows`` and ``_lagrange_rows`` are the one
+place rows are computed; their caches serve the rows a word's own slots
+choose (a partial word's secret, the syndrome decoder, ``oracle_decode``).
 
 The linear algebra runs on one of two representations.  Plain elements
 are turned into packed ints and computed on with the field's raw
-kernels; the results are plain.  When an operand is a ``TracedElement``
+kernels; the results are plain.  Plain shares are the coefficients'
+polynomial evaluated at the points by Horner's rule (``eval_raw``), as
+are the error locator's values in the syndrome decoder; ``share`` wraps
+the shares in a ``Codeword``, and ``_shares`` hands them to the
+protocols as they are.  When an operand is a ``TracedElement``
 (a draw of the privacy analyzer's tracing source) each row is applied
 by ``_dot_elements`` instead, which builds the result's value, taint
 and exact polynomial over the draws in one pass over the operands, as
@@ -75,7 +79,7 @@ class SharingParams:
     @cached_property
     def eval_rows(self) -> tuple[tuple[int, ...], ...]:
         """Row i evaluates a polynomial of degree <= k, by its
-        coefficients, at point i (``share``)."""
+        coefficients, at point i (``share`` on traced coefficients)."""
         return _power_rows(self.field, self.xs, self.k + 1)
 
     @cached_property
@@ -265,16 +269,20 @@ def _syndrome_rows(spec: FieldSpec, xs: tuple[int, ...],
 
 
 def share(secret: FieldElement, params: SharingParams, rng) -> Codeword:
+    return Codeword(_shares(secret, params, rng), params)
+
+
+def _shares(secret: FieldElement, params: SharingParams, rng) -> tuple:
+    """The n shares of ``secret`` under fresh coefficients from ``rng``."""
     spec = params.field
     if secret.spec is not spec and secret.spec != spec:
         raise ParamError("secret must belong to the sharing field")
     coeffs = [secret] + [spec.sample(rng) for _ in range(params.k)]
+    if TracedElement not in map(type, coeffs):   # plain shares, by Horner's rule
+        ys = spec.eval_raw([c.value for c in coeffs], params.xs)
+        return tuple([FieldElement(spec, y) for y in ys])
     ys, dot, element = _linear(spec, coeffs)
-    if dot is spec.dot_raw:   # plain coefficients: plain shares, built directly
-        shares = tuple([FieldElement(spec, dot(row, ys)) for row in params.eval_rows])
-    else:
-        shares = tuple([element(dot(row, ys)) for row in params.eval_rows])
-    return Codeword(shares, params)
+    return tuple([element(dot(row, ys)) for row in params.eval_rows])
 
 
 def reconstruct(word: ReceivedWord) -> FieldElement:
@@ -372,8 +380,7 @@ def _syndrome_decode(params: SharingParams, ys: list[int], e: int) -> list[int] 
     sol = solve_raw(spec, [s[j:j + e] + [spec.neg_raw(s[j + e])] for j in range(e)], e)
     if sol is None:
         return None
-    locator = sol + [1]
-    good = [i for i, pw in enumerate(_power_rows(spec, xs, e + 1)) if dot(pw, locator)]
+    good = [i for i, v in enumerate(spec.eval_raw(sol + [1], xs)) if v]
     # fill the (at most e) roots from the interpolant through k+1 other
     # slots, and require every other slot to lie on it
     used = good[: k + 1]

@@ -17,7 +17,7 @@ def _map_elements(payload, f):
     if isinstance(payload, FieldElement):
         return f(payload)
     if isinstance(payload, tuple):
-        return tuple(_map_elements(v, f) for v in payload)
+        return tuple([_map_elements(v, f) for v in payload])
     return payload
 
 

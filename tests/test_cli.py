@@ -227,6 +227,31 @@ def test_topology_file_missing_exit_3(capsys):
     assert code == 3 and "i/o" in err
 
 
+def _mixed_names_file(tmp_path, kind):
+    """A topology file whose node names mix str and int."""
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps({
+        "kind": kind, "nodes": ["A", "B", 1, 2],
+        "edges": [["A", 1], [1, "B"], ["A", 2], [2, "B"]],
+        "sender": "A", "receiver": "B"}))
+    return str(path)
+
+
+def test_analyze_refuses_mixed_node_name_types_exit_2(capsys, tmp_path):
+    code, report, err = run(capsys, "analyze", "--topology-file",
+                            _mixed_names_file(tmp_path, "digraph"))
+    assert code == 2 and report is None
+    assert "malformed topology data" in err and "Traceback" not in err
+
+
+def test_simulate_refuses_mixed_node_name_types_exit_2(capsys, tmp_path):
+    code, report, err = run(capsys, "simulate", "--protocol", "hyper-reliable",
+                            "--field", "7", "--k", "1", "--trials", "2",
+                            "--topology-file", _mixed_names_file(tmp_path, "neighbor"))
+    assert code == 2 and report is None
+    assert "malformed topology data" in err and "Traceback" not in err
+
+
 def test_config_file_defaults_and_overrides(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

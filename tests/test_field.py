@@ -159,7 +159,7 @@ def test_sampling_deterministic_and_in_range():
 def test_stream_is_seeded_on_its_first_draw(seed, monkeypatch):
     from psmt import randomness
 
-    sizes = (2, 7, 1 << 16, 3, 1000)
+    sizes = (2, 7, 1 << 16, 3, 1000, 1, (1 << 16) + 1, 10**6)   # 10^6: a loss coin
     reference = random.Random(randomness._canon(seed))
     want = [reference.randrange(n) for n in sizes]
     built = []
@@ -175,6 +175,31 @@ def test_stream_is_seeded_on_its_first_draw(seed, monkeypatch):
     rng = Randomness(seed)
     assert [rng.draw(n)[0] for n in sizes] == want
     assert built == [randomness._canon(seed)]
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_a_draw_from_an_empty_range_is_refused(n):
+    with pytest.raises(ValueError):
+        Randomness(1).draw(n)
+
+
+@pytest.mark.parametrize("order", [7, 2**8, 2**16, 81, 3**8, 2**17])
+def test_eval_raw_is_the_dot_product_with_the_power_rows(order):
+    from psmt.sharing import _power_rows
+
+    spec = GF(order)
+    xs = tuple(range(min(order - 1, 40) + 1))
+    rng = random.Random(order)
+    for degree in range(6):
+        rows = _power_rows(spec, xs, degree + 1)
+        for trial in range(8):
+            coeffs = [rng.randrange(order) if rng.random() < 0.7 else 0
+                      for _ in range(degree + 1)]
+            if trial == 0:
+                coeffs[-1] = 0   # a leading zero: the degree is lower
+            if trial == 1:
+                coeffs = [0] * (degree + 1)
+            assert spec.eval_raw(coeffs, xs) == [spec.dot_raw(row, coeffs) for row in rows]
 
 
 def test_sampling_uniform_chi_square_gf7():

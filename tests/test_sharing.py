@@ -776,9 +776,10 @@ def test_a_second_call_reads_the_rows_it_kept(monkeypatch):
                             lambda *a, _f=original, _n=name: built.append(_n) or _f(*a))
     calls_on(params)
     assert built == []
-    # a fresh configuration asks the row builders once for each of its rows
+    # a fresh configuration asks the row builders once for each of its
+    # rows; a plain share evaluates by Horner's rule and asks for none
     calls_on(SharingParams(7, 3, spec))
-    assert sorted(built) == ["_lagrange_rows", "_lagrange_rows", "_power_rows"]
+    assert sorted(built) == ["_lagrange_rows", "_lagrange_rows"]
 
 
 @pytest.mark.parametrize("order", [7, 16, 81, 2**16])
