@@ -22,12 +22,10 @@ the same way, and both tamper through one step, ``_tamper``.  The
 transcript logs every send as (round, where, sent, delivered).
 
 ``broadcast`` is one ``PathNetwork`` round of a public value; it returns
-the receiver's majority verdict (``recv_broadcast``).  Without private
-extras it sends one bundle object, ``(value, None)``, on every channel,
-and when every channel delivers that same object the receiver reads it
-without a vote, as the vote would read it.  ``reliable_send`` is one
-round of an idealized reliable channel, which may lose a public payload
-but never modifies it; its loss coin is drawn only when it can lose.
+the receiver's majority verdict (``recv_broadcast``).  ``reliable_send``
+is one round of an idealized reliable channel, which may lose a public
+payload but never modifies it; its loss coin is drawn only when it can
+lose.
 
 Payloads are arbitrary nested tuples of field elements, ints and
 strings.  Honest payloads stay hashable so that majority votes work; a
@@ -299,33 +297,21 @@ def majority_of(values, tie_rng: Randomness):
 
 def broadcast(net: PathNetwork, fwd, value, tie_rng: Randomness, extras=None):
     """One round: the public value on the forward channels ``fwd``,
-    optionally with per-channel private extras bundled alongside; without
-    extras every channel carries one bundle object, ``(value, None)``.
-    Returns the receiver's (verdict, extras), read by ``recv_broadcast``
-    from the round's deliveries with ties broken by ``tie_rng``."""
+    optionally with per-channel private extras bundled alongside.  Returns
+    the receiver's (verdict, extras), read by ``recv_broadcast`` from the
+    round's deliveries with ties broken by ``tie_rng``."""
     net.view.announce(net.round, "AB", value)
-    if extras:
-        sends = {("AB", ch): (value, extras.get(ch)) for ch in fwd}
-    else:
-        sends = dict.fromkeys([("AB", ch) for ch in fwd], (value, None))
+    sends = {("AB", ch): (value, extras.get(ch) if extras else None) for ch in fwd}
     return recv_broadcast(net.end_round(sends), fwd, tie_rng)
 
 
 def recv_broadcast(delivered: dict, fwd, tie_rng: Randomness):
     """Receiver side of ``broadcast``: the majority value over ``fwd`` and
-    the extras of the channels that carried it.  When every channel
-    delivered the same object, as an untouched bundle is, the vote is
-    decided without ``majority_of``, as it would decide it: one group,
-    whose value is the bundle's, or ``None`` if that cannot be hashed."""
+    the extras of the channels that carried it."""
     values = [delivered.get(("AB", ch)) for ch in fwd]
-    first = values[0] if values else None
-    if (isinstance(first, tuple) and len(first) == 2
-            and all(v is first for v in values)):
-        winner = first[0] if _hashable(first[0]) else None
-    else:
-        firsts = [v[0] if isinstance(v, tuple) and len(v) == 2 else None
-                  for v in values]
-        winner = majority_of(firsts, tie_rng)
+    firsts = [v[0] if isinstance(v, tuple) and len(v) == 2 else None
+              for v in values]
+    winner = majority_of(firsts, tie_rng)
     extras = {ch: v[1] for ch, v in zip(fwd, values)
               if isinstance(v, tuple) and len(v) == 2 and v[0] == winner}
     return winner, extras

@@ -32,7 +32,7 @@ from ..errors import PreconditionError
 from ..field import FieldElement, FieldSpec
 from ..netsim import Outcome, PathNetwork
 from ..randomness import Randomness
-from ..sharing import SharingParams, _shares
+from ..sharing import SharingParams, share
 
 
 def _rng(rng, seed, party: str):
@@ -155,4 +155,4 @@ def sharing_params(n: int, k: int, spec: FieldSpec) -> SharingParams:
 
 def share_vector(secret: FieldElement, n: int, k: int, rng) -> tuple:
     """Fresh (k+1)-out-of-n sharing; returns the n shares in point order."""
-    return _shares(secret, sharing_params(n, k, secret.spec), rng)
+    return share(secret, sharing_params(n, k, secret.spec), rng).shares

@@ -38,29 +38,19 @@ class Randomness:
     one owner; a source handed to a protocol's ``rng`` serves every
     honest party of the run.
 
-    The seed is canonicalised (``_canon``) and the Mersenne stream seeded
-    at the first draw: many streams, such as the receiver's and the
-    adversary's, are built on every run and never drawn from.  A draw
-    below n runs ``randrange``'s own rejection loop on the stream's
-    ``getrandbits``: n.bit_length() bits, drawn again while n or more.
-    The values are those of ``random.Random(_canon(seed)).randrange(n)``.
+    The seed is canonicalised (``_canon``) and the Mersenne stream
+    seeded at the first draw: many streams, such as the receiver's and
+    the adversary's, are built on every run and never drawn from.
     """
 
     def __init__(self, seed):
         self._seed = seed
-        self._bits = None
+        self._rng = None
 
     def draw(self, n: int) -> tuple[int, None]:
-        bits = self._bits
-        if bits is None:
-            bits = self._bits = random.Random(_canon(self._seed)).getrandbits
-        k = n.bit_length()
-        r = bits(k)
-        while r >= n:
-            if n <= 0:   # every r is: randrange refuses such a range
-                raise ValueError(f"empty range for a draw below {n}")
-            r = bits(k)
-        return r, None
+        if self._rng is None:
+            self._rng = random.Random(_canon(self._seed))
+        return self._rng.randrange(n), None
 
 
 _MASK64 = (1 << 64) - 1

@@ -17,13 +17,11 @@ The linear algebra runs on one of two representations.  Plain elements
 are turned into packed ints and computed on with the field's raw
 kernels; the results are plain.  Plain shares are the coefficients'
 polynomial evaluated at the points by Horner's rule (``eval_raw``), as
-are the error locator's values in the syndrome decoder; ``share`` wraps
-the shares in a ``Codeword``, and ``_shares`` hands them to the
-protocols as they are.  When an operand is a ``TracedElement``
-(a draw of the privacy analyzer's tracing source) each row is applied
-by ``_dot_elements`` instead, which builds the result's value, taint
-and exact polynomial over the draws in one pass over the operands, as
-the element operators would term by term.  On that path ``share``,
+are the error locator's values in the syndrome decoder.  When an
+operand is a ``TracedElement`` (a draw of the privacy analyzer's tracing
+source) each row is applied by ``_dot_elements`` instead, which builds
+the result's value, taint and exact polynomial over the draws in one
+pass over the operands, as the element operators would term by term.  On that path ``share``,
 ``reconstruct``, ``detect_errors`` and a ``correct_errors`` call on a
 word that lies on the code observe nothing: an honest word's parity
 differences are the zero polynomial.  A parity check that fails
@@ -269,20 +267,15 @@ def _syndrome_rows(spec: FieldSpec, xs: tuple[int, ...],
 
 
 def share(secret: FieldElement, params: SharingParams, rng) -> Codeword:
-    return Codeword(_shares(secret, params, rng), params)
-
-
-def _shares(secret: FieldElement, params: SharingParams, rng) -> tuple:
-    """The n shares of ``secret`` under fresh coefficients from ``rng``."""
     spec = params.field
     if secret.spec is not spec and secret.spec != spec:
         raise ParamError("secret must belong to the sharing field")
     coeffs = [secret] + [spec.sample(rng) for _ in range(params.k)]
     if TracedElement not in map(type, coeffs):   # plain shares, by Horner's rule
         ys = spec.eval_raw([c.value for c in coeffs], params.xs)
-        return tuple([FieldElement(spec, y) for y in ys])
+        return Codeword(tuple([FieldElement(spec, y) for y in ys]), params)
     ys, dot, element = _linear(spec, coeffs)
-    return tuple([element(dot(row, ys)) for row in params.eval_rows])
+    return Codeword(tuple([element(dot(row, ys)) for row in params.eval_rows]), params)
 
 
 def reconstruct(word: ReceivedWord) -> FieldElement:

@@ -169,20 +169,6 @@ def hashed_majority(values, tie_rng):
     return tied[idx]
 
 
-def every_vote_broadcast(delivered, fwd, tie_rng, majority):
-    """The receiver's reading of a broadcast round, voting on every
-    channel: ``majority`` over each channel's first item (``None`` for a
-    payload that is not a pair), and the extras of the channels whose
-    first item equals the winner."""
-    values = [delivered.get(("AB", ch)) for ch in fwd]
-    firsts = [v[0] if isinstance(v, tuple) and len(v) == 2 else None
-              for v in values]
-    winner = majority(firsts, tie_rng)
-    extras = {ch: v[1] for ch, v in zip(fwd, values)
-              if isinstance(v, tuple) and len(v) == 2 and v[0] == winner}
-    return winner, extras
-
-
 def mono_mul(a, b, q):
     """Product of two monomials, tuples of (variable, exponent) sorted by
     variable, with every exponent reduced into 1 .. q-1 by x^q = x."""

@@ -229,11 +229,13 @@ def test_topology_file_missing_exit_3(capsys):
 
 def _mixed_names_file(tmp_path, kind):
     """A topology file whose node names mix str and int."""
+    data = {"kind": kind, "nodes": ["A", "B", 1, 2], "sender": "A", "receiver": "B"}
+    if kind == "hypergraph":
+        data["hyperedges"] = [["A", [1, 2]], [1, ["B"]], [2, ["B"]]]
+    else:
+        data["edges"] = [["A", 1], [1, "B"], ["A", 2], [2, "B"]]
     path = tmp_path / f"{kind}.json"
-    path.write_text(json.dumps({
-        "kind": kind, "nodes": ["A", "B", 1, 2],
-        "edges": [["A", 1], [1, "B"], ["A", 2], [2, "B"]],
-        "sender": "A", "receiver": "B"}))
+    path.write_text(json.dumps(data))
     return str(path)
 
 
@@ -244,10 +246,11 @@ def test_analyze_refuses_mixed_node_name_types_exit_2(capsys, tmp_path):
     assert "malformed topology data" in err and "Traceback" not in err
 
 
-def test_simulate_refuses_mixed_node_name_types_exit_2(capsys, tmp_path):
+@pytest.mark.parametrize("kind", ["neighbor", "hypergraph"])
+def test_simulate_refuses_mixed_node_name_types_exit_2(capsys, tmp_path, kind):
     code, report, err = run(capsys, "simulate", "--protocol", "hyper-reliable",
                             "--field", "7", "--k", "1", "--trials", "2",
-                            "--topology-file", _mixed_names_file(tmp_path, "neighbor"))
+                            "--topology-file", _mixed_names_file(tmp_path, kind))
     assert code == 2 and report is None
     assert "malformed topology data" in err and "Traceback" not in err
 

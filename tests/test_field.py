@@ -177,12 +177,6 @@ def test_stream_is_seeded_on_its_first_draw(seed, monkeypatch):
     assert built == [randomness._canon(seed)]
 
 
-@pytest.mark.parametrize("n", [0, -3])
-def test_a_draw_from_an_empty_range_is_refused(n):
-    with pytest.raises(ValueError):
-        Randomness(1).draw(n)
-
-
 @pytest.mark.parametrize("order", [7, 2**8, 2**16, 81, 3**8, 2**17])
 def test_eval_raw_is_the_dot_product_with_the_power_rows(order):
     from psmt.sharing import _power_rows

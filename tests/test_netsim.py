@@ -298,75 +298,6 @@ def test_a_vote_over_equal_traced_copies_observes_nothing():
     assert rng.observed == set()
 
 
-class _CountingCoin(Randomness):
-    """A tie coin that counts its draws."""
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.draws = 0
-
-    def draw(self, n):
-        self.draws += 1
-        return super().draw(n)
-
-
-def _broadcast_deliveries(coin, spec, fwd):
-    """One round's deliveries on ``fwd``: one shared bundle on every
-    channel, or a mix of it with per-channel extras, tampered pairs,
-    payloads that are not pairs, missing channels and forged verdicts,
-    a NaN (not equal to itself) and an unhashable value among them."""
-    values = ["ok", ("drop", (0, 1)), spec.element(coin.randrange(3)),
-              float("nan"), ["unhashable"], None]
-    value = coin.choice(values)
-    bundle = (value, None)
-    if coin.random() < 0.4:
-        return {("AB", ch): bundle for ch in fwd}
-    pool = [
-        lambda ch: bundle,
-        lambda ch: (value, ch),                       # extras of its own
-        lambda ch: (coin.choice(values), None),       # tampered verdict
-        lambda ch: (coin.choice(values), "forged"),
-        lambda ch: coin.choice(["stop", (value,), (value, None, 1), 3, ["x"]]),
-        lambda ch: (float("nan"), ch),
-    ]
-    return {("AB", ch): coin.choice(pool)(ch) for ch in fwd if coin.random() < 0.9}
-
-
-def test_recv_broadcast_matches_the_vote_over_every_channel():
-    import random
-
-    from oracles import every_vote_broadcast
-
-    spec = GF(5)
-    coin = random.Random("broadcast")
-    for trial in range(3000):
-        fwd = coin.sample(range(7), coin.randrange(0, 8))
-        delivered = _broadcast_deliveries(coin, spec, fwd)
-        got_rng, want_rng = (_CountingCoin(("tie", trial)) for _ in range(2))
-        got = recv_broadcast(delivered, fwd, got_rng)
-        want = every_vote_broadcast(delivered, fwd, want_rng, majority_of)
-        assert got[0] is want[0], delivered
-        assert list(got[1]) == list(want[1])
-        assert all(got[1][ch] is want[1][ch] for ch in want[1])
-        assert got_rng.draws == want_rng.draws
-
-
-def test_an_untouched_broadcast_is_read_without_a_vote(monkeypatch):
-    import psmt.netsim as netsim
-
-    votes = []
-    monkeypatch.setattr(netsim, "majority_of",
-                        lambda values, rng: votes.append(values) or majority_of(values, rng))
-    net = PathNetwork(3, 0, AdversarySpec(frozenset({("AB", 1)})))
-    assert broadcast(net, range(3), ("done",), Randomness(0)) == (
-        ("done",), {0: None, 1: None, 2: None})
-    assert votes == []
-    # a tampered channel, or extras, put every channel to the vote
-    net = PathNetwork(3, 0, AdversarySpec(frozenset({("AB", 1)}), shift_tamperer()))
-    assert broadcast(net, range(3), "x", Randomness(0), {0: 5}) == ("x", {0: 5, 1: None, 2: None})
-    assert votes == [["x", "x", "x"]]
-
-
 def test_reliable_send_failure_rate():
     net = HyperNet(fixtures.get("fig5"))
     rng = Randomness("reliable")
