@@ -98,8 +98,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill unset options from the JSON config; explicit flags win."""
+# per parser type: the JSON values a config entry may hold, and their name;
+# bool stands for a flag that takes no value
+_CONFIG_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+                 None: (str, "a string"), bool: (bool, "true or false")}
+
+
+def _apply_config(args: argparse.Namespace, argv: list[str],
+                  parser: argparse.ArgumentParser) -> None:
+    """Fill unset options from the JSON config; explicit flags win.  Each
+    entry must hold a value of its option's parser type, and null leaves
+    the option unset."""
     if not args.config:
         return
     try:
@@ -113,10 +122,21 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
         raise ParamError("config must be a JSON object")
     given = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
              for tok in argv if tok.startswith("--")}
+    # the subcommand's parser is a choice of the parser's subparsers action
+    command = next(a.choices[args.command] for a in parser._actions
+                   if isinstance(a.choices, dict))
+    actions = {a.dest: a for a in command._actions}
     for key, value in cfg.items():
         attr = str(key).replace("-", "_")
-        if not hasattr(args, attr):
+        if not hasattr(args, attr) or attr not in actions:
             raise ParamError(f"unknown config option {key!r}")
+        if value is None:
+            continue
+        action = actions[attr]
+        want, name = _CONFIG_TYPES[bool if action.nargs == 0 else action.type]
+        if isinstance(value, bool) != (want is bool) or not isinstance(value, want):
+            raise ParamError(f"config entry {key!r} must be {name} for "
+                             f"{action.option_strings[0]}, got {json.dumps(value)}")
         if attr not in given:
             setattr(args, attr, value)
 
@@ -142,7 +162,7 @@ def _parse_corrupt(text: str, kind: str) -> frozenset:
     if not text:
         return frozenset()
     out = []
-    for token in str(text).split(","):
+    for token in text.split(","):
         token = token.strip()
         if not token:
             continue
@@ -171,8 +191,8 @@ def _cmd_analyze(args) -> dict:
     if g is None:
         raise ParamError("analyze needs --fixture or --topology-file")
     k = args.k
-    if not isinstance(k, int) or k < 0:
-        raise ParamError(f"--k must be an integer of at least 0, got {k!r}")
+    if k < 0:
+        raise ParamError(f"--k must be at least 0, got {k}")
     report: dict = {"topology": fixtures.to_dict(g), "k": k}
     if isinstance(g, Digraph):
         ps, sep = topology.menger(g)
@@ -243,7 +263,7 @@ def _protocol_run(args):
     desc = protocols.get(args.protocol or "")
     if args.field is None:
         raise ParamError("missing --field")
-    spec = GF(int(args.field))
+    spec = GF(args.field)
     kw = _protocol_kwargs(desc, args)
     return desc, spec, kw, _parse_corrupt(args.corrupt, desc.kind)
 
@@ -264,7 +284,7 @@ def _wilson_interval(bad: int, trials: int) -> list[float]:
 
 
 def _cmd_simulate(args) -> dict:
-    trials = int(args.trials)
+    trials = args.trials
     if trials < 0:
         raise ParamError(f"--trials must be at least 0, got {trials}")
     desc, spec, kw, corrupted = _protocol_run(args)
@@ -275,7 +295,7 @@ def _cmd_simulate(args) -> dict:
     for t in range(trials):
         seed_t = derive_trial_seed(args.seed, t)
         if args.message is not None:
-            message = spec.element(int(args.message) % spec.order)
+            message = spec.element(args.message % spec.order)
         else:
             # per-trial message drawn from the master seed, not the parties'
             message = spec.sample(Randomness((args.seed, "msg", t)))
@@ -313,15 +333,15 @@ def _cmd_simulate(args) -> dict:
 
 
 def _cmd_privacy(args) -> dict:
-    if int(args.samples) < 1:
+    if args.samples < 1:
         raise ParamError(f"--samples must be at least 1, got {args.samples}")
     desc, spec, kw, corrupted = _protocol_run(args)
     if not desc.private:
         raise ParamError(f"protocol {desc.name} makes no privacy claim")
     if args.m0 is None or args.m1 is None:
         raise ParamError("privacy needs --m0 and --m1")
-    m0 = spec.element(int(args.m0) % spec.order)
-    m1 = spec.element(int(args.m1) % spec.order)
+    m0 = spec.element(args.m0 % spec.order)
+    m1 = spec.element(args.m1 % spec.order)
     adversary = AdversarySpec(corrupted)  # privacy is against eavesdropping
     run = shared_rng_runner(desc.run, adversary=adversary, seed=args.seed, **kw)
     if args.estimate:
@@ -392,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        _apply_config(args, argv)
+        _apply_config(args, argv, parser)
         report = _COMMANDS[args.command](args)
         _emit(report, args)
     except PreconditionError as exc:

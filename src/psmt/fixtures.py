@@ -6,7 +6,8 @@ plain k-connectivity, weak k-hyper-connectivity, k-neighbor-
 connectivity, and weak (n,k)-connectivity, plus two multicast
 hypergraphs: ``fig5`` supports reliable but not private transmission,
 and ``duo`` is the one fixture that meets ``hyper-private``'s
-precondition.
+precondition.  ``fig80``'s weak (2,1) fact holds under the endpoint-
+inclusive clearance rule, which admits no family past k = 1.
 """
 
 from __future__ import annotations
@@ -142,19 +143,22 @@ def chains_with_crosslink() -> Digraph:
 
 
 def to_dict(g) -> dict:
-    if isinstance(g, Digraph):
-        return {"kind": "digraph", "nodes": sorted(g.nodes),
-                "edges": sorted([a, b] for a, b in g.edges),
-                "sender": g.sender, "receiver": g.receiver}
-    if isinstance(g, Hypergraph):
-        return {"kind": "hypergraph", "nodes": sorted(g.nodes),
-                "hyperedges": [[origin, sorted(recipients)]
-                               for origin, recipients in g.hyperedges],
-                "sender": g.sender, "receiver": g.receiver}
-    if isinstance(g, NeighborNet):
-        return {"kind": "neighbor", "nodes": sorted(g.nodes),
-                "edges": sorted(sorted(e) for e in g.edges),
-                "sender": g.sender, "receiver": g.receiver}
+    try:
+        if isinstance(g, Digraph):
+            return {"kind": "digraph", "nodes": sorted(g.nodes),
+                    "edges": sorted([a, b] for a, b in g.edges),
+                    "sender": g.sender, "receiver": g.receiver}
+        if isinstance(g, Hypergraph):
+            return {"kind": "hypergraph", "nodes": sorted(g.nodes),
+                    "hyperedges": [[origin, sorted(recipients)]
+                                   for origin, recipients in g.hyperedges],
+                    "sender": g.sender, "receiver": g.receiver}
+        if isinstance(g, NeighborNet):
+            return {"kind": "neighbor", "nodes": sorted(g.nodes),
+                    "edges": sorted(sorted(e) for e in g.edges),
+                    "sender": g.sender, "receiver": g.receiver}
+    except TypeError as exc:   # sorted() on names of unlike types
+        raise ParamError(f"node names cannot be ordered against each other: {exc}") from exc
     raise ParamError(f"cannot serialize {type(g).__name__}")
 
 

@@ -18,7 +18,9 @@ random digraph with three links per node takes 0.35, 5.1 and 39 ms at
 Python 3.11, Xeon, best of 15).
 The hypergraph and neighbor-network connectivity predicates enumerate
 removed node sets as masks, bit i for node i in ``sorted`` order, and
-refuse graphs with more than 20 nodes.
+refuse graphs with more than 20 nodes.  The hierarchy's weak (n, k-1)
+rung searches no path family: it is exact at k <= 1 and reads False past
+it, where the endpoint-inclusive clearance rule admits no family.
 """
 
 from __future__ import annotations
@@ -352,25 +354,10 @@ def to_hypergraph(g: NeighborNet) -> Hypergraph:
         g.sender, g.receiver)
 
 
-def k_connected(g: NeighborNet, k: int) -> bool:
-    """At least k internally node-disjoint undirected paths: the
-    hypergraph's induced digraph holds every edge both ways."""
-    return len(max_disjoint_paths(to_hypergraph(g))) >= k
-
-
-def weakly_k_hyper_connected(g: NeighborNet, k: int) -> bool:
-    return weakly_k_connected(to_hypergraph(g), k)
-
-
-def _adjacency(g: NeighborNet) -> tuple[dict, list]:
-    """Node indices and each node's neighbor mask."""
+def neighbor_k_connected(g: NeighborNet, k: int) -> bool:
     order = sorted(g.nodes)
     index = {v: i for i, v in enumerate(order)}
-    return index, [sum(1 << index[u] for u in g.neighbors(v)) for v in order]
-
-
-def neighbor_k_connected(g: NeighborNet, k: int) -> bool:
-    index, near = _adjacency(g)
+    near = [sum(1 << index[u] for u in g.neighbors(v)) for v in order]
     s, t = index[g.sender], index[g.receiver]
 
     def survives(v1: int) -> bool:
@@ -381,71 +368,27 @@ def neighbor_k_connected(g: NeighborNet, k: int) -> bool:
     return _survive_all(g, k, survives)
 
 
-def _all_simple_paths(g: NeighborNet) -> list:
-    out = []
-    target = g.receiver
-
-    def extend(path, visited):
-        u = path[-1]
-        if u == target:
-            out.append(tuple(path))
-            return
-        for v in sorted(g.neighbors(u)):
-            if v not in visited:
-                extend(path + [v], visited | {v})
-
-    extend([g.sender], {g.sender})
-    return out
-
-
-def weakly_nk_connected(g: NeighborNet, n: int, k: int):
-    """(True, witness path family) per the disjoint-neighborhood definition:
-    n simple sender->receiver paths with disjoint inner nodes such that
-    every set t of at most k inner nodes leaves one of them clear.  A path
-    is clear of t when no node on it neighbors t, the endpoints included,
-    so a t holding a neighbor of the sender or the receiver is clear of no
-    path and the answer is False without listing any path.  That early
-    answer is exact under this clearance rule only; a rule over inner
-    nodes alone would need the full search."""
-    if n < 0 or k < 0:
-        raise ParamError(f"n and k must be at least 0, got n={n}, k={k}")
-    _check_size(g.nodes)
-    if k and (g.neighbors(g.sender) | g.neighbors(g.receiver)) - {g.sender, g.receiver}:
-        return False, None
-    index, near = _adjacency(g)
-    paths = _all_simple_paths(g)
-    internal = [1 << index[v] for v in sorted(g.nodes - {g.sender, g.receiver})]
-    tsets = [sum(t)
-             for size in range(min(k, len(internal)) + 1)
-             for t in itertools.combinations(internal, size)]
-    # a path is clear of t when no node on it neighbors t
-    around = [functools.reduce(operator.or_, (near[index[v]] for v in p)) for p in paths]
-    if any(all(a & t for a in around) for t in tsets):
-        return False, None   # some t is clear of no path, so of no family
-    inner = [sum(1 << index[v] for v in p[1:-1]) for p in paths]
-    for family in itertools.combinations(range(len(paths)), n):
-        if any(inner[i] & inner[j] for i, j in itertools.combinations(family, 2)):
-            continue
-        if all(any(not around[i] & t for i in family) for t in tsets):
-            return True, tuple(paths[i] for i in family)
-    return False, None
-
-
 def connectivity_hierarchy(g: NeighborNet, k: int) -> dict:
     """All four predicates at level k, with the implication chain asserted;
-    refused for neighboring endpoints, where the chain does not hold."""
+    refused for neighboring endpoints, where the chain does not hold.
+
+    The weak (n, k-1) rung asks for n >= k simple sender->receiver paths
+    with disjoint inner nodes such that every set t of at most k - 1 inner
+    nodes leaves one of them clear: no node on it, the endpoints included,
+    neighbors t.  At k <= 1 the only t is empty and one path clears it, so
+    the rung is k-connectivity.  Past k = 1 a t holding a neighbor of the
+    sender is clear of no path, and a sender with no neighbor has no path,
+    so the rung is False.  The paper's abstract does not settle whether
+    the endpoints count; a rule over inner nodes alone needs a search."""
     if k < 0:
         raise ParamError(f"k must be at least 0, got {k}")
     if g.receiver in g.neighbors(g.sender):
         raise ParamError("the hierarchy needs a sender and receiver that are not neighbors")
     h = to_hypergraph(g)
-    max_n = len(max_disjoint_paths(h))
-    kc = max_n >= k   # k_connected, from the one max flow
+    kc = len(max_disjoint_paths(h)) >= k   # k_connected, from the one max flow
     wh = weakly_k_connected(h, k)   # weakly_k_hyper_connected
     nc = neighbor_k_connected(g, k)
-    # at k = 0 no t is to be cleared and the empty family qualifies
-    wnk = k == 0 or any(weakly_nk_connected(g, n, k - 1)[0]
-                        for n in range(k, max_n + 1))
+    wnk = kc and k <= 1   # weakly_nk_connected, closed form (see above)
     report = {
         "k_connected": kc,
         "weakly_k_hyper_connected": wh,

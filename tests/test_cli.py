@@ -267,6 +267,42 @@ def test_config_file_defaults_and_overrides(capsys, tmp_path):
     assert code == 0 and report["trials"] == 10
 
 
+_SIMULATE = ["simulate", "--protocol", "perfect-3k", "--field", "7", "--k", "1",
+             "--trials", "3"]
+_PRIVACY = ["privacy", "--protocol", "single-feedback", "--field", "5", "--corrupt", "AB0",
+            "--m0", "1", "--m1", "4", "--estimate"]
+
+
+@pytest.mark.parametrize("argv, entry, flag", [
+    (_SIMULATE[:3], {"trials": "abc"}, "--trials"),
+    (_SIMULATE[:3], {"field": "x"}, "--field"),
+    (_SIMULATE[:3], {"field": 7, "k": "2"}, "--k"),
+    (_SIMULATE[:3], {"field": 7, "k": 1.5}, "--k"),
+    (_SIMULATE[:7], {"trials": 2.7}, "--trials"),
+    (_SIMULATE, {"seed": [1]}, "--seed"),
+    (_SIMULATE, {"trials": True}, "--trials"),
+    (_SIMULATE, {"adversary": 3}, "--adversary"),
+    (_PRIVACY, {"samples": "q"}, "--samples"),
+    (_PRIVACY, {"estimate": 1}, "--estimate"),
+], ids=["trials-string", "field-string", "k-string", "k-float", "trials-float",
+        "seed-list", "trials-bool", "adversary-int", "samples-string", "estimate-int"])
+def test_a_mistyped_config_entry_exit_2(capsys, tmp_path, argv, entry, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    code, report, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and report is None
+    assert flag in err and "Traceback" not in err
+
+
+def test_a_null_config_entry_leaves_its_option_unset(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": None, "trials": None, "adversary": None}))
+    code, report, _ = run(capsys, *_SIMULATE[:7], "--config", str(cfg))
+    assert code == 0
+    assert report == run(capsys, *_SIMULATE[:7])[1]
+    assert (report["seed"], report["trials"], report["adversary"]) == (0, 100, "passive")
+
+
 def test_config_unknown_key_exit_2(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))

@@ -110,20 +110,36 @@ def _reads(tree) -> collections.Counter:
         or isinstance(n, ast.Attribute))
 
 
+def _unread(sources: dict, readers=()) -> list:
+    """(module, node) for each module-level function or class of
+    ``sources`` that no code in ``sources`` or ``readers`` reads outside
+    its own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    total = sum((_reads(tree) for tree in [*trees.values(), *map(ast.parse, readers)]),
+                collections.Counter())
+    return [(module, node) for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and total[node.name] == _reads(node)[node.name]]
+
+
 def unreferenced_helpers(sources: dict, helper_modules=()) -> list:
     """(module, line, name) for each helper that no code in ``sources``
     reads outside the helper's own definition.  A helper is a module-level
     function or class with a private name, or any module-level function of
     ``helper_modules``, which exist only to serve the others."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
-    total = sum((_reads(tree) for tree in trees.values()), collections.Counter())
     return sorted(
-        (module, node.lineno, node.name) for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and ((node.name.startswith("_") and not node.name.startswith("__"))
-             or module in helper_modules and not isinstance(node, ast.ClassDef))
-        and total[node.name] == _reads(node)[node.name])
+        (module, node.lineno, node.name) for module, node in _unread(sources)
+        if (node.name.startswith("_") and not node.name.startswith("__"))
+        or module in helper_modules and not isinstance(node, ast.ClassDef))
+
+
+def unread_public_names(sources: dict, readers=()) -> list:
+    """(module, line, name) for each public module-level function or
+    class that no code in ``sources`` or ``readers`` reads outside its own
+    definition."""
+    return sorted((module, node.lineno, node.name)
+                  for module, node in _unread(sources, readers)
+                  if not node.name.startswith("_"))
 
 
 def test_unreferenced_helpers_are_detected():
@@ -142,12 +158,40 @@ def test_unreferenced_helpers_are_detected():
 TEST_ONLY = {("privacy.py", "_enumerated_distance")}
 
 
+def _psmt_sources() -> dict:
+    return {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+            for path in sorted(ROOT.rglob("*.py"))}
+
+
 def test_every_helper_is_read_elsewhere_in_psmt():
     # protocols.common holds the helpers the protocols share
-    sources = {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
-               for path in sorted(ROOT.rglob("*.py"))}
-    found = unreferenced_helpers(sources, {"protocols/common.py"})
+    found = unreferenced_helpers(_psmt_sources(), {"protocols/common.py"})
     assert {(module, name) for module, _, name in found} == TEST_ONLY
+
+
+def test_unread_public_names_are_detected():
+    sources = {"a.py": ("def used():\n    return 1\n"
+                        "def alone(n):\n    return alone(n - 1)\n"
+                        "class Kind:\n    pass\n"
+                        "def _private():\n    return used()\n"),
+               "b.py": "def outside():\n    pass\n"}
+    assert unread_public_names(sources, ["x = a.outside\n"]) == [
+        ("a.py", 3, "alone"), ("a.py", 5, "Kind")]
+
+
+# public names no psmt or benchmark code reads: the directed fixtures,
+# which await a planner that maps a graph to a protocol, and the scripted
+# strategy, which awaits adversaries that replay a found witness
+UNREAD_PUBLIC = {("fixtures.py", "two_path_feedback"), ("fixtures.py", "feedback_detour"),
+                 ("fixtures.py", "braided_eight"), ("fixtures.py", "chains_with_crosslink"),
+                 ("strategies.py", "scripted")}
+
+
+def test_every_public_name_is_read_by_psmt_or_the_benchmark():
+    # the benchmark's modules are parsed, not imported
+    readers = [path.read_text(encoding="utf-8") for path in sorted(PERFBENCH.glob("*.py"))]
+    found = unread_public_names(_psmt_sources(), readers)
+    assert {(module, name) for module, _, name in found} == UNREAD_PUBLIC
 
 
 def round_and_transcript_writes(source: str) -> list:

@@ -2,8 +2,6 @@
 
 import contextlib
 import itertools
-import json
-import pathlib
 import random
 import signal
 
@@ -21,7 +19,7 @@ from oracles import (
     weak_family,
 )
 
-from psmt import fixtures, topology
+from psmt import fixtures
 from psmt.errors import ParamError, SizeLimit
 from psmt.topology import (
     Digraph,
@@ -30,7 +28,6 @@ from psmt.topology import (
     PathSet,
     connectivity_hierarchy,
     is_k_separable,
-    k_connected,
     max_disjoint_paths,
     menger,
     min_vertex_separator,
@@ -39,12 +36,8 @@ from psmt.topology import (
     strongly_k_connected,
     to_hypergraph,
     weakly_k_connected,
-    weakly_k_hyper_connected,
-    weakly_nk_connected,
     _check_size,
 )
-
-GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def _random_digraph(rng: random.Random, awkward: bool = False) -> Digraph:
@@ -279,26 +272,27 @@ def test_directed_fixture_reads_its_neighbor_fixture_edges(directed, undirected)
 
 
 def test_fixture_fig1_two_connected_not_weakly_two_hyper():
-    g = fixtures.get("fig1")
-    assert k_connected(g, 2)
-    assert not weakly_k_hyper_connected(g, 2)
+    report = connectivity_hierarchy(fixtures.get("fig1"), 2)
+    assert report["k_connected"]
+    assert not report["weakly_k_hyper_connected"]
 
 
 def test_fixture_fig2_weakly_two_hyper_not_two_neighbor():
     g = fixtures.get("fig2")
-    assert weakly_k_hyper_connected(g, 2)
+    assert connectivity_hierarchy(g, 2)["weakly_k_hyper_connected"]
     assert not neighbor_k_connected(g, 2)
 
 
 def test_fixture_fig80_two_neighbor_not_weakly_21():
     g = fixtures.get("fig80")
     assert neighbor_k_connected(g, 2)
-    assert not weakly_nk_connected(g, 2, 1)[0]
+    assert not connectivity_hierarchy(g, 2)["weakly_nk_connected"]
+    assert not weak_family(g, 2, 1)[0]
 
 
 def test_fixture_fig3_hierarchy():
     g = fixtures.get("fig3")
-    assert not weakly_k_hyper_connected(g, 2)
+    assert not connectivity_hierarchy(g, 2)["weakly_k_hyper_connected"]
     h = to_hypergraph(g)
     assert len(max_disjoint_paths(h)) < 3
     ok, witness = is_k_separable(h, 2)
@@ -313,8 +307,7 @@ def test_fixture_fig5_facts():
 
 
 def test_fixture_fig009_weakly_two_hyper():
-    g = fixtures.get("fig009")
-    assert weakly_k_hyper_connected(g, 2)
+    assert connectivity_hierarchy(fixtures.get("fig009"), 2)["weakly_k_hyper_connected"]
 
 
 def _random_neighbor_net(rng: random.Random, most: int, p: float) -> NeighborNet:
@@ -360,44 +353,26 @@ def test_mask_predicates_match_the_set_based_search_random():
 
 
 def test_weakly_nk_connected_matches_every_family_random():
-    # the search refutes at once when some t is clear of no path; the
-    # answers and witnesses are those of trying every family.  Each net
-    # also runs with an A-B link, where (A, B) may be the only path: it is
-    # clear of every t away from the endpoints' neighbors, which a
-    # refutation on any node's neighbors would miss
+    # the rung searches no family; it must answer as trying every family
+    # of n >= k paths does, for every n up to the maximum flow
     rng = random.Random(2710)
     verdicts = set()
     for _ in range(120):
         g = _random_neighbor_net(rng, 6, rng.choice((0.3, 0.5, 0.7)))
-        joined = NeighborNet.build(g.nodes, [*g.edges, ("A", "B")], "A", "B")
-        for net in (g, joined):
-            for n in (1, 2, 3):
-                for k in (0, 1, 2):
-                    got = weakly_nk_connected(net, n, k)
-                    assert got == weak_family(net, n, k), (net, n, k)
-                    verdicts.add(got[0])
+        max_n = len(max_disjoint_paths(to_hypergraph(g)))
+        for k in (0, 1, 2, 3):
+            want = k == 0 or any(weak_family(g, n, k - 1)[0]
+                                 for n in range(k, max_n + 1))
+            got = connectivity_hierarchy(g, k)["weakly_nk_connected"]
+            assert got == want, (g, k)
+            verdicts.add(got)
     assert verdicts == {True, False}
-
-
-@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig80", "fig009"])
-def test_weak_rung_refutes_without_listing_paths(name, monkeypatch):
-    # at k = 2 the rung's t-sets hold a neighbor of the sender, and every
-    # path's clearance counts the sender's neighbors
-    listed = []
-    real = topology._all_simple_paths
-    monkeypatch.setattr(topology, "_all_simple_paths", lambda g: listed.append(g) or real(g))
-    report = connectivity_hierarchy(fixtures.get(name), 2)
-    golden = json.loads((GOLDEN / f"analyze__{name}__k2.json").read_text())
-    assert report == golden["hierarchy"] and listed == []
 
 
 def test_negative_bounds_are_refused():
     g = fixtures.get("fig1")
-    for call in (lambda: connectivity_hierarchy(g, -1),
-                 lambda: weakly_nk_connected(g, 2, -1),
-                 lambda: weakly_nk_connected(g, -1, 1)):
-        with pytest.raises(ParamError, match="at least 0"):
-            call()
+    with pytest.raises(ParamError, match="at least 0"):
+        connectivity_hierarchy(g, -1)
     # at k = 0 there is nothing to remove and no t to clear
     for name in ("fig1", "fig2", "fig3", "fig80", "fig009"):
         assert connectivity_hierarchy(fixtures.get(name), 0) == {
@@ -448,8 +423,8 @@ def test_to_hypergraph_handshake_identity():
         # recipient count equals twice the edge count
         assert len(h.hyperedges) == len(g.nodes)
         assert sum(len(rs) for _, rs in h.hyperedges) == 2 * len(g.edges)
-        # its induced digraph holds every edge both ways, and k_connected
-        # counts that digraph's disjoint paths
+        # its induced digraph holds every edge both ways, and the
+        # hierarchy's k_connected counts that digraph's disjoint paths
         both_ways = {(a, b) for e in g.edges for a, b in itertools.permutations(e)}
         assert h.induced_digraph() == Digraph(g.nodes, frozenset(both_ways), "A", "B")
 
@@ -491,6 +466,12 @@ def test_graph_validation():
         NeighborNet.build("AB", [("A", "A")], "A", "B")
     with pytest.raises(ParamError):
         Hypergraph.build("AB", [("A", {"C"})], "A", "B")
+
+
+def test_to_dict_refuses_names_that_cannot_be_ordered():
+    g = Digraph.build(["A", "B", 1, 2], [("A", 1), (1, "B"), ("A", 2), (2, "B")], "A", "B")
+    with pytest.raises(ParamError, match="cannot be ordered against each other"):
+        fixtures.to_dict(g)
 
 
 def test_serialization_round_trip():
